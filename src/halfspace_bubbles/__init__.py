@@ -20,12 +20,10 @@ from .bubble_family import (
     interior_residual_analytic,
     load_params,
     make_bubble_params,
-    save_params,
     solve_betas,
 )
 from .conformal_ball import (
     ConformalSetup,
-    T_map,
     ball_system_residual,
     recover_mu_alpha,
     setup_from_params,
@@ -44,9 +42,9 @@ from .exponent_system import (
 from .fd_verifier import (
     ConvergenceReport,
     ResidualReport,
+    central_laplacian,
     convergence_order,
-    fd_laplacian,
-    fd_normal_derivative,
+    one_sided_derivative,
     residual_sweep,
 )
 from .kelvin_inversion import (
@@ -62,7 +60,6 @@ from .kelvin_inversion import (
 )
 from .radial_ode import (
     BreakdownCertificate,
-    RadialState,
     RadialTrajectory,
     closed_form_psi,
     halfline_breakdown,

@@ -9,8 +9,9 @@ center height ``y0[N-1]`` is pinned by the boundary coefficients.  This
 module solves for those parameters, evaluates the bubbles and their exact
 derivatives, and computes interior/boundary residuals analytically.
 
-All exponent products are evaluated as exp(sum e_j log u_j): the exponents
-are fractional and the bases span many decades.
+All exponent products are evaluated as exp(sum e_j log u_j) by
+:func:`exponent_product`: the exponents are fractional and the bases span
+many decades.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ __all__ = [
     "interior_residual_relative",
     "boundary_residual_relative",
     "bubble_field",
+    "exponent_product",
+    "log_profile",
     "fit_boundary_profile",
     "load_params",
-    "save_params",
 ]
 
 # Singular values below RANK_RCOND * (largest singular value) count as zero.
@@ -73,6 +75,11 @@ class BubbleParams:
     def m(self) -> int:
         return self.betas.shape[0]
 
+    @property
+    def width2(self) -> float:
+        """Squared width d^2 = sigma^2 + y0N^2 of the boundary restriction."""
+        return self.sigma**2 + self.y0[-1] ** 2
+
     def to_dict(self) -> dict:
         return {"sigma": self.sigma, "betas": self.betas.tolist(), "y0": self.y0.tolist()}
 
@@ -93,7 +100,6 @@ class LogLinearSolveResult:
     log_betas_particular: np.ndarray
     nullity: int
     null_basis: np.ndarray
-    consistent: bool
 
     def betas(self, coords: np.ndarray | None = None) -> np.ndarray:
         """Amplitudes of the family member selected by kernel coordinates."""
@@ -106,12 +112,17 @@ class LogLinearSolveResult:
         return np.exp(logb)
 
 
-def log_space_product(exponents: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Row-wise products prod_j values[j]**exponents[i, j], computed in log space.
+def exponent_product(exponents: np.ndarray, log_values: np.ndarray) -> np.ndarray:
+    """Row-wise products prod_j exp(log_values[j])**exponents[i, j], in log space.
 
-    ``values`` may be (..., m); the result has the same leading shape.
+    ``log_values`` may be (..., m); the result has the same leading shape.
     """
-    return np.exp(np.log(values) @ np.asarray(exponents).T)
+    return np.exp(log_values @ np.asarray(exponents).T)
+
+
+def log_profile(log_amps: np.ndarray, q: np.ndarray, N: int) -> np.ndarray:
+    """log of amps[i] * q**(-(N-2)/2), the bubble profile in log space; (..., m)."""
+    return log_amps - 0.5 * (N - 2) * np.log(q)[..., None]
 
 
 def solve_betas(
@@ -157,7 +168,6 @@ def solve_betas(
         log_betas_particular=particular,
         nullity=m - rank,
         null_basis=null_basis,
-        consistent=True,
     )
 
 
@@ -177,7 +187,7 @@ def compute_y0N(
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     if np.any(betas <= 0) or sigma <= 0:
         raise ValueError("betas and sigma must be positive")
-    per_row = sigma**2 * spec.N * spec.c * log_space_product(spec.B - spec.A, betas)
+    per_row = sigma**2 * spec.N * spec.c * exponent_product(spec.B - spec.A, np.log(betas))
     y0N = float(np.mean(per_row))
     spread = float(np.max(np.abs(per_row - y0N)))
     if spread > tol_param * (1.0 + abs(y0N)):
@@ -211,11 +221,10 @@ def make_bubble_params(
     return BubbleParams(sigma=sigma, betas=betas, y0=y0)
 
 
-def _log_values(params: BubbleParams, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log u_i at pts (k, N), plus sigma^2 + |y - y0|^2."""
+def _log_values(params: BubbleParams, pts: np.ndarray) -> np.ndarray:
+    """log u_i at pts (k, N)."""
     q = params.sigma**2 + np.sum((pts - params.y0) ** 2, axis=-1)
-    logu = np.log(params.betas) - 0.5 * (params.N - 2) * np.log(q)[..., None]
-    return logu, q
+    return log_profile(np.log(params.betas), q, params.N)
 
 
 def evaluate_bubble(params: BubbleParams, y: np.ndarray) -> np.ndarray:
@@ -225,9 +234,7 @@ def evaluate_bubble(params: BubbleParams, y: np.ndarray) -> np.ndarray:
     defined on all of R^N; callers are responsible for staying in the
     closed half-space where the solution property is claimed.
     """
-    y = np.asarray(y, dtype=float)
-    logu, _ = _log_values(params, y)
-    return np.exp(logu)
+    return np.exp(_log_values(params, np.asarray(y, dtype=float)))
 
 
 def evaluate_bubble_derivatives(
@@ -251,46 +258,49 @@ def evaluate_bubble_derivatives(
     return gradients, laplacians
 
 
+def _interior_terms(spec: EllipticSystemSpec, params: BubbleParams, y: np.ndarray):
+    """The two interior terms: exact lap(u_i) and prod_j u_j**A[i,j]."""
+    y = np.asarray(y, dtype=float)
+    _, lap = evaluate_bubble_derivatives(params, y)
+    return lap, exponent_product(spec.A, _log_values(params, y))
+
+
+def _boundary_terms(spec: EllipticSystemSpec, params: BubbleParams, yprime: np.ndarray):
+    """The two boundary terms: exact d(u_i)/d(y_N) and c[i] prod_j u_j**B[i,j]."""
+    yprime = np.asarray(yprime, dtype=float)
+    grads, _ = evaluate_bubble_derivatives(params, yprime)
+    return grads[..., :, -1], spec.c * exponent_product(spec.B, _log_values(params, yprime))
+
+
 def interior_residual_analytic(
     spec: EllipticSystemSpec, params: BubbleParams, y: np.ndarray
 ) -> np.ndarray:
     """lap(u_i) + prod_j u_j**A[i,j] with exact Laplacians; (..., m)."""
-    y = np.asarray(y, dtype=float)
-    logu, _ = _log_values(params, y)
-    _, lap = evaluate_bubble_derivatives(params, y)
-    return lap + np.exp(logu @ spec.A.T)
+    lap, prod = _interior_terms(spec, params, y)
+    return lap + prod
 
 
 def interior_residual_relative(
     spec: EllipticSystemSpec, params: BubbleParams, y: np.ndarray
 ) -> np.ndarray:
     """Interior residual scaled by |lap(u_i)| (never zero for a bubble)."""
-    y = np.asarray(y, dtype=float)
-    logu, _ = _log_values(params, y)
-    _, lap = evaluate_bubble_derivatives(params, y)
-    return np.abs(lap + np.exp(logu @ spec.A.T)) / np.abs(lap)
+    lap, prod = _interior_terms(spec, params, y)
+    return np.abs(lap + prod) / np.abs(lap)
 
 
 def boundary_residual_analytic(
     spec: EllipticSystemSpec, params: BubbleParams, yprime: np.ndarray
 ) -> np.ndarray:
     """d(u_i)/d(y_N) - c[i] prod_j u_j**B[i,j] at boundary points (..., m)."""
-    yprime = np.asarray(yprime, dtype=float)
-    logu, _ = _log_values(params, yprime)
-    grads, _ = evaluate_bubble_derivatives(params, yprime)
-    dN = grads[..., :, -1]
-    return dN - spec.c * np.exp(logu @ spec.B.T)
+    dN, flux = _boundary_terms(spec, params, yprime)
+    return dN - flux
 
 
 def boundary_residual_relative(
     spec: EllipticSystemSpec, params: BubbleParams, yprime: np.ndarray
 ) -> np.ndarray:
     """Boundary residual scaled by the larger of its two terms (0 when both vanish)."""
-    yprime = np.asarray(yprime, dtype=float)
-    logu, _ = _log_values(params, yprime)
-    grads, _ = evaluate_bubble_derivatives(params, yprime)
-    dN = grads[..., :, -1]
-    flux = spec.c * np.exp(logu @ spec.B.T)
+    dN, flux = _boundary_terms(spec, params, yprime)
     scale = np.maximum(np.abs(dN), np.abs(flux))
     res = np.abs(dN - flux)
     out = np.zeros_like(res)
@@ -317,15 +327,6 @@ class BoundaryProfileFit:
     rms: float
     iterations: int
 
-    def to_dict(self) -> dict:
-        return {
-            "amplitudes": self.amplitudes.tolist(),
-            "d": self.d,
-            "xbar": self.xbar.tolist(),
-            "rms": self.rms,
-            "iterations": self.iterations,
-        }
-
 
 def _profile_initial_guess(X, logu, N):
     """Data-driven start: peak-weighted centroid plus a two-point width estimate."""
@@ -341,7 +342,8 @@ def _profile_initial_guess(X, logu, N):
         d2 = float(np.median(rho2))
     if not np.isfinite(d2) or d2 <= 0:
         d2 = float(np.median(rho2)) + 1e-6
-    log_amp = np.mean(logu + 0.5 * (N - 2) * np.log(d2 + rho2)[:, None], axis=0)
+    # amplitudes that put each sample exactly on the profile, averaged
+    log_amp = np.mean(logu - log_profile(0.0, d2 + rho2, N), axis=0)
     return log_amp, 0.5 * np.log(d2), xbar
 
 
@@ -397,7 +399,7 @@ def fit_boundary_profile(
         xbar = theta[m + 1 :]
         diff = X - xbar
         q = d2 + np.sum(diff**2, axis=1)
-        model = log_amp[None, :] - 0.5 * (N - 2) * np.log(q)[:, None]
+        model = log_profile(log_amp, q, N)
         r = (model - logu).ravel()
         J = np.zeros((k * m, m + N))
         rows = np.arange(k * m)
@@ -447,9 +449,3 @@ def load_params(path: str | Path) -> BubbleParams:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return BubbleParams.from_dict(data)
-
-
-def save_params(params: BubbleParams, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params.to_dict(), fh, indent=2)
-        fh.write("\n")

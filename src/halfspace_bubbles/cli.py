@@ -30,7 +30,6 @@ from . import radial_ode as ro
 from . import reporting, sampling
 from .errors import (
     BadBracket,
-    DegenerateFit,
     FitDiverged,
     HalfspaceBubblesError,
     HorizonExceeded,
@@ -58,7 +57,6 @@ CHECK_FAILURE_ERRORS = (
     ShootFailed,
     HorizonExceeded,
     NoRealRoot,
-    DegenerateFit,
 )
 INPUT_ERRORS = (MalformedSpec, SingularPoint, StencilOutOfDomain)
 
@@ -222,16 +220,7 @@ def cmd_verify(args) -> int:
         # central stencils need headroom above the boundary
         deep = interior_pts[interior_pts[:, -1] >= h]
         res_int, res_bdy = fd.residuals_at_points(spec, field, deep, boundary_pts, h)
-        import csv as _csv
-
-        with open(_csv_path(args, "verify"), "w", encoding="utf-8", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["kind", "component", "residual"])
-            for j in range(spec.m):
-                for v in res_int[:, j]:
-                    writer.writerow(["interior", j, repr(float(v))])
-                for v in res_bdy[:, j]:
-                    writer.writerow(["boundary", j, repr(float(v))])
+        reporting.write_residual_csv(res_int, res_bdy, _csv_path(args, "verify"))
     return _finish(report, checks, args)
 
 
@@ -258,13 +247,9 @@ def cmd_moving_spheres(args) -> int:
     )
     symmetry = ki.verify_symmetry_identity(params, x, samples)
 
-    def min_w_at(lam):
-        inv = ki.SphereInversion(x, lam)
-        mask = np.linalg.norm(samples - x, axis=1) >= lam
-        return float(ki.difference_w(u, inv, samples[mask]).min())
-
-    below = min_w_at(0.9 * lam_exact)
-    above = min_w_at(1.1 * lam_exact)
+    dist = np.linalg.norm(samples - x, axis=1)
+    below = float(ki.min_w(u, x, 0.9 * lam_exact, samples, dist)[0].min())
+    above = float(ki.min_w(u, x, 1.1 * lam_exact, samples, dist)[0].min())
 
     checks = []
     if sweep.lambda_critical_numeric is None:
@@ -346,12 +331,8 @@ def cmd_ball(args) -> int:
     r_cmp = np.linspace(0.0, 2 * d * (1 - 1e-9), 100)
     dirs = sampling.unit_directions(N, 100, seed + 4)
     z_cmp = setup.Q + r_cmp[:, None] * dirs
-    psi_match = float(
-        np.max(
-            np.abs(cb.transform_v(setup, u, z_cmp) - ro.closed_form_psi(N, alphas, mu, r_cmp))
-            / ro.closed_form_psi(N, alphas, mu, r_cmp)
-        )
-    )
+    psi_exact = ro.closed_form_psi(N, alphas, mu, r_cmp)
+    psi_match = float(np.max(np.abs(cb.transform_v(setup, u, z_cmp) - psi_exact) / psi_exact))
 
     checks = [
         _check("involution_max_rel", tprops.involution_max_rel, 1e-13),
@@ -400,7 +381,7 @@ def cmd_radial(args) -> int:
     mu, alphas = cb.recover_mu_alpha(setup, params)
     tol = args.tol if args.tol is not None else 1e-10
 
-    psi0 = np.exp(np.log(alphas) + (2 - spec.N) * np.log(mu))
+    psi0 = ro.psi_at_origin(spec.N, alphas, mu)
     r_eval = np.linspace(0.0, 2 * d, 200)
     traj = ro.integrate_radial(spec, psi0, 2 * d, tol, r_eval=r_eval)
     exact = ro.closed_form_psi(spec.N, alphas, mu, r_eval)

@@ -6,14 +6,15 @@ P = xbar - d e_N.  Inversion about the sphere of radius 2d centered at P,
     T y = P + 4 d^2 (y - P) / |y - P|^2,
 
 maps the open half-space onto the ball B(Q, 2d) and is its own inverse.
-A half-space field u transports to
+A half-space field u transports to its Kelvin transform about that sphere,
 
     v(z) = (2d / |z - P|)**(N-2) * u(T z),
 
 which for a family member with matching (xbar, d) is radially symmetric
-about Q and satisfies the ball system with a Robin boundary term.  This
-module implements T, checks its four mapping properties, evaluates v, and
-recovers the radial closed-form parameters (mu, alphas).
+about Q and satisfies the ball system with a Robin boundary term.  T is
+the :class:`~halfspace_bubbles.kelvin_inversion.SphereInversion` about P
+with radius 2d; this module checks its four mapping properties, evaluates
+v, and recovers the radial closed-form parameters (mu, alphas).
 """
 
 from __future__ import annotations
@@ -22,18 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubble_family import BubbleParams, log_space_product
-from .errors import NoRealRoot, SingularPoint, StencilOutOfDomain
+from .bubble_family import BubbleParams, exponent_product, log_profile
+from .errors import NoRealRoot, StencilOutOfDomain
 from .exponent_system import EllipticSystemSpec
-from .fd_verifier import ResidualReport
+from .fd_verifier import ResidualReport, central_laplacian, one_sided_derivative
+from .kelvin_inversion import SphereInversion, critical_radius, kelvin_point, kelvin_transform_u
 from .sampling import ball_points, unit_directions
 
 __all__ = [
     "ConformalSetup",
     "TPropertyReport",
     "setup_from_params",
-    "T_map",
-    "critical_radius",
     "verify_T_properties",
     "transform_v",
     "ball_field",
@@ -41,8 +41,6 @@ __all__ = [
     "ball_system_residual",
     "recover_mu_alpha",
 ]
-
-SINGULAR_DISTANCE = 1e-300
 
 # Inside this radius around P the transported field takes its extension
 # value; the limit is exact, no detection needed.
@@ -82,29 +80,17 @@ class ConformalSetup:
         out[-1] = self.d
         return out
 
+    @property
+    def T(self) -> SphereInversion:
+        """The half-space-to-ball map: inversion about P with radius 2d."""
+        return SphereInversion(self.P, 2 * self.d)
+
 
 def setup_from_params(params: BubbleParams) -> ConformalSetup:
     """Geometry matching a family member: d^2 = sigma^2 + y0N^2, xbar = (y0', 0)."""
     xbar = params.y0.copy()
     xbar[-1] = 0.0
-    d = float(np.sqrt(params.sigma**2 + params.y0[-1] ** 2))
-    return ConformalSetup(xbar=xbar, d=d)
-
-
-def T_map(setup: ConformalSetup, y: np.ndarray) -> np.ndarray:
-    """Inversion about the sphere of radius 2d centered at P; an involution."""
-    y = np.asarray(y, dtype=float)
-    dy = y - setup.P
-    n2 = np.sum(dy**2, axis=-1)
-    if np.any(np.sqrt(n2) < SINGULAR_DISTANCE):
-        raise SingularPoint("inversion requested at the pole P")
-    return setup.P + 4 * setup.d**2 * dy / n2[..., None]
-
-
-def critical_radius(setup: ConformalSetup, x: np.ndarray) -> float:
-    """Critical inversion radius about boundary x; the sphere passes through P and Q."""
-    x = np.asarray(x, dtype=float)
-    return float(np.sqrt(setup.d**2 + np.sum((x - setup.xbar) ** 2)))
+    return ConformalSetup(xbar=xbar, d=float(np.sqrt(params.width2)))
 
 
 @dataclass
@@ -153,21 +139,21 @@ def verify_T_properties(
     Nothing raises here; the report carries the measured violations.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    d, P, Q = setup.d, setup.P, setup.Q
+    d, P, Q, T = setup.d, setup.P, setup.Q, setup.T
     if np.min(np.linalg.norm(samples - P, axis=1)) < 1e-8:
         raise ValueError("samples must keep distance >= 1e-8 from the pole P")
 
     # (i) involution
-    back = T_map(setup, T_map(setup, samples))
+    img = kelvin_point(T, samples)
+    back = kelvin_point(T, img)
     inv_rel = np.linalg.norm(back - samples, axis=1) / (np.linalg.norm(samples - P, axis=1) + d)
     involution_max = float(np.max(inv_rel))
 
     # (ii) containment and boundary pushforward
-    img = T_map(setup, samples)
     ratio = np.linalg.norm(img - Q, axis=1) / (2 * d)
     bpts = samples.copy()
     bpts[:, -1] = 0.0
-    bimg = T_map(setup, bpts)
+    bimg = kelvin_point(T, bpts)
     sphere_rel = np.abs(np.linalg.norm(bimg - Q, axis=1) - 2 * d) / (2 * d)
     min_dist_P = float(np.min(np.linalg.norm(bimg - P, axis=1)))
 
@@ -176,11 +162,11 @@ def verify_T_properties(
     mirror_max: dict = {}
     for x in boundary_xs:
         x = np.asarray(x, dtype=float)
-        lam = critical_radius(setup, x)
+        lam = critical_radius(d**2, setup.xbar, x)
         normal = (x - P) / np.linalg.norm(x - P)
         dirs = unit_directions(setup.N, n_sphere, seed, upper=True)
         z = x + lam * dirs
-        tz = T_map(setup, z)
+        tz = kelvin_point(T, z)
         plane_dist = np.abs((tz - Q) @ normal)
         key = ",".join(repr(float(v)) for v in x)
         plane_max[key] = float(np.max(plane_dist) / d)
@@ -190,9 +176,8 @@ def verify_T_properties(
         zmir = zin - 2 * ((zin - Q) @ normal)[:, None] * normal
         keep = np.linalg.norm(zmir - P, axis=1) > 1e-9 * d
         zin, zmir = zin[keep], zmir[keep]
-        lhs = T_map(setup, zmir)
-        tz = T_map(setup, zin)
-        rhs = x + lam**2 * (tz - x) / np.sum((tz - x) ** 2, axis=1)[:, None]
+        lhs = kelvin_point(T, zmir)
+        rhs = kelvin_point(SphereInversion(x, lam), kelvin_point(T, zin))
         rel = np.linalg.norm(lhs - rhs, axis=1) / (np.linalg.norm(lhs - x, axis=1) + lam)
         mirror_max[key] = float(np.max(rel))
 
@@ -216,24 +201,16 @@ def transform_v(setup: ConformalSetup, u, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
     pts = np.atleast_2d(z)
-    N = pts.shape[1]
-    d, P = setup.d, setup.P
-    dzP = pts - P
-    dist = np.linalg.norm(dzP, axis=1)
+    near = np.linalg.norm(pts - setup.P, axis=1) <= EXTENSION_RADIUS_FACTOR * setup.d
+    far = ~near
 
     out = None
-    near = dist <= EXTENSION_RADIUS_FACTOR * d
-    far = ~near
     if np.any(far):
-        n2 = dist[far] ** 2
-        inner = P + 4 * d**2 * dzP[far] / n2[:, None]
-        factor = (4 * d**2 / n2) ** (0.5 * (N - 2))
-        vals_far = np.asarray(u(inner), dtype=float) * factor[:, None]
-        m = vals_far.shape[1]
-        out = np.empty((pts.shape[0], m))
+        vals_far = kelvin_transform_u(u, setup.T, pts[far])
+        out = np.empty((pts.shape[0], vals_far.shape[1]))
         out[far] = vals_far
     if np.any(near):
-        ext = 2.0 ** (2 - N) * np.asarray(u(setup.xbar[None, :]), dtype=float)[0]
+        ext = 2.0 ** (2 - setup.N) * np.asarray(u(setup.xbar[None, :]), dtype=float)[0]
         if out is None:
             out = np.tile(ext, (pts.shape[0], 1))
         else:
@@ -302,34 +279,13 @@ def ball_system_residual(
     if np.any(np.abs(np.linalg.norm(boundary - Q, axis=1) - 2 * d) > 1e-9 * d):
         raise StencilOutOfDomain("boundary samples must lie on the sphere")
 
-    k = interior.shape[0]
-    stencil = np.tile(interior[:, None, :], (1, 2 * N + 1, 1))
-    for a in range(N):
-        stencil[:, 1 + 2 * a, a] += h
-        stencil[:, 2 + 2 * a, a] -= h
-    vals = np.asarray(v(stencil.reshape(-1, N)), dtype=float).reshape(k, 2 * N + 1, -1)
-    lap = (vals[:, 1:, :].sum(axis=1) - 2 * N * vals[:, 0, :]) / h**2
-    res_int = lap + log_space_product(spec.A, vals[:, 0, :])
+    lap, center = central_laplacian(v, interior, h)
+    res_int = lap + exponent_product(spec.A, np.log(center))
 
-    nu = (boundary - Q) / (2 * d)
-    kb = boundary.shape[0]
-    bst = np.stack([boundary, boundary - h * nu, boundary - 2 * h * nu], axis=1)
-    bvals = np.asarray(v(bst.reshape(-1, N)), dtype=float).reshape(kb, 3, -1)
-    dnu = (3 * bvals[:, 0, :] - 4 * bvals[:, 1, :] + bvals[:, 2, :]) / (2 * h)
-    v0 = bvals[:, 0, :]
-    res_bdy = dnu + (N - 2) / (4 * d) * v0 + spec.c * log_space_product(spec.B, v0)
-
-    abs_int = np.abs(res_int)
-    abs_bdy = np.abs(res_bdy)
-    return ResidualReport(
-        sup_interior=abs_int.max(axis=0),
-        sup_boundary=abs_bdy.max(axis=0),
-        argmax_interior=interior[np.argmax(abs_int, axis=0)],
-        argmax_boundary=boundary[np.argmax(abs_bdy, axis=0)],
-        h=float(h),
-        n_interior=k,
-        n_boundary=kb,
-    )
+    # outward derivative = minus the one-sided derivative along -nu
+    d_inward, v0 = one_sided_derivative(v, boundary, -(boundary - Q) / (2 * d), h)
+    res_bdy = -d_inward + (N - 2) / (4 * d) * v0 + spec.c * exponent_product(spec.B, np.log(v0))
+    return ResidualReport.from_residuals(res_int, res_bdy, interior, boundary, h)
 
 
 def recover_mu_alpha(
@@ -362,5 +318,5 @@ def recover_mu_alpha(
     t = float(candidates[np.argmin(np.abs(displays - y0N))])
 
     mu = 2.0 * d * np.sqrt((1.0 - t) / t)
-    alphas = np.exp(np.log(params.betas) - 0.5 * (N - 2) * np.log(t))
+    alphas = np.exp(log_profile(np.log(params.betas), t, N))
     return float(mu), alphas

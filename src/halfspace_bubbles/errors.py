@@ -84,9 +84,3 @@ class NoRealRoot(HalfspaceBubblesError):
     """Scale-recovery quadratic has no real root (length scale exceeds profile width)."""
 
     code = "no_real_root"
-
-
-class DegenerateFit(HalfspaceBubblesError):
-    """Residuals sit at the rounding floor; no meaningful order can be fitted."""
-
-    code = "degenerate_fit"

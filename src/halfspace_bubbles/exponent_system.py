@@ -77,10 +77,11 @@ class EllipticSystemSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EllipticSystemSpec":
+        """Build from parsed JSON; ``N`` and ``m`` must be integers, never coerced."""
         try:
             spec = cls(
-                N=int(data["N"]),
-                m=int(data["m"]),
+                N=_integer(data["N"], "N"),
+                m=_integer(data["m"], "m"),
                 A=np.asarray(data["A"], dtype=float),
                 B=np.asarray(data["B"], dtype=float),
                 c=np.asarray(data["c"], dtype=float),
@@ -89,6 +90,13 @@ class EllipticSystemSpec:
             raise MalformedSpec(f"cannot build system data: {exc}") from exc
         ensure_well_formed(spec)
         return spec
+
+
+def _integer(value, name: str) -> int:
+    # bool is an int subclass, and 3.0 or "3" would be silent coercions
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise MalformedSpec(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class Violation(NamedTuple):

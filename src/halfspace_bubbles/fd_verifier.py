@@ -16,14 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bubble_family import bubble_field, exponent_product
 from .errors import StencilOutOfDomain
 from .exponent_system import EllipticSystemSpec
 
 __all__ = [
     "ResidualReport",
     "ConvergenceReport",
-    "fd_laplacian",
-    "fd_normal_derivative",
+    "central_laplacian",
+    "one_sided_derivative",
     "residuals_at_points",
     "residual_sweep",
     "convergence_order",
@@ -57,6 +58,21 @@ class ResidualReport:
             "n_interior": self.n_interior,
             "n_boundary": self.n_boundary,
         }
+
+    @classmethod
+    def from_residuals(cls, res_int, res_bdy, interior, boundary, h: float) -> "ResidualReport":
+        """Sup-norm summary of per-point residuals at the given points."""
+        abs_int = np.abs(res_int)
+        abs_bdy = np.abs(res_bdy)
+        return cls(
+            sup_interior=abs_int.max(axis=0),
+            sup_boundary=abs_bdy.max(axis=0),
+            argmax_interior=interior[np.argmax(abs_int, axis=0)],
+            argmax_boundary=boundary[np.argmax(abs_bdy, axis=0)],
+            h=float(h),
+            n_interior=interior.shape[0],
+            n_boundary=boundary.shape[0],
+        )
 
 
 @dataclass
@@ -94,49 +110,35 @@ class ConvergenceReport:
         }
 
 
-def fd_laplacian(f, y: np.ndarray, h: float, min_last: float | None = 0.0) -> float:
-    """Second-order central Laplacian of a scalar field at one point.
+def central_laplacian(u, points: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Second-order central Laplacian of all components at points (k, N).
 
-    ``f`` maps (k, N) to (k,).  With ``min_last`` set (default 0, the
-    half-space), the lower stencil point in the last coordinate must stay
-    inside the domain; pass ``min_last=None`` for fields on all of R^N.
+    ``u`` maps (n, N) to (n, m) or (n,).  Returns the Laplacians and the
+    center values, both (k, m).  The caller keeps the stencil in the domain.
     """
-    y = np.asarray(y, dtype=float)
-    N = y.shape[0]
-    if min_last is not None and y[-1] - h < min_last:
-        raise StencilOutOfDomain(
-            f"central stencil at last coordinate {y[-1]} with h={h} leaves the domain"
-        )
-    pts = np.tile(y, (2 * N + 1, 1))
-    for a in range(N):
-        pts[1 + 2 * a, a] += h
-        pts[2 + 2 * a, a] -= h
-    vals = np.asarray(f(pts), dtype=float)
-    return float((np.sum(vals[1:]) - 2 * N * vals[0]) / h**2)
-
-
-def fd_normal_derivative(f, yprime: np.ndarray, h: float) -> float:
-    """One-sided second-order derivative into the domain at a boundary point."""
-    yprime = np.asarray(yprime, dtype=float)
-    pts = np.tile(yprime, (3, 1))
-    pts[1, -1] += h
-    pts[2, -1] += 2 * h
-    vals = np.asarray(f(pts), dtype=float)
-    return float((-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * h))
-
-
-def _batched_laplacian(u, points: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Central Laplacian of all components at many points; returns (lap, center values)."""
     k, N = points.shape
     stencil = np.tile(points[:, None, :], (1, 2 * N + 1, 1))
     for a in range(N):
         stencil[:, 1 + 2 * a, a] += h
         stencil[:, 2 + 2 * a, a] -= h
-    vals = np.asarray(u(stencil.reshape(-1, N)), dtype=float)
-    m = vals.shape[1]
-    vals = vals.reshape(k, 2 * N + 1, m)
+    vals = np.asarray(u(stencil.reshape(-1, N)), dtype=float).reshape(k, 2 * N + 1, -1)
     lap = (vals[:, 1:, :].sum(axis=1) - 2 * N * vals[:, 0, :]) / h**2
     return lap, vals[:, 0, :]
+
+
+def one_sided_derivative(
+    u, points: np.ndarray, directions: np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Second-order one-sided derivative along unit ``directions`` (k, N) or (N,).
+
+    Uses u at p, p + h n and p + 2h n, so ``directions`` point into the
+    domain.  Returns the derivatives and the values at the points, (k, m).
+    """
+    k, N = points.shape
+    stencil = np.stack([points, points + h * directions, points + 2 * h * directions], axis=1)
+    vals = np.asarray(u(stencil.reshape(-1, N)), dtype=float).reshape(k, 3, -1)
+    deriv = (-3 * vals[:, 0, :] + 4 * vals[:, 1, :] - vals[:, 2, :]) / (2 * h)
+    return deriv, vals[:, 0, :]
 
 
 def residuals_at_points(
@@ -156,19 +158,15 @@ def residuals_at_points(
         )
 
     if interior_points.size:
-        lap, center = _batched_laplacian(u, interior_points, h)
-        res_int = lap + np.exp(np.log(center) @ spec.A.T)
+        lap, center = central_laplacian(u, interior_points, h)
+        res_int = lap + exponent_product(spec.A, np.log(center))
     else:
         res_int = np.zeros((0, spec.m))
 
     if boundary_points.size:
-        kb, N = boundary_points.shape
-        stencil = np.tile(boundary_points[:, None, :], (1, 3, 1))
-        stencil[:, 1, -1] += h
-        stencil[:, 2, -1] += 2 * h
-        vals = np.asarray(u(stencil.reshape(-1, N)), dtype=float).reshape(kb, 3, -1)
-        dN = (-3 * vals[:, 0, :] + 4 * vals[:, 1, :] - vals[:, 2, :]) / (2 * h)
-        res_bdy = dN - spec.c * np.exp(np.log(vals[:, 0, :]) @ spec.B.T)
+        e_N = np.eye(boundary_points.shape[1])[-1]
+        dN, center = one_sided_derivative(u, boundary_points, e_N, h)
+        res_bdy = dN - spec.c * exponent_product(spec.B, np.log(center))
     else:
         res_bdy = np.zeros((0, spec.m))
     return res_int, res_bdy
@@ -214,19 +212,7 @@ def residual_sweep(
     boundary = np.hstack([tangential, np.zeros((tangential.shape[0], 1))])
 
     res_int, res_bdy = residuals_at_points(spec, u, interior, boundary, h)
-    abs_int = np.abs(res_int)
-    abs_bdy = np.abs(res_bdy)
-    idx_int = np.argmax(abs_int, axis=0)
-    idx_bdy = np.argmax(abs_bdy, axis=0)
-    return ResidualReport(
-        sup_interior=abs_int.max(axis=0),
-        sup_boundary=abs_bdy.max(axis=0),
-        argmax_interior=interior[idx_int],
-        argmax_boundary=boundary[idx_bdy],
-        h=float(h),
-        n_interior=interior.shape[0],
-        n_boundary=boundary.shape[0],
-    )
+    return ResidualReport.from_residuals(res_int, res_bdy, interior, boundary, h)
 
 
 def fit_loglog_slope(h_list: np.ndarray, sups: np.ndarray) -> float:
@@ -266,8 +252,6 @@ def convergence_order(
     may be a field evaluator or :class:`~halfspace_bubbles.bubble_family.BubbleParams`.
     """
     if not callable(u):
-        from .bubble_family import bubble_field
-
         u = bubble_field(u)
     h_list = np.asarray(h_list, dtype=float)
     if h_list.size < 3 or np.any(np.diff(h_list) >= 0):

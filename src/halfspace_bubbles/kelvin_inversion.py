@@ -1,14 +1,15 @@
 """Sphere inversions of half-space fields and the moving-spheres sweep.
 
-For a center ``x`` on the boundary hyperplane and a radius ``lam``, the
-inversion of a field u is
+For a center ``x`` and a radius ``lam``, the inversion of a field u is
 
     u_inv(y) = (lam / |y - x|)**(N-2) * u(x + lam^2 (y - x) / |y - x|^2),
 
-which maps solutions of the system to solutions away from ``x``.  The
-difference w = u - u_inv vanishes identically at one critical radius for
-members of the classified family; locating that radius numerically and
-checking the identity is the core of this module.
+which maps solutions of the system to solutions away from ``x`` when
+``x`` lies on the boundary hyperplane.  The difference w = u - u_inv
+vanishes identically at one critical radius for members of the classified
+family; locating that radius numerically and checking the identity is the
+core of this module.  The same inversion, about a pole below the boundary,
+is the half-space-to-ball map of :mod:`halfspace_bubbles.conformal_ball`.
 
 Sweeps take a caller-supplied field evaluator.  Closed-form fields are
 exact; for gridded data the caller must interpolate at inverted points
@@ -32,7 +33,8 @@ __all__ = [
     "kelvin_point",
     "kelvin_transform_u",
     "difference_w",
-    "kelvin_field",
+    "min_w",
+    "critical_radius",
     "critical_lambda_exact",
     "sweep_moving_spheres",
     "verify_symmetry_identity",
@@ -48,7 +50,7 @@ BISECT_RELATIVE_WIDTH = 1e-10
 
 @dataclass
 class SphereInversion:
-    """One inversion sphere: boundary center (last coordinate exactly 0) and radius."""
+    """One inversion sphere: any center and a positive radius."""
 
     center: np.ndarray
     radius: float
@@ -56,25 +58,25 @@ class SphereInversion:
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
         self.radius = float(self.radius)
-        if self.center[-1] != 0.0:
-            raise ValueError("inversion center must lie on the boundary hyperplane exactly")
         if self.radius <= 0:
             raise ValueError("inversion radius must be positive")
 
 
-def _distances(inv: SphereInversion, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    dy = pts - inv.center
-    n2 = np.sum(dy**2, axis=-1)
-    if np.any(np.sqrt(n2) < SINGULAR_DISTANCE):
+def _inverted(inv: SphereInversion, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Image of y and |y - center|^2."""
+    dy = y - inv.center
+    dist = np.linalg.norm(dy, axis=-1)
+    if np.any(dist < SINGULAR_DISTANCE):
         raise SingularPoint("evaluation point coincides with the inversion center")
-    return dy, n2
+    # the squared norm, not a sum of squares: the transported-field reports,
+    # whose finest ball-residual step sits at the rounding floor, rest on it
+    n2 = dist**2
+    return inv.center + inv.radius**2 * dy / n2[..., None], n2
 
 
 def kelvin_point(inv: SphereInversion, y: np.ndarray) -> np.ndarray:
     """Image of y under inversion in the sphere; an involution, fixed on the sphere."""
-    y = np.asarray(y, dtype=float)
-    dy, n2 = _distances(inv, y)
-    return inv.center + inv.radius**2 * dy / n2[..., None]
+    return _inverted(inv, np.asarray(y, dtype=float))[0]
 
 
 def kelvin_transform_u(u, inv: SphereInversion, y: np.ndarray) -> np.ndarray:
@@ -83,8 +85,7 @@ def kelvin_transform_u(u, inv: SphereInversion, y: np.ndarray) -> np.ndarray:
     single = y.ndim == 1
     pts = np.atleast_2d(y)
     N = pts.shape[1]
-    dy, n2 = _distances(inv, pts)
-    inner = inv.center + inv.radius**2 * dy / n2[:, None]
+    inner, n2 = _inverted(inv, pts)
     factor = (inv.radius**2 / n2) ** (0.5 * (N - 2))
     vals = np.asarray(u(inner), dtype=float) * factor[:, None]
     return vals[0] if single else vals
@@ -98,27 +99,36 @@ def difference_w(u, inv: SphereInversion, y: np.ndarray) -> np.ndarray:
     return w[0] if y.ndim == 1 else w
 
 
-def kelvin_field(u, inv: SphereInversion):
-    """Evaluator closure for the transformed field."""
+def min_w(u, x: np.ndarray, lam: float, samples: np.ndarray, dist: np.ndarray):
+    """Per-component min of w about (x, lam) over the samples with ``dist`` >= lam.
 
-    def field(points: np.ndarray) -> np.ndarray:
-        return kelvin_transform_u(u, inv, points)
+    ``dist`` holds the sample distances from x.  Returns the minima (m,)
+    and the samples attaining them (m, N).
+    """
+    outside = samples[dist >= lam]
+    w = difference_w(u, SphereInversion(x, lam), outside)
+    return w.min(axis=0), outside[np.argmin(w, axis=0)]
 
-    return field
+
+def critical_radius(d2: float, xbar: np.ndarray, x: np.ndarray) -> float:
+    """Critical inversion radius sqrt(d^2 + |x - xbar|^2) about boundary center x.
+
+    ``d2`` is the squared width of a boundary profile centered at ``xbar``;
+    the critical sphere passes through xbar -+ d e_N.
+    """
+    return float(np.sqrt(d2 + np.sum((np.asarray(x, dtype=float) - xbar) ** 2)))
 
 
 def critical_lambda_exact(params: BubbleParams, x: np.ndarray) -> float:
     """Critical inversion radius of a family member about boundary center x.
 
     The boundary restriction of a bubble has width d with d^2 = sigma^2 +
-    y0N^2 and tangential center xbar = (y0', 0); the critical radius is
-    sqrt(d^2 + |x - xbar|^2).
+    y0N^2 and tangential center xbar = (y0', 0).
     """
     x = np.asarray(x, dtype=float)
     if x[-1] != 0.0:
         raise ValueError("center must lie on the boundary hyperplane")
-    d2 = params.sigma**2 + params.y0[-1] ** 2
-    return float(np.sqrt(d2 + np.sum((x[:-1] - params.y0[:-1]) ** 2)))
+    return critical_radius(params.width2, params.y0[:-1], x[:-1])
 
 
 @dataclass
@@ -130,14 +140,6 @@ class SweepResult:
     argmin_points: np.ndarray  # (n_lambda, m, N)
     lambda_critical_numeric: float | None
     bracket: tuple[float, float] | None
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda_grid": self.lambda_grid.tolist(),
-            "min_w": self.min_w.tolist(),
-            "lambda_critical_numeric": self.lambda_critical_numeric,
-            "bracket": list(self.bracket) if self.bracket is not None else None,
-        }
 
 
 def sweep_moving_spheres(
@@ -165,8 +167,13 @@ def sweep_moving_spheres(
     ------
     BadBracket
         If min w is already below -tol_w at ``lambda_lo``.
+    ValueError
+        If ``x`` is off the boundary hyperplane, where inversions do not
+        preserve the boundary condition.
     """
     x = np.asarray(x, dtype=float)
+    if x[-1] != 0.0:
+        raise ValueError("inversion center must lie on the boundary hyperplane exactly")
     samples = np.atleast_2d(np.asarray(sample_set, dtype=float))
     dist = np.linalg.norm(samples - x, axis=1)
     if np.min(dist) < lambda_lo:
@@ -177,17 +184,11 @@ def sweep_moving_spheres(
     if tol_w is None:
         tol_w = 1e-9 * float(np.max(np.asarray(u(samples), dtype=float)))
 
-    def min_w_at(lam: float) -> tuple[np.ndarray, np.ndarray]:
-        mask = dist >= lam
-        w = difference_w(u, SphereInversion(x, lam), samples[mask])
-        idx = np.argmin(w, axis=0)
-        return w.min(axis=0), samples[mask][idx]
-
     grid = np.geomspace(lambda_lo, lambda_hi, n_lambda)
     mins = np.empty((n_lambda, spec.m))
     argmins = np.empty((n_lambda, spec.m, samples.shape[1]))
     for k, lam in enumerate(grid):
-        mins[k], argmins[k] = min_w_at(float(lam))
+        mins[k], argmins[k] = min_w(u, x, float(lam), samples, dist)
 
     overall = mins.min(axis=1)
     if overall[0] < -tol_w:
@@ -206,7 +207,7 @@ def sweep_moving_spheres(
     lo, hi = float(grid[k - 1]), float(grid[k])
     while (hi - lo) > BISECT_RELATIVE_WIDTH * hi:
         mid = 0.5 * (lo + hi)
-        if float(min_w_at(mid)[0].min()) < 0.0:
+        if float(min_w(u, x, mid, samples, dist)[0].min()) < 0.0:
             hi = mid
         else:
             lo = mid

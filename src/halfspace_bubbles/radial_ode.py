@@ -23,15 +23,15 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import least_squares
 
-from .bubble_family import log_space_product, solve_betas
+from .bubble_family import exponent_product, log_profile, solve_betas
 from .errors import HorizonExceeded, PositivityLoss, ShootFailed, StepFailure
 from .exponent_system import EllipticSystemSpec
 
 __all__ = [
-    "RadialState",
     "RadialTrajectory",
     "BreakdownCertificate",
     "integrate_radial",
+    "psi_at_origin",
     "closed_form_psi",
     "closed_form_radial_residual",
     "shoot_robin",
@@ -44,15 +44,6 @@ POSITIVITY_FLOOR = 1e-300
 
 
 @dataclass
-class RadialState:
-    """One point of a radial trajectory: radius, values, derivatives."""
-
-    r: float
-    psi: np.ndarray
-    dpsi: np.ndarray
-
-
-@dataclass
 class RadialTrajectory:
     """Sampled radial trajectory; psi and dpsi are (n, m)."""
 
@@ -60,24 +51,17 @@ class RadialTrajectory:
     psi: np.ndarray
     dpsi: np.ndarray
 
-    def states(self) -> list[RadialState]:
-        return [RadialState(float(r), p, dp) for r, p, dp in zip(self.r, self.psi, self.dpsi)]
-
-    @property
-    def final(self) -> RadialState:
-        return RadialState(float(self.r[-1]), self.psi[-1], self.dpsi[-1])
-
 
 def _series_launch_radius(spec, psi0, r_end, tol) -> float:
     """Launch radius keeping the dropped fourth-order series term below tol."""
-    prod0 = log_space_product(spec.A, psi0)
+    prod0 = exponent_product(spec.A, np.log(psi0))
     r_s = (tol * 2 * spec.N / float(np.max(prod0))) ** 0.25
     return min(r_s, 1e-3 * r_end)
 
 
 def _series_eval(spec, psi0, r):
     """Quadratic series about r = 0: psi, dpsi at radii r (k,)."""
-    prod0 = log_space_product(spec.A, psi0)
+    prod0 = exponent_product(spec.A, np.log(psi0))
     r = np.atleast_1d(np.asarray(r, dtype=float))
     psi = psi0[None, :] - (r**2)[:, None] / (2 * spec.N) * prod0[None, :]
     dpsi = -r[:, None] / spec.N * prod0[None, :]
@@ -124,7 +108,7 @@ def integrate_radial(
     def rhs(r, y):
         psi = np.maximum(y[:m], POSITIVITY_FLOOR)
         dpsi = y[m:]
-        prod = log_space_product(spec.A, psi)
+        prod = exponent_product(spec.A, np.log(psi))
         return np.concatenate([dpsi, -(spec.N - 1) / r * dpsi - prod])
 
     def positivity(r, y):
@@ -169,11 +153,16 @@ def integrate_radial(
     return RadialTrajectory(r=r_eval, psi=psi, dpsi=dpsi)
 
 
+def psi_at_origin(N: int, alphas: np.ndarray, mu: float) -> np.ndarray:
+    """Launch value psi(0) = alphas * mu**(2-N) of the closed-form profile."""
+    return np.exp(np.log(alphas) + (2 - N) * np.log(mu))
+
+
 def closed_form_psi(N: int, alphas: np.ndarray, mu: float, r: np.ndarray) -> np.ndarray:
     """Closed-form radial profile alphas[i] (mu^2 + r^2)**(-(N-2)/2); (..., m)."""
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     r = np.asarray(r, dtype=float)
-    return np.exp(np.log(alphas) - 0.5 * (N - 2) * np.log(mu**2 + r**2)[..., None])
+    return np.exp(log_profile(np.log(alphas), mu**2 + r**2, N))
 
 
 def closed_form_radial_residual(
@@ -186,10 +175,10 @@ def closed_form_radial_residual(
         raise ValueError("r must be positive (the origin term is singular)")
     N = spec.N
     q = mu**2 + r**2
-    psi = np.exp(np.log(alphas) - 0.5 * (N - 2) * np.log(q)[..., None])
+    psi = np.exp(log_profile(np.log(alphas), q, N))
     dpsi = -(N - 2) * alphas * r[..., None] * q[..., None] ** (-N / 2)
     ddpsi = -(N - 2) * alphas * q[..., None] ** (-(N + 2) / 2) * (mu**2 - (N - 1) * r[..., None] ** 2)
-    prod = log_space_product(spec.A, psi)
+    prod = exponent_product(spec.A, np.log(psi))
     res = ddpsi + (N - 1) / r[..., None] * dpsi + prod
     scale = np.abs(ddpsi) + np.abs((N - 1) / r[..., None] * dpsi) + prod
     return np.abs(res) / scale
@@ -197,7 +186,7 @@ def closed_form_radial_residual(
 
 def _robin_residual(spec, d, psi, dpsi):
     """Normalized Robin mismatch at r = 2d."""
-    flux = spec.c * log_space_product(spec.B, psi)
+    flux = spec.c * exponent_product(spec.B, np.log(psi))
     res = dpsi + (spec.N - 2) / (4 * d) * psi + flux
     scale = np.abs(dpsi) + (spec.N - 2) / (4 * d) * psi + np.abs(flux)
     return res / scale
@@ -234,8 +223,7 @@ def shoot_robin(
         mu = float(np.exp(theta[0]))
         solve = solve_betas(spec, mu)
         alphas = solve.betas(theta[1:] if nullity else None)
-        psi_start = np.exp(np.log(alphas) + (2 - N) * np.log(mu))
-        traj = integrate_radial(spec, psi_start, 2 * d, tol_int, r_eval=[2 * d])
+        traj = integrate_radial(spec, psi_at_origin(N, alphas, mu), 2 * d, tol_int, r_eval=[2 * d])
         return _robin_residual(spec, d, traj.psi[-1], traj.dpsi[-1])
 
     guesses = [mu0] if mu0 is not None else [2 * d, d, 4 * d, 0.5 * d, 10 * d]
@@ -311,11 +299,11 @@ def halfline_breakdown(
     if np.any(u0 <= 0):
         raise ValueError("u0 must be positive")
     m = u0.shape[0]
-    du0 = spec.c * log_space_product(spec.B, u0)
+    du0 = spec.c * exponent_product(spec.B, np.log(u0))
 
     def rhs(t, y):
         u = np.maximum(y[:m], POSITIVITY_FLOOR)
-        return np.concatenate([y[m:], -log_space_product(spec.A, u)])
+        return np.concatenate([y[m:], -exponent_product(spec.A, np.log(u))])
 
     events = []
     for i in range(m):

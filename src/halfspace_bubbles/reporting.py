@@ -65,6 +65,16 @@ def write_sweep_csv(sweep, path: str | Path) -> None:
                 )
 
 
+def write_residual_csv(res_int: np.ndarray, res_bdy: np.ndarray, path: str | Path) -> None:
+    """Per-point residuals, interior then boundary rows for each component."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["kind", "component", "residual"])
+        for j in range(res_int.shape[1]):
+            writer.writerows(["interior", j, repr(float(v))] for v in res_int[:, j])
+            writer.writerows(["boundary", j, repr(float(v))] for v in res_bdy[:, j])
+
+
 def write_trajectory_csv(trajectory, path: str | Path, independent: str = "r") -> None:
     """Radial or half-line trajectory as (r, values..., derivatives...)."""
     m = trajectory.psi.shape[1]

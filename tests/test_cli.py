@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import halfspace_bubbles
 from halfspace_bubbles.cli import main
 
 
@@ -61,6 +64,13 @@ class TestValidate:
         err = json.loads(capsys.readouterr().err)
         assert err["error_code"] == "malformed_spec"
 
+    def test_non_integer_dimension_exits_two(self, tmp_path, capsys):
+        spec = tmp_path / "fractional.json"
+        spec.write_text(json.dumps({"N": 3.7, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [-1.0]}))
+        assert run("validate", "--spec", spec) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error_code"] == "malformed_spec"
+
     def test_usage_error_exits_two(self, capsys):
         assert run("validate") == 2
         err = json.loads(capsys.readouterr().err)
@@ -112,6 +122,29 @@ class TestPipelines:
         assert report["passed"] is True
         assert report["analytic"]["interior_max_rel"][0] <= 1e-12
 
+    def test_verify_residual_csv(self, spec_file, params_file, tmp_path):
+        from halfspace_bubbles.cli import DEFAULT_SEED
+        from halfspace_bubbles.sampling import halfspace_box_points
+
+        csv_bytes = []
+        for tag in ("a", "b"):
+            out = tmp_path / f"verify-{tag}.json"
+            assert run("verify", "--spec", spec_file, "--params", params_file,
+                       "--out", out, "--n-random", 50, "--csv") == 0
+            csv_bytes.append((tmp_path / f"verify-{tag}.csv").read_bytes())
+        assert csv_bytes[0] == csv_bytes[1]
+        lines = csv_bytes[0].decode().splitlines()
+        assert lines[0] == "kind,component,residual"
+        # interior rows: the random points at least h = 1e-3 * diameter above the boundary
+        box = np.array([[-2.0, 2.0], [-2.0, 2.0], [0.0, 2.0]])  # the default box
+        h = 1e-3 * float(np.linalg.norm(box[:, 1] - box[:, 0]))
+        k_interior = int(np.sum(halfspace_box_points(box, 50, DEFAULT_SEED)[:, -1] >= h))
+        k_boundary = 50
+        m = 1
+        assert len(lines) - 1 == m * (k_interior + k_boundary)
+        kinds = [row.split(",")[0] for row in lines[1:]]
+        assert kinds.count("interior") == m * k_interior
+
     def test_moving_spheres_passes_and_writes_csv(self, spec_file, params_file, tmp_path):
         out = tmp_path / "sweep.json"
         code = run(
@@ -159,10 +192,14 @@ class TestDeterminism:
 
 
 def test_console_entry_point(spec_file):
+    # the child imports the same package as this process, installed or not
+    src = str(Path(halfspace_bubbles.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "halfspace_bubbles", "validate", "--spec", str(spec_file)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True

@@ -4,10 +4,8 @@ import pytest
 from halfspace_bubbles.bubble_family import BubbleParams, bubble_field, evaluate_bubble
 from halfspace_bubbles.conformal_ball import (
     ConformalSetup,
-    T_map,
     ball_field,
     ball_system_residual,
-    critical_radius,
     recover_mu_alpha,
     setup_from_params,
     transform_v,
@@ -16,6 +14,7 @@ from halfspace_bubbles.conformal_ball import (
 )
 from halfspace_bubbles.errors import NoRealRoot, SingularPoint, StencilOutOfDomain
 from halfspace_bubbles.fd_verifier import convergence_from_sups
+from halfspace_bubbles.kelvin_inversion import critical_radius, kelvin_point
 from halfspace_bubbles.radial_ode import closed_form_psi
 from halfspace_bubbles.sampling import ball_points, halfspace_box_points, sphere_points
 
@@ -34,20 +33,20 @@ class TestGeometry:
 
     def test_fixed_point_at_Q(self, params_f2):
         setup = fixture_setup(params_f2)
-        np.testing.assert_allclose(T_map(setup, setup.Q), setup.Q, rtol=1e-15)
+        np.testing.assert_allclose(kelvin_point(setup.T, setup.Q), setup.Q, rtol=1e-15)
 
     def test_image_of_xbar(self, params_f2):
         # |xbar - P| = d, so the image is P + 4(xbar - P) = xbar + 3 d e_N
         setup = fixture_setup(params_f2)
         expected = setup.xbar + 3 * setup.d * np.eye(3)[-1]
-        np.testing.assert_allclose(T_map(setup, setup.xbar), expected, rtol=1e-15)
+        np.testing.assert_allclose(kelvin_point(setup.T, setup.xbar), expected, rtol=1e-15)
 
     def test_involution(self, params_f3):
         setup = fixture_setup(params_f3)
         rng = np.random.default_rng(11)
         pts = rng.uniform(-10, 10, size=(2000, 4))
         pts[:, -1] = np.abs(pts[:, -1]) + 1e-6
-        back = T_map(setup, T_map(setup, pts))
+        back = kelvin_point(setup.T, kelvin_point(setup.T, pts))
         rel = np.linalg.norm(back - pts, axis=1) / (
             np.linalg.norm(pts - setup.P, axis=1) + setup.d
         )
@@ -56,13 +55,13 @@ class TestGeometry:
     def test_singular_at_pole(self, params_f1):
         setup = fixture_setup(params_f1)
         with pytest.raises(SingularPoint):
-            T_map(setup, setup.P)
+            kelvin_point(setup.T, setup.P)
 
     def test_critical_radius_passes_through_poles(self, params_f2):
         setup = fixture_setup(params_f2)
         for tang in ([0.0, 0.0], [1.0, 0.0], [3.0, 4.0]):
             x = np.array([tang[0], tang[1], 0.0])
-            lam = critical_radius(setup, x)
+            lam = critical_radius(setup.d**2, setup.xbar, x)
             assert np.linalg.norm(x - setup.P) == pytest.approx(lam, rel=1e-15)
             assert np.linalg.norm(x - setup.Q) == pytest.approx(lam, rel=1e-15)
 
@@ -93,7 +92,7 @@ class TestMappingProperties:
         # images of far points pile up at P, which sits on the sphere itself
         setup = fixture_setup(params_f1)
         y = np.array([0.0, 0.0, 1e6])
-        img = T_map(setup, y)
+        img = kelvin_point(setup.T, y)
         ratio = np.linalg.norm(img - setup.Q) / (2 * setup.d)
         assert ratio < 1.0
         assert 1.0 - ratio < 1e-5

@@ -146,3 +146,24 @@ def test_load_spec_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(MalformedSpec):
         load_spec(path)
+
+
+@pytest.mark.parametrize("key", ["N", "m"])
+@pytest.mark.parametrize("text", ["3.7", "3.0", "true", '"3"'])
+def test_load_spec_rejects_non_integer_sizes(tmp_path, key, text):
+    # JSON numbers and literals are never coerced to a dimension or a count
+    fields = {"N": "3", "m": "1", key: text}
+    path = tmp_path / "spec.json"
+    path.write_text(
+        f'{{"N": {fields["N"]}, "m": {fields["m"]}, "A": [[5.0]], "B": [[3.0]], "c": [-1.0]}}'
+    )
+    with pytest.raises(MalformedSpec, match=f"{key} must be an integer"):
+        load_spec(path)
+
+
+def test_from_dict_accepts_numpy_integers():
+    spec = EllipticSystemSpec.from_dict(
+        {"N": np.int64(3), "m": np.int32(1), "A": [[5.0]], "B": [[3.0]], "c": [-1.0]}
+    )
+    assert (spec.N, spec.m) == (3, 1)
+    assert type(spec.N) is int

@@ -8,22 +8,33 @@ from halfspace_bubbles.bubble_family import (
 )
 from halfspace_bubbles.errors import StencilOutOfDomain
 from halfspace_bubbles.fd_verifier import (
+    central_laplacian,
     convergence_from_sups,
     convergence_order,
-    fd_laplacian,
-    fd_normal_derivative,
     fit_loglog_slope,
+    one_sided_derivative,
     residual_sweep,
     residuals_at_points,
 )
 
 BOX3 = np.array([[-2.0, 2.0], [-2.0, 2.0], [0.0, 2.0]])
+E_N = np.array([0.0, 0.0, 1.0])
+
+
+def laplacian_at(f, y, h):
+    """Central Laplacian of a scalar field at one point, through the batched stencil."""
+    return float(central_laplacian(f, np.asarray(y, dtype=float)[None, :], h)[0][0, 0])
+
+
+def normal_derivative_at(f, yprime, h):
+    """One-sided derivative along e_N at one boundary point, through the batched stencil."""
+    return float(one_sided_derivative(f, np.asarray(yprime, dtype=float)[None, :], E_N, h)[0][0, 0])
 
 
 class TestStencils:
     def test_laplacian_exact_on_squared_norm(self):
         f = lambda pts: np.sum(pts**2, axis=1)
-        val = fd_laplacian(f, np.array([0.3, -0.2, 0.9]), h=0.05)
+        val = laplacian_at(f, np.array([0.3, -0.2, 0.9]), h=0.05)
         assert val == pytest.approx(6.0, abs=1e-10)
 
     def test_laplacian_exact_on_general_quadratic(self):
@@ -32,34 +43,46 @@ class TestStencils:
             x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
             return 1.0 + 2 * x - y + 3 * z + 0.5 * x * y - 2 * x * z + 4 * y**2 - z**2
 
-        val = fd_laplacian(f, np.array([0.7, 0.1, 0.4]), h=0.1)
+        val = laplacian_at(f, np.array([0.7, 0.1, 0.4]), h=0.1)
         assert val == pytest.approx(8.0 - 2.0, abs=1e-10)
 
     def test_laplacian_zero_on_affine(self):
         f = lambda pts: 3.0 - 2 * pts[:, 0] + pts[:, 2]
-        assert fd_laplacian(f, np.array([0.0, 0.0, 1.0]), h=0.1) == pytest.approx(0.0, abs=1e-12)
+        assert laplacian_at(f, np.array([0.0, 0.0, 1.0]), h=0.1) == pytest.approx(0.0, abs=1e-12)
 
-    def test_laplacian_domain_guard(self):
-        f = lambda pts: np.sum(pts**2, axis=1)
+    def test_laplacian_domain_guard(self, spec_f2, params_f2):
+        # an interior point closer than h to the boundary would put the
+        # lower stencil point outside the half-space
         with pytest.raises(StencilOutOfDomain):
-            fd_laplacian(f, np.array([0.0, 0.0, 0.05]), h=0.1)
-        # explicit opt-out for whole-space fields
-        fd_laplacian(f, np.array([0.0, 0.0, 0.05]), h=0.1, min_last=None)
+            residuals_at_points(
+                spec_f2, bubble_field(params_f2), np.array([[0.0, 0.0, 0.05]]), np.zeros((0, 3)), 0.1
+            )
+
+    def test_batched_stencils_exact_on_polynomials(self):
+        f = lambda pts: np.stack([np.sum(pts**2, axis=1), pts[:, -1] ** 3], axis=1)
+        pts = np.array([[0.3, -0.2, 0.9], [0.7, 0.1, 0.4]])
+        lap, center = central_laplacian(f, pts, h=0.05)
+        np.testing.assert_allclose(lap, [[6.0, 5.4], [6.0, 2.4]], atol=1e-10)
+        np.testing.assert_array_equal(center, f(pts))
+        # per-point directions: outward along -e_1 and inward along e_N
+        dirs = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        deriv, _ = one_sided_derivative(f, pts, dirs, h=0.05)
+        np.testing.assert_allclose(deriv[:, 0], [-0.6, 0.8], atol=1e-12)
 
     def test_normal_derivative_exact_on_quadratic(self):
         f = lambda pts: pts[:, -1]
-        assert fd_normal_derivative(f, np.zeros(3), h=0.1) == pytest.approx(1.0, abs=1e-13)
+        assert normal_derivative_at(f, np.zeros(3), h=0.1) == pytest.approx(1.0, abs=1e-13)
         g = lambda pts: pts[:, -1] ** 2
-        assert fd_normal_derivative(g, np.zeros(3), h=0.1) == pytest.approx(0.0, abs=1e-13)
+        assert normal_derivative_at(g, np.zeros(3), h=0.1) == pytest.approx(0.0, abs=1e-13)
         k = lambda pts: 3 * pts[:, -1] ** 2 - 2 * pts[:, -1] + 1
-        assert fd_normal_derivative(k, np.zeros(3), h=0.1) == pytest.approx(-2.0, abs=1e-12)
+        assert normal_derivative_at(k, np.zeros(3), h=0.1) == pytest.approx(-2.0, abs=1e-12)
 
     def test_bubble_laplacian_slope(self, params_f2):
         y = np.array([0.5, -0.3, 0.8])
         field0 = lambda pts: np.asarray(bubble_field(params_f2)(pts))[:, 0]
         _, lap = evaluate_bubble_derivatives(params_f2, y)
         hs = np.array([1e-2, 5e-3, 2.5e-3])
-        errs = [abs(fd_laplacian(field0, y, h) - lap[0]) for h in hs]
+        errs = [abs(laplacian_at(field0, y, h) - lap[0]) for h in hs]
         assert abs(fit_loglog_slope(hs, errs) - 2.0) < 0.1
 
     def test_bubble_normal_derivative_slope(self, params_f2):
@@ -67,7 +90,7 @@ class TestStencils:
         field0 = lambda pts: np.asarray(bubble_field(params_f2)(pts))[:, 0]
         grads, _ = evaluate_bubble_derivatives(params_f2, yp)
         hs = np.array([1e-2, 5e-3, 2.5e-3])
-        errs = [abs(fd_normal_derivative(field0, yp, h) - grads[0, -1]) for h in hs]
+        errs = [abs(normal_derivative_at(field0, yp, h) - grads[0, -1]) for h in hs]
         assert abs(fit_loglog_slope(hs, errs) - 2.0) < 0.1
 
 

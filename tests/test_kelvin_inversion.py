@@ -9,7 +9,6 @@ from halfspace_bubbles.kelvin_inversion import (
     critical_lambda_exact,
     decay_check,
     difference_w,
-    kelvin_field,
     kelvin_point,
     kelvin_transform_u,
     sweep_moving_spheres,
@@ -52,11 +51,19 @@ class TestKelvinPoint:
         with pytest.raises(SingularPoint):
             kelvin_point(inv, np.zeros(3))
 
-    def test_center_must_be_on_boundary(self):
-        with pytest.raises(ValueError):
-            SphereInversion(center=np.array([0.0, 0.0, 0.1]), radius=1.0)
+    def test_off_boundary_center_allowed(self):
+        # the half-space-to-ball map inverts about a pole below the boundary
+        inv = SphereInversion(center=np.array([0.0, 0.0, -0.5]), radius=1.0)
+        np.testing.assert_allclose(kelvin_point(inv, np.array([0.0, 0.0, 1.5])), [0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             SphereInversion(center=np.zeros(3), radius=0.0)
+
+    def test_center_must_be_on_boundary(self, spec_f1, params_f1):
+        # the boundary-center rule belongs to the moving-spheres sweep
+        x = np.array([0.0, 0.0, 0.1])
+        samples = sweep_samples(x, 0.3, 1.0)
+        with pytest.raises(ValueError, match="boundary hyperplane"):
+            sweep_moving_spheres(spec_f1, bubble_field(params_f1), x, samples, 0.3, 3.0)
 
 
 class TestKelvinTransform:
@@ -90,7 +97,8 @@ class TestKelvinTransform:
         # Discrete residuals of the inverted field fall at the stencil order,
         # witnessing that inversions map solutions to solutions.
         inv = SphereInversion(center=np.zeros(3), radius=0.7)
-        field = kelvin_field(bubble_field(params_f2), inv)
+        u = bubble_field(params_f2)
+        field = lambda points: kelvin_transform_u(u, inv, points)
         box = np.array([[0.5, 1.5], [0.5, 1.5], [0.0, 1.0]])
         conv = convergence_order(spec_f2, field, box, np.array([4e-3, 2e-3, 1e-3]), n_per_axis=6)
         assert abs(conv.slope[0] - 2.0) < 0.1
