@@ -221,6 +221,8 @@ def cmd_verify(args) -> int:
         deep = interior_pts[interior_pts[:, -1] >= h]
         res_int, res_bdy = fd.residuals_at_points(spec, field, deep, boundary_pts, h)
         reporting.write_residual_csv(res_int, res_bdy, _csv_path(args, "verify"))
+        kept = len(deep)
+        report["csv_interior_points"] = {"written": kept, "dropped_below_h": n_random - kept}
     return _finish(report, checks, args)
 
 

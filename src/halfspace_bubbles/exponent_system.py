@@ -23,8 +23,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import MalformedSpec
 
@@ -159,12 +157,11 @@ def is_irreducible(A: np.ndarray) -> bool:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise MalformedSpec(f"irreducibility requires a square matrix, got shape {A.shape}")
-    m = A.shape[0]
-    if m == 1:
-        return True
-    graph = csr_matrix((A > 0.0).astype(np.int8))
-    n_components, _ = connected_components(graph, directed=True, connection="strong")
-    return bool(n_components == 1)
+    # Warshall transitive closure: reach[i, j] iff a path i -> ... -> j exists
+    reach = (A > 0.0) | np.eye(A.shape[0], dtype=bool)
+    for k in range(A.shape[0]):
+        reach |= reach[:, k, None] & reach[None, k, :]
+    return bool(reach.all())
 
 
 def validate_spec(spec: EllipticSystemSpec, tol_row: float = 1e-9) -> ValidationReport:

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import least_squares
 
 from .bubble_family import exponent_product, log_profile, solve_betas
 from .errors import HorizonExceeded, PositivityLoss, ShootFailed, StepFailure
@@ -37,6 +35,21 @@ __all__ = [
     "shoot_robin",
     "halfline_breakdown",
 ]
+
+
+# scipy's solvers load on the first solve, so the numpy-only subcommands
+# never pay their import.
+def solve_ivp(*args, **kwargs):
+    import scipy.integrate
+
+    return scipy.integrate.solve_ivp(*args, **kwargs)
+
+
+def least_squares(*args, **kwargs):
+    import scipy.optimize
+
+    return scipy.optimize.least_squares(*args, **kwargs)
+
 
 # Floor for component values inside integrator trial stages; keeps the
 # fractional powers defined while an event localizes the actual crossing.

@@ -145,6 +145,17 @@ class TestPipelines:
         kinds = [row.split(",")[0] for row in lines[1:]]
         assert kinds.count("interior") == m * k_interior
 
+    def test_verify_csv_counts_dropped_rows(self, spec_file, params_file, tmp_path):
+        out = tmp_path / "verify.json"
+        n_random = 1000
+        assert run("verify", "--spec", spec_file, "--params", params_file,
+                   "--out", out, "--n-random", n_random, "--csv") == 0
+        counts = json.loads(out.read_text())["csv_interior_points"]
+        kinds = [row.split(",")[0] for row in (tmp_path / "verify.csv").read_text().splitlines()]
+        assert kinds.count("interior") == counts["written"]  # m = 1
+        assert counts["written"] + counts["dropped_below_h"] == n_random
+        assert counts["dropped_below_h"] > 0  # this seed puts points within h of y_N = 0
+
     def test_moving_spheres_passes_and_writes_csv(self, spec_file, params_file, tmp_path):
         out = tmp_path / "sweep.json"
         code = run(
@@ -191,15 +202,32 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
-def test_console_entry_point(spec_file):
+def run_child(*args):
     # the child imports the same package as this process, installed or not
     src = str(Path(halfspace_bubbles.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "halfspace_bubbles", "validate", "--spec", str(spec_file)],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point(spec_file):
+    proc = run_child("-m", "halfspace_bubbles", "validate", "--spec", str(spec_file))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_import_leaves_scipy_unloaded():
+    # validate, solve-params, verify, moving-spheres and ball run on numpy alone;
+    # scipy loads on the first radial or half-line solve
+    proc = run_child("-c", """
+import json, sys
+import halfspace_bubbles, halfspace_bubbles.cli
+from halfspace_bubbles import halfline_breakdown, integrate_radial, shoot_robin
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

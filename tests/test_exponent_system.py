@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfspace_bubbles.errors import MalformedSpec
 from halfspace_bubbles.exponent_system import (
@@ -119,6 +121,24 @@ def test_is_irreducible_agrees_with_brute_force():
         density = rng.uniform(0.15, 0.9)
         A = rng.uniform(0.1, 3.0, size=(m, m)) * (rng.random((m, m)) < density)
         assert is_irreducible(A) == brute_force_irreducible(A)
+
+
+@st.composite
+def sparse_exponent_matrices(draw):
+    m = draw(st.integers(1, 8))
+    entries = st.lists(st.floats(0.1, 3.0), min_size=m * m, max_size=m * m)
+    mask = st.lists(st.booleans(), min_size=m * m, max_size=m * m)
+    return (np.array(draw(entries)) * np.array(draw(mask))).reshape(m, m)
+
+
+@settings(deadline=None, derandomize=True)
+@given(A=sparse_exponent_matrices(), data=st.data())
+def test_is_irreducible_property(A, data):
+    verdict = is_irreducible(A)
+    assert verdict == brute_force_irreducible(A)
+    # relabelling the components permutes rows and columns together
+    p = data.draw(st.permutations(range(A.shape[0])))
+    assert is_irreducible(A[p][:, p]) == verdict
 
 
 def test_validate_idempotent_and_pure(spec_f3):
