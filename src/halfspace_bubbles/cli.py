@@ -383,9 +383,9 @@ def cmd_radial(args) -> int:
     mu, alphas = cb.recover_mu_alpha(setup, params)
     tol = args.tol if args.tol is not None else 1e-10
 
-    psi0 = ro.psi_at_origin(spec.N, alphas, mu)
+    psi0 = ro.closed_form_psi(spec.N, alphas, mu, 0.0)
     r_eval = np.linspace(0.0, 2 * d, 200)
-    traj = ro.integrate_radial(spec, psi0, 2 * d, tol, r_eval=r_eval)
+    traj = ro.integrate_radial(spec, psi0, 2 * d, tol).at(r_eval)
     exact = ro.closed_form_psi(spec.N, alphas, mu, r_eval)
     match_err = float(np.max(np.abs(traj.psi - exact) / exact))
 
@@ -418,17 +418,15 @@ def cmd_radial(args) -> int:
 
 def cmd_halfline(args) -> int:
     spec = _validated_spec(args)
-    if args.u0:
-        u0 = _parse_floats(args.u0)
-        if u0.size == 1:
-            u0 = np.full(spec.m, u0[0])
-    else:
-        u0 = np.ones(spec.m)
+    u0 = _parse_floats(args.u0) if args.u0 else np.ones(1)
+    if u0.size == 1:
+        u0 = np.full(spec.m, u0[0])
     tol = args.tol if args.tol is not None else 1e-12
     cert = ro.halfline_breakdown(spec, u0, tol=tol)
 
     slopes = cert.trace[:, 1 + spec.m :]
-    monotone = float(np.max(np.diff(slopes, axis=0)))
+    # relative to the largest slope, so the gate reads the same at every scale of u0
+    monotone = float(np.max(np.diff(slopes, axis=0)) / np.max(np.abs(slopes)))
     checks = [
         {"name": "certificate_found", "value": cert.t_star, "threshold": 0.0,
          "passed": bool(cert.t_star > 0)},
@@ -455,56 +453,56 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="halfspace-bubbles", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, params=False):
+    def command(name, func, summary, params=False, tol_help=None, csv=False, seed=False):
+        """Subcommand parser with the shared flags it reads."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--spec", required=True, help="system JSON file (N, m, A, B, c)")
         if params:
             p.add_argument("--params", help="parameter JSON file (sigma, betas, y0)")
             p.add_argument("--sigma", type=float, help="solve parameters at this scale instead")
-        p.add_argument("--tol", type=float, help="tolerance override (command specific)")
+        if tol_help is not None:
+            p.add_argument("--tol", type=float, help=tol_help)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--csv", action="store_true", help="also write the CSV table")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sample-set seed")
+        if csv:
+            p.add_argument("--csv", action="store_true", help="also write the CSV table")
+        if seed:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sample-set seed")
+        return p
 
-    p = sub.add_parser("validate", help="check the structural rules of a spec file")
-    common(p)
-    p.set_defaults(func=cmd_validate)
+    command("validate", cmd_validate, "check the structural rules of a spec file",
+            tol_help="relative row-sum tolerance (default 1e-9)")
 
-    p = sub.add_parser("solve-params", help="solve the amplitude system and center height")
-    common(p)
+    p = command("solve-params", cmd_solve_params, "solve the amplitude system and center height",
+                tol_help="center-height spread tolerance (default 1e-9)")
     p.add_argument("--sigma", type=float, help="length scale (default 1.0)")
-    p.set_defaults(func=cmd_solve_params)
 
-    p = sub.add_parser("verify", help="analytic and finite-difference residual checks")
-    common(p, params=True)
+    p = command("verify", cmd_verify, "analytic and finite-difference residual checks",
+                params=True, csv=True, seed=True)
     p.add_argument("--box", help="2N comma floats lo,hi per axis")
     p.add_argument("--grid", type=int, default=8, help="lattice points per axis")
     p.add_argument("--h", type=float, help="finite-difference step")
     p.add_argument("--n-random", type=int, default=1000, help="random sample count")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("moving-spheres", help="critical-radius sweep about a boundary center")
-    common(p, params=True)
+    p = command("moving-spheres", cmd_moving_spheres,
+                "critical-radius sweep about a boundary center", params=True, csv=True, seed=True)
     p.add_argument("--x", help="boundary center, comma floats")
     p.add_argument("--lambda-lo", type=float, help="sweep start radius")
     p.add_argument("--lambda-hi", type=float, help="sweep end radius")
     p.add_argument("--n-lambda", type=int, default=33, help="radius grid size")
     p.add_argument("--grid", type=int, default=24, help="radial shells in the sample set")
-    p.set_defaults(func=cmd_moving_spheres)
 
-    p = sub.add_parser("ball", help="conformal transport checks and parameter recovery")
-    common(p, params=True)
+    p = command("ball", cmd_ball, "conformal transport checks and parameter recovery",
+                params=True, seed=True)
     p.add_argument("--grid", type=int, default=100, help="sqrt of sample count")
     p.add_argument("--h", type=float, help="finite-difference step")
-    p.set_defaults(func=cmd_ball)
 
-    p = sub.add_parser("radial", help="profile integration against the closed form, shooting")
-    common(p, params=True)
-    p.set_defaults(func=cmd_radial)
+    command("radial", cmd_radial, "profile integration against the closed form, shooting",
+            params=True, tol_help="integration tolerance (default 1e-10)", csv=True)
 
-    p = sub.add_parser("halfline", help="one-dimensional positivity breakdown certificate")
-    common(p)
+    p = command("halfline", cmd_halfline, "one-dimensional positivity breakdown certificate",
+                tol_help="bisection width in unit-scale time (default 1e-12)", csv=True)
     p.add_argument("--u0", help="initial values, comma floats (default ones)")
-    p.set_defaults(func=cmd_halfline)
 
     return parser
 

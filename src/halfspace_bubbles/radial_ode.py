@@ -17,19 +17,19 @@ integrator returns a certificate of that breakdown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bubble_family import exponent_product, log_profile, solve_betas
 from .errors import HorizonExceeded, PositivityLoss, ShootFailed, StepFailure
-from .exponent_system import EllipticSystemSpec
+from .exponent_system import EllipticSystemSpec, validate_spec
 
 __all__ = [
     "RadialTrajectory",
     "BreakdownCertificate",
     "integrate_radial",
-    "psi_at_origin",
     "closed_form_psi",
     "closed_form_radial_residual",
     "shoot_robin",
@@ -58,18 +58,38 @@ POSITIVITY_FLOOR = 1e-300
 
 @dataclass
 class RadialTrajectory:
-    """Sampled radial trajectory; psi and dpsi are (n, m)."""
+    """Radial trajectory from r = 0; psi and dpsi are (n, m) at the radii r.
+
+    ``dense`` evaluates it anywhere on [0, r[-1]]: the launch series below
+    the series radius, the integrator's dense output above it.
+    """
 
     r: np.ndarray
     psi: np.ndarray
     dpsi: np.ndarray
+    dense: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
+
+    def at(self, r) -> RadialTrajectory:
+        """The trajectory sampled at radii r inside [0, r[-1]]."""
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        if np.any(r < 0) or np.any(r > self.r[-1]):
+            raise ValueError("r must lie inside [0, r_end]")
+        psi, dpsi = self.dense(r)
+        return RadialTrajectory(r=r, psi=psi, dpsi=dpsi, dense=self.dense)
 
 
 def _series_launch_radius(spec, psi0, r_end, tol) -> float:
-    """Launch radius keeping the dropped fourth-order series term below tol."""
+    """Launch radius keeping the dropped fourth-order series term below tol.
+
+    It stays 1e-3 below r_end and below every row's Robin balance radius,
+    where the Robin term (N-2)/(2r) psi meets the flux |c| prod_j psi_j**B[i,j].
+    """
     prod0 = exponent_product(spec.A, np.log(psi0))
     r_s = (tol * 2 * spec.N / float(np.max(prod0))) ** 0.25
-    return min(r_s, 1e-3 * r_end)
+    flux0 = np.abs(spec.c) * exponent_product(spec.B, np.log(psi0))
+    with np.errstate(divide="ignore"):
+        balance = float(np.min((spec.N - 2) * psi0 / (2 * flux0)))
+    return min(r_s, 1e-3 * r_end, 1e-3 * balance)
 
 
 def _series_eval(spec, psi0, r):
@@ -86,14 +106,16 @@ def integrate_radial(
     psi0: np.ndarray,
     r_end: float,
     tol: float,
-    r_eval: np.ndarray | None = None,
+    stop: Callable[[float, np.ndarray, np.ndarray], float] | None = None,
 ) -> RadialTrajectory:
     """Integrate the radial profile system from r = 0 with local tolerance tol.
 
     The (N-1)/r term is singular at the origin, so the trajectory starts
     from a quadratic series on [0, r_s] with r_s chosen so the dropped
     fourth-order term stays below ``tol``; an adaptive embedded
-    Runge-Kutta scheme (DOP853) carries it to ``r_end`` from there.
+    Runge-Kutta scheme (DOP853) carries it to ``r_end`` from there, or to
+    the first radius where ``stop(r, psi, dpsi)`` falls through zero
+    (``r_end`` may then be infinite).  The result holds the accepted steps.
 
     Raises
     ------
@@ -111,7 +133,7 @@ def integrate_radial(
 
     if r_end == 0.0:
         return RadialTrajectory(
-            r=np.array([0.0]), psi=psi0[None, :], dpsi=np.zeros((1, m))
+            np.array([0.0]), psi0[None, :], np.zeros((1, m)), lambda r: _series_eval(spec, psi0, r)
         )
 
     r_s = _series_launch_radius(spec, psi0, r_end, tol)
@@ -124,51 +146,32 @@ def integrate_radial(
         prod = exponent_product(spec.A, np.log(psi))
         return np.concatenate([dpsi, -(spec.N - 1) / r * dpsi - prod])
 
-    def positivity(r, y):
-        return float(np.min(y[:m]))
-
-    positivity.terminal = True
-    positivity.direction = -1
+    events = [lambda r, y: float(np.min(y[:m]))]  # positivity
+    if stop is not None:
+        events.append(lambda r, y: stop(r, y[:m], y[m:]))
+    for event in events:
+        event.terminal = True
+        event.direction = -1
 
     sol = solve_ivp(
-        rhs,
-        (r_s, r_end),
-        y0,
-        method="DOP853",
-        rtol=tol,
-        atol=0.0,
-        dense_output=True,
-        events=[positivity],
+        rhs, (r_s, r_end), y0, method="DOP853", rtol=tol, atol=0.0, dense_output=True, events=events
     )
     if sol.t_events[0].size:
         raise PositivityLoss(f"component reached zero at r = {sol.t_events[0][0]:.6g}")
     if not sol.success:
         raise StepFailure(f"integration stalled: {sol.message}")
 
-    if r_eval is None:
-        r_out = np.concatenate([[0.0], sol.t])
-        psi = np.vstack([psi0[None, :], sol.y[:m].T])
-        dpsi = np.vstack([np.zeros((1, m)), sol.y[m:].T])
-        return RadialTrajectory(r=r_out, psi=psi, dpsi=dpsi)
+    def dense(r):
+        psi, dpsi = _series_eval(spec, psi0, r)
+        above = r > r_s
+        if np.any(above):
+            y = sol.sol(r[above])
+            psi[above] = y[:m].T
+            dpsi[above] = y[m:].T
+        return psi, dpsi
 
-    r_eval = np.atleast_1d(np.asarray(r_eval, dtype=float))
-    if np.any(r_eval < 0) or np.any(r_eval > r_end):
-        raise ValueError("r_eval must lie inside [0, r_end]")
-    psi = np.empty((r_eval.size, m))
-    dpsi = np.empty((r_eval.size, m))
-    series = r_eval <= r_s
-    if np.any(series):
-        psi[series], dpsi[series] = _series_eval(spec, psi0, r_eval[series])
-    if np.any(~series):
-        y = sol.sol(r_eval[~series])
-        psi[~series] = y[:m].T
-        dpsi[~series] = y[m:].T
-    return RadialTrajectory(r=r_eval, psi=psi, dpsi=dpsi)
-
-
-def psi_at_origin(N: int, alphas: np.ndarray, mu: float) -> np.ndarray:
-    """Launch value psi(0) = alphas * mu**(2-N) of the closed-form profile."""
-    return np.exp(np.log(alphas) + (2 - N) * np.log(mu))
+    psi, dpsi = np.vstack([psi0, sol.y[:m].T]), np.vstack([np.zeros(m), sol.y[m:].T])
+    return RadialTrajectory(np.append(0.0, sol.t), psi, dpsi, dense)
 
 
 def closed_form_psi(N: int, alphas: np.ndarray, mu: float, r: np.ndarray) -> np.ndarray:
@@ -209,15 +212,20 @@ def shoot_robin(
     spec: EllipticSystemSpec,
     d: float,
     tol: float = 1e-10,
-    mu0: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Find (alphas, mu) whose integrated profile meets the Robin condition at 2d.
 
-    The trial profile starts from psi(0) = alphas * mu**(2-N) with alphas
-    solving the amplitude system at scale mu (kernel directions, if any,
-    become extra shooting unknowns alongside log mu).  The trajectory is
-    integrated numerically, never taken from the closed form, so agreement
-    with the recovery formulas is a genuine cross-check.
+    Critical scaling and the kernel directions v = A v of the amplitude
+    system are exact symmetries: the trial profile at (mu, theta) is
+    mu**(-(N-2)/2) k psi_ref(r / mu), k = exp(theta @ null_basis), where
+    psi_ref is integrated once from the amplitudes at mu = 1.  Its Robin
+    mismatch at 2d is k-scaled psi_ref's at s = 2d / mu, so one least-squares
+    solve for (log s, theta) runs on psi_ref, from its best accepted step.
+    Each row's mismatch tends to +1 as s -> 0 and to -1/3 as s -> inf: the
+    series launch stays below every row's Robin balance and the integration
+    stops once every row is below -1/6, so the steps span every root.  The
+    profile is integrated numerically, never taken from the closed form, so
+    agreement with the recovery formulas is a genuine cross-check.
 
     Raises
     ------
@@ -225,38 +233,39 @@ def shoot_robin(
         If no parameter choice drives the normalized residuals below
         ``tol`` (inconsistent boundary coefficients across rows).
     """
-    if d <= 0:
-        raise ValueError("d must be positive")
-    m = int(spec.m)
-    N = int(spec.N)
-    nullity = solve_betas(spec, 2 * d).nullity
+    if d <= 0 or not validate_spec(spec).passed:
+        raise ValueError("need d > 0 and a spec that passes validate_spec (critical scaling)")
+    solve = solve_betas(spec, 1.0)
     tol_int = max(min(1e-12, tol * 1e-2), 1e-13)
 
-    def residual(theta):
-        mu = float(np.exp(theta[0]))
-        solve = solve_betas(spec, mu)
-        alphas = solve.betas(theta[1:] if nullity else None)
-        traj = integrate_radial(spec, psi_at_origin(N, alphas, mu), 2 * d, tol_int, r_eval=[2 * d])
-        return _robin_residual(spec, d, traj.psi[-1], traj.dpsi[-1])
+    def settled(r, psi, dpsi):
+        return float(np.max(_robin_residual(spec, r / 2, psi, dpsi))) + 1.0 / 6.0
 
-    guesses = [mu0] if mu0 is not None else [2 * d, d, 4 * d, 0.5 * d, 10 * d]
-    best = None
-    for guess in guesses:
-        theta0 = np.concatenate([[np.log(guess)], np.zeros(nullity)])
-        out = least_squares(residual, theta0, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        worst = float(np.max(np.abs(out.fun)))
-        if best is None or worst < best[0]:
-            best = (worst, out)
-        if worst <= tol:
-            break
-    worst, out = best
+    # psi_ref(0) = alphas(1) * 1**(2-N)
+    ref = integrate_radial(spec, solve.betas(), np.inf, tol_int, stop=settled)
+    s_ref = ref.r[1:]  # accepted steps, from the series launch to the settled radius
+    scan = np.abs(_robin_residual(spec, s_ref[:, None] / 2, ref.psi[1:], ref.dpsi[1:])).max(axis=1)
+
+    def residual(x):
+        s = float(np.exp(x[0]))
+        k = np.exp(x[1:] @ solve.null_basis)
+        at = ref.at(s)
+        return _robin_residual(spec, s / 2, k * at.psi[0], k * at.dpsi[0])
+
+    x0 = np.append(np.log(s_ref[np.argmin(scan)]), np.zeros(solve.nullity))
+    # below the launch the series holds; above the last step psi_ref is undefined
+    upper = np.append(np.log(s_ref[-1]), np.full(solve.nullity, np.inf))
+    out = least_squares(
+        residual, x0, bounds=(-np.inf, upper), method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15
+    )
+    worst = float(np.max(np.abs(out.fun)))
     if worst > tol:
         raise ShootFailed(
             f"terminal residual {worst:.3e} stayed above tol={tol:.1e}; "
             "boundary rows likely demand incompatible profiles"
         )
-    mu = float(np.exp(out.x[0]))
-    alphas = solve_betas(spec, mu).betas(out.x[1:] if nullity else None)
+    mu = 2 * d / float(np.exp(out.x[0]))
+    alphas = solve.betas(out.x[1:]) * mu ** ((spec.N - 2) / 2)
     return alphas, mu
 
 
@@ -274,17 +283,14 @@ class BreakdownCertificate:
     bracket: tuple[float, float]
     u_at_t_star: np.ndarray
 
-    def to_dict(self, include_trace: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "t_star": self.t_star,
             "failing_component": int(self.failing_component),
             "bracket": list(self.bracket),
             "u_at_t_star": self.u_at_t_star.tolist(),
             "n_trace": int(self.trace.shape[0]),
         }
-        if include_trace:
-            out["trace"] = self.trace.tolist()
-        return out
 
 
 def halfline_breakdown(
@@ -297,10 +303,12 @@ def halfline_breakdown(
 
     Initial slopes come from the boundary condition; the second derivative
     is strictly negative while all components are positive, so every slope
-    decreases monotonically and some component must reach zero.  The
-    crossing is bisected on the dense output until the interval width
-    drops below ``tol`` or the component value is below 1e-12 of its
-    starting scale.
+    decreases monotonically and some component must reach zero.  By
+    critical scaling, u(t) = M v(M**(2/(N-2)) t) with M = max(u0) and v the
+    trajectory from u0 / M: v is integrated, and t, u, u' are mapped back by
+    M**(-2/(N-2)), M, M**(N/(N-2)).  The crossing is bisected on v's dense
+    output until the interval width drops below ``tol`` or the value below
+    1e-12; ``tol`` and ``horizon`` are unit-scale times.
 
     Raises
     ------
@@ -309,52 +317,44 @@ def halfline_breakdown(
         or setup problem, never a counterexample.
     """
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    if np.any(u0 <= 0):
-        raise ValueError("u0 must be positive")
+    if np.any(u0 <= 0) or not validate_spec(spec).passed:
+        raise ValueError("need u0 > 0 and a spec that passes validate_spec (critical scaling)")
     m = u0.shape[0]
-    du0 = spec.c * exponent_product(spec.B, np.log(u0))
+    scale = float(np.max(u0))
+    t_scale = scale ** (-2.0 / (spec.N - 2))
+    v0 = u0 / scale
 
     def rhs(t, y):
-        u = np.maximum(y[:m], POSITIVITY_FLOOR)
-        return np.concatenate([y[m:], -exponent_product(spec.A, np.log(u))])
+        v = np.maximum(y[:m], POSITIVITY_FLOOR)
+        return np.concatenate([y[m:], -exponent_product(spec.A, np.log(v))])
 
-    events = []
-    for i in range(m):
-        def crossing(t, y, _i=i):
-            return y[_i]
+    def crossing(t, y):
+        return float(np.min(y[:m]))
 
-        crossing.terminal = True
-        crossing.direction = -1
-        events.append(crossing)
+    crossing.terminal = True
+    crossing.direction = -1
 
+    y0 = np.concatenate([v0, spec.c * exponent_product(spec.B, np.log(v0))])
     sol = solve_ivp(
-        rhs,
-        (0.0, horizon),
-        np.concatenate([u0, du0]),
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14 * max(1.0, float(np.max(u0))),
-        dense_output=True,
-        events=events,
+        rhs, (0.0, horizon), y0, method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True,
+        events=[crossing],
     )
     if sol.status == -1:
         raise StepFailure(f"half-line integration stalled: {sol.message}")
-    fired = [(te[0], i) for i, te in enumerate(sol.t_events) if te.size]
-    if not fired:
+    if not sol.t_events[0].size:
         raise HorizonExceeded(
             f"no positivity breakdown located before t = {horizon:g}; "
             "tighten tolerances or extend the horizon"
         )
-    t_event, failing = min(fired)
+    hi = float(sol.t_events[0][0])
+    failing = int(np.argmin(sol.y_events[0][0][:m]))
 
-    value_floor = 1e-12 * float(np.max(u0))
-    earlier = sol.t[sol.t < t_event]
+    earlier = sol.t[sol.t < hi]
     lo = float(earlier[-1]) if earlier.size else 0.0
-    hi = float(t_event)
     if sol.sol(hi)[failing] < 0.0:
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            if abs(sol.sol(mid)[failing]) <= value_floor:
+            if abs(sol.sol(mid)[failing]) <= 1e-12:
                 lo = hi = mid
                 break
             if sol.sol(mid)[failing] < 0.0:
@@ -366,11 +366,12 @@ def halfline_breakdown(
         lo = hi
     t_star = 0.5 * (lo + hi)
 
-    trace = np.column_stack([sol.t, sol.y.T])
+    to_u = np.repeat([t_scale, scale, scale ** (spec.N / (spec.N - 2))], [1, m, m])
+    trace = np.column_stack([sol.t, sol.y.T]) * to_u
     return BreakdownCertificate(
-        t_star=float(t_star),
-        failing_component=int(failing),
+        t_star=float(t_scale * t_star),
+        failing_component=failing,
         trace=trace,
-        bracket=(lo, hi),
-        u_at_t_star=np.asarray(sol.sol(t_star)[:m], dtype=float),
+        bracket=(t_scale * lo, t_scale * hi),
+        u_at_t_star=scale * np.asarray(sol.sol(t_star)[:m], dtype=float),
     )

@@ -75,13 +75,13 @@ def write_residual_csv(res_int: np.ndarray, res_bdy: np.ndarray, path: str | Pat
             writer.writerows(["boundary", j, repr(float(v))] for v in res_bdy[:, j])
 
 
-def write_trajectory_csv(trajectory, path: str | Path, independent: str = "r") -> None:
-    """Radial or half-line trajectory as (r, values..., derivatives...)."""
+def write_trajectory_csv(trajectory, path: str | Path) -> None:
+    """Radial trajectory as (r, values..., derivatives...)."""
     m = trajectory.psi.shape[1]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            [independent]
+            ["r"]
             + [f"psi_{i}" for i in range(m)]
             + [f"dpsi_{i}" for i in range(m)]
         )

@@ -209,7 +209,7 @@ def test_criterion_7_radial_profile():
         mu, alphas = recover_mu_alpha(setup, params)
         psi0 = alphas * mu ** (2 - spec.N)
         r = np.linspace(0.0, 2 * d, 200)
-        traj = integrate_radial(spec, psi0, 2 * d, tol=1e-10, r_eval=r)
+        traj = integrate_radial(spec, psi0, 2 * d, tol=1e-10).at(r)
         exact = closed_form_psi(spec.N, alphas, mu, r)
         worst_match = max(worst_match, float(np.max(np.abs(traj.psi - exact) / exact)))
         alphas_shot, mu_shot = shoot_robin(spec, d, tol=1e-10)

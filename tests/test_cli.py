@@ -77,6 +77,27 @@ class TestValidate:
         assert err["error_code"] == "usage"
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("verify", "--tol=1e-9"),
+        ("moving-spheres", "--tol=1e-9"),
+        ("ball", "--tol=1e-9"),
+        ("validate", "--csv"),
+        ("solve-params", "--csv"),
+        ("ball", "--csv"),
+        ("validate", "--seed=7"),
+        ("solve-params", "--seed=7"),
+        ("radial", "--seed=7"),
+        ("halfline", "--seed=7"),
+    ],
+)
+def test_flag_a_command_never_reads_exits_two(command, flag, spec_file, capsys):
+    assert run(command, "--spec", spec_file, flag) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_code"] == "usage"
+
+
 class TestSolveParams:
     def test_report_is_loadable_as_params(self, spec_file, params_file):
         from halfspace_bubbles.bubble_family import load_params

@@ -1,8 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp
 from scipy.integrate import quad
 
-from halfspace_bubbles.bubble_family import solve_betas
+from halfspace_bubbles import radial_ode
+from halfspace_bubbles.bubble_family import make_bubble_params, solve_betas
 from halfspace_bubbles.conformal_ball import recover_mu_alpha, setup_from_params
 from halfspace_bubbles.errors import HorizonExceeded, PositivityLoss, ShootFailed
 from halfspace_bubbles.exponent_system import EllipticSystemSpec
@@ -13,6 +19,8 @@ from halfspace_bubbles.radial_ode import (
     integrate_radial,
     shoot_robin,
 )
+
+from conftest import spec_m1, spec_m2_symmetric
 
 
 def breakdown_time_oracle() -> float:
@@ -30,6 +38,39 @@ def breakdown_time_oracle() -> float:
     value, err = quad(smooth, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13)
     assert err < 1e-12
     return float(np.sqrt(3.0) * value)
+
+
+def breakdown_time_mpmath(c: float, u0: float) -> float:
+    """High-precision oracle for a=5, b=3, u(0)=u0, u'(0)=c u0^3 (N=3, m=1).
+
+    The energy (u')^2/2 + u^6/6 fixes the peak u_max = (u0^6 (3c^2 + 1))^(1/6),
+    and the time to fall from u to 0 is
+    sqrt(3) u_max^-2 int_0^(u/u_max) (1 - x^6)^(-1/2) dx, the formula of
+    breakdown_time_oracle.  A rising start (c > 0) climbs to u_max first.
+    Evaluated by mpmath's tanh-sinh quadrature at 50 digits.
+    """
+    with mp.workdps(50):
+        ratio = (3 * mp.mpf(c) ** 2 + 1) ** (-mp.mpf(1) / 6)  # u0 / u_max, exactly 1 at c = 0
+        u_max = mp.mpf(u0) / ratio
+
+        def fall(x_end):
+            return mp.sqrt(3) / u_max**2 * mp.quad(lambda x: 1 / mp.sqrt(1 - x**6), [0, x_end])
+
+        return float(fall(ratio) if c <= 0 else 2 * fall(1) - fall(ratio))
+
+
+def incompatible_rows_spec():
+    """f3's interior exponents with diagonal boundary rows that demand two different profiles."""
+    return EllipticSystemSpec(
+        N=4, m=2, A=[[1.0, 2.0], [2.0, 1.0]], B=[[2.0, 0.0], [0.0, 2.0]], c=[-1.0, -0.5]
+    )
+
+
+def degenerate_spec():
+    """Rank-deficient amplitude system: one kernel direction of I - A."""
+    return EllipticSystemSpec(
+        N=4, m=2, A=[[2.0, 1.0], [1.0, 2.0]], B=[[1.0, 1.0], [1.0, 1.0]], c=[-1.0, -1.0]
+    )
 
 
 def fixture_mu_alpha(spec, params):
@@ -68,7 +109,7 @@ class TestIntegrateRadial:
         d, mu, alphas = fixture_mu_alpha(spec, params)
         psi0 = alphas * mu ** (2 - spec.N)
         r = np.linspace(0.0, 2 * d, 200)
-        traj = integrate_radial(spec, psi0, 2 * d, tol=1e-10, r_eval=r)
+        traj = integrate_radial(spec, psi0, 2 * d, tol=1e-10).at(r)
         exact = closed_form_psi(spec.N, alphas, mu, r)
         assert np.max(np.abs(traj.psi - exact) / exact) <= 1e-8
 
@@ -78,7 +119,7 @@ class TestIntegrateRadial:
         d, mu, alphas = fixture_mu_alpha(spec, params_f2)
         psi0 = alphas * mu ** (2 - spec.N)
         delta = 1e-3
-        traj = integrate_radial(spec, psi0, 2 * d, tol=1e-12, r_eval=[delta])
+        traj = integrate_radial(spec, psi0, 2 * d, tol=1e-12).at(delta)
         prod0 = np.exp(spec.A @ np.log(psi0))
         curvature = 2 * (traj.psi[0] - psi0) / delta**2
         np.testing.assert_allclose(curvature, -prod0 / spec.N, rtol=1e-4)
@@ -100,7 +141,7 @@ class TestIntegrateRadial:
         exact = closed_form_psi(spec.N, alphas, mu, r)
 
         def err(tol):
-            traj = integrate_radial(spec, psi0, 2 * d, tol=tol, r_eval=r)
+            traj = integrate_radial(spec, psi0, 2 * d, tol=tol).at(r)
             return np.max(np.abs(traj.psi - exact) / exact)
 
         assert err(1e-6) / err(1e-6 / 16) >= 4.0
@@ -137,11 +178,82 @@ class TestShooting:
         np.testing.assert_allclose(psi_2d, expected, rtol=1e-8)
 
     def test_incompatible_rows_fail(self):
-        spec = EllipticSystemSpec(
-            N=4, m=2, A=[[1.0, 2.0], [2.0, 1.0]], B=[[2.0, 0.0], [0.0, 2.0]], c=[-1.0, -0.5]
-        )
         with pytest.raises(ShootFailed):
-            shoot_robin(spec, np.sqrt(3.0), tol=1e-10)
+            shoot_robin(incompatible_rows_spec(), np.sqrt(3.0), tol=1e-10)
+
+    @pytest.mark.parametrize("c", [-1000.0, -50.0, 50.0, 1000.0])
+    def test_extreme_coefficients_match_closed_form(self, c):
+        # the Robin root s* = 2d/mu runs from 3e-4 (c = -1000) to 3.5e3 (c = 1000)
+        spec = spec_m1(c)
+        d, mu, alphas = fixture_mu_alpha(spec, make_bubble_params(spec, sigma=1.0))
+        alphas_shot, mu_shot = shoot_robin(spec, d, tol=1e-10)
+        assert abs(mu_shot - mu) / mu <= 1e-8
+        np.testing.assert_allclose(alphas_shot, alphas, rtol=1e-8)
+
+    @pytest.mark.parametrize("name", ["f3", "degenerate", "incompatible"])
+    def test_one_integration_and_one_solve_per_shot(self, name, spec_f3, params_f3, monkeypatch):
+        calls = {"solve_ivp": 0, "least_squares": 0}
+
+        def counting(attr):
+            inner = getattr(radial_ode, attr)
+
+            def wrapper(*args, **kwargs):
+                calls[attr] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for attr in calls:
+            monkeypatch.setattr(radial_ode, attr, counting(attr))
+        if name == "f3":
+            shoot_robin(spec_f3, setup_from_params(params_f3).d, tol=1e-10)
+        elif name == "degenerate":
+            shoot_robin(degenerate_spec(), np.sqrt(3.0), tol=1e-10)
+        else:
+            with pytest.raises(ShootFailed):
+                shoot_robin(incompatible_rows_spec(), np.sqrt(3.0), tol=1e-10)
+        assert calls == {"solve_ivp": 1, "least_squares": 1}
+
+
+SPECS = {
+    "f1": spec_m1(0.0),
+    "f2": spec_m1(-1.0),
+    "f3": spec_m2_symmetric(),
+    "degenerate": degenerate_spec(),
+    "incompatible": incompatible_rows_spec(),
+}
+SHOOTABLE = ["degenerate", "f1", "f2", "f3"]
+
+
+@functools.cache
+def unit_shot(name):
+    return shoot_robin(SPECS[name], 1.0, tol=1e-10)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(name=st.sampled_from(SHOOTABLE), log_s=st.floats(-8.0, 8.0))
+def test_shooting_is_scale_covariant(name, log_s):
+    # critical scaling: the Robin problem at s d is the one at d, with mu -> s mu
+    spec, s = SPECS[name], 10.0**log_s
+    alphas, mu = unit_shot(name)
+    alphas_s, mu_s = shoot_robin(spec, s, tol=1e-10)
+    assert abs(mu_s - s * mu) <= 1e-8 * s * mu
+    np.testing.assert_allclose(alphas_s, s ** ((spec.N - 2) / 2) * alphas, rtol=1e-8)
+
+
+@functools.cache
+def unit_breakdown_time(name):
+    return halfline_breakdown(SPECS[name], np.ones(SPECS[name].m)).t_star
+
+
+@settings(deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(SPECS)), log_s=st.floats(-8.0, 8.0))
+def test_breakdown_time_scaling_law(name, log_s):
+    # t*(s u0) = s^(-2/(N-2)) t*(u0) for the critical half-line system
+    spec, s = SPECS[name], 10.0**log_s
+    t_star = halfline_breakdown(spec, np.full(spec.m, s)).t_star
+    expected = s ** (-2.0 / (spec.N - 2)) * unit_breakdown_time(name)
+    assert abs(t_star - expected) <= 1e-10 * expected
 
 
 class TestHalflineBreakdown:
@@ -205,16 +317,32 @@ class TestHalflineBreakdown:
         with pytest.raises(HorizonExceeded):
             halfline_breakdown(spec_f1, [1.0], horizon=0.1)
 
+    @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("u0", [1e-4, 1.0, 1e8])
+    def test_breakdown_time_matches_mpmath_oracle(self, c, u0):
+        spec = spec_m1(c)
+        oracle = breakdown_time_mpmath(c, u0)
+        cert = halfline_breakdown(spec, [u0])
+        assert abs(cert.t_star - oracle) <= 1e-7 * oracle
+
     def test_rejects_nonpositive_start(self, spec_f1):
         with pytest.raises(ValueError):
             halfline_breakdown(spec_f1, [0.0])
 
 
+def test_non_critical_spec_rejected():
+    # A = 6 > (N+2)/(N-2): critical scaling fails, and the reference profile's
+    # Robin residual never settles, so its integration would never end
+    spec = EllipticSystemSpec(N=3, m=1, A=[[6.0]], B=[[3.0]], c=[0.0])
+    with pytest.raises(ValueError):
+        shoot_robin(spec, 1.0)
+    with pytest.raises(ValueError):
+        halfline_breakdown(spec, [2.0])
+
+
 def test_degenerate_family_shoots_with_kernel_direction():
     # rank-deficient amplitude system: shooting carries one kernel coordinate
-    spec = EllipticSystemSpec(
-        N=4, m=2, A=[[2.0, 1.0], [1.0, 2.0]], B=[[1.0, 1.0], [1.0, 1.0]], c=[-1.0, -1.0]
-    )
+    spec = degenerate_spec()
     assert solve_betas(spec, 1.0).nullity == 1
     d = np.sqrt(3.0)
     alphas, mu = shoot_robin(spec, d, tol=1e-10)
