@@ -192,7 +192,6 @@ def cmd_verify(args) -> int:
     h_list = np.array([4 * h, 2 * h, h])
     field = bf.bubble_field(params)
     conv = fd.convergence_order(spec, field, box, h_list, n_per_axis=args.grid)
-    fd_report = fd.residual_sweep(spec, field, box, args.grid, h, interior_margin=float(h_list[0]))
 
     checks = [
         _check("analytic_interior_max_rel", float(rel_int.max()), 1e-12),
@@ -213,7 +212,7 @@ def cmd_verify(args) -> int:
             "interior_max_rel": rel_int,
             "boundary_max_rel": rel_bdy,
         },
-        "fd": fd_report.to_dict(),
+        "fd": conv.finest.to_dict(),
         "convergence": conv.to_dict(),
     }
     if args.csv:
@@ -235,7 +234,7 @@ def cmd_moving_spheres(args) -> int:
     lam_exact = ki.critical_lambda_exact(params, x)
     lam_lo = args.lambda_lo if args.lambda_lo is not None else 0.3 * lam_exact
     lam_hi = args.lambda_hi if args.lambda_hi is not None else 3.0 * lam_exact
-    samples = sampling.polar_shell(
+    shell = sampling.polar_shell(
         x,
         r_lo=lam_lo * (1 + 1e-9),
         r_hi=50.0 * lam_exact,
@@ -244,14 +243,15 @@ def cmd_moving_spheres(args) -> int:
         seed=args.seed,
         upper=True,
     )
+    # distances and field values once; each radius evaluates only its inverted points
+    samples = ki.center_samples(u, x, shell)
     sweep = ki.sweep_moving_spheres(
         spec, u, x, samples, lam_lo, lam_hi, n_lambda=args.n_lambda
     )
     symmetry = ki.verify_symmetry_identity(params, x, samples)
 
-    dist = np.linalg.norm(samples - x, axis=1)
-    below = float(ki.min_w(u, x, 0.9 * lam_exact, samples, dist)[0].min())
-    above = float(ki.min_w(u, x, 1.1 * lam_exact, samples, dist)[0].min())
+    below = float(ki.min_w(u, samples, 0.9 * lam_exact)[0].min())
+    above = float(ki.min_w(u, samples, 1.1 * lam_exact)[0].min())
 
     checks = []
     if sweep.lambda_critical_numeric is None:
@@ -276,7 +276,7 @@ def cmd_moving_spheres(args) -> int:
         "min_w_at_0.9": below,
         "min_w_at_1.1": above,
         "symmetry_sup_rel": symmetry,
-        "n_samples": samples.shape[0],
+        "n_samples": shell.shape[0],
         "seed": args.seed,
     }
     if args.csv:

@@ -83,7 +83,8 @@ class ConvergenceReport:
     boundary) sup; that is the contract value.  Separate interior and
     boundary slopes are kept as diagnostics: one-sided boundary stencils
     superconverge on profiles even in the normal coordinate, which shows
-    up there and only there.
+    up there and only there.  ``finest`` is the full report of the last
+    (smallest) step; it is not part of :meth:`to_dict`.
     """
 
     h_list: np.ndarray
@@ -95,6 +96,7 @@ class ConvergenceReport:
     slope_boundary: np.ndarray
     degenerate_interior: np.ndarray
     degenerate_boundary: np.ndarray
+    finest: ResidualReport
 
     def to_dict(self) -> dict:
         return {
@@ -277,4 +279,5 @@ def convergence_order(
         slope_boundary=slope_b,
         degenerate_interior=degen_i,
         degenerate_boundary=degen_b,
+        finest=report,
     )

@@ -19,10 +19,11 @@ and owns that error budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .bubble_family import BubbleParams, bubble_field, evaluate_bubble
+from .bubble_family import BubbleParams, evaluate_bubble, squared_distance
 from .errors import BadBracket, SingularPoint
 from .exponent_system import EllipticSystemSpec
 
@@ -30,6 +31,8 @@ __all__ = [
     "SphereInversion",
     "SweepResult",
     "DecayReport",
+    "CenteredSamples",
+    "center_samples",
     "kelvin_point",
     "kelvin_transform_u",
     "difference_w",
@@ -65,7 +68,7 @@ class SphereInversion:
 def _inverted(inv: SphereInversion, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Image of y and |y - center|^2."""
     dy = y - inv.center
-    dist = np.linalg.norm(dy, axis=-1)
+    dist = np.sqrt(squared_distance(y, inv.center))
     if np.any(dist < SINGULAR_DISTANCE):
         raise SingularPoint("evaluation point coincides with the inversion center")
     # the squared norm, not a sum of squares: the transported-field reports,
@@ -91,22 +94,61 @@ def kelvin_transform_u(u, inv: SphereInversion, y: np.ndarray) -> np.ndarray:
     return vals[0] if single else vals
 
 
-def difference_w(u, inv: SphereInversion, y: np.ndarray) -> np.ndarray:
-    """w = u - (transformed u); zero on the inversion sphere by construction."""
+def difference_w(
+    u, inv: SphereInversion, y: np.ndarray, u_y: np.ndarray | None = None
+) -> np.ndarray:
+    """w = u - (transformed u); zero on the inversion sphere by construction.
+
+    ``u_y`` is u at y when the caller already holds it; u is then evaluated
+    only at the inverted points.
+    """
     y = np.asarray(y, dtype=float)
     pts = np.atleast_2d(y)
-    w = np.asarray(u(pts), dtype=float) - kelvin_transform_u(u, inv, pts)
+    if u_y is None:
+        u_y = u(pts)
+    w = np.asarray(u_y, dtype=float) - kelvin_transform_u(u, inv, pts)
     return w[0] if y.ndim == 1 else w
 
 
-def min_w(u, x: np.ndarray, lam: float, samples: np.ndarray, dist: np.ndarray):
-    """Per-component min of w about (x, lam) over the samples with ``dist`` >= lam.
+@dataclass
+class CenteredSamples:
+    """A sample set with its distances from a center x and the field values on it.
 
-    ``dist`` holds the sample distances from x.  Returns the minima (m,)
-    and the samples attaining them (m, N).
+    Built once per sample set by :func:`center_samples`, so every radius
+    of a sweep evaluates the field only at its inverted points.
     """
-    outside = samples[dist >= lam]
-    w = difference_w(u, SphereInversion(x, lam), outside)
+
+    x: np.ndarray
+    points: np.ndarray  # (k, N)
+    dist: np.ndarray  # (k,), |points - x|
+    values: np.ndarray  # (k, m), u(points)
+
+
+def center_samples(u, x: np.ndarray, sample_set: np.ndarray) -> CenteredSamples:
+    """Distances from x and values of the field ``u`` at the samples (k, N)."""
+    x = np.asarray(x, dtype=float)
+    points = np.atleast_2d(np.asarray(sample_set, dtype=float))
+    dist = np.sqrt(squared_distance(points, x))
+    return CenteredSamples(x, points, dist, np.asarray(u(points), dtype=float))
+
+
+def _centered(u, x: np.ndarray, sample_set) -> CenteredSamples:
+    """``sample_set`` as samples about x: reused if already centered, else evaluated."""
+    if isinstance(sample_set, CenteredSamples):
+        if not np.array_equal(sample_set.x, x):
+            raise ValueError("the sample set is centered at another point")
+        return sample_set
+    return center_samples(u, x, sample_set)
+
+
+def min_w(u, samples: CenteredSamples, lam: float):
+    """Per-component min of w about (samples.x, lam) over the samples at distance >= lam.
+
+    Returns the minima (m,) and the samples attaining them (m, N).
+    """
+    keep = samples.dist >= lam
+    outside = samples.points[keep]
+    w = difference_w(u, SphereInversion(samples.x, lam), outside, u_y=samples.values[keep])
     return w.min(axis=0), outside[np.argmin(w, axis=0)]
 
 
@@ -154,7 +196,9 @@ def sweep_moving_spheres(
 ) -> SweepResult:
     """Track min w over a geometric radius grid and bisect its sign change.
 
-    At each radius only samples with |y - x| >= radius participate.  The
+    ``sample_set`` is points (k, N), or their :class:`CenteredSamples`
+    about x, whose distances and field values are then reused.  At each
+    radius only samples with |y - x| >= radius participate.  The
     minimum is positive below the critical radius and negative above it,
     so its first sign change brackets the critical radius; bisection then
     narrows the bracket to relative width 1e-10.  Bisection is used on
@@ -174,21 +218,20 @@ def sweep_moving_spheres(
     x = np.asarray(x, dtype=float)
     if x[-1] != 0.0:
         raise ValueError("inversion center must lie on the boundary hyperplane exactly")
-    samples = np.atleast_2d(np.asarray(sample_set, dtype=float))
-    dist = np.linalg.norm(samples - x, axis=1)
-    if np.min(dist) < lambda_lo:
+    samples = _centered(u, x, sample_set)
+    if np.min(samples.dist) < lambda_lo:
         raise ValueError("all samples must lie outside the ball of radius lambda_lo about x")
     if not (0 < lambda_lo < lambda_hi):
         raise ValueError("need 0 < lambda_lo < lambda_hi")
 
     if tol_w is None:
-        tol_w = 1e-9 * float(np.max(np.asarray(u(samples), dtype=float)))
+        tol_w = 1e-9 * float(np.max(samples.values))
 
     grid = np.geomspace(lambda_lo, lambda_hi, n_lambda)
     mins = np.empty((n_lambda, spec.m))
-    argmins = np.empty((n_lambda, spec.m, samples.shape[1]))
+    argmins = np.empty((n_lambda, spec.m, samples.points.shape[1]))
     for k, lam in enumerate(grid):
-        mins[k], argmins[k] = min_w(u, x, float(lam), samples, dist)
+        mins[k], argmins[k] = min_w(u, samples, float(lam))
 
     overall = mins.min(axis=1)
     if overall[0] < -tol_w:
@@ -207,7 +250,7 @@ def sweep_moving_spheres(
     lo, hi = float(grid[k - 1]), float(grid[k])
     while (hi - lo) > BISECT_RELATIVE_WIDTH * hi:
         mid = 0.5 * (lo + hi)
-        if float(min_w(u, x, mid, samples, dist)[0].min()) < 0.0:
+        if float(min_w(u, samples, mid)[0].min()) < 0.0:
             hi = mid
         else:
             lo = mid
@@ -215,21 +258,22 @@ def sweep_moving_spheres(
 
 
 def verify_symmetry_identity(
-    params: BubbleParams, x: np.ndarray, sample_set: np.ndarray
+    params: BubbleParams, x: np.ndarray, sample_set
 ) -> np.ndarray:
     """Per-component sup of |w| / u at the critical radius over the samples.
 
     For valid parameters this is rounding noise; the field coincides with
-    its own inversion everywhere, not just asymptotically.
+    its own inversion everywhere, not just asymptotically.  ``sample_set``
+    is points (k, N) or their :class:`CenteredSamples` about x.
     """
     x = np.asarray(x, dtype=float)
-    samples = np.atleast_2d(np.asarray(sample_set, dtype=float))
-    if np.min(np.linalg.norm(samples - x, axis=1)) < 1e-6:
+    u = partial(evaluate_bubble, params)
+    samples = _centered(u, x, sample_set)
+    if np.min(samples.dist) < 1e-6:
         raise ValueError("samples must keep distance >= 1e-6 from the center")
     lam = critical_lambda_exact(params, x)
-    w = difference_w(bubble_field(params), SphereInversion(x, lam), samples)
-    uv = evaluate_bubble(params, samples)
-    return np.max(np.abs(w) / uv, axis=0)
+    w = difference_w(u, SphereInversion(x, lam), samples.points, u_y=samples.values)
+    return np.max(np.abs(w) / samples.values, axis=0)
 
 
 @dataclass

@@ -65,14 +65,22 @@ def write_sweep_csv(sweep, path: str | Path) -> None:
                 )
 
 
+def _float_reprs(column: np.ndarray) -> list[str]:
+    """repr(float(v)) of every value, from one repr of the whole list."""
+    text = repr(column.tolist())[1:-1]
+    return text.split(", ") if text else []
+
+
 def write_residual_csv(res_int: np.ndarray, res_bdy: np.ndarray, path: str | Path) -> None:
-    """Per-point residuals, interior then boundary rows for each component."""
+    """Per-point residuals, interior then boundary rows for each component.
+
+    The bytes are those of ``csv.writer`` rows: unquoted fields, CRLF line ends.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "component", "residual"])
+        fh.write("kind,component,residual\r\n")
         for j in range(res_int.shape[1]):
-            writer.writerows(["interior", j, repr(float(v))] for v in res_int[:, j])
-            writer.writerows(["boundary", j, repr(float(v))] for v in res_bdy[:, j])
+            for kind, column in (("interior", res_int[:, j]), ("boundary", res_bdy[:, j])):
+                fh.writelines(f"{kind},{j},{v}\r\n" for v in _float_reprs(column))
 
 
 def write_trajectory_csv(trajectory, path: str | Path) -> None:

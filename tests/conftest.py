@@ -1,7 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
-from halfspace_bubbles import EllipticSystemSpec, make_bubble_params
+from halfspace_bubbles import BubbleParams, EllipticSystemSpec, make_bubble_params
+
+# One profile for every property test: no per-example deadline (a shot or a
+# sweep can take a while), the same examples on every run, and no example
+# database written to disk.
+settings.register_profile("tier1", deadline=None, derandomize=True, database=None)
+settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants it reads from the sources; keep that
+    # cache in pytest's cache directory rather than a .hypothesis/ of its own
+    if hasattr(config, "cache"):
+        set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 
 def spec_m1(c: float) -> EllipticSystemSpec:
@@ -47,11 +62,31 @@ def params_f3(spec_f3):
     return make_bubble_params(spec_f3, sigma=1.0)
 
 
-@pytest.fixture(params=["f1", "f2", "f3"])
+FIXTURE_NAMES = ("f1", "f2", "f3")
+
+
+def fixture_spec(name: str) -> EllipticSystemSpec:
+    """One of the three standard fixtures by name."""
+    return {"f1": spec_m1(0.0), "f2": spec_m1(-1.0), "f3": spec_m2_symmetric()}[name]
+
+
+@pytest.fixture(params=FIXTURE_NAMES)
 def fixture_pair(request):
     """(spec, params) for each of the three standard fixtures."""
-    spec = {"f1": spec_m1(0.0), "f2": spec_m1(-1.0), "f3": spec_m2_symmetric()}[request.param]
+    spec = fixture_spec(request.param)
     return spec, make_bubble_params(spec, sigma=1.0)
+
+
+def moved_params(params: BubbleParams, s: float, t: np.ndarray) -> BubbleParams:
+    """The family member y -> s^(-(N-2)/2) u(y/s - t): translated by a tangential t, scaled by s.
+
+    Critical scaling and tangential translation map solutions to solutions;
+    the bubble keeps its shape with width s sigma and center s (y0 + t).
+    """
+    N = params.N
+    return BubbleParams(
+        sigma=s * params.sigma, betas=params.betas * s ** (0.5 * (N - 2)), y0=s * (params.y0 + t)
+    )
 
 
 def random_halfspace_points(N: int, n: int, seed: int, lo=-10.0, hi=10.0, hi_last=10.0):

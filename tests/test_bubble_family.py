@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from halfspace_bubbles.bubble_family import (
     BubbleParams,
@@ -13,6 +16,7 @@ from halfspace_bubbles.bubble_family import (
     interior_residual_relative,
     make_bubble_params,
     solve_betas,
+    squared_distance,
 )
 from halfspace_bubbles.errors import (
     FitDiverged,
@@ -21,7 +25,13 @@ from halfspace_bubbles.errors import (
 )
 from halfspace_bubbles.exponent_system import EllipticSystemSpec
 
-from conftest import random_boundary_points, random_halfspace_points, spec_m1
+from conftest import (
+    FIXTURE_NAMES,
+    fixture_spec,
+    moved_params,
+    random_boundary_points,
+    random_halfspace_points,
+)
 
 
 def closed_form_amplitude(N: int, sigma: float) -> float:
@@ -247,6 +257,35 @@ class TestAnalyticResiduals:
             y[-1] = 0.5
         rel = interior_residual_relative(spec_f3, params_f3, y)
         assert rel.max() <= 1e-12
+
+
+@given(
+    name=st.sampled_from(FIXTURE_NAMES),
+    log_s=st.floats(-8.0, 8.0),
+    shift=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+)
+def test_residuals_vanish_after_scaling_and_translation(name, log_s, shift):
+    # critical scaling and tangential translation map the family onto itself
+    spec = fixture_spec(name)
+    s, t = 10.0**log_s, np.append(shift[: spec.N - 1], 0.0)
+    moved = moved_params(make_bubble_params(spec, sigma=1.0), s, t)
+    pts = s * (random_halfspace_points(spec.N, 200, seed=43) + t)
+    bpts = s * (random_boundary_points(spec.N, 200, seed=47) + t)
+    assert interior_residual_relative(spec, moved, pts).max() <= 1e-12
+    assert boundary_residual_relative(spec, moved, bpts).max() <= 1e-12
+
+
+finite = st.floats(-1e100, 1e100, allow_nan=False)
+
+
+@given(N=st.integers(1, 7), batch=array_shapes(min_dims=1, max_dims=2, max_side=20), data=st.data())
+def test_squared_distance_is_numpy_sum_bit_for_bit(N, batch, data):
+    # batches (k, N) and (k, s, N); numpy sums an inner axis shorter than 8 in order
+    pts = data.draw(arrays(np.float64, batch + (N,), elements=finite))
+    c = data.draw(arrays(np.float64, (N,), elements=finite))
+    d2 = squared_distance(pts, c)
+    assert d2.tobytes() == np.sum((pts - c) ** 2, axis=-1).tobytes()
+    assert np.sqrt(d2).tobytes() == np.linalg.norm(pts - c, axis=-1).tobytes()
 
 
 class TestBoundaryProfileFit:

@@ -207,6 +207,55 @@ class TestPipelines:
         assert report["t_star"] > 0
 
 
+def recording(monkeypatch, module, attr, log, rows_of):
+    """Replace module.attr with a wrapper that appends rows_of(args, kwargs) to log."""
+    inner = getattr(module, attr)
+
+    def wrapper(*args, **kwargs):
+        log.append(rows_of(args, kwargs))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, wrapper)
+
+
+class TestEachValueOnce:
+    def test_verify_sweeps_three_levels(self, spec_file, params_file, tmp_path, monkeypatch):
+        from halfspace_bubbles import fd_verifier
+
+        steps = []
+        recording(monkeypatch, fd_verifier, "residual_sweep", steps, lambda a, kw: a[4])
+        out = tmp_path / "verify.json"
+        assert run("verify", "--spec", spec_file, "--params", params_file, "--out", out) == 0
+        assert len(steps) == 3  # one sweep per level of h_list = [4h, 2h, h]
+        report = json.loads(out.read_text())
+        conv = report["convergence"]
+        # the "fd" block is the finest level of the convergence study
+        assert report["fd"]["h"] == conv["h_list"][-1] == steps[-1]
+        assert report["fd"]["sup_interior"] == conv["sup_interior"][-1]
+        assert report["fd"]["sup_boundary"] == conv["sup_boundary"][-1]
+
+    def test_moving_spheres_evaluates_samples_once(
+        self, spec_file, params_file, tmp_path, monkeypatch
+    ):
+        from halfspace_bubbles import bubble_family, kelvin_inversion
+
+        evaluated, differenced = [], []
+        recording(monkeypatch, bubble_family, "evaluate_bubble", evaluated,
+                  lambda a, kw: len(a[1]))
+        recording(monkeypatch, kelvin_inversion, "evaluate_bubble", evaluated,
+                  lambda a, kw: len(a[1]))
+        recording(monkeypatch, kelvin_inversion, "difference_w", differenced,
+                  lambda a, kw: len(a[2]))
+        out = tmp_path / "sweep.json"
+        assert run("moving-spheres", "--spec", spec_file, "--params", params_file,
+                   "--x", "3,4", "--out", out) == 0
+        n_samples = json.loads(out.read_text())["n_samples"]
+        # the full sample set once, then only the inverted points of each radius,
+        # bisection midpoint, symmetry check and 0.9/1.1 check
+        assert evaluated == [n_samples] + differenced
+        assert len(differenced) > 33
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("command", ["validate", "solve-params", "verify", "halfline"])
     def test_repeat_runs_identical(self, command, spec_file, params_file, tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from halfspace_bubbles.errors import MalformedSpec
@@ -131,7 +131,6 @@ def sparse_exponent_matrices(draw):
     return (np.array(draw(entries)) * np.array(draw(mask))).reshape(m, m)
 
 
-@settings(deadline=None, derandomize=True)
 @given(A=sparse_exponent_matrices(), data=st.data())
 def test_is_irreducible_property(A, data):
     verdict = is_irreducible(A)

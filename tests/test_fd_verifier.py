@@ -104,6 +104,14 @@ class TestResidualSweep:
         assert abs(conv.slope_interior[0] - 2.0) < 0.1
         assert abs(conv.slope_boundary[0] - 2.0) < 0.1
 
+    def test_study_keeps_its_finest_level(self, spec_f3, params_f3):
+        box = np.tile([0.0, 2.0], (4, 1))
+        h_list = np.array([4e-3, 2e-3, 1e-3])
+        conv = convergence_order(spec_f3, params_f3, box, h_list, n_per_axis=5)
+        direct = residual_sweep(spec_f3, bubble_field(params_f3), box, 5, 1e-3, interior_margin=4e-3)
+        assert conv.finest.to_dict() == direct.to_dict()
+        assert "finest" not in conv.to_dict()
+
     def test_even_profile_boundary_superconverges(self, spec_f1, params_f1):
         # center on the boundary makes the profile even in y_N: the odd
         # third derivative vanishes and the one-sided stencil jumps to

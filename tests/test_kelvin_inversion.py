@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from halfspace_bubbles.bubble_family import BubbleParams, bubble_field, evaluate_bubble
+from halfspace_bubbles.bubble_family import (
+    BubbleParams,
+    bubble_field,
+    evaluate_bubble,
+    make_bubble_params,
+)
 from halfspace_bubbles.errors import BadBracket, SingularPoint
 from halfspace_bubbles.fd_verifier import convergence_order
 from halfspace_bubbles.kelvin_inversion import (
     SphereInversion,
+    center_samples,
     critical_lambda_exact,
     decay_check,
     difference_w,
@@ -15,6 +23,8 @@ from halfspace_bubbles.kelvin_inversion import (
     verify_symmetry_identity,
 )
 from halfspace_bubbles.sampling import polar_shell, unit_directions
+
+from conftest import FIXTURE_NAMES, fixture_spec, moved_params
 
 
 def standard_samples(x, lam, n_radii=24, n_dirs=32, seed=101):
@@ -146,6 +156,23 @@ class TestSweep:
         assert min_w(0.5 * lam) > 0.0
         assert min_w(1.5 * lam) < 0.0
 
+    def test_centered_samples_give_the_same_sweep(self, spec_f2, params_f2):
+        u = bubble_field(params_f2)
+        x = np.array([3.0, 4.0, 0.0])
+        lam = critical_lambda_exact(params_f2, x)
+        points = sweep_samples(x, 0.3 * lam, lam)
+        raw = sweep_moving_spheres(spec_f2, u, x, points, 0.3 * lam, 3.0 * lam)
+        centered = sweep_moving_spheres(
+            spec_f2, u, x, center_samples(u, x, points), 0.3 * lam, 3.0 * lam
+        )
+        np.testing.assert_array_equal(centered.min_w, raw.min_w)
+        np.testing.assert_array_equal(centered.argmin_points, raw.argmin_points)
+        assert centered.bracket == raw.bracket
+        with pytest.raises(ValueError, match="centered at another point"):
+            sweep_moving_spheres(
+                spec_f2, u, np.zeros(3), center_samples(u, x, points), 0.3 * lam, 3.0 * lam
+            )
+
     def test_monotone_start(self, fixture_pair):
         # strictly positive minimum everywhere below 0.9 of the critical radius
         spec, params = fixture_pair
@@ -168,6 +195,38 @@ class TestSweep:
         samples = standard_samples(np.zeros(3), 1.0)
         with pytest.raises(ValueError):
             sweep_moving_spheres(spec_f1, bubble_field(params_f1), np.zeros(3), samples, 0.5, 3.0)
+
+
+tangential = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)
+
+
+def moved_case(name, log_s, shift, x_tang):
+    """Spec, unit-scale params and center x, and their image under scaling and translation."""
+    spec = fixture_spec(name)
+    params = make_bubble_params(spec, sigma=1.0)
+    s, t = 10.0**log_s, np.append(shift[: spec.N - 1], 0.0)
+    x = np.append(x_tang[: spec.N - 1], 0.0)
+    return spec, params, x, moved_params(params, s, t), s * (x + t), s
+
+
+@given(name=st.sampled_from(FIXTURE_NAMES), log_s=st.floats(-8.0, 8.0),
+       shift=tangential, x_tang=tangential)
+def test_critical_radius_is_scale_and_translation_covariant(name, log_s, shift, x_tang):
+    # lambda of the moved bubble about s (x + t) is s lambda(x)
+    _, params, x, moved, x_moved, s = moved_case(name, log_s, shift, x_tang)
+    lam = critical_lambda_exact(params, x)
+    assert critical_lambda_exact(moved, x_moved) == pytest.approx(s * lam, rel=1e-12)
+
+
+@settings(max_examples=25)
+@given(name=st.sampled_from(FIXTURE_NAMES), log_s=st.floats(-8.0, 8.0),
+       shift=tangential, x_tang=tangential)
+def test_sweep_radius_is_scale_and_translation_covariant(name, log_s, shift, x_tang):
+    spec, params, x, moved, x_moved, s = moved_case(name, log_s, shift, x_tang)
+    lam = s * critical_lambda_exact(params, x)
+    samples = sweep_samples(x_moved, 0.3 * lam, lam)
+    sweep = sweep_moving_spheres(spec, bubble_field(moved), x_moved, samples, 0.3 * lam, 3.0 * lam)
+    assert sweep.lambda_critical_numeric == pytest.approx(lam, rel=1e-6)
 
 
 class TestSymmetryIdentity:

@@ -230,7 +230,7 @@ def unit_shot(name):
     return shoot_robin(SPECS[name], 1.0, tol=1e-10)
 
 
-@settings(deadline=None, derandomize=True, max_examples=40)
+@settings(max_examples=40)
 @given(name=st.sampled_from(SHOOTABLE), log_s=st.floats(-8.0, 8.0))
 def test_shooting_is_scale_covariant(name, log_s):
     # critical scaling: the Robin problem at s d is the one at d, with mu -> s mu
@@ -246,7 +246,6 @@ def unit_breakdown_time(name):
     return halfline_breakdown(SPECS[name], np.ones(SPECS[name].m)).t_star
 
 
-@settings(deadline=None, derandomize=True)
 @given(name=st.sampled_from(sorted(SPECS)), log_s=st.floats(-8.0, 8.0))
 def test_breakdown_time_scaling_law(name, log_s):
     # t*(s u0) = s^(-2/(N-2)) t*(u0) for the critical half-line system
