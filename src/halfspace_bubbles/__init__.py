@@ -8,16 +8,12 @@ nonexistence certificate.
 """
 
 from .bubble_family import (
-    BoundaryProfileFit,
     BubbleParams,
     LogLinearSolveResult,
-    boundary_residual_analytic,
     bubble_field,
     compute_y0N,
     evaluate_bubble,
     evaluate_bubble_derivatives,
-    fit_boundary_profile,
-    interior_residual_analytic,
     load_params,
     make_bubble_params,
     solve_betas,
@@ -36,7 +32,6 @@ from .exponent_system import (
     ValidationReport,
     is_irreducible,
     load_spec,
-    save_spec,
     validate_spec,
 )
 from .fd_verifier import (
@@ -51,7 +46,6 @@ from .kelvin_inversion import (
     SphereInversion,
     SweepResult,
     critical_lambda_exact,
-    decay_check,
     difference_w,
     kelvin_point,
     kelvin_transform_u,

@@ -22,27 +22,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FitDiverged, IncompatibleBoundaryCoefficients, NoBubbleParameters
+from .errors import IncompatibleBoundaryCoefficients, NoBubbleParameters
 from .exponent_system import EllipticSystemSpec
 
 __all__ = [
     "BubbleParams",
     "LogLinearSolveResult",
-    "BoundaryProfileFit",
     "solve_betas",
     "compute_y0N",
     "make_bubble_params",
     "evaluate_bubble",
     "evaluate_bubble_derivatives",
-    "interior_residual_analytic",
-    "boundary_residual_analytic",
     "interior_residual_relative",
     "boundary_residual_relative",
     "bubble_field",
     "exponent_product",
     "log_profile",
     "squared_distance",
-    "fit_boundary_profile",
     "load_params",
 ]
 
@@ -290,28 +286,12 @@ def _boundary_terms(spec: EllipticSystemSpec, params: BubbleParams, yprime: np.n
     return grads[..., :, -1], spec.c * exponent_product(spec.B, _log_values(params, yprime))
 
 
-def interior_residual_analytic(
-    spec: EllipticSystemSpec, params: BubbleParams, y: np.ndarray
-) -> np.ndarray:
-    """lap(u_i) + prod_j u_j**A[i,j] with exact Laplacians; (..., m)."""
-    lap, prod = _interior_terms(spec, params, y)
-    return lap + prod
-
-
 def interior_residual_relative(
     spec: EllipticSystemSpec, params: BubbleParams, y: np.ndarray
 ) -> np.ndarray:
     """Interior residual scaled by |lap(u_i)| (never zero for a bubble)."""
     lap, prod = _interior_terms(spec, params, y)
     return np.abs(lap + prod) / np.abs(lap)
-
-
-def boundary_residual_analytic(
-    spec: EllipticSystemSpec, params: BubbleParams, yprime: np.ndarray
-) -> np.ndarray:
-    """d(u_i)/d(y_N) - c[i] prod_j u_j**B[i,j] at boundary points (..., m)."""
-    dN, flux = _boundary_terms(spec, params, yprime)
-    return dN - flux
 
 
 def boundary_residual_relative(
@@ -333,133 +313,6 @@ def bubble_field(params: BubbleParams):
         return evaluate_bubble(params, points)
 
     return field
-
-
-@dataclass
-class BoundaryProfileFit:
-    """Result of the shared-center boundary profile fit."""
-
-    amplitudes: np.ndarray
-    d: float
-    xbar: np.ndarray
-    rms: float
-    iterations: int
-
-
-def _profile_initial_guess(X, logu, N):
-    """Data-driven start: peak-weighted centroid plus a two-point width estimate."""
-    u0 = np.exp(logu[:, 0])
-    w = u0 ** (2.0 / (N - 2))
-    xbar = (w[:, None] * X).sum(axis=0) / w.sum()
-    rho2 = np.sum((X - xbar) ** 2, axis=1)
-    i_near, i_far = int(np.argmin(rho2)), int(np.argmax(rho2))
-    ratio = (u0[i_near] / u0[i_far]) ** (2.0 / (N - 2))
-    if ratio > 1 + 1e-12:
-        d2 = (rho2[i_far] - ratio * rho2[i_near]) / (ratio - 1.0)
-    else:
-        d2 = float(np.median(rho2))
-    if not np.isfinite(d2) or d2 <= 0:
-        d2 = float(np.median(rho2)) + 1e-6
-    # amplitudes that put each sample exactly on the profile, averaged
-    log_amp = np.mean(logu - log_profile(0.0, d2 + rho2, N), axis=0)
-    return log_amp, 0.5 * np.log(d2), xbar
-
-
-def fit_boundary_profile(
-    points: np.ndarray,
-    values: np.ndarray,
-    initial_guess: tuple[np.ndarray, float, np.ndarray] | None = None,
-    max_iter: int = 200,
-    step_tol: float = 1e-12,
-) -> BoundaryProfileFit:
-    """Fit ``u_i(x) = amp_i (d^2 + |x - xbar|^2)**(-(N-2)/2)`` with shared (d, xbar).
-
-    Damped Gauss-Newton on the log-space misfit, which makes ``rms`` a
-    root-mean-square *relative* misfit for small residuals.  ``points``
-    are boundary points (k, N) with vanishing last coordinate; ``values``
-    are positive samples (k, m).  ``initial_guess`` is (amplitudes, d,
-    xbar) with ``xbar`` a boundary point.
-
-    Raises
-    ------
-    FitDiverged
-        After ``max_iter`` iterations without the step norm reaching
-        ``step_tol``.
-    """
-    X_full = np.atleast_2d(np.asarray(points, dtype=float))
-    U = np.atleast_2d(np.asarray(values, dtype=float))
-    N = X_full.shape[1]
-    k, m = U.shape
-    if k != X_full.shape[0]:
-        raise ValueError("points and values must have the same length")
-    if np.max(np.abs(X_full[:, -1])) != 0.0:
-        raise ValueError("points must lie on the boundary hyperplane")
-    if np.any(U <= 0):
-        raise ValueError("values must be positive")
-    if np.unique(X_full, axis=0).shape[0] < N + 1:
-        raise ValueError(f"need at least {N + 1} distinct sample points")
-
-    X = X_full[:, :-1]
-    logu = np.log(U)
-
-    if initial_guess is not None:
-        amp0, d0, xbar0 = initial_guess
-        theta = np.concatenate(
-            [np.log(np.atleast_1d(amp0)), [np.log(d0)], np.asarray(xbar0, dtype=float)[: N - 1]]
-        )
-    else:
-        log_amp, log_d, xbar = _profile_initial_guess(X, logu, N)
-        theta = np.concatenate([log_amp, [log_d], xbar])
-
-    def residual_jacobian(theta):
-        log_amp = theta[:m]
-        d2 = np.exp(2.0 * theta[m])
-        xbar = theta[m + 1 :]
-        diff = X - xbar
-        q = d2 + np.sum(diff**2, axis=1)
-        model = log_profile(log_amp, q, N)
-        r = (model - logu).ravel()
-        J = np.zeros((k * m, m + N))
-        rows = np.arange(k * m)
-        comp = rows % m
-        samp = rows // m
-        J[rows, comp] = 1.0
-        J[rows, m] = -(N - 2) * d2 / q[samp]
-        J[rows, m + 1 :] = (N - 2) * diff[samp] / q[samp, None]
-        return r, J
-
-    def cost(theta):
-        # Hopeless trial steps can overflow; treat them as infinitely bad.
-        with np.errstate(over="ignore", invalid="ignore"):
-            r, _ = residual_jacobian(theta)
-            value = 0.5 * float(r @ r)
-        return value if np.isfinite(value) else np.inf
-
-    current = cost(theta)
-    for iteration in range(1, max_iter + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            r, J = residual_jacobian(theta)
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        scale = 1.0
-        while scale > 1e-12:
-            trial = theta + scale * step
-            if cost(trial) <= current:
-                break
-            scale *= 0.5
-        theta = theta + scale * step
-        current = cost(theta)
-        if np.linalg.norm(scale * step) <= step_tol:
-            r, _ = residual_jacobian(theta)
-            xbar = np.zeros(N)
-            xbar[: N - 1] = theta[m + 1 :]
-            return BoundaryProfileFit(
-                amplitudes=np.exp(theta[:m]),
-                d=float(np.exp(theta[m])),
-                xbar=xbar,
-                rms=float(np.sqrt(np.mean(r**2))),
-                iterations=iteration,
-            )
-    raise FitDiverged(f"no step below {step_tol:.1e} within {max_iter} iterations")
 
 
 def load_params(path: str | Path) -> BubbleParams:

@@ -30,7 +30,6 @@ from . import radial_ode as ro
 from . import reporting, sampling
 from .errors import (
     BadBracket,
-    FitDiverged,
     HalfspaceBubblesError,
     HorizonExceeded,
     IncompatibleBoundaryCoefficients,
@@ -50,7 +49,6 @@ DEFAULT_SEED = 20240901
 CHECK_FAILURE_ERRORS = (
     NoBubbleParameters,
     IncompatibleBoundaryCoefficients,
-    FitDiverged,
     BadBracket,
     StepFailure,
     PositivityLoss,

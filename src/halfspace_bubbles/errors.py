@@ -29,12 +29,6 @@ class IncompatibleBoundaryCoefficients(HalfspaceBubblesError):
     code = "incompatible_boundary_coefficients"
 
 
-class FitDiverged(HalfspaceBubblesError):
-    """Boundary profile fit failed to reach the step tolerance."""
-
-    code = "fit_diverged"
-
-
 class SingularPoint(HalfspaceBubblesError):
     """Evaluation requested at (or numerically on top of) an inversion center."""
 

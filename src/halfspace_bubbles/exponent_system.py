@@ -35,7 +35,6 @@ __all__ = [
     "is_irreducible",
     "validate_spec",
     "load_spec",
-    "save_spec",
 ]
 
 
@@ -221,9 +220,3 @@ def load_spec(path: str | Path) -> EllipticSystemSpec:
         except json.JSONDecodeError as exc:
             raise MalformedSpec(f"invalid JSON in {path}: {exc}") from exc
     return EllipticSystemSpec.from_dict(data)
-
-
-def save_spec(spec: EllipticSystemSpec, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec.to_dict(), fh, indent=2)
-        fh.write("\n")

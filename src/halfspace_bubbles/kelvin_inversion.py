@@ -30,7 +30,6 @@ from .exponent_system import EllipticSystemSpec
 __all__ = [
     "SphereInversion",
     "SweepResult",
-    "DecayReport",
     "CenteredSamples",
     "center_samples",
     "kelvin_point",
@@ -41,7 +40,6 @@ __all__ = [
     "critical_lambda_exact",
     "sweep_moving_spheres",
     "verify_symmetry_identity",
-    "decay_check",
 ]
 
 # Points closer to the center than this are treated as the center itself.
@@ -274,40 +272,3 @@ def verify_symmetry_identity(
     lam = critical_lambda_exact(params, x)
     w = difference_w(u, SphereInversion(x, lam), samples.points, u_y=samples.values)
     return np.max(np.abs(w) / samples.values, axis=0)
-
-
-@dataclass
-class DecayReport:
-    """Far-field amplitude estimates |y|^(N-2) u_i(y) along rays."""
-
-    radii: np.ndarray
-    directions: np.ndarray
-    estimates: np.ndarray  # (n_radii, n_dirs, m)
-    errors: np.ndarray  # relative to the expected amplitudes
-
-    @property
-    def final(self) -> np.ndarray:
-        """Estimates at the largest radius, (n_dirs, m)."""
-        return self.estimates[-1]
-
-
-def decay_check(
-    u, betas_expected: np.ndarray, directions: np.ndarray, radii: np.ndarray
-) -> DecayReport:
-    """Estimate the far-field amplitudes along rays and compare to expectations.
-
-    The first-order remainder makes the estimate error O(1/radius); callers
-    should use radii well past the profile width.
-    """
-    betas_expected = np.atleast_1d(np.asarray(betas_expected, dtype=float))
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    radii = np.asarray(radii, dtype=float)
-    if radii.size > 1 and np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be increasing")
-    N = directions.shape[1]
-    estimates = np.empty((radii.size, directions.shape[0], betas_expected.size))
-    for k, R in enumerate(radii):
-        pts = R * directions
-        estimates[k] = np.asarray(u(pts), dtype=float) * R ** (N - 2)
-    errors = np.abs(estimates - betas_expected) / betas_expected
-    return DecayReport(radii=radii, directions=directions, estimates=estimates, errors=errors)

@@ -25,30 +25,17 @@ import numpy as np
 from .bubble_family import exponent_product, log_profile, solve_betas
 from .errors import HorizonExceeded, PositivityLoss, ShootFailed, StepFailure
 from .exponent_system import EllipticSystemSpec, validate_spec
+# module-level names, looked up at each call, so a caller can wrap them
+from .ode import least_squares, solve_ivp
 
 __all__ = [
     "RadialTrajectory",
     "BreakdownCertificate",
     "integrate_radial",
     "closed_form_psi",
-    "closed_form_radial_residual",
     "shoot_robin",
     "halfline_breakdown",
 ]
-
-
-# scipy's solvers load on the first solve, so the numpy-only subcommands
-# never pay their import.
-def solve_ivp(*args, **kwargs):
-    import scipy.integrate
-
-    return scipy.integrate.solve_ivp(*args, **kwargs)
-
-
-def least_squares(*args, **kwargs):
-    import scipy.optimize
-
-    return scipy.optimize.least_squares(*args, **kwargs)
 
 
 # Floor for component values inside integrator trial stages; keeps the
@@ -112,10 +99,12 @@ def integrate_radial(
 
     The (N-1)/r term is singular at the origin, so the trajectory starts
     from a quadratic series on [0, r_s] with r_s chosen so the dropped
-    fourth-order term stays below ``tol``; an adaptive embedded
-    Runge-Kutta scheme (DOP853) carries it to ``r_end`` from there, or to
-    the first radius where ``stop(r, psi, dpsi)`` falls through zero
-    (``r_end`` may then be infinite).  The result holds the accepted steps.
+    fourth-order term stays below ``tol``; the package's own DOP853
+    (:func:`halfspace_bubbles.ode.solve_ivp`, relative local error ``tol``)
+    carries it to ``r_end`` from there, or to the first radius where
+    ``stop(r, psi, dpsi)`` falls through zero, located on the step's
+    interpolant (``r_end`` may then be infinite).  The result holds the
+    accepted steps.
 
     Raises
     ------
@@ -149,13 +138,8 @@ def integrate_radial(
     events = [lambda r, y: float(np.min(y[:m]))]  # positivity
     if stop is not None:
         events.append(lambda r, y: stop(r, y[:m], y[m:]))
-    for event in events:
-        event.terminal = True
-        event.direction = -1
 
-    sol = solve_ivp(
-        rhs, (r_s, r_end), y0, method="DOP853", rtol=tol, atol=0.0, dense_output=True, events=events
-    )
+    sol = solve_ivp(rhs, (r_s, r_end), y0, rtol=tol, atol=0.0, events=events)
     if sol.t_events[0].size:
         raise PositivityLoss(f"component reached zero at r = {sol.t_events[0][0]:.6g}")
     if not sol.success:
@@ -179,25 +163,6 @@ def closed_form_psi(N: int, alphas: np.ndarray, mu: float, r: np.ndarray) -> np.
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     r = np.asarray(r, dtype=float)
     return np.exp(log_profile(np.log(alphas), mu**2 + r**2, N))
-
-
-def closed_form_radial_residual(
-    spec: EllipticSystemSpec, alphas: np.ndarray, mu: float, r: np.ndarray
-) -> np.ndarray:
-    """Relative residual of the closed form in the radial interior equation (r > 0)."""
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r <= 0):
-        raise ValueError("r must be positive (the origin term is singular)")
-    N = spec.N
-    q = mu**2 + r**2
-    psi = np.exp(log_profile(np.log(alphas), q, N))
-    dpsi = -(N - 2) * alphas * r[..., None] * q[..., None] ** (-N / 2)
-    ddpsi = -(N - 2) * alphas * q[..., None] ** (-(N + 2) / 2) * (mu**2 - (N - 1) * r[..., None] ** 2)
-    prod = exponent_product(spec.A, np.log(psi))
-    res = ddpsi + (N - 1) / r[..., None] * dpsi + prod
-    scale = np.abs(ddpsi) + np.abs((N - 1) / r[..., None] * dpsi) + prod
-    return np.abs(res) / scale
 
 
 def _robin_residual(spec, d, psi, dpsi):
@@ -247,7 +212,7 @@ def shoot_robin(
     scan = np.abs(_robin_residual(spec, s_ref[:, None] / 2, ref.psi[1:], ref.dpsi[1:])).max(axis=1)
 
     def residual(x):
-        s = float(np.exp(x[0]))
+        s = min(float(np.exp(x[0])), s_ref[-1])  # exp(log s) may round past the bound
         k = np.exp(x[1:] @ solve.null_basis)
         at = ref.at(s)
         return _robin_residual(spec, s / 2, k * at.psi[0], k * at.dpsi[0])
@@ -255,9 +220,7 @@ def shoot_robin(
     x0 = np.append(np.log(s_ref[np.argmin(scan)]), np.zeros(solve.nullity))
     # below the launch the series holds; above the last step psi_ref is undefined
     upper = np.append(np.log(s_ref[-1]), np.full(solve.nullity, np.inf))
-    out = least_squares(
-        residual, x0, bounds=(-np.inf, upper), method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15
-    )
+    out = least_squares(residual, x0, upper)
     worst = float(np.max(np.abs(out.fun)))
     if worst > tol:
         raise ShootFailed(
@@ -306,9 +269,12 @@ def halfline_breakdown(
     decreases monotonically and some component must reach zero.  By
     critical scaling, u(t) = M v(M**(2/(N-2)) t) with M = max(u0) and v the
     trajectory from u0 / M: v is integrated, and t, u, u' are mapped back by
-    M**(-2/(N-2)), M, M**(N/(N-2)).  The crossing is bisected on v's dense
-    output until the interval width drops below ``tol`` or the value below
-    1e-12; ``tol`` and ``horizon`` are unit-scale times.
+    M**(-2/(N-2)), M, M**(N/(N-2)).  DOP853 (:func:`halfspace_bubbles.ode.solve_ivp`)
+    stops at the first fall of min(v) through zero, located on the step's
+    interpolant.  If v is negative there, the crossing is bisected on v's
+    dense output, one evaluation per midpoint, until the interval width
+    drops below ``tol`` or the value below 1e-12; ``tol`` and ``horizon``
+    are unit-scale times.
 
     Raises
     ------
@@ -331,14 +297,8 @@ def halfline_breakdown(
     def crossing(t, y):
         return float(np.min(y[:m]))
 
-    crossing.terminal = True
-    crossing.direction = -1
-
     y0 = np.concatenate([v0, spec.c * exponent_product(spec.B, np.log(v0))])
-    sol = solve_ivp(
-        rhs, (0.0, horizon), y0, method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True,
-        events=[crossing],
-    )
+    sol = solve_ivp(rhs, (0.0, horizon), y0, rtol=1e-12, atol=1e-14, events=[crossing])
     if sol.status == -1:
         raise StepFailure(f"half-line integration stalled: {sol.message}")
     if not sol.t_events[0].size:
@@ -354,10 +314,11 @@ def halfline_breakdown(
     if sol.sol(hi)[failing] < 0.0:
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            if abs(sol.sol(mid)[failing]) <= 1e-12:
+            value = sol.sol(mid)[failing]
+            if abs(value) <= 1e-12:
                 lo = hi = mid
                 break
-            if sol.sol(mid)[failing] < 0.0:
+            if value < 0.0:
                 hi = mid
             else:
                 lo = mid

@@ -23,6 +23,20 @@ def spec_m1(c: float) -> EllipticSystemSpec:
     return EllipticSystemSpec(N=3, m=1, A=[[5.0]], B=[[3.0]], c=[c])
 
 
+def incompatible_rows_spec() -> EllipticSystemSpec:
+    """f3's interior exponents with diagonal boundary rows that demand two different profiles."""
+    return EllipticSystemSpec(
+        N=4, m=2, A=[[1.0, 2.0], [2.0, 1.0]], B=[[2.0, 0.0], [0.0, 2.0]], c=[-1.0, -0.5]
+    )
+
+
+def degenerate_spec() -> EllipticSystemSpec:
+    """Rank-deficient amplitude system: one kernel direction of I - A."""
+    return EllipticSystemSpec(
+        N=4, m=2, A=[[2.0, 1.0], [1.0, 2.0]], B=[[1.0, 1.0], [1.0, 1.0]], c=[-1.0, -1.0]
+    )
+
+
 def spec_m2_symmetric() -> EllipticSystemSpec:
     return EllipticSystemSpec(
         N=4, m=2, A=[[1.0, 2.0], [2.0, 1.0]], B=[[1.0, 1.0], [1.0, 1.0]], c=[-1.0, -1.0]

@@ -6,23 +6,17 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from halfspace_bubbles.bubble_family import (
     BubbleParams,
-    boundary_residual_analytic,
     boundary_residual_relative,
     compute_y0N,
     evaluate_bubble,
     evaluate_bubble_derivatives,
-    fit_boundary_profile,
-    interior_residual_analytic,
+    exponent_product,
     interior_residual_relative,
     make_bubble_params,
     solve_betas,
     squared_distance,
 )
-from halfspace_bubbles.errors import (
-    FitDiverged,
-    IncompatibleBoundaryCoefficients,
-    NoBubbleParameters,
-)
+from halfspace_bubbles.errors import IncompatibleBoundaryCoefficients, NoBubbleParameters
 from halfspace_bubbles.exponent_system import EllipticSystemSpec
 
 from conftest import (
@@ -234,7 +228,8 @@ class TestAnalyticResiduals:
         y = np.array([0.3, 0.1, 0.5])
         for factor, sign in ((1.01, 1.0), (0.99, -1.0)):
             params = BubbleParams(sigma=1.0, betas=[3**0.25 * factor], y0=[0.0, 0.0, 0.0])
-            res = interior_residual_analytic(spec_f1, params, y)
+            _, lap = evaluate_bubble_derivatives(params, y)
+            res = lap + exponent_product(spec_f1.A, np.log(evaluate_bubble(params, y)))
             assert np.sign(res[0]) == sign
             assert abs(res[0]) > 1e-6
 
@@ -242,13 +237,15 @@ class TestAnalyticResiduals:
         shifted = BubbleParams(
             sigma=params_f2.sigma, betas=params_f2.betas, y0=params_f2.y0 + [0, 0, 0.1]
         )
-        res = boundary_residual_analytic(spec_f2, shifted, np.array([0.2, -0.4, 0.0]))
-        assert abs(res[0]) > 1e-4
+        rel = boundary_residual_relative(spec_f2, shifted, np.array([0.2, -0.4, 0.0]))
+        assert rel[0] > 1e-4
 
     def test_zero_coefficient_boundary_exact(self, spec_f1, params_f1):
         # c = 0 and center on the boundary: both terms vanish identically.
-        res = boundary_residual_analytic(spec_f1, params_f1, random_boundary_points(3, 50, 41))
-        assert np.max(np.abs(res)) == 0.0
+        pts = random_boundary_points(3, 50, 41)
+        grads, _ = evaluate_bubble_derivatives(params_f1, pts)
+        assert np.max(np.abs(grads[..., -1])) == 0.0
+        assert np.max(boundary_residual_relative(spec_f1, params_f1, pts)) == 0.0
 
     def test_symmetric_center_interior(self, spec_f3, params_f3):
         y = params_f3.y0 + np.eye(4)[0]
@@ -288,54 +285,16 @@ def test_squared_distance_is_numpy_sum_bit_for_bit(N, batch, data):
     assert np.sqrt(d2).tobytes() == np.linalg.norm(pts - c, axis=-1).tobytes()
 
 
-class TestBoundaryProfileFit:
-    def test_recovers_bubble_restriction(self, fixture_pair):
-        spec, params = fixture_pair
-        N = spec.N
-        pts = random_boundary_points(N, 60, seed=43, lo=-6.0, hi=6.0)
-        values = evaluate_bubble(params, pts)
-        fit = fit_boundary_profile(pts, values)
-        d_expected = np.sqrt(params.sigma**2 + params.y0[-1] ** 2)
-        assert fit.d == pytest.approx(d_expected, rel=1e-10)
-        np.testing.assert_allclose(fit.xbar[:-1], params.y0[:-1], atol=1e-10)
-        np.testing.assert_allclose(fit.amplitudes, params.betas, rtol=1e-10)
-        assert fit.rms <= 1e-10
+def test_boundary_restriction_is_centered_profile(fixture_pair):
+    # on y_N = 0 a bubble is betas (d^2 + |x - xbar|^2)**(-(N-2)/2), the ball's boundary data
+    from halfspace_bubbles.conformal_ball import setup_from_params
 
-    def test_two_bubble_mixture_cannot_be_fit(self, spec_f2, params_f2):
-        pts = random_boundary_points(3, 60, seed=47, lo=-6.0, hi=6.0)
-        other = BubbleParams(sigma=1.5, betas=params_f2.betas, y0=[3.0, 0.0, -1.0])
-        values = evaluate_bubble(params_f2, pts) + evaluate_bubble(other, pts)
-        fit = fit_boundary_profile(pts, values)
-        assert fit.rms > 1e-3
-
-    def test_symmetric_stencil_recovers_center_exactly(self):
-        params = BubbleParams(sigma=1.0, betas=[2.0], y0=[0.5, -0.3, -1.0])
-        center = np.array([0.5, -0.3, 0.0])
-        offsets = []
-        for a in range(2):
-            for s in (-1.0, 1.0):
-                for r in (0.5, 1.0, 2.0):
-                    e = np.zeros(3)
-                    e[a] = s * r
-                    offsets.append(e)
-        pts = center + np.array(offsets)
-        pts = np.vstack([pts, center])
-        values = evaluate_bubble(params, pts)
-        fit = fit_boundary_profile(pts, values)
-        np.testing.assert_allclose(fit.xbar, center, atol=1e-8)
-
-    def test_diverges_with_hopeless_budget(self, params_f2):
-        pts = random_boundary_points(3, 30, seed=53)
-        values = evaluate_bubble(params_f2, pts)
-        bad_guess = (np.array([100.0]), 50.0, np.array([40.0, -40.0, 0.0]))
-        with pytest.raises(FitDiverged):
-            fit_boundary_profile(pts, values, initial_guess=bad_guess, max_iter=2)
-
-    def test_requires_enough_distinct_points(self, params_f2):
-        pts = np.zeros((2, 3))
-        values = np.ones((2, 1))
-        with pytest.raises(ValueError):
-            fit_boundary_profile(pts, values)
+    spec, params = fixture_pair
+    setup = setup_from_params(params)
+    pts = random_boundary_points(spec.N, 60, seed=43, lo=-6.0, hi=6.0)
+    q = setup.d**2 + squared_distance(pts, setup.xbar)
+    expected = params.betas * q[:, None] ** (-(spec.N - 2) / 2)
+    np.testing.assert_allclose(evaluate_bubble(params, pts), expected, rtol=1e-13)
 
 
 def test_params_reject_nonpositive_values():

@@ -290,14 +290,35 @@ def test_console_entry_point(spec_file):
     assert json.loads(proc.stdout)["passed"] is True
 
 
-def test_import_leaves_scipy_unloaded():
-    # validate, solve-params, verify, moving-spheres and ball run on numpy alone;
-    # scipy loads on the first radial or half-line solve
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # with every scipy import made to fail, the package and its CLI import
+    # and every subcommand, the radial and half-line solves included,
+    # passes on f1-f3
+    specs = {"f1": (3, [[5.0]], [[3.0]], [0.0]), "f2": (3, [[5.0]], [[3.0]], [-1.0]),
+             "f3": (4, [[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [-1.0, -1.0])}
+    for name, (N, A, B, c) in specs.items():
+        spec = {"N": N, "m": len(c), "A": A, "B": B, "c": c}
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
     proc = run_child("-c", """
 import json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
 import halfspace_bubbles, halfspace_bubbles.cli
 from halfspace_bubbles import halfline_breakdown, integrate_radial, shoot_robin
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
-""")
+codes = {}
+for spec in sys.argv[1:]:
+    for command in ("validate", "solve-params", "verify", "moving-spheres", "ball", "radial",
+                    "halfline"):
+        out = spec[:-5] + "." + command + ".out.json"
+        argv = [command, "--spec", spec, "--out", out]
+        codes[spec + " " + command] = halfspace_bubbles.cli.main(argv)
+print(json.dumps(codes))
+""", *(str(tmp_path / f"{name}.json") for name in specs))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    codes = json.loads(proc.stdout)
+    assert len(codes) == 21 and set(codes.values()) == {0}, codes

@@ -14,13 +14,12 @@ from halfspace_bubbles.errors import HorizonExceeded, PositivityLoss, ShootFaile
 from halfspace_bubbles.exponent_system import EllipticSystemSpec
 from halfspace_bubbles.radial_ode import (
     closed_form_psi,
-    closed_form_radial_residual,
     halfline_breakdown,
     integrate_radial,
     shoot_robin,
 )
 
-from conftest import spec_m1, spec_m2_symmetric
+from conftest import degenerate_spec, incompatible_rows_spec, spec_m1, spec_m2_symmetric
 
 
 def breakdown_time_oracle() -> float:
@@ -59,18 +58,20 @@ def breakdown_time_mpmath(c: float, u0: float) -> float:
         return float(fall(ratio) if c <= 0 else 2 * fall(1) - fall(ratio))
 
 
-def incompatible_rows_spec():
-    """f3's interior exponents with diagonal boundary rows that demand two different profiles."""
-    return EllipticSystemSpec(
-        N=4, m=2, A=[[1.0, 2.0], [2.0, 1.0]], B=[[2.0, 0.0], [0.0, 2.0]], c=[-1.0, -0.5]
-    )
+def closed_form_residual(spec, alphas, mu, r):
+    """Relative residual of the closed form in the radial equation at r > 0.
 
-
-def degenerate_spec():
-    """Rank-deficient amplitude system: one kernel direction of I - A."""
-    return EllipticSystemSpec(
-        N=4, m=2, A=[[2.0, 1.0], [1.0, 2.0]], B=[[1.0, 1.0], [1.0, 1.0]], c=[-1.0, -1.0]
-    )
+    psi' and psi'' are differentiated by hand from
+    alphas (mu^2 + r^2)**(-(N-2)/2).
+    """
+    N, r = spec.N, r[:, None]
+    q = mu**2 + r**2
+    psi = closed_form_psi(N, alphas, mu, r[:, 0])
+    dpsi = -(N - 2) * alphas * r * q ** (-N / 2)
+    ddpsi = -(N - 2) * alphas * q ** (-(N + 2) / 2) * (mu**2 - (N - 1) * r**2)
+    prod = np.exp(np.log(psi) @ spec.A.T)
+    scale = np.abs(ddpsi) + np.abs((N - 1) / r * dpsi) + prod
+    return np.abs(ddpsi + (N - 1) / r * dpsi + prod) / scale
 
 
 def fixture_mu_alpha(spec, params):
@@ -88,12 +89,12 @@ class TestClosedForm:
         spec, params = fixture_pair
         d, mu, alphas = fixture_mu_alpha(spec, params)
         r = np.linspace(1e-3, 2 * d, 57)
-        rel = closed_form_radial_residual(spec, alphas, mu, r)
+        rel = closed_form_residual(spec, alphas, mu, r)
         assert rel.max() <= 1e-12
 
     def test_residual_at_scale_radius(self, params_f2, spec_f2):
         d, mu, alphas = fixture_mu_alpha(spec_f2, params_f2)
-        rel = closed_form_radial_residual(spec_f2, alphas, mu, np.array([mu]))
+        rel = closed_form_residual(spec_f2, alphas, mu, np.array([mu]))
         assert rel.max() <= 1e-13
 
     def test_far_field_decay(self):
