@@ -59,8 +59,8 @@ class BubbleParams:
         self.sigma = float(self.sigma)
         self.betas = np.atleast_1d(np.asarray(self.betas, dtype=float))
         self.y0 = np.asarray(self.y0, dtype=float)
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError("sigma must be positive and finite")
         if np.any(self.betas <= 0):
             raise ValueError("betas must be positive")
 
@@ -156,8 +156,8 @@ def solve_betas(
         If the right-hand side has a left-null-space component exceeding
         ``tol_solve``; no amplitude branch exists in that case.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
     m = int(spec.m)
     M = np.eye(m) - spec.A
     rhs = -np.log(sigma**2 * spec.N * (spec.N - 2)) * np.ones(m)
@@ -199,7 +199,7 @@ def compute_y0N(
     value: a spread above ``tol_param * (1 + |y0N|)`` raises.
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    if np.any(betas <= 0) or sigma <= 0:
+    if np.any(betas <= 0) or not 0 < sigma < np.inf:
         raise ValueError("betas and sigma must be positive")
     per_row = sigma**2 * spec.N * spec.c * exponent_product(spec.B - spec.A, np.log(betas))
     y0N = float(np.mean(per_row))

@@ -17,6 +17,7 @@ inputs give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -65,9 +66,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _finite_float(text: str) -> float:
+    """One float field; an empty or non-numeric field, NaN or an infinity raises ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """Type of every float flag; argparse reports its ValueError as a usage error."""
+    value = _finite_float(text)
+    if not value > 0:
+        raise ValueError(f"{text!r} is not positive")
+    return value
+
+
 def _parse_floats(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",") if v != ""])
+        return np.array([_finite_float(v) for v in text.split(",")])
     except ValueError as exc:
         raise MalformedSpec(f"cannot parse float list {text!r}: {exc}") from exc
 
@@ -226,7 +243,7 @@ def cmd_verify(args) -> int:
 def cmd_moving_spheres(args) -> int:
     spec = _validated_spec(args)
     params = _load_params(args, spec)
-    x = _parse_boundary_point(args.x, spec.N) if args.x else np.zeros(spec.N)
+    x = _parse_boundary_point(args.x, spec.N) if args.x is not None else np.zeros(spec.N)
     u = bf.bubble_field(params)
 
     lam_exact = ki.critical_lambda_exact(params, x)
@@ -379,17 +396,14 @@ def cmd_radial(args) -> int:
     setup = cb.setup_from_params(params)
     d = setup.d
     mu, alphas = cb.recover_mu_alpha(setup, params)
-    tol = args.tol if args.tol is not None else 1e-10
 
-    psi0 = ro.closed_form_psi(spec.N, alphas, mu, 0.0)
-    r_eval = np.linspace(0.0, 2 * d, 200)
-    traj = ro.integrate_radial(spec, psi0, 2 * d, tol).at(r_eval)
-    exact = ro.closed_form_psi(spec.N, alphas, mu, r_eval)
-    match_err = float(np.max(np.abs(traj.psi - exact) / exact))
-
-    alphas_shoot, mu_shoot = ro.shoot_robin(spec, d, tol=1e-10)
+    alphas_shoot, mu_shoot, shot = ro.shoot_robin(spec, d, tol=1e-10)
     mu_gap = abs(mu_shoot - mu) / mu
     alpha_gap = float(np.max(np.abs(alphas_shoot - alphas) / alphas))
+    # the shot profile, integrated once, against the closed form of the given params
+    traj = shot.at(np.linspace(0.0, 2 * d, 200))
+    exact = ro.closed_form_psi(spec.N, alphas, mu, traj.r)
+    match_err = float(np.max(np.abs(traj.psi - exact) / exact))
 
     checks = [
         _check("integration_match_rel", match_err, 1e-8),
@@ -400,7 +414,6 @@ def cmd_radial(args) -> int:
         "command": "radial",
         "spec": str(args.spec),
         "d": d,
-        "tol": tol,
         "mu_recovered": mu,
         "alphas_recovered": alphas,
         "integration_match_rel": match_err,
@@ -416,11 +429,11 @@ def cmd_radial(args) -> int:
 
 def cmd_halfline(args) -> int:
     spec = _validated_spec(args)
-    u0 = _parse_floats(args.u0) if args.u0 else np.ones(1)
-    if u0.size == 1:
-        u0 = np.full(spec.m, u0[0])
-    tol = args.tol if args.tol is not None else 1e-12
-    cert = ro.halfline_breakdown(spec, u0, tol=tol)
+    u0 = _parse_floats(args.u0) if args.u0 is not None else np.ones(1)
+    if u0.size not in (1, spec.m):
+        raise MalformedSpec(f"--u0 needs 1 or {spec.m} values, got {u0.size}")
+    u0 = np.broadcast_to(u0, spec.m)
+    cert = ro.halfline_breakdown(spec, u0)
 
     slopes = cert.trace[:, 1 + spec.m :]
     # relative to the largest slope, so the gate reads the same at every scale of u0
@@ -436,7 +449,6 @@ def cmd_halfline(args) -> int:
         "command": "halfline",
         "spec": str(args.spec),
         "u0": u0,
-        "tol": tol,
     }
     report.update(cert.to_dict())
     if args.csv:
@@ -458,9 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=True, help="system JSON file (N, m, A, B, c)")
         if params:
             p.add_argument("--params", help="parameter JSON file (sigma, betas, y0)")
-            p.add_argument("--sigma", type=float, help="solve parameters at this scale instead")
+            p.add_argument("--sigma", type=_positive_float,
+                           help="solve parameters at this scale instead")
         if tol_help is not None:
-            p.add_argument("--tol", type=float, help=tol_help)
+            p.add_argument("--tol", type=_positive_float, help=tol_help)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         if csv:
             p.add_argument("--csv", action="store_true", help="also write the CSV table")
@@ -473,33 +486,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("solve-params", cmd_solve_params, "solve the amplitude system and center height",
                 tol_help="center-height spread tolerance (default 1e-9)")
-    p.add_argument("--sigma", type=float, help="length scale (default 1.0)")
+    p.add_argument("--sigma", type=_positive_float, help="length scale (default 1.0)")
 
     p = command("verify", cmd_verify, "analytic and finite-difference residual checks",
                 params=True, csv=True, seed=True)
     p.add_argument("--box", help="2N comma floats lo,hi per axis")
     p.add_argument("--grid", type=int, default=8, help="lattice points per axis")
-    p.add_argument("--h", type=float, help="finite-difference step")
+    p.add_argument("--h", type=_positive_float, help="finite-difference step")
     p.add_argument("--n-random", type=int, default=1000, help="random sample count")
 
     p = command("moving-spheres", cmd_moving_spheres,
                 "critical-radius sweep about a boundary center", params=True, csv=True, seed=True)
     p.add_argument("--x", help="boundary center, comma floats")
-    p.add_argument("--lambda-lo", type=float, help="sweep start radius")
-    p.add_argument("--lambda-hi", type=float, help="sweep end radius")
+    p.add_argument("--lambda-lo", type=_positive_float, help="sweep start radius")
+    p.add_argument("--lambda-hi", type=_positive_float, help="sweep end radius")
     p.add_argument("--n-lambda", type=int, default=33, help="radius grid size")
     p.add_argument("--grid", type=int, default=24, help="radial shells in the sample set")
 
     p = command("ball", cmd_ball, "conformal transport checks and parameter recovery",
                 params=True, seed=True)
     p.add_argument("--grid", type=int, default=100, help="sqrt of sample count")
-    p.add_argument("--h", type=float, help="finite-difference step")
+    p.add_argument("--h", type=_positive_float, help="finite-difference step")
 
-    command("radial", cmd_radial, "profile integration against the closed form, shooting",
-            params=True, tol_help="integration tolerance (default 1e-10)", csv=True)
+    command("radial", cmd_radial, "Robin shooting, its profile against the closed form",
+            params=True, csv=True)
 
     p = command("halfline", cmd_halfline, "one-dimensional positivity breakdown certificate",
-                tol_help="bisection width in unit-scale time (default 1e-12)", csv=True)
+                csv=True)
     p.add_argument("--u0", help="initial values, comma floats (default ones)")
 
     return parser

@@ -114,9 +114,9 @@ def integrate_radial(
         If the integrator cannot continue.
     """
     psi0 = np.atleast_1d(np.asarray(psi0, dtype=float))
-    if np.any(psi0 <= 0):
-        raise ValueError("initial values must be positive")
-    if r_end < 0 or tol <= 0:
+    if not np.all((psi0 > 0) & np.isfinite(psi0)):
+        raise ValueError("initial values must be positive and finite")
+    if not (r_end >= 0 and tol > 0):
         raise ValueError("need r_end >= 0 and tol > 0")
     m = psi0.shape[0]
 
@@ -177,7 +177,7 @@ def shoot_robin(
     spec: EllipticSystemSpec,
     d: float,
     tol: float = 1e-10,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, RadialTrajectory]:
     """Find (alphas, mu) whose integrated profile meets the Robin condition at 2d.
 
     Critical scaling and the kernel directions v = A v of the amplitude
@@ -190,7 +190,8 @@ def shoot_robin(
     series launch stays below every row's Robin balance and the integration
     stops once every row is below -1/6, so the steps span every root.  The
     profile is integrated numerically, never taken from the closed form, so
-    agreement with the recovery formulas is a genuine cross-check.
+    agreement with the recovery formulas is a genuine cross-check.  The shot
+    profile, psi_ref so rescaled onto [0, 2d], is returned with (alphas, mu).
 
     Raises
     ------
@@ -198,8 +199,8 @@ def shoot_robin(
         If no parameter choice drives the normalized residuals below
         ``tol`` (inconsistent boundary coefficients across rows).
     """
-    if d <= 0 or not validate_spec(spec).passed:
-        raise ValueError("need d > 0 and a spec that passes validate_spec (critical scaling)")
+    if not 0 < d < np.inf or not validate_spec(spec).passed:
+        raise ValueError("need finite d > 0 and a spec passing validate_spec (critical scaling)")
     solve = solve_betas(spec, 1.0)
     tol_int = max(min(1e-12, tol * 1e-2), 1e-13)
 
@@ -229,7 +230,14 @@ def shoot_robin(
         )
     mu = 2 * d / float(np.exp(out.x[0]))
     alphas = solve.betas(out.x[1:]) * mu ** ((spec.N - 2) / 2)
-    return alphas, mu
+    lift = np.exp(out.x[1:] @ solve.null_basis) * mu ** (-(spec.N - 2) / 2)
+
+    def dense(r):
+        psi, dpsi = ref.dense(r / mu)
+        return lift * psi, lift / mu * dpsi
+
+    r = np.append(mu * ref.r[mu * ref.r < 2 * d], 2 * d)
+    return alphas, mu, RadialTrajectory(r, *dense(r), dense)
 
 
 @dataclass
@@ -237,20 +245,18 @@ class BreakdownCertificate:
     """Finite-time positivity breakdown of a half-line trajectory.
 
     ``trace`` rows are (t, u_1..u_m, u'_1..u'_m) at accepted integrator
-    steps; ``bracket`` is the final bisection interval around the crossing.
+    steps, the last one at the crossing t_star.
     """
 
     t_star: float
     failing_component: int
     trace: np.ndarray
-    bracket: tuple[float, float]
     u_at_t_star: np.ndarray
 
     def to_dict(self) -> dict:
         return {
             "t_star": self.t_star,
             "failing_component": int(self.failing_component),
-            "bracket": list(self.bracket),
             "u_at_t_star": self.u_at_t_star.tolist(),
             "n_trace": int(self.trace.shape[0]),
         }
@@ -259,7 +265,6 @@ class BreakdownCertificate:
 def halfline_breakdown(
     spec: EllipticSystemSpec,
     u0: np.ndarray,
-    tol: float = 1e-12,
     horizon: float = 1e6,
 ) -> BreakdownCertificate:
     """Integrate the half-line system until a component leaves the positive cone.
@@ -271,10 +276,8 @@ def halfline_breakdown(
     trajectory from u0 / M: v is integrated, and t, u, u' are mapped back by
     M**(-2/(N-2)), M, M**(N/(N-2)).  DOP853 (:func:`halfspace_bubbles.ode.solve_ivp`)
     stops at the first fall of min(v) through zero, located on the step's
-    interpolant.  If v is negative there, the crossing is bisected on v's
-    dense output, one evaluation per midpoint, until the interval width
-    drops below ``tol`` or the value below 1e-12; ``tol`` and ``horizon``
-    are unit-scale times.
+    interpolant to adjacent floats; that event time and state are t* and
+    v(t*).  ``horizon`` is a unit-scale time.
 
     Raises
     ------
@@ -283,8 +286,8 @@ def halfline_breakdown(
         or setup problem, never a counterexample.
     """
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    if np.any(u0 <= 0) or not validate_spec(spec).passed:
-        raise ValueError("need u0 > 0 and a spec that passes validate_spec (critical scaling)")
+    if not np.all((u0 > 0) & np.isfinite(u0)) or not validate_spec(spec).passed:
+        raise ValueError("need finite u0 > 0 and a spec passing validate_spec (critical scaling)")
     m = u0.shape[0]
     scale = float(np.max(u0))
     t_scale = scale ** (-2.0 / (spec.N - 2))
@@ -306,33 +309,13 @@ def halfline_breakdown(
             f"no positivity breakdown located before t = {horizon:g}; "
             "tighten tolerances or extend the horizon"
         )
-    hi = float(sol.t_events[0][0])
-    failing = int(np.argmin(sol.y_events[0][0][:m]))
-
-    earlier = sol.t[sol.t < hi]
-    lo = float(earlier[-1]) if earlier.size else 0.0
-    if sol.sol(hi)[failing] < 0.0:
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            value = sol.sol(mid)[failing]
-            if abs(value) <= 1e-12:
-                lo = hi = mid
-                break
-            if value < 0.0:
-                hi = mid
-            else:
-                lo = mid
-    else:
-        # Event localization already put the crossing at hi within rounding.
-        lo = hi
-    t_star = 0.5 * (lo + hi)
+    v_star = sol.y_events[0][0][:m]
 
     to_u = np.repeat([t_scale, scale, scale ** (spec.N / (spec.N - 2))], [1, m, m])
     trace = np.column_stack([sol.t, sol.y.T]) * to_u
     return BreakdownCertificate(
-        t_star=float(t_scale * t_star),
-        failing_component=failing,
+        t_star=float(t_scale * sol.t_events[0][0]),
+        failing_component=int(np.argmin(v_star)),
         trace=trace,
-        bracket=(t_scale * lo, t_scale * hi),
-        u_at_t_star=scale * np.asarray(sol.sol(t_star)[:m], dtype=float),
+        u_at_t_star=scale * v_star,
     )

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+import halfspace_bubbles
 from halfspace_bubbles import BubbleParams, EllipticSystemSpec, make_bubble_params
 
 # One profile for every property test: no per-example deadline (a shot or a
@@ -114,3 +120,16 @@ def random_boundary_points(N: int, n: int, seed: int, lo=-10.0, hi=10.0):
     pts = random_halfspace_points(N, n, seed, lo, hi)
     pts[:, -1] = 0.0
     return pts
+
+
+def run_child(*args, timeout=None):
+    """Run ``python *args`` on the package this process imports, installed or not."""
+    src = str(Path(halfspace_bubbles.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
+    )

@@ -82,8 +82,9 @@ class TestSolveBetas:
             solve_betas(spec, 1.0)
 
     def test_sigma_must_be_positive(self, spec_f1):
-        with pytest.raises(ValueError):
-            solve_betas(spec_f1, 0.0)
+        for sigma in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                solve_betas(spec_f1, sigma)
 
 
 class TestComputeY0N:
@@ -298,8 +299,9 @@ def test_boundary_restriction_is_centered_profile(fixture_pair):
 
 
 def test_params_reject_nonpositive_values():
-    with pytest.raises(ValueError):
-        BubbleParams(sigma=0.0, betas=[1.0], y0=[0.0, 0.0, 0.0])
+    for sigma in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            BubbleParams(sigma=sigma, betas=[1.0], y0=[0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         BubbleParams(sigma=1.0, betas=[-1.0], y0=[0.0, 0.0, 0.0])
 

@@ -1,14 +1,12 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import halfspace_bubbles
+from halfspace_bubbles import make_bubble_params
 from halfspace_bubbles.cli import main
+
+from conftest import fixture_spec, run_child
 
 
 @pytest.fixture
@@ -90,12 +88,69 @@ class TestValidate:
         ("solve-params", "--seed=7"),
         ("radial", "--seed=7"),
         ("halfline", "--seed=7"),
+        ("radial", "--tol=1e-9"),
+        ("halfline", "--tol=1e-9"),
     ],
 )
 def test_flag_a_command_never_reads_exits_two(command, flag, spec_file, capsys):
     assert run(command, "--spec", spec_file, flag) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error_code"] == "usage"
+
+
+@pytest.fixture
+def input_files(tmp_path, spec_file, params_file):
+    """Spec and parameter files the malformed-input cases refer to by name."""
+    files = {"spec": spec_file}
+    specs = {
+        "noncritical": {"N": 3, "m": 1, "A": [[6.0]], "B": [[3.0]], "c": [0.0]},
+        "pair": {"N": 4, "m": 2, "A": [[1.0, 2.0], [2.0, 1.0]],
+                 "B": [[1.0, 1.0], [1.0, 1.0]], "c": [-1.0, -1.0]},
+    }
+    for name, spec in specs.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(spec))
+    params = json.loads(params_file.read_text())
+    files["nan_params"] = tmp_path / "nan_params.json"
+    files["nan_params"].write_text(json.dumps({**params, "sigma": float("nan")}))
+    return files
+
+
+@pytest.mark.parametrize(
+    "command, error_code, hangs",
+    [
+        ("validate --spec {noncritical} --tol=nan", "usage", False),
+        ("validate --spec {spec} --tol=inf", "usage", False),
+        ("validate --spec {spec} --tol=-1e-9", "usage", False),
+        ("solve-params --spec {spec} --sigma=nan", "usage", False),
+        ("solve-params --spec {spec} --tol=0", "usage", False),
+        ("verify --spec {spec} --sigma=-1", "usage", False),
+        ("verify --spec {spec} --h=nan", "usage", False),
+        ("verify --spec {spec} --box=-1,1,-1,1,0,nan", "malformed_spec", False),
+        ("ball --spec {spec} --h=-inf", "usage", False),
+        ("moving-spheres --spec {spec} --lambda-lo=nan", "usage", False),
+        ("moving-spheres --spec {spec} --lambda-hi=0", "usage", False),
+        ("moving-spheres --spec {spec} --x=1,,0", "malformed_spec", False),
+        ("moving-spheres --spec {spec} --x=1,2,", "malformed_spec", False),
+        ("halfline --spec {pair} --u0=1,2,3", "malformed_spec", False),
+        ("halfline --spec {spec} --u0=", "malformed_spec", False),
+        # each of these never returned before the check: a NaN step loops forever
+        ("halfline --spec {spec} --u0=nan", "malformed_spec", True),
+        ("halfline --spec {spec} --u0=inf", "malformed_spec", True),
+        ("radial --spec {spec} --sigma=nan", "usage", True),
+        ("radial --spec {spec} --params {nan_params}", "input_error", True),
+    ],
+)
+def test_non_finite_or_malformed_input_exits_two(command, error_code, hangs, input_files, capsys):
+    argv = [a.format(**input_files) for a in command.split()]
+    if hangs:
+        # in a child with a deadline, so that a regression fails instead of stalling
+        proc = run_child("-m", "halfspace_bubbles", *argv, timeout=60)
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = main(argv), capsys.readouterr().err
+    assert code == 2
+    assert json.loads(err)["error_code"] == error_code
 
 
 class TestSolveParams:
@@ -256,6 +311,88 @@ class TestEachValueOnce:
         assert len(differenced) > 33
 
 
+    def test_radial_shoots_once(self, spec_file, params_file, tmp_path, monkeypatch):
+        from halfspace_bubbles import radial_ode
+
+        solves, fits = [], []
+        recording(monkeypatch, radial_ode, "solve_ivp", solves, lambda a, kw: a[1])
+        recording(monkeypatch, radial_ode, "least_squares", fits, lambda a, kw: a[1])
+        out = tmp_path / "radial.json"
+        assert run("radial", "--spec", spec_file, "--params", params_file,
+                   "--out", out, "--csv") == 0
+        # the closed-form comparison and the CSV read the shot profile
+        assert (len(solves), len(fits)) == (1, 1)
+
+    def test_halfline_reports_the_event(self, spec_file, tmp_path, monkeypatch):
+        from halfspace_bubbles import ode, radial_ode
+
+        results, evaluated = [], []
+        inner = radial_ode.solve_ivp
+
+        def solve(*args, **kwargs):
+            results.append(inner(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(radial_ode, "solve_ivp", solve)
+        recording(monkeypatch, ode.DenseSolution, "__call__", evaluated, lambda a, kw: a[1])
+        out = tmp_path / "halfline.json"
+        assert run("halfline", "--spec", spec_file, "--u0", "2.0", "--out", out) == 0
+        report = json.loads(out.read_text())
+        (sol,) = results
+        # u0 = 2 on N = 3 maps unit-scale time by 2**-2 and values by 2, both exact
+        assert report["t_star"] == 0.25 * sol.t_events[0][0]
+        assert report["u_at_t_star"] == (2.0 * sol.y_events[0][0][:1]).tolist()
+        assert evaluated == []  # no dense output is evaluated after the event
+
+
+class TestRadialSensitivity:
+    """``radial`` still tells a wrong parameter file from the right one.
+
+    Its match and gaps compare one unit-scale shot against the parameters,
+    so a perturbation of 1e-6 must fail and one of 1e-9 must pass.
+    """
+
+    @staticmethod
+    def radial(tmp_path, name, perturb):
+        """Exit code and failed checks of ``radial`` on perturbed parameters."""
+        spec = fixture_spec(name)
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {"N": spec.N, "m": spec.m, "A": spec.A.tolist(), "B": spec.B.tolist(),
+             "c": spec.c.tolist()}
+        ))
+        params = make_bubble_params(spec, 1.0).to_dict()
+        perturb(params)
+        (tmp_path / "params.json").write_text(json.dumps(params))
+        code = run("radial", "--spec", tmp_path / "spec.json",
+                   "--params", tmp_path / "params.json", "--out", tmp_path / "radial.json")
+        checks = json.loads((tmp_path / "radial.json").read_text())["checks"]
+        return code, [c["name"] for c in checks if not c["passed"]]
+
+    @pytest.mark.parametrize("name", ["f2", "f3"])
+    @pytest.mark.parametrize("delta, code", [(1e-6, 1), (1e-9, 0)])
+    @pytest.mark.parametrize("field", ["beta0", "sigma", "y0N"])
+    def test_perturbation_is_caught_above_the_gate(self, name, delta, code, field, tmp_path):
+        def perturb(params):
+            if field == "beta0":
+                params["betas"][0] *= 1 + delta
+            elif field == "sigma":
+                params["sigma"] *= 1 + delta
+            else:
+                params["y0"][-1] += delta
+
+        code_seen, failed = self.radial(tmp_path, name, perturb)
+        assert code_seen == code
+        # the shot profile's own comparison sees it, not only the shooting gaps
+        assert ("integration_match_rel" in failed) == (code == 1)
+
+    @pytest.mark.parametrize("name", ["f2", "f3"])
+    def test_tangential_shift_passes(self, name, tmp_path):
+        def perturb(params):
+            params["y0"][0] += 0.5
+
+        assert self.radial(tmp_path, name, perturb) == (0, [])
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("command", ["validate", "solve-params", "verify", "halfline"])
     def test_repeat_runs_identical(self, command, spec_file, params_file, tmp_path):
@@ -270,18 +407,6 @@ class TestDeterminism:
             assert run(*args) in (0, 1)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
-
-
-def run_child(*args):
-    # the child imports the same package as this process, installed or not
-    src = str(Path(halfspace_bubbles.__file__).parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
 
 
 def test_console_entry_point(spec_file):

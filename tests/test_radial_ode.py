@@ -19,7 +19,13 @@ from halfspace_bubbles.radial_ode import (
     shoot_robin,
 )
 
-from conftest import degenerate_spec, incompatible_rows_spec, spec_m1, spec_m2_symmetric
+from conftest import (
+    degenerate_spec,
+    incompatible_rows_spec,
+    run_child,
+    spec_m1,
+    spec_m2_symmetric,
+)
 
 
 def breakdown_time_oracle() -> float:
@@ -162,7 +168,7 @@ class TestShooting:
     def test_reproduces_recovered_parameters(self, fixture_pair):
         spec, params = fixture_pair
         d, mu, alphas = fixture_mu_alpha(spec, params)
-        alphas_shot, mu_shot = shoot_robin(spec, d, tol=1e-10)
+        alphas_shot, mu_shot, _ = shoot_robin(spec, d, tol=1e-10)
         assert abs(mu_shot - mu) / mu <= 1e-8
         np.testing.assert_allclose(alphas_shot, alphas, rtol=1e-8)
 
@@ -173,10 +179,23 @@ class TestShooting:
         spec, params = fixture_pair
         setup = setup_from_params(params)
         d = setup.d
-        alphas, mu = shoot_robin(spec, d, tol=1e-10)
+        alphas, mu, _ = shoot_robin(spec, d, tol=1e-10)
         psi_2d = closed_form_psi(spec.N, alphas, mu, 2 * d)
         expected = 2.0 ** (2 - spec.N) * evaluate_bubble(params, setup.xbar)
         np.testing.assert_allclose(psi_2d, expected, rtol=1e-8)
+
+    def test_shot_profile_is_the_closed_form_of_the_shot(self, fixture_pair):
+        # psi_ref rescaled by critical scaling: values and slopes on [0, 2d]
+        spec, params = fixture_pair
+        d = setup_from_params(params).d
+        alphas, mu, shot = shoot_robin(spec, d, tol=1e-10)
+        assert shot.r[0] == 0.0 and shot.r[-1] == 2 * d
+        traj = shot.at(np.linspace(0.0, 2 * d, 57))
+        r = traj.r[:, None]
+        psi = closed_form_psi(spec.N, alphas, mu, traj.r)
+        dpsi = -(spec.N - 2) * alphas * r * (mu**2 + r**2) ** (-spec.N / 2)
+        assert np.max(np.abs(traj.psi - psi) / psi) <= 1e-10
+        assert np.max(np.abs(traj.dpsi - dpsi)) <= 1e-10 * np.max(np.abs(dpsi))
 
     def test_incompatible_rows_fail(self):
         with pytest.raises(ShootFailed):
@@ -187,7 +206,7 @@ class TestShooting:
         # the Robin root s* = 2d/mu runs from 3e-4 (c = -1000) to 3.5e3 (c = 1000)
         spec = spec_m1(c)
         d, mu, alphas = fixture_mu_alpha(spec, make_bubble_params(spec, sigma=1.0))
-        alphas_shot, mu_shot = shoot_robin(spec, d, tol=1e-10)
+        alphas_shot, mu_shot, _ = shoot_robin(spec, d, tol=1e-10)
         assert abs(mu_shot - mu) / mu <= 1e-8
         np.testing.assert_allclose(alphas_shot, alphas, rtol=1e-8)
 
@@ -236,8 +255,8 @@ def unit_shot(name):
 def test_shooting_is_scale_covariant(name, log_s):
     # critical scaling: the Robin problem at s d is the one at d, with mu -> s mu
     spec, s = SPECS[name], 10.0**log_s
-    alphas, mu = unit_shot(name)
-    alphas_s, mu_s = shoot_robin(spec, s, tol=1e-10)
+    alphas, mu, _ = unit_shot(name)
+    alphas_s, mu_s, _ = shoot_robin(spec, s, tol=1e-10)
     assert abs(mu_s - s * mu) <= 1e-8 * s * mu
     np.testing.assert_allclose(alphas_s, s ** ((spec.N - 2) / 2) * alphas, rtol=1e-8)
 
@@ -291,16 +310,17 @@ class TestHalflineBreakdown:
         assert np.max(np.abs(energy - 1.0 / 6.0)) * 6 <= 1e-8
 
     def test_certificate_invariants(self, spec_f2):
-        cert = halfline_breakdown(spec_f2, [2.0], tol=1e-12)
-        lo, hi = cert.bracket
-        assert lo <= cert.t_star <= hi
-        assert hi - lo <= max(1e-12, 1e-12 * hi) or abs(
-            cert.u_at_t_star[cert.failing_component]
-        ) <= 1e-12 * 2.0
+        m = spec_f2.m
+        cert = halfline_breakdown(spec_f2, [2.0])
+        # the trace ends on the crossing: (t*, u(t*)) is its last row
+        assert cert.trace[-1, 0] == cert.t_star
+        np.testing.assert_array_equal(cert.trace[-1, 1 : 1 + m], cert.u_at_t_star)
+        assert cert.failing_component == int(np.argmin(cert.u_at_t_star))
         assert abs(cert.u_at_t_star[cert.failing_component]) <= 1e-10 * 2.0
         # positive all along the recorded trace before the crossing
         before = cert.trace[:-1]
-        assert np.all(before[:, 1 : 1 + spec_f2.m] > 0.0)
+        assert np.all(before[:, 1 : 1 + m] > 0.0)
+        assert np.all(np.diff(cert.trace[:, 0]) > 0.0)
 
     def test_every_coefficient_and_scale_terminates(self):
         for c in (-1.0, 0.0, 1.0):
@@ -330,6 +350,34 @@ class TestHalflineBreakdown:
             halfline_breakdown(spec_f1, [0.0])
 
 
+@pytest.mark.parametrize("call", [
+    "halfline_breakdown(f1, [nan])",
+    "halfline_breakdown(f1, [inf])",
+    "halfline_breakdown(f3, [1.0, nan])",
+    "integrate_radial(f1, [nan], 1.0, 1e-10)",
+    "integrate_radial(f1, [inf], 1.0, 1e-10)",
+    "integrate_radial(f1, [1.0], nan, 1e-10)",
+])
+def test_non_finite_start_rejected(call):
+    # a NaN start makes every DOP853 step NaN, and such a solve never
+    # returns, so a missing check must fail here by the deadline, not stall
+    script = f"""
+from math import inf, nan
+from halfspace_bubbles import EllipticSystemSpec
+from halfspace_bubbles.radial_ode import halfline_breakdown, integrate_radial
+f1 = EllipticSystemSpec(N=3, m=1, A=[[5.0]], B=[[3.0]], c=[0.0])
+f3 = EllipticSystemSpec(N=4, m=2, A=[[1.0, 2.0], [2.0, 1.0]], B=[[1.0, 1.0], [1.0, 1.0]],
+                        c=[-1.0, -1.0])
+try:
+    {call}
+except ValueError:
+    print("rejected")
+"""
+    proc = run_child("-c", script, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected"
+
+
 def test_non_critical_spec_rejected():
     # A = 6 > (N+2)/(N-2): critical scaling fails, and the reference profile's
     # Robin residual never settles, so its integration would never end
@@ -345,7 +393,7 @@ def test_degenerate_family_shoots_with_kernel_direction():
     spec = degenerate_spec()
     assert solve_betas(spec, 1.0).nullity == 1
     d = np.sqrt(3.0)
-    alphas, mu = shoot_robin(spec, d, tol=1e-10)
+    alphas, mu, _ = shoot_robin(spec, d, tol=1e-10)
     # whatever member the shot lands on must satisfy the amplitude identity
     condition = np.log(alphas) - spec.A @ np.log(alphas) + np.log(mu**2 * 8.0)
     assert np.max(np.abs(condition)) <= 1e-8
