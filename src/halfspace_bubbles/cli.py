@@ -17,6 +17,7 @@ inputs give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -79,6 +80,22 @@ def _positive_float(text: str) -> float:
     value = _finite_float(text)
     if not value > 0:
         raise ValueError(f"{text!r} is not positive")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """Type of every count flag; argparse reports its ValueError as a usage error."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is not positive")
+    return value
+
+
+def _radius_count(text: str) -> int:
+    """Type of ``--n-lambda``: a sweep brackets the critical radius between two radii."""
+    value = int(text)
+    if value < 2:
+        raise ValueError(f"{text!r} is less than 2")
     return value
 
 
@@ -459,7 +476,9 @@ def cmd_halfline(args) -> int:
 # ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each ``parse_args`` returns a fresh namespace."""
     parser = _Parser(prog="halfspace-bubbles", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -491,21 +510,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", cmd_verify, "analytic and finite-difference residual checks",
                 params=True, csv=True, seed=True)
     p.add_argument("--box", help="2N comma floats lo,hi per axis")
-    p.add_argument("--grid", type=int, default=8, help="lattice points per axis")
+    p.add_argument("--grid", type=_positive_int, default=8, help="lattice points per axis")
     p.add_argument("--h", type=_positive_float, help="finite-difference step")
-    p.add_argument("--n-random", type=int, default=1000, help="random sample count")
+    p.add_argument("--n-random", type=_positive_int, default=1000, help="random sample count")
 
     p = command("moving-spheres", cmd_moving_spheres,
                 "critical-radius sweep about a boundary center", params=True, csv=True, seed=True)
     p.add_argument("--x", help="boundary center, comma floats")
     p.add_argument("--lambda-lo", type=_positive_float, help="sweep start radius")
     p.add_argument("--lambda-hi", type=_positive_float, help="sweep end radius")
-    p.add_argument("--n-lambda", type=int, default=33, help="radius grid size")
-    p.add_argument("--grid", type=int, default=24, help="radial shells in the sample set")
+    p.add_argument("--n-lambda", type=_radius_count, default=33, help="radius grid size")
+    p.add_argument("--grid", type=_positive_int, default=24, help="radial shells in the sample set")
 
     p = command("ball", cmd_ball, "conformal transport checks and parameter recovery",
                 params=True, seed=True)
-    p.add_argument("--grid", type=int, default=100, help="sqrt of sample count")
+    p.add_argument("--grid", type=_positive_int, default=100, help="sqrt of sample count")
     p.add_argument("--h", type=_positive_float, help="finite-difference step")
 
     command("radial", cmd_radial, "Robin shooting, its profile against the closed form",
@@ -519,9 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -35,6 +35,10 @@ __all__ = [
 # rounding noise, not a convergence signal.
 DEGENERATE_FLOOR = 1e-13
 
+# Centers per block of the residual driver: each block evaluates at most
+# BLOCK_CENTERS * 2N stencil points at once, whatever the size of the lattice.
+BLOCK_CENTERS = 4096
+
 
 @dataclass
 class ResidualReport:
@@ -112,35 +116,85 @@ class ConvergenceReport:
         }
 
 
-def central_laplacian(u, points: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _values(u, points: np.ndarray) -> np.ndarray:
+    """Field values at points (k, N) as (k, m); scalar fields give m = 1."""
+    return np.asarray(u(points), dtype=float).reshape(points.shape[0], -1)
+
+
+def central_laplacian(
+    u, points: np.ndarray, h: float, center: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Second-order central Laplacian of all components at points (k, N).
 
     ``u`` maps (n, N) to (n, m) or (n,).  Returns the Laplacians and the
-    center values, both (k, m).  The caller keeps the stencil in the domain.
+    center values, both (k, m); ``center`` passes values the caller already
+    holds, so only the 2N neighbours are evaluated.  The caller keeps the
+    stencil in the domain.
     """
     k, N = points.shape
-    stencil = np.tile(points[:, None, :], (1, 2 * N + 1, 1))
+    if center is None:
+        center = _values(u, points)
+    stencil = np.tile(points[:, None, :], (1, 2 * N, 1))
     for a in range(N):
-        stencil[:, 1 + 2 * a, a] += h
-        stencil[:, 2 + 2 * a, a] -= h
-    vals = np.asarray(u(stencil.reshape(-1, N)), dtype=float).reshape(k, 2 * N + 1, -1)
-    lap = (vals[:, 1:, :].sum(axis=1) - 2 * N * vals[:, 0, :]) / h**2
-    return lap, vals[:, 0, :]
+        stencil[:, 2 * a, a] += h
+        stencil[:, 2 * a + 1, a] -= h
+    vals = _values(u, stencil.reshape(-1, N)).reshape(k, 2 * N, -1)
+    lap = (vals.sum(axis=1) - 2 * N * center) / h**2
+    return lap, center
 
 
 def one_sided_derivative(
-    u, points: np.ndarray, directions: np.ndarray, h: float
+    u, points: np.ndarray, directions: np.ndarray, h: float, center: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Second-order one-sided derivative along unit ``directions`` (k, N) or (N,).
 
     Uses u at p, p + h n and p + 2h n, so ``directions`` point into the
-    domain.  Returns the derivatives and the values at the points, (k, m).
+    domain.  Returns the derivatives and the values at the points, (k, m);
+    ``center`` passes the values at p when the caller already holds them.
     """
     k, N = points.shape
-    stencil = np.stack([points, points + h * directions, points + 2 * h * directions], axis=1)
-    vals = np.asarray(u(stencil.reshape(-1, N)), dtype=float).reshape(k, 3, -1)
-    deriv = (-3 * vals[:, 0, :] + 4 * vals[:, 1, :] - vals[:, 2, :]) / (2 * h)
-    return deriv, vals[:, 0, :]
+    if center is None:
+        center = _values(u, points)
+    stencil = np.stack([points + h * directions, points + 2 * h * directions], axis=1)
+    vals = _values(u, stencil.reshape(-1, N)).reshape(k, 2, -1)
+    deriv = (-3 * center + 4 * vals[:, 0, :] - vals[:, 1, :]) / (2 * h)
+    return deriv, center
+
+
+def _residual_levels(
+    spec: EllipticSystemSpec, u, interior: np.ndarray, boundary: np.ndarray, h_list
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point residuals at every step of a study: (n_h, k, m) and (n_h, kb, m).
+
+    Walks the centers in blocks of ``BLOCK_CENTERS``.  Each block's values
+    and source term are evaluated once and shared by every step, so only
+    the neighbours are evaluated per step, and the stencil temporaries are
+    bounded by the block, not the point set.
+    """
+    h_list = [float(h) for h in h_list]
+    if len(interior) and np.min(interior[:, -1]) - max(h_list) < 0:
+        raise StencilOutOfDomain(
+            f"interior points need last coordinate >= h={max(h_list)}; "
+            f"got minimum {np.min(interior[:, -1])}"
+        )
+    res_int = np.empty((len(h_list), len(interior), spec.m))
+    res_bdy = np.empty((len(h_list), len(boundary), spec.m))
+    for start in range(0, len(interior), BLOCK_CENTERS):
+        pts = interior[start : start + BLOCK_CENTERS]
+        center = _values(u, pts)
+        source = exponent_product(spec.A, np.log(center))
+        for i, h in enumerate(h_list):
+            lap, _ = central_laplacian(u, pts, h, center)
+            res_int[i, start : start + len(pts)] = lap + source
+    e_N = np.eye(boundary.shape[1])[-1]
+    for start in range(0, len(boundary), BLOCK_CENTERS):
+        pts = boundary[start : start + BLOCK_CENTERS]
+        center = _values(u, pts)
+        flux = spec.c * exponent_product(spec.B, np.log(center))
+        for i, h in enumerate(h_list):
+            dN, _ = one_sided_derivative(u, pts, e_N, h, center)
+            res_bdy[i, start : start + len(pts)] = dN - flux
+    return res_int, res_bdy
 
 
 def residuals_at_points(
@@ -153,25 +207,8 @@ def residuals_at_points(
     """Per-point discrete residuals (interior (k, m), boundary (kb, m))."""
     interior_points = np.atleast_2d(np.asarray(interior_points, dtype=float))
     boundary_points = np.atleast_2d(np.asarray(boundary_points, dtype=float))
-    if interior_points.size and np.min(interior_points[:, -1]) - h < 0:
-        raise StencilOutOfDomain(
-            f"interior points need last coordinate >= h={h}; "
-            f"got minimum {np.min(interior_points[:, -1])}"
-        )
-
-    if interior_points.size:
-        lap, center = central_laplacian(u, interior_points, h)
-        res_int = lap + exponent_product(spec.A, np.log(center))
-    else:
-        res_int = np.zeros((0, spec.m))
-
-    if boundary_points.size:
-        e_N = np.eye(boundary_points.shape[1])[-1]
-        dN, center = one_sided_derivative(u, boundary_points, e_N, h)
-        res_bdy = dN - spec.c * exponent_product(spec.B, np.log(center))
-    else:
-        res_bdy = np.zeros((0, spec.m))
-    return res_int, res_bdy
+    res_int, res_bdy = _residual_levels(spec, u, interior_points, boundary_points, [h])
+    return res_int[0], res_bdy[0]
 
 
 def _lattice(box: np.ndarray, n_per_axis: int, last_min: float) -> np.ndarray:
@@ -181,8 +218,27 @@ def _lattice(box: np.ndarray, n_per_axis: int, last_min: float) -> np.ndarray:
         if a == box.shape[0] - 1:
             lo = max(lo, last_min)
         axes.append(np.linspace(lo, hi, n_per_axis))
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    # filled axis by axis from the sparse grids: one (n**N, N) array, no full-size temporaries
+    lattice = np.empty((n_per_axis,) * len(axes) + (len(axes),))
+    for a, g in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
+        lattice[..., a] = g
+    return lattice.reshape(-1, len(axes))
+
+
+def _box_lattices(
+    spec: EllipticSystemSpec, box: np.ndarray, n_per_axis: int, margin: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interior lattice of a box (last coordinate >= margin) and the lattice of its y_N = 0 face."""
+    box = np.asarray(box, dtype=float)
+    N = int(spec.N)
+    if box.shape != (N, 2):
+        raise ValueError(f"box must have shape {(N, 2)}")
+    if box[-1, 0] < 0:
+        raise StencilOutOfDomain("box extends below the boundary hyperplane")
+    interior = _lattice(box, n_per_axis, last_min=max(box[-1, 0], margin))
+    tangential = _lattice(box[:-1], n_per_axis, last_min=-np.inf)
+    boundary = np.hstack([tangential, np.zeros((tangential.shape[0], 1))])
+    return interior, boundary
 
 
 def residual_sweep(
@@ -197,24 +253,14 @@ def residual_sweep(
 
     ``box`` is (N, 2) rows of (lo, hi) inside the closed half-space.  The
     interior lattice keeps its last coordinate at least ``interior_margin``
-    (default ``h``) so central stencils stay in the domain; pinning the
-    margin across several ``h`` values keeps the lattice identical for
-    convergence studies.  Boundary residuals are evaluated on the lattice
-    of the ``y_N = 0`` face.
+    (default ``h``) so central stencils stay in the domain; a margin of a
+    study's largest step gives that study's lattice.  Boundary residuals
+    are evaluated on the lattice of the ``y_N = 0`` face.
     """
-    box = np.asarray(box, dtype=float)
-    N = int(spec.N)
-    if box.shape != (N, 2):
-        raise ValueError(f"box must have shape {(N, 2)}")
-    if box[-1, 0] < 0:
-        raise StencilOutOfDomain("box extends below the boundary hyperplane")
     margin = h if interior_margin is None else interior_margin
-    interior = _lattice(box, n_per_axis, last_min=max(box[-1, 0], margin))
-    tangential = _lattice(box[:-1], n_per_axis, last_min=-np.inf)
-    boundary = np.hstack([tangential, np.zeros((tangential.shape[0], 1))])
-
-    res_int, res_bdy = residuals_at_points(spec, u, interior, boundary, h)
-    return ResidualReport.from_residuals(res_int, res_bdy, interior, boundary, h)
+    interior, boundary = _box_lattices(spec, box, n_per_axis, margin)
+    res_int, res_bdy = _residual_levels(spec, u, interior, boundary, [h])
+    return ResidualReport.from_residuals(res_int[0], res_bdy[0], interior, boundary, h)
 
 
 def fit_loglog_slope(h_list: np.ndarray, sups: np.ndarray) -> float:
@@ -249,23 +295,26 @@ def convergence_order(
     """Fitted order of the discrete residuals of a field over a shrinking-h study.
 
     The lattice is held fixed across ``h`` (margin pinned to the largest
-    step) so only the stencil changes.  Components whose residuals sit at
-    the rounding floor are flagged degenerate instead of fitted.  ``u``
-    may be a field evaluator or :class:`~halfspace_bubbles.bubble_family.BubbleParams`.
+    step) so only the stencil changes, and every step runs in one pass
+    over it: each center and its source term are evaluated once.
+    Components whose residuals sit at the rounding floor are flagged
+    degenerate instead of fitted.  ``u`` may be a field evaluator or
+    :class:`~halfspace_bubbles.bubble_family.BubbleParams`.
     """
     if not callable(u):
         u = bubble_field(u)
     h_list = np.asarray(h_list, dtype=float)
     if h_list.size < 3 or np.any(np.diff(h_list) >= 0):
         raise ValueError("h_list must be strictly decreasing with at least 3 entries")
-    margin = float(h_list[0])
-    sups_i, sups_b = [], []
-    for h in h_list:
-        report = residual_sweep(spec, u, box, n_per_axis, float(h), interior_margin=margin)
-        sups_i.append(report.sup_interior)
-        sups_b.append(report.sup_boundary)
-    sups_i = np.asarray(sups_i)
-    sups_b = np.asarray(sups_b)
+    # one lattice for every step, its margin pinned to the largest
+    interior, boundary = _box_lattices(spec, box, n_per_axis, float(h_list[0]))
+    levels = _residual_levels(spec, u, interior, boundary, h_list)
+    reports = [
+        ResidualReport.from_residuals(res_int, res_bdy, interior, boundary, h)
+        for res_int, res_bdy, h in zip(*levels, h_list)
+    ]
+    sups_i = np.asarray([r.sup_interior for r in reports])
+    sups_b = np.asarray([r.sup_boundary for r in reports])
     slope_c, degen_c = convergence_from_sups(h_list, np.maximum(sups_i, sups_b))
     slope_i, degen_i = convergence_from_sups(h_list, sups_i)
     slope_b, degen_b = convergence_from_sups(h_list, sups_b)
@@ -279,5 +328,5 @@ def convergence_order(
         slope_boundary=slope_b,
         degenerate_interior=degen_i,
         degenerate_boundary=degen_b,
-        finest=report,
+        finest=reports[-1],
     )

@@ -80,7 +80,10 @@ def write_residual_csv(res_int: np.ndarray, res_bdy: np.ndarray, path: str | Pat
         fh.write("kind,component,residual\r\n")
         for j in range(res_int.shape[1]):
             for kind, column in (("interior", res_int[:, j]), ("boundary", res_bdy[:, j])):
-                fh.writelines(f"{kind},{j},{v}\r\n" for v in _float_reprs(column))
+                reprs = _float_reprs(column)
+                if reprs:
+                    prefix = f"{kind},{j},"
+                    fh.write(prefix + f"\r\n{prefix}".join(reprs) + "\r\n")
 
 
 def write_trajectory_csv(trajectory, path: str | Path) -> None:

@@ -153,6 +153,48 @@ def test_non_finite_or_malformed_input_exits_two(command, error_code, hangs, inp
     assert json.loads(err)["error_code"] == error_code
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "verify --spec {spec} --grid=0",
+        "verify --spec {spec} --grid=-2",
+        "verify --spec {spec} --n-random=0",
+        "verify --spec {spec} --n-random=1.5",
+        # an IndexError traceback (exit 1) before the flag had a type of its own
+        "moving-spheres --spec {spec} --n-lambda=0",
+        # one radius brackets nothing: this exited 1 as a failed check
+        "moving-spheres --spec {spec} --n-lambda=1",
+        "moving-spheres --spec {spec} --grid=0",
+        "ball --spec {spec} --grid=0",
+    ],
+)
+def test_bad_count_flag_is_a_usage_error(command, input_files, capsys):
+    code = main([a.format(**input_files) for a in command.split()])
+    assert code == 2
+    # one error object on stderr and nothing else, so no traceback
+    assert json.loads(capsys.readouterr().err)["error_code"] == "usage"
+
+
+def test_two_radii_are_enough_to_sweep(spec_file, params_file, tmp_path):
+    out = tmp_path / "sweep.json"
+    assert run("moving-spheres", "--spec", spec_file, "--params", params_file,
+               "--n-lambda", "2", "--out", out) == 0
+
+
+def test_one_parser_serves_every_call(spec_file, params_file, tmp_path):
+    from halfspace_bubbles.cli import build_parser
+
+    assert build_parser() is build_parser()
+    out = tmp_path / "verify.json"
+    assert run("verify", "--spec", spec_file, "--params", params_file, "--grid", "4",
+               "--n-random", "50", "--out", out) == 0
+    assert json.loads(out.read_text())["n_random"] == 50
+    # the flags of one call do not carry over into the next
+    assert run("verify", "--spec", spec_file, "--params", params_file, "--grid", "4",
+               "--out", out) == 0
+    assert json.loads(out.read_text())["n_random"] == 1000
+
+
 class TestSolveParams:
     def test_report_is_loadable_as_params(self, spec_file, params_file):
         from halfspace_bubbles.bubble_family import load_params
@@ -275,17 +317,22 @@ def recording(monkeypatch, module, attr, log, rows_of):
 
 class TestEachValueOnce:
     def test_verify_sweeps_three_levels(self, spec_file, params_file, tmp_path, monkeypatch):
-        from halfspace_bubbles import fd_verifier
+        from halfspace_bubbles import bubble_family
 
-        steps = []
-        recording(monkeypatch, fd_verifier, "residual_sweep", steps, lambda a, kw: a[4])
+        evaluated = []
+        recording(monkeypatch, bubble_family, "evaluate_bubble", evaluated,
+                  lambda a, kw: len(a[1]))
         out = tmp_path / "verify.json"
         assert run("verify", "--spec", spec_file, "--params", params_file, "--out", out) == 0
-        assert len(steps) == 3  # one sweep per level of h_list = [4h, 2h, h]
+        # N = 3 on the default 8-point lattice: each interior center once plus its
+        # 2N neighbours at each of the 3 steps, each boundary center once plus its 2
+        # inward points at each step; one residual pass serves every level
+        n_interior, n_boundary, N = 8**3, 8**2, 3
+        assert sum(evaluated) == n_interior * (1 + 3 * 2 * N) + n_boundary * (1 + 3 * 2)
         report = json.loads(out.read_text())
         conv = report["convergence"]
         # the "fd" block is the finest level of the convergence study
-        assert report["fd"]["h"] == conv["h_list"][-1] == steps[-1]
+        assert report["fd"]["h"] == conv["h_list"][-1] == min(conv["h_list"])
         assert report["fd"]["sup_interior"] == conv["sup_interior"][-1]
         assert report["fd"]["sup_boundary"] == conv["sup_boundary"][-1]
 

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from halfspace_bubbles import EllipticSystemSpec, fd_verifier, make_bubble_params
 from halfspace_bubbles.bubble_family import (
     BubbleParams,
     bubble_field,
@@ -16,6 +19,8 @@ from halfspace_bubbles.fd_verifier import (
     residual_sweep,
     residuals_at_points,
 )
+
+from conftest import fixture_spec
 
 BOX3 = np.array([[-2.0, 2.0], [-2.0, 2.0], [0.0, 2.0]])
 E_N = np.array([0.0, 0.0, 1.0])
@@ -181,3 +186,59 @@ class TestConvergenceBookkeeping:
             convergence_order(spec_f1, params_f1, BOX3, np.array([1e-3, 2e-3, 4e-3]))
         with pytest.raises(ValueError):
             convergence_order(spec_f1, params_f1, BOX3, np.array([2e-3, 1e-3]))
+
+
+def _study_box(N):
+    box = np.tile([-2.0, 2.0], (N, 1))
+    box[-1] = [0.0, 2.0]
+    return box
+
+
+class TestBlockedDriver:
+    @pytest.mark.parametrize("name, n_per_axis", [("f2", 9), ("f3", 5)])
+    def test_block_size_leaves_every_result_unchanged(self, name, n_per_axis, monkeypatch):
+        # 9^3 = 729 and 5^4 = 625 interior centers, 81 and 125 boundary ones:
+        # none a multiple of 7, so the last block of each is partial
+        spec = fixture_spec(name)
+        u = bubble_field(make_bubble_params(spec, 1.0))
+        box = _study_box(spec.N)
+        h_list = np.array([4e-3, 2e-3, 1e-3])
+        rng = np.random.default_rng(3)
+        interior = rng.uniform(0.1, 2.0, size=(50, spec.N))
+        boundary = interior.copy()
+        boundary[:, -1] = 0.0
+
+        def results():
+            conv = convergence_order(spec, u, box, h_list, n_per_axis=n_per_axis)
+            sweep = residual_sweep(spec, u, box, n_per_axis, 1e-3)
+            return (
+                *residuals_at_points(spec, u, interior, boundary, 1e-3),
+                *vars(sweep).values(),
+                *(v for v in vars(conv).values() if not isinstance(v, fd_verifier.ResidualReport)),
+                *vars(conv.finest).values(),
+            )
+
+        monkeypatch.setattr(fd_verifier, "BLOCK_CENTERS", 7)
+        blocked = results()
+        monkeypatch.setattr(fd_verifier, "BLOCK_CENTERS", 10**6)
+        whole = results()
+        assert len(blocked) == len(whole)
+        for a, b in zip(blocked, whole):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_study_memory_is_bounded_by_the_block(self):
+        # 12^5 = 248,832 centers.  The lattice, the (3, k, 1) residuals and one
+        # block trace 19.1 MB; every stencil point of a step held at once
+        # would trace about 178 MB.
+        spec = EllipticSystemSpec(N=5, m=1, A=[[7 / 3]], B=[[5 / 3]], c=[-1.0])
+        u = bubble_field(make_bubble_params(spec, 1.0))
+        tracemalloc.start()
+        try:
+            conv = convergence_order(
+                spec, u, _study_box(5), np.array([4e-3, 2e-3, 1e-3]), n_per_axis=12
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert conv.finest.n_interior == 12**5
+        assert peak < 24 * 2**20
