@@ -40,6 +40,7 @@ from .fd_verifier import (
     central_laplacian,
     convergence_order,
     one_sided_derivative,
+    residual_study,
     residual_sweep,
 )
 from .kelvin_inversion import (

@@ -30,34 +30,11 @@ from . import fd_verifier as fd
 from . import kelvin_inversion as ki
 from . import radial_ode as ro
 from . import reporting, sampling
-from .errors import (
-    BadBracket,
-    HalfspaceBubblesError,
-    HorizonExceeded,
-    IncompatibleBoundaryCoefficients,
-    MalformedSpec,
-    NoBubbleParameters,
-    NoRealRoot,
-    PositivityLoss,
-    ShootFailed,
-    SingularPoint,
-    StencilOutOfDomain,
-    StepFailure,
-)
+from .errors import HalfspaceBubblesError, MalformedSpec, SingularPoint, StencilOutOfDomain
 from .exponent_system import load_spec, validate_spec
 
 DEFAULT_SEED = 20240901
 
-CHECK_FAILURE_ERRORS = (
-    NoBubbleParameters,
-    IncompatibleBoundaryCoefficients,
-    BadBracket,
-    StepFailure,
-    PositivityLoss,
-    ShootFailed,
-    HorizonExceeded,
-    NoRealRoot,
-)
 INPUT_ERRORS = (MalformedSpec, SingularPoint, StencilOutOfDomain)
 
 
@@ -83,20 +60,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """Type of every count flag; argparse reports its ValueError as a usage error."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"{text!r} is not positive")
-    return value
+def _int_at_least(minimum: int):
+    """Type of an integer flag; argparse reports its ValueError as a usage error."""
 
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise ValueError(f"{text!r} is less than {minimum}")
+        return value
 
-def _radius_count(text: str) -> int:
-    """Type of ``--n-lambda``: a sweep brackets the critical radius between two radii."""
-    value = int(text)
-    if value < 2:
-        raise ValueError(f"{text!r} is less than 2")
-    return value
+    parse.__name__ = f"integer >= {minimum}"  # argparse names the type in its message
+    return parse
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -343,14 +317,7 @@ def cmd_ball(args) -> int:
     h = args.h if args.h is not None else 1e-3 * 4 * d
     interior = sampling.ball_points(setup.Q, 2 * d, 400, seed + 2, margin=13 * h)
     boundary = sampling.sphere_points(setup.Q, 2 * d, 200, seed + 3)
-    sups_i, sups_b = [], []
-    h_list = [4 * h, 2 * h, h]
-    for hh in h_list:
-        rep = cb.ball_system_residual(spec, setup, v, interior, boundary, hh)
-        sups_i.append(rep.sup_interior)
-        sups_b.append(rep.sup_boundary)
-    slope_i, degen_i = fd.convergence_from_sups(h_list, np.asarray(sups_i))
-    slope_b, degen_b = fd.convergence_from_sups(h_list, np.asarray(sups_b))
+    study = cb.ball_system_residual(spec, setup, v, interior, boundary, [4 * h, 2 * h, h])
 
     mu, alphas = cb.recover_mu_alpha(setup, params)
     alpha_res = float(
@@ -380,10 +347,12 @@ def cmd_ball(args) -> int:
         _check("closed_form_match_rel", psi_match, 1e-10),
     ]
     for i in range(spec.m):
-        if not degen_i[i]:
-            checks.append(_check(f"ball_interior_slope_gap_{i}", abs(float(slope_i[i]) - 2.0), 0.1))
-        if not degen_b[i]:
-            checks.append(_check(f"ball_boundary_slope_gap_{i}", abs(float(slope_b[i]) - 2.0), 0.1))
+        if not study.degenerate_interior[i]:
+            checks.append(_check(f"ball_interior_slope_gap_{i}",
+                                 abs(float(study.slope_interior[i]) - 2.0), 0.1))
+        if not study.degenerate_boundary[i]:
+            checks.append(_check(f"ball_boundary_slope_gap_{i}",
+                                 abs(float(study.slope_boundary[i]) - 2.0), 0.1))
 
     report = {
         "command": "ball",
@@ -392,11 +361,11 @@ def cmd_ball(args) -> int:
         "t_properties": tprops.to_dict(),
         "radial_variation": {"radii": radii, "max_rel": variation},
         "residual_slopes": {
-            "h_list": h_list,
-            "sup_interior": np.asarray(sups_i),
-            "sup_boundary": np.asarray(sups_b),
-            "slope_interior": slope_i,
-            "slope_boundary": slope_b,
+            "h_list": study.h_list,
+            "sup_interior": study.sup_interior,
+            "sup_boundary": study.sup_boundary,
+            "slope_interior": study.slope_interior,
+            "slope_boundary": study.slope_boundary,
         },
         "mu": mu,
         "alphas": alphas,
@@ -497,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
         if csv:
             p.add_argument("--csv", action="store_true", help="also write the CSV table")
         if seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sample-set seed")
+            p.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED,
+                           help="sample-set seed")
         return p
 
     command("validate", cmd_validate, "check the structural rules of a spec file",
@@ -510,21 +480,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", cmd_verify, "analytic and finite-difference residual checks",
                 params=True, csv=True, seed=True)
     p.add_argument("--box", help="2N comma floats lo,hi per axis")
-    p.add_argument("--grid", type=_positive_int, default=8, help="lattice points per axis")
+    p.add_argument("--grid", type=_int_at_least(1), default=8, help="lattice points per axis")
     p.add_argument("--h", type=_positive_float, help="finite-difference step")
-    p.add_argument("--n-random", type=_positive_int, default=1000, help="random sample count")
+    p.add_argument("--n-random", type=_int_at_least(1), default=1000, help="random sample count")
 
     p = command("moving-spheres", cmd_moving_spheres,
                 "critical-radius sweep about a boundary center", params=True, csv=True, seed=True)
     p.add_argument("--x", help="boundary center, comma floats")
     p.add_argument("--lambda-lo", type=_positive_float, help="sweep start radius")
     p.add_argument("--lambda-hi", type=_positive_float, help="sweep end radius")
-    p.add_argument("--n-lambda", type=_radius_count, default=33, help="radius grid size")
-    p.add_argument("--grid", type=_positive_int, default=24, help="radial shells in the sample set")
+    p.add_argument("--n-lambda", type=_int_at_least(2), default=33, help="radius grid size")
+    p.add_argument("--grid", type=_int_at_least(1), default=24,
+                   help="radial shells in the sample set")
 
     p = command("ball", cmd_ball, "conformal transport checks and parameter recovery",
                 params=True, seed=True)
-    p.add_argument("--grid", type=_positive_int, default=100, help="sqrt of sample count")
+    p.add_argument("--grid", type=_int_at_least(1), default=100, help="sqrt of sample count")
     p.add_argument("--h", type=_positive_float, help="finite-difference step")
 
     command("radial", cmd_radial, "Robin shooting, its profile against the closed form",
@@ -544,13 +515,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CHECK_FAILURE_ERRORS as exc:
-        reporting.write_error(exc.code, str(exc))
-        return 1
     except INPUT_ERRORS as exc:
         reporting.write_error(exc.code, str(exc))
         return 2
     except HalfspaceBubblesError as exc:
+        # every other library error is a failed check
         reporting.write_error(exc.code, str(exc))
         return 1
     except (ValueError, KeyError, OSError) as exc:

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubble_family import BubbleParams, exponent_product, log_profile
+from .bubble_family import BubbleParams, log_profile
 from .errors import NoRealRoot, StencilOutOfDomain
 from .exponent_system import EllipticSystemSpec
-from .fd_verifier import ResidualReport, central_laplacian, one_sided_derivative
+from .fd_verifier import ConvergenceReport, residual_study
 from .kelvin_inversion import SphereInversion, critical_radius, kelvin_point, kelvin_transform_u
 from .sampling import ball_points, unit_directions
 
@@ -260,32 +260,29 @@ def ball_system_residual(
     v,
     interior_samples: np.ndarray,
     boundary_samples: np.ndarray,
-    h: float,
-) -> ResidualReport:
-    """Discrete residuals of the ball system for a transported field.
+    h_list,
+) -> ConvergenceReport:
+    """Residual study of the ball system for a transported field.
 
-    Interior residual: central-stencil Laplacian plus the exponent product.
-    Boundary residual at points on the sphere: outward radial derivative by
-    a one-sided interior stencil, plus (N-2)/(4d) v, plus the boundary
-    product (the transported flux term enters with opposite sign).
+    The same PDE as the half-space inside; on the sphere the boundary law
+    is the Robin condition d_in v = c prod v^B + (N-2)/(4d) v, with d_in
+    along the inward normal -(z - Q)/(2d).  Interior samples must keep
+    3h of headroom from the sphere at the largest step.
     """
     interior = np.atleast_2d(np.asarray(interior_samples, dtype=float))
     boundary = np.atleast_2d(np.asarray(boundary_samples, dtype=float))
     d, Q = setup.d, setup.Q
-    N = setup.N
+    h = float(max(h_list))
 
     if np.any(np.linalg.norm(interior - Q, axis=1) > 2 * d - 3 * h):
         raise StencilOutOfDomain("interior samples must stay 3h away from the sphere")
     if np.any(np.abs(np.linalg.norm(boundary - Q, axis=1) - 2 * d) > 1e-9 * d):
         raise StencilOutOfDomain("boundary samples must lie on the sphere")
 
-    lap, center = central_laplacian(v, interior, h)
-    res_int = lap + exponent_product(spec.A, np.log(center))
-
-    # outward derivative = minus the one-sided derivative along -nu
-    d_inward, v0 = one_sided_derivative(v, boundary, -(boundary - Q) / (2 * d), h)
-    res_bdy = -d_inward + (N - 2) / (4 * d) * v0 + spec.c * exponent_product(spec.B, np.log(v0))
-    return ResidualReport.from_residuals(res_int, res_bdy, interior, boundary, h)
+    normals = -(boundary - Q) / (2 * d)
+    return residual_study(
+        spec, v, interior, boundary, h_list, normals, kappa=(setup.N - 2) / (4 * d)
+    )
 
 
 def recover_mu_alpha(

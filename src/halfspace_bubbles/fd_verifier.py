@@ -3,7 +3,9 @@
 Verifies that a given field actually satisfies the half-space system by
 measuring discrete residuals: a second-order central Laplacian for the
 interior equations and a second-order one-sided stencil for the boundary
-flux.  Nothing here solves a PDE; fields are only checked.
+flux.  The boundary stencil runs along given inward normals with an
+optional Robin term, so the same study checks the ball system too.
+Nothing here solves a PDE; fields are only checked.
 
 Field evaluators map point batches (k, N) to component values (k, m) and
 must be pure; residual collection is a plain max-reduction, so reports do
@@ -27,6 +29,7 @@ __all__ = [
     "one_sided_derivative",
     "residuals_at_points",
     "residual_sweep",
+    "residual_study",
     "convergence_order",
     "fit_loglog_slope",
 ]
@@ -121,79 +124,71 @@ def _values(u, points: np.ndarray) -> np.ndarray:
     return np.asarray(u(points), dtype=float).reshape(points.shape[0], -1)
 
 
-def central_laplacian(
-    u, points: np.ndarray, h: float, center: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def central_laplacian(u, points: np.ndarray, h: float, center: np.ndarray) -> np.ndarray:
     """Second-order central Laplacian of all components at points (k, N).
 
-    ``u`` maps (n, N) to (n, m) or (n,).  Returns the Laplacians and the
-    center values, both (k, m); ``center`` passes values the caller already
-    holds, so only the 2N neighbours are evaluated.  The caller keeps the
-    stencil in the domain.
+    ``u`` maps (n, N) to (n, m) or (n,); ``center`` holds its values at the
+    points, (k, m), so only the 2N neighbours are evaluated.  Returns the
+    Laplacians, (k, m).  The caller keeps the stencil in the domain.
     """
     k, N = points.shape
-    if center is None:
-        center = _values(u, points)
     stencil = np.tile(points[:, None, :], (1, 2 * N, 1))
     for a in range(N):
         stencil[:, 2 * a, a] += h
         stencil[:, 2 * a + 1, a] -= h
     vals = _values(u, stencil.reshape(-1, N)).reshape(k, 2 * N, -1)
-    lap = (vals.sum(axis=1) - 2 * N * center) / h**2
-    return lap, center
+    return (vals.sum(axis=1) - 2 * N * center) / h**2
 
 
 def one_sided_derivative(
-    u, points: np.ndarray, directions: np.ndarray, h: float, center: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+    u, points: np.ndarray, directions: np.ndarray, h: float, center: np.ndarray
+) -> np.ndarray:
     """Second-order one-sided derivative along unit ``directions`` (k, N) or (N,).
 
     Uses u at p, p + h n and p + 2h n, so ``directions`` point into the
-    domain.  Returns the derivatives and the values at the points, (k, m);
-    ``center`` passes the values at p when the caller already holds them.
+    domain; ``center`` holds the values at p, (k, m).  Returns the
+    derivatives, (k, m).
     """
     k, N = points.shape
-    if center is None:
-        center = _values(u, points)
     stencil = np.stack([points + h * directions, points + 2 * h * directions], axis=1)
     vals = _values(u, stencil.reshape(-1, N)).reshape(k, 2, -1)
-    deriv = (-3 * center + 4 * vals[:, 0, :] - vals[:, 1, :]) / (2 * h)
-    return deriv, center
+    return (-3 * center + 4 * vals[:, 0, :] - vals[:, 1, :]) / (2 * h)
 
 
 def _residual_levels(
-    spec: EllipticSystemSpec, u, interior: np.ndarray, boundary: np.ndarray, h_list
+    spec: EllipticSystemSpec, u, interior, boundary, h_list, normals=None, kappa: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-point residuals at every step of a study: (n_h, k, m) and (n_h, kb, m).
 
-    Walks the centers in blocks of ``BLOCK_CENTERS``.  Each block's values
-    and source term are evaluated once and shared by every step, so only
-    the neighbours are evaluated per step, and the stencil temporaries are
-    bounded by the block, not the point set.
+    The boundary residual is (d_in u - kappa u) - c prod u^B along the
+    inward unit ``normals``, (kb, N) or (N,); e_N and kappa = 0 are the
+    half-space.  Walks the centers in blocks of ``BLOCK_CENTERS``.  Each
+    block's values and source term are evaluated once and shared by every
+    step, so only the neighbours are evaluated per step, and the stencil
+    temporaries are bounded by the block, not the point set.
     """
     h_list = [float(h) for h in h_list]
-    if len(interior) and np.min(interior[:, -1]) - max(h_list) < 0:
-        raise StencilOutOfDomain(
-            f"interior points need last coordinate >= h={max(h_list)}; "
-            f"got minimum {np.min(interior[:, -1])}"
-        )
+    if normals is None:
+        normals = np.eye(boundary.shape[1])[-1]
+    normals = np.broadcast_to(normals, boundary.shape)
     res_int = np.empty((len(h_list), len(interior), spec.m))
     res_bdy = np.empty((len(h_list), len(boundary), spec.m))
     for start in range(0, len(interior), BLOCK_CENTERS):
-        pts = interior[start : start + BLOCK_CENTERS]
+        block = slice(start, start + BLOCK_CENTERS)
+        pts = interior[block]
         center = _values(u, pts)
         source = exponent_product(spec.A, np.log(center))
         for i, h in enumerate(h_list):
-            lap, _ = central_laplacian(u, pts, h, center)
-            res_int[i, start : start + len(pts)] = lap + source
-    e_N = np.eye(boundary.shape[1])[-1]
+            res_int[i, block] = central_laplacian(u, pts, h, center) + source
     for start in range(0, len(boundary), BLOCK_CENTERS):
-        pts = boundary[start : start + BLOCK_CENTERS]
+        block = slice(start, start + BLOCK_CENTERS)
+        pts = boundary[block]
         center = _values(u, pts)
         flux = spec.c * exponent_product(spec.B, np.log(center))
+        robin = kappa * center
         for i, h in enumerate(h_list):
-            dN, _ = one_sided_derivative(u, pts, e_N, h, center)
-            res_bdy[i, start : start + len(pts)] = dN - flux
+            d_in = one_sided_derivative(u, pts, normals[block], h, center)
+            res_bdy[i, block] = (d_in - robin) - flux
     return res_int, res_bdy
 
 
@@ -204,9 +199,14 @@ def residuals_at_points(
     boundary_points: np.ndarray,
     h: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point discrete residuals (interior (k, m), boundary (kb, m))."""
+    """Per-point half-space residuals at one step (interior (k, m), boundary (kb, m))."""
     interior_points = np.atleast_2d(np.asarray(interior_points, dtype=float))
     boundary_points = np.atleast_2d(np.asarray(boundary_points, dtype=float))
+    if len(interior_points) and np.min(interior_points[:, -1]) - h < 0:
+        raise StencilOutOfDomain(
+            f"interior points need last coordinate >= h={h}; "
+            f"got minimum {np.min(interior_points[:, -1])}"
+        )
     res_int, res_bdy = _residual_levels(spec, u, interior_points, boundary_points, [h])
     return res_int[0], res_bdy[0]
 
@@ -259,8 +259,8 @@ def residual_sweep(
     """
     margin = h if interior_margin is None else interior_margin
     interior, boundary = _box_lattices(spec, box, n_per_axis, margin)
-    res_int, res_bdy = _residual_levels(spec, u, interior, boundary, [h])
-    return ResidualReport.from_residuals(res_int[0], res_bdy[0], interior, boundary, h)
+    res_int, res_bdy = residuals_at_points(spec, u, interior, boundary, h)
+    return ResidualReport.from_residuals(res_int, res_bdy, interior, boundary, h)
 
 
 def fit_loglog_slope(h_list: np.ndarray, sups: np.ndarray) -> float:
@@ -285,30 +285,27 @@ def convergence_from_sups(h_list: np.ndarray, sups: np.ndarray) -> tuple[np.ndar
     return slopes, degenerate
 
 
-def convergence_order(
+def residual_study(
     spec: EllipticSystemSpec,
     u,
-    box: np.ndarray,
-    h_list: np.ndarray,
-    n_per_axis: int = 8,
+    interior: np.ndarray,
+    boundary: np.ndarray,
+    h_list,
+    normals=None,
+    kappa: float = 0.0,
 ) -> ConvergenceReport:
     """Fitted order of the discrete residuals of a field over a shrinking-h study.
 
-    The lattice is held fixed across ``h`` (margin pinned to the largest
-    step) so only the stencil changes, and every step runs in one pass
-    over it: each center and its source term are evaluated once.
-    Components whose residuals sit at the rounding floor are flagged
-    degenerate instead of fitted.  ``u`` may be a field evaluator or
-    :class:`~halfspace_bubbles.bubble_family.BubbleParams`.
+    Every step runs in one pass over the points, so each center and its
+    source term are evaluated once.  ``normals`` and ``kappa`` set the
+    boundary law (default: the half-space's); the caller keeps every
+    stencil in its domain.  Components whose residuals sit at the rounding
+    floor are flagged degenerate instead of fitted.
     """
-    if not callable(u):
-        u = bubble_field(u)
     h_list = np.asarray(h_list, dtype=float)
     if h_list.size < 3 or np.any(np.diff(h_list) >= 0):
         raise ValueError("h_list must be strictly decreasing with at least 3 entries")
-    # one lattice for every step, its margin pinned to the largest
-    interior, boundary = _box_lattices(spec, box, n_per_axis, float(h_list[0]))
-    levels = _residual_levels(spec, u, interior, boundary, h_list)
+    levels = _residual_levels(spec, u, interior, boundary, h_list, normals, kappa)
     reports = [
         ResidualReport.from_residuals(res_int, res_bdy, interior, boundary, h)
         for res_int, res_bdy, h in zip(*levels, h_list)
@@ -330,3 +327,22 @@ def convergence_order(
         degenerate_boundary=degen_b,
         finest=reports[-1],
     )
+
+
+def convergence_order(
+    spec: EllipticSystemSpec,
+    u,
+    box: np.ndarray,
+    h_list: np.ndarray,
+    n_per_axis: int = 8,
+) -> ConvergenceReport:
+    """:func:`residual_study` of a field over the lattices of a half-space box.
+
+    The lattice is held fixed across ``h`` (margin pinned to the largest
+    step) so only the stencil changes.  ``u`` may be a field evaluator or
+    :class:`~halfspace_bubbles.bubble_family.BubbleParams`.
+    """
+    if not callable(u):
+        u = bubble_field(u)
+    interior, boundary = _box_lattices(spec, box, n_per_axis, float(max(h_list)))
+    return residual_study(spec, u, interior, boundary, h_list)

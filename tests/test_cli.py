@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +167,11 @@ def test_non_finite_or_malformed_input_exits_two(command, error_code, hangs, inp
         "moving-spheres --spec {spec} --n-lambda=1",
         "moving-spheres --spec {spec} --grid=0",
         "ball --spec {spec} --grid=0",
+        # numpy's "expected non-negative integer", an input_error, before the flag
+        # had a type of its own
+        "verify --spec {spec} --seed=-1",
+        "moving-spheres --spec {spec} --seed=-1",
+        "ball --spec {spec} --seed=-1",
     ],
 )
 def test_bad_count_flag_is_a_usage_error(command, input_files, capsys):
@@ -179,6 +185,13 @@ def test_two_radii_are_enough_to_sweep(spec_file, params_file, tmp_path):
     out = tmp_path / "sweep.json"
     assert run("moving-spheres", "--spec", spec_file, "--params", params_file,
                "--n-lambda", "2", "--out", out) == 0
+
+
+def test_seed_zero_is_a_seed(spec_file, params_file, tmp_path):
+    out = tmp_path / "verify.json"
+    assert run("verify", "--spec", spec_file, "--params", params_file, "--grid", "4",
+               "--n-random", "50", "--seed", "0", "--out", out) == 0
+    assert json.loads(out.read_text())["seed"] == 0
 
 
 def test_one_parser_serves_every_call(spec_file, params_file, tmp_path):
@@ -357,6 +370,31 @@ class TestEachValueOnce:
         assert evaluated == [n_samples] + differenced
         assert len(differenced) > 33
 
+    def test_ball_study_evaluates_each_center_once(
+        self, spec_file, params_file, tmp_path, monkeypatch
+    ):
+        from halfspace_bubbles import conformal_ball
+
+        evaluated, studying = [], []
+        study = conformal_ball.ball_system_residual
+
+        def flagged_study(*args, **kwargs):
+            studying.append(True)
+            try:
+                return study(*args, **kwargs)
+            finally:
+                studying.pop()
+
+        monkeypatch.setattr(conformal_ball, "ball_system_residual", flagged_study)
+        recording(monkeypatch, conformal_ball, "transform_v", evaluated,
+                  lambda a, kw: len(a[2]) if studying else 0)
+        assert run("ball", "--spec", spec_file, "--params", params_file,
+                   "--out", tmp_path / "ball.json") == 0
+        # N = 3: the 400 interior and 200 boundary centers once, then at each of the
+        # 3 steps the 2N neighbours of each interior center and the 2 inward points
+        # of each boundary center
+        N = 3
+        assert sum(evaluated) == 600 + 3 * (400 * 2 * N + 200 * 2) == 9000
 
     def test_radial_shoots_once(self, spec_file, params_file, tmp_path, monkeypatch):
         from halfspace_bubbles import radial_ode
@@ -460,6 +498,15 @@ def test_console_entry_point(spec_file):
     proc = run_child("-m", "halfspace_bubbles", "validate", "--spec", str(spec_file))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_benchmark_tracing_resolves_every_name():
+    # the benchmark's traced mode wraps program attributes by name, so deleting or
+    # renaming one of them would stop it with an AttributeError
+    perfbench = Path(__file__).parents[1] / "perfbench"
+    proc = run_child("-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+                     "import tracing; tracing.install()", str(perfbench))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):

@@ -13,7 +13,6 @@ from halfspace_bubbles.conformal_ball import (
     verify_T_properties,
 )
 from halfspace_bubbles.errors import NoRealRoot, SingularPoint, StencilOutOfDomain
-from halfspace_bubbles.fd_verifier import convergence_from_sups
 from halfspace_bubbles.kelvin_inversion import critical_radius, kelvin_point
 from halfspace_bubbles.radial_ode import closed_form_psi
 from halfspace_bubbles.sampling import ball_points, halfspace_box_points, sphere_points
@@ -152,25 +151,22 @@ class TestTransportedField:
             verify_radial(setup, v, [2.5 * setup.d])
 
 
-class TestBallResiduals:
-    def h_study(self, spec, setup, v, h):
-        interior = ball_points(setup.Q, 2 * setup.d, 300, seed=17, margin=13 * h)
-        boundary = sphere_points(setup.Q, 2 * setup.d, 150, seed=19)
-        sups = []
-        h_list = [4 * h, 2 * h, h]
-        for hh in h_list:
-            rep = ball_system_residual(spec, setup, v, interior, boundary, hh)
-            sups.append(np.maximum(rep.sup_interior, rep.sup_boundary))
-        return h_list, np.asarray(sups)
+def study_steps(h):
+    return [4 * h, 2 * h, h]
 
+
+class TestBallResiduals:
     def test_transported_fixture_is_second_order(self, fixture_pair):
         spec, params = fixture_pair
         setup = fixture_setup(params)
         v = ball_field(setup, bubble_field(params))
-        h_list, sups = self.h_study(spec, setup, v, 1e-3 * setup.d)
-        slopes, degenerate = convergence_from_sups(h_list, sups)
-        assert not degenerate.any()
-        assert np.all(np.abs(slopes - 2.0) < 0.1)
+        h = 1e-3 * setup.d
+        interior = ball_points(setup.Q, 2 * setup.d, 300, seed=17, margin=13 * h)
+        boundary = sphere_points(setup.Q, 2 * setup.d, 150, seed=19)
+        study = ball_system_residual(spec, setup, v, interior, boundary, study_steps(h))
+        # the combined (interior and boundary) sup of each component
+        assert not study.degenerate.any()
+        assert np.all(np.abs(study.slope - 2.0) < 0.1)
 
     def test_zero_coefficient_reduces_to_robin_only(self, spec_f1, params_f1):
         # c = 0 removes the flux product; the Robin terms alone must balance
@@ -178,10 +174,10 @@ class TestBallResiduals:
         v = ball_field(setup, bubble_field(params_f1))
         h = 1e-3 * setup.d
         boundary = sphere_points(setup.Q, 2 * setup.d, 150, seed=23)
-        rep = ball_system_residual(
-            spec_f1, setup, v, setup.Q[None, :], boundary, h
+        study = ball_system_residual(
+            spec_f1, setup, v, setup.Q[None, :], boundary, study_steps(h)
         )
-        assert rep.sup_boundary[0] <= 10 * h**2
+        assert study.finest.sup_boundary[0] <= 10 * h**2
 
     def test_perturbed_amplitude_gives_order_one_residual(self, spec_f2, params_f2):
         setup = fixture_setup(params_f2)
@@ -189,8 +185,10 @@ class TestBallResiduals:
         v = ball_field(setup, bubble_field(bad))
         interior = ball_points(setup.Q, 2 * setup.d, 200, seed=29, margin=0.2 * setup.d)
         boundary = sphere_points(setup.Q, 2 * setup.d, 100, seed=31)
-        rep = ball_system_residual(spec_f2, setup, v, interior, boundary, 1e-3 * setup.d)
-        assert rep.sup_interior[0] > 1e-3
+        study = ball_system_residual(
+            spec_f2, setup, v, interior, boundary, study_steps(1e-3 * setup.d)
+        )
+        assert study.finest.sup_interior[0] > 1e-3
 
     def test_interior_margin_enforced(self, spec_f1, params_f1):
         setup = fixture_setup(params_f1)
@@ -199,7 +197,19 @@ class TestBallResiduals:
         too_close = setup.Q + np.array([0.0, 0.0, 2 * setup.d - 2.5 * h])
         boundary = sphere_points(setup.Q, 2 * setup.d, 10, seed=37)
         with pytest.raises(StencilOutOfDomain):
-            ball_system_residual(spec_f1, setup, v, too_close[None, :], boundary, h)
+            ball_system_residual(spec_f1, setup, v, too_close[None, :], boundary, study_steps(h))
+
+    def test_margin_is_taken_at_the_largest_step(self, spec_f1, params_f1):
+        # 5h from the sphere: room for a study that ends at h, none for one that starts there
+        setup = fixture_setup(params_f1)
+        v = ball_field(setup, bubble_field(params_f1))
+        h = 1e-2
+        point = (setup.Q + np.array([0.0, 0.0, 2 * setup.d - 5 * h]))[None, :]
+        boundary = sphere_points(setup.Q, 2 * setup.d, 10, seed=37)
+        with pytest.raises(StencilOutOfDomain):
+            ball_system_residual(spec_f1, setup, v, point, boundary, study_steps(h))
+        study = ball_system_residual(spec_f1, setup, v, point, boundary, [h, h / 2, h / 4])
+        assert study.finest.h == h / 4
 
 
 class TestRecovery:
