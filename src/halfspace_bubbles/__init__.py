@@ -40,7 +40,6 @@ from .fd_verifier import (
     central_laplacian,
     convergence_order,
     one_sided_derivative,
-    residual_study,
     residual_sweep,
 )
 from .kelvin_inversion import (

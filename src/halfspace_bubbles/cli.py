@@ -30,7 +30,12 @@ from . import fd_verifier as fd
 from . import kelvin_inversion as ki
 from . import radial_ode as ro
 from . import reporting, sampling
-from .errors import HalfspaceBubblesError, MalformedSpec, SingularPoint, StencilOutOfDomain
+from .errors import (
+    HalfspaceBubblesError,
+    MalformedSpec,
+    SingularPoint,
+    StencilOutOfDomain,
+)
 from .exponent_system import load_spec, validate_spec
 
 DEFAULT_SEED = 20240901

@@ -192,6 +192,15 @@ def _residual_levels(
     return res_int, res_bdy
 
 
+def _check_halfspace_headroom(interior: np.ndarray, h: float) -> None:
+    """Central stencils of step ``h`` stay in the half-space: every y_N >= h."""
+    if len(interior) and np.min(interior[:, -1]) - h < 0:
+        raise StencilOutOfDomain(
+            f"interior points need last coordinate >= h={h}; "
+            f"got minimum {np.min(interior[:, -1])}"
+        )
+
+
 def residuals_at_points(
     spec: EllipticSystemSpec,
     u,
@@ -202,11 +211,7 @@ def residuals_at_points(
     """Per-point half-space residuals at one step (interior (k, m), boundary (kb, m))."""
     interior_points = np.atleast_2d(np.asarray(interior_points, dtype=float))
     boundary_points = np.atleast_2d(np.asarray(boundary_points, dtype=float))
-    if len(interior_points) and np.min(interior_points[:, -1]) - h < 0:
-        raise StencilOutOfDomain(
-            f"interior points need last coordinate >= h={h}; "
-            f"got minimum {np.min(interior_points[:, -1])}"
-        )
+    _check_halfspace_headroom(interior_points, h)
     res_int, res_bdy = _residual_levels(spec, u, interior_points, boundary_points, [h])
     return res_int[0], res_bdy[0]
 
@@ -298,13 +303,16 @@ def residual_study(
 
     Every step runs in one pass over the points, so each center and its
     source term are evaluated once.  ``normals`` and ``kappa`` set the
-    boundary law (default: the half-space's); the caller keeps every
-    stencil in its domain.  Components whose residuals sit at the rounding
-    floor are flagged degenerate instead of fitted.
+    boundary law.  On the default, the half-space, every interior point
+    must keep y_N >= the largest step; with other normals the caller
+    keeps every stencil in its domain.  Components whose residuals sit at
+    the rounding floor are flagged degenerate instead of fitted.
     """
     h_list = np.asarray(h_list, dtype=float)
     if h_list.size < 3 or np.any(np.diff(h_list) >= 0):
         raise ValueError("h_list must be strictly decreasing with at least 3 entries")
+    if normals is None:
+        _check_halfspace_headroom(interior, float(h_list[0]))
     levels = _residual_levels(spec, u, interior, boundary, h_list, normals, kappa)
     reports = [
         ResidualReport.from_residuals(res_int, res_bdy, interior, boundary, h)

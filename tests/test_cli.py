@@ -128,6 +128,8 @@ def input_files(tmp_path, spec_file, params_file):
         ("verify --spec {spec} --sigma=-1", "usage", False),
         ("verify --spec {spec} --h=nan", "usage", False),
         ("verify --spec {spec} --box=-1,1,-1,1,0,nan", "malformed_spec", False),
+        # a box whose top lies below the largest step of the residual study
+        ("verify --spec {spec} --box=-2,2,-2,2,0,0.01 --h=0.01", "stencil_out_of_domain", False),
         ("ball --spec {spec} --h=-inf", "usage", False),
         ("moving-spheres --spec {spec} --lambda-lo=nan", "usage", False),
         ("moving-spheres --spec {spec} --lambda-hi=0", "usage", False),

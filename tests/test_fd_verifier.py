@@ -188,6 +188,13 @@ class TestConvergenceBookkeeping:
         with pytest.raises(ValueError):
             convergence_order(spec_f1, params_f1, BOX3, np.array([2e-3, 1e-3]))
 
+    def test_box_below_the_largest_step_is_out_of_domain(self, spec_f1, params_f1):
+        # the box tops out at y_N = 0.01 < 4h, so the lattice cannot keep the
+        # largest step's stencil above the boundary hyperplane
+        flat_box = np.array([[-2.0, 2.0], [-2.0, 2.0], [0.0, 0.01]])
+        with pytest.raises(StencilOutOfDomain):
+            convergence_order(spec_f1, params_f1, flat_box, np.array([0.04, 0.02, 0.01]))
+
 
 def _study_box(N):
     box = np.tile([-2.0, 2.0], (N, 1))
