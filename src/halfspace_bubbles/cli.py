@@ -303,7 +303,7 @@ def cmd_ball(args) -> int:
     N = spec.N
     seed = args.seed
 
-    n_samples = args.grid**2 if args.grid > 32 else 10000
+    n_samples = max(args.grid**2, 10000)
     box = np.tile([-5.0 * d, 5.0 * d], (N, 1))
     box[-1] = [1e-6 * d, 5.0 * d]
     samples = sampling.halfspace_box_points(box, n_samples, seed)
@@ -500,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("ball", cmd_ball, "conformal transport checks and parameter recovery",
                 params=True, seed=True)
-    p.add_argument("--grid", type=_int_at_least(1), default=100, help="sqrt of sample count")
+    p.add_argument("--grid", type=_int_at_least(1), default=100,
+                   help="sqrt of sample count, at least 10,000")
     p.add_argument("--h", type=_positive_float, help="finite-difference step")
 
     command("radial", cmd_radial, "Robin shooting, its profile against the closed form",

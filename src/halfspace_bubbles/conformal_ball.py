@@ -160,11 +160,12 @@ def verify_T_properties(
     # (iii) critical spheres map into hyperplanes through Q
     plane_max: dict = {}
     mirror_max: dict = {}
+    dirs = unit_directions(setup.N, n_sphere, seed, upper=True)
+    inside = ball_points(Q, 2 * d, n_sphere, seed + 1, margin=1e-3 * d)
     for x in boundary_xs:
         x = np.asarray(x, dtype=float)
         lam = critical_radius(d**2, setup.xbar, x)
         normal = (x - P) / np.linalg.norm(x - P)
-        dirs = unit_directions(setup.N, n_sphere, seed, upper=True)
         z = x + lam * dirs
         tz = kelvin_point(T, z)
         plane_dist = np.abs((tz - Q) @ normal)
@@ -172,10 +173,9 @@ def verify_T_properties(
         plane_max[key] = float(np.max(plane_dist) / d)
 
         # (iv) mirror pairs across the hyperplane
-        zin = ball_points(Q, 2 * d, n_sphere, seed + 1, margin=1e-3 * d)
-        zmir = zin - 2 * ((zin - Q) @ normal)[:, None] * normal
+        zmir = inside - 2 * ((inside - Q) @ normal)[:, None] * normal
         keep = np.linalg.norm(zmir - P, axis=1) > 1e-9 * d
-        zin, zmir = zin[keep], zmir[keep]
+        zin, zmir = inside[keep], zmir[keep]
         lhs = kelvin_point(T, zmir)
         rhs = kelvin_point(SphereInversion(x, lam), kelvin_point(T, zin))
         rel = np.linalg.norm(lhs - rhs, axis=1) / (np.linalg.norm(lhs - x, axis=1) + lam)

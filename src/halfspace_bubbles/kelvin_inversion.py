@@ -110,16 +110,21 @@ def difference_w(
 
 @dataclass
 class CenteredSamples:
-    """A sample set with its distances from a center x and the field values on it.
+    """A sample set about a center x, held in order of distance from x.
 
-    Built once per sample set by :func:`center_samples`, so every radius
-    of a sweep evaluates the field only at its inverted points.
+    Built once per sample set by :func:`center_samples`, with the offsets
+    and squared distances every inversion about x needs.  The samples at
+    distance >= a radius are then a suffix of the sorted arrays, and each
+    radius of a sweep evaluates the field only at their inverted points.
     """
 
     x: np.ndarray
-    points: np.ndarray  # (k, N)
-    dist: np.ndarray  # (k,), |points - x|
-    values: np.ndarray  # (k, m), u(points)
+    points: np.ndarray  # (k, N), in the caller's order
+    order: np.ndarray  # (k,), caller's index of each sample in distance order
+    dist: np.ndarray  # (k,), |points - x|, ascending
+    values: np.ndarray  # (k, m), u at the samples, in distance order
+    dy: np.ndarray  # (k, N), samples - x, in distance order
+    n2: np.ndarray  # (k,), dist**2
 
 
 def center_samples(u, x: np.ndarray, sample_set: np.ndarray) -> CenteredSamples:
@@ -127,7 +132,10 @@ def center_samples(u, x: np.ndarray, sample_set: np.ndarray) -> CenteredSamples:
     x = np.asarray(x, dtype=float)
     points = np.atleast_2d(np.asarray(sample_set, dtype=float))
     dist = np.sqrt(squared_distance(points, x))
-    return CenteredSamples(x, points, dist, np.asarray(u(points), dtype=float))
+    order = np.argsort(dist, kind="stable")
+    dist = dist[order]
+    values = np.asarray(u(points), dtype=float)[order]
+    return CenteredSamples(x, points, order, dist, values, points[order] - x, dist**2)
 
 
 def _centered(u, x: np.ndarray, sample_set) -> CenteredSamples:
@@ -139,15 +147,33 @@ def _centered(u, x: np.ndarray, sample_set) -> CenteredSamples:
     return center_samples(u, x, sample_set)
 
 
+def _w_outside(u, samples: CenteredSamples, lam: float) -> tuple[np.ndarray, int]:
+    """w about (samples.x, lam) at the samples with |y - x| >= lam, in distance order.
+
+    Returns w (k', m) and the sorted index of the first of those samples.
+    The arithmetic is that of :func:`difference_w`, so w is the same to the bit.
+    """
+    if lam <= 0:
+        raise ValueError("inversion radius must be positive")
+    first = int(np.searchsorted(samples.dist, lam))
+    if np.any(samples.dist[first : first + 1] < SINGULAR_DISTANCE):
+        raise SingularPoint("evaluation point coincides with the inversion center")
+    n2 = samples.n2[first:]
+    inner = samples.x + lam**2 * samples.dy[first:] / n2[:, None]
+    factor = (lam**2 / n2) ** (0.5 * (samples.x.size - 2))
+    return samples.values[first:] - np.asarray(u(inner), dtype=float) * factor[:, None], first
+
+
 def min_w(u, samples: CenteredSamples, lam: float):
     """Per-component min of w about (samples.x, lam) over the samples at distance >= lam.
 
-    Returns the minima (m,) and the samples attaining them (m, N).
+    Returns the minima (m,) and the samples attaining them (m, N).  Of
+    tied samples the first in the caller's order is reported.
     """
-    keep = samples.dist >= lam
-    outside = samples.points[keep]
-    w = difference_w(u, SphereInversion(samples.x, lam), outside, u_y=samples.values[keep])
-    return w.min(axis=0), outside[np.argmin(w, axis=0)]
+    w, first = _w_outside(u, samples, lam)
+    mins = w.min(axis=0)
+    tied = np.where(w == mins, samples.order[first:, None], len(samples.order))
+    return mins, samples.points[tied.min(axis=0)]
 
 
 def critical_radius(d2: float, xbar: np.ndarray, x: np.ndarray) -> float:
@@ -248,7 +274,7 @@ def sweep_moving_spheres(
     lo, hi = float(grid[k - 1]), float(grid[k])
     while (hi - lo) > BISECT_RELATIVE_WIDTH * hi:
         mid = 0.5 * (lo + hi)
-        if float(min_w(u, samples, mid)[0].min()) < 0.0:
+        if _w_outside(u, samples, mid)[0].min() < 0.0:
             hi = mid
         else:
             lo = mid
@@ -270,5 +296,6 @@ def verify_symmetry_identity(
     if np.min(samples.dist) < 1e-6:
         raise ValueError("samples must keep distance >= 1e-6 from the center")
     lam = critical_lambda_exact(params, x)
-    w = difference_w(u, SphereInversion(x, lam), samples.points, u_y=samples.values)
+    points = samples.points[samples.order]
+    w = difference_w(u, SphereInversion(x, lam), points, u_y=samples.values)
     return np.max(np.abs(w) / samples.values, axis=0)

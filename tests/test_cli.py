@@ -196,6 +196,16 @@ def test_seed_zero_is_a_seed(spec_file, params_file, tmp_path):
     assert json.loads(out.read_text())["seed"] == 0
 
 
+@pytest.mark.parametrize("grid, n_samples", [(33, 10000), (101, 10201)])
+def test_ball_grid_is_the_sqrt_of_at_least_ten_thousand_samples(
+    grid, n_samples, spec_file, params_file, tmp_path
+):
+    out = tmp_path / "ball.json"
+    assert run("ball", "--spec", spec_file, "--params", params_file, "--grid", grid,
+               "--out", out) == 0
+    assert json.loads(out.read_text())["t_properties"]["n_samples"] == n_samples
+
+
 def test_one_parser_serves_every_call(spec_file, params_file, tmp_path):
     from halfspace_bubbles.cli import build_parser
 
@@ -356,21 +366,32 @@ class TestEachValueOnce:
     ):
         from halfspace_bubbles import bubble_family, kelvin_inversion
 
-        evaluated, differenced = [], []
+        evaluated, inverted = [], []
         recording(monkeypatch, bubble_family, "evaluate_bubble", evaluated,
                   lambda a, kw: len(a[1]))
         recording(monkeypatch, kelvin_inversion, "evaluate_bubble", evaluated,
                   lambda a, kw: len(a[1]))
-        recording(monkeypatch, kelvin_inversion, "difference_w", differenced,
-                  lambda a, kw: len(a[2]))
+        recording(monkeypatch, kelvin_inversion, "_w_outside", inverted,
+                  lambda a, kw: (a[1].dist, a[2]))
         out = tmp_path / "sweep.json"
         assert run("moving-spheres", "--spec", spec_file, "--params", params_file,
                    "--x", "3,4", "--out", out) == 0
-        n_samples = json.loads(out.read_text())["n_samples"]
-        # the full sample set once, then only the inverted points of each radius,
-        # bisection midpoint, symmetry check and 0.9/1.1 check
-        assert evaluated == [n_samples] + differenced
-        assert len(differenced) > 33
+        report = json.loads(out.read_text())
+        n_samples, lam = report["n_samples"], report["lambda_exact"]
+        dist = inverted[0][0]
+        # the sweep radii and bisection midpoints, then 0.9 and 1.1 of the critical radius
+        *swept, below, above = [radius for _, radius in inverted]
+        assert (below, above) == (0.9 * lam, 1.1 * lam)
+        assert len(swept) > 33
+
+        def outside(radius):
+            return int(np.count_nonzero(dist >= radius))
+
+        # the full sample set once; then at each radius u at the inverted points of
+        # the samples at distance >= it; the symmetry check inverts every sample
+        assert evaluated == ([n_samples] + [outside(r) for r in swept] + [n_samples]
+                             + [outside(below), outside(above)])
+        assert outside(swept[-1]) < n_samples
 
     def test_ball_study_evaluates_each_center_once(
         self, spec_file, params_file, tmp_path, monkeypatch

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halfspace_bubbles.bubble_family import (
@@ -8,6 +8,7 @@ from halfspace_bubbles.bubble_family import (
     bubble_field,
     evaluate_bubble,
     make_bubble_params,
+    squared_distance,
 )
 from halfspace_bubbles.errors import BadBracket, SingularPoint
 from halfspace_bubbles.fd_verifier import convergence_order
@@ -18,6 +19,7 @@ from halfspace_bubbles.kelvin_inversion import (
     difference_w,
     kelvin_point,
     kelvin_transform_u,
+    min_w,
     sweep_moving_spheres,
     verify_symmetry_identity,
 )
@@ -226,6 +228,42 @@ def test_sweep_radius_is_scale_and_translation_covariant(name, log_s, shift, x_t
     samples = sweep_samples(x_moved, 0.3 * lam, lam)
     sweep = sweep_moving_spheres(spec, bubble_field(moved), x_moved, samples, 0.3 * lam, 3.0 * lam)
     assert sweep.lambda_critical_numeric == pytest.approx(lam, rel=1e-6)
+
+
+def reference_min_w(u, samples, lam):
+    """min w and its argmin over the samples at |y - x| >= lam, masked in the caller's order."""
+    x, points = samples.x, samples.points
+    outside = points[np.sqrt(squared_distance(points, x)) >= lam]
+    w = difference_w(u, SphereInversion(x, lam), outside)
+    return w.min(axis=0), outside[np.argmin(w, axis=0)]
+
+
+@settings(max_examples=40)
+@given(name=st.sampled_from(FIXTURE_NAMES), at_origin=st.booleans(), x_tang=tangential,
+       ratios=st.lists(st.floats(0.3, 3.0), min_size=1, max_size=4),
+       seed=st.integers(0, 2**16))
+@example(name="f1", at_origin=True, x_tang=[0.0] * 3,
+         ratios=np.geomspace(0.3, 3.0, 33).tolist(), seed=2)
+def test_min_w_matches_the_mask_and_gather_reference(name, at_origin, x_tang, ratios, seed):
+    # f1 about x = 0 is radial about x, so the samples of a shell tie in w; at
+    # the critical radius w is rounding noise and ties everywhere; repeated
+    # samples tie exactly.  Each tie reports the first tied sample in the
+    # caller's order, whatever order the samples are inverted in.
+    spec = fixture_spec(name)
+    params = make_bubble_params(spec, sigma=1.0)
+    x = np.zeros(spec.N) if at_origin else np.append(x_tang[: spec.N - 1], 0.0)
+    lam = critical_lambda_exact(params, x)
+    points = sweep_samples(x, 0.3 * lam, lam, n_radii=12, n_dirs=24, seed=seed)
+    points = np.random.default_rng(seed).permutation(
+        np.concatenate([points, points[: len(points) // 3]])
+    )
+    u = bubble_field(params)
+    samples = center_samples(u, x, points)
+    for radius in [lam] + [r * lam for r in ratios]:
+        mins, argmins = min_w(u, samples, radius)
+        ref_mins, ref_argmins = reference_min_w(u, samples, radius)
+        assert np.array_equal(mins, ref_mins)
+        assert np.array_equal(argmins, ref_argmins)
 
 
 class TestSymmetryIdentity:
