@@ -118,8 +118,12 @@ def exponent_product(exponents: np.ndarray, log_values: np.ndarray) -> np.ndarra
 
 
 def log_profile(log_amps: np.ndarray, q: np.ndarray, N: int) -> np.ndarray:
-    """log of amps[i] * q**(-(N-2)/2), the bubble profile in log space; (..., m)."""
-    return log_amps - 0.5 * (N - 2) * np.log(q)[..., None]
+    """log of amps[i] * q**(-(N-2)/2), the bubble profile in log space; (..., m).
+
+    The result is the (..., m) view of component-major (m, ...) memory.
+    """
+    log_amps = np.reshape(log_amps, (-1,) + (1,) * np.ndim(q))
+    return np.moveaxis(log_amps - 0.5 * (N - 2) * np.log(q), 0, -1)
 
 
 def squared_distance(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -248,7 +252,8 @@ def evaluate_bubble(params: BubbleParams, y: np.ndarray) -> np.ndarray:
     defined on all of R^N; callers are responsible for staying in the
     closed half-space where the solution property is claimed.
     """
-    return np.exp(_log_values(params, np.asarray(y, dtype=float)))
+    log_u = _log_values(params, np.asarray(y, dtype=float))
+    return np.exp(log_u, out=log_u)
 
 
 def evaluate_bubble_derivatives(
@@ -264,11 +269,9 @@ def evaluate_bubble_derivatives(
     dy = y - params.y0
     q = params.sigma**2 + squared_distance(y, params.y0)
     logb = np.log(params.betas)
-    grad_factor = (N - 2) * np.exp(logb - 0.5 * N * np.log(q)[..., None])
+    grad_factor = (N - 2) * np.exp(log_profile(logb, q, N + 2))
     gradients = -grad_factor[..., :, None] * dy[..., None, :]
-    laplacians = -N * (N - 2) * params.sigma**2 * np.exp(
-        logb - 0.5 * (N + 2) * np.log(q)[..., None]
-    )
+    laplacians = -N * (N - 2) * params.sigma**2 * np.exp(log_profile(logb, q, N + 4))
     return gradients, laplacians
 
 

@@ -10,6 +10,15 @@ Nothing here solves a PDE; fields are only checked.
 Field evaluators map point batches (k, N) to component values (k, m) and
 must be pure; residual collection is a plain max-reduction, so reports do
 not depend on evaluation order.
+
+Layout: (k, m) arrays of component values are stored component-major, as
+views of (m, k) memory (bubble values come so from ``log_profile``);
+stencils are neighbour-major, (2N, k, N) and (2, k, N), and residuals are
+allocated as (n_h, m, k).  So kernels and reductions run over contiguous
+points, not over the m <= 3 components.  The 2N neighbour values are added
+explicitly, left to right: numpy's reduce picks its order from the array's
+size and layout, and this one keeps a component's result independent of
+the block size and of the other components evaluated with it.
 """
 
 from __future__ import annotations
@@ -132,12 +141,15 @@ def central_laplacian(u, points: np.ndarray, h: float, center: np.ndarray) -> np
     Laplacians, (k, m).  The caller keeps the stencil in the domain.
     """
     k, N = points.shape
-    stencil = np.tile(points[:, None, :], (1, 2 * N, 1))
+    stencil = np.broadcast_to(points, (2 * N, k, N)).copy()
     for a in range(N):
-        stencil[:, 2 * a, a] += h
-        stencil[:, 2 * a + 1, a] -= h
-    vals = _values(u, stencil.reshape(-1, N)).reshape(k, 2 * N, -1)
-    return (vals.sum(axis=1) - 2 * N * center) / h**2
+        stencil[2 * a, :, a] += h
+        stencil[2 * a + 1, :, a] -= h
+    vals = _values(u, stencil.reshape(-1, N)).reshape(2 * N, k, -1)
+    total = vals[0] + vals[1]
+    for neighbour in vals[2:]:
+        total += neighbour
+    return (total - 2 * N * center) / h**2
 
 
 def one_sided_derivative(
@@ -150,9 +162,9 @@ def one_sided_derivative(
     derivatives, (k, m).
     """
     k, N = points.shape
-    stencil = np.stack([points + h * directions, points + 2 * h * directions], axis=1)
-    vals = _values(u, stencil.reshape(-1, N)).reshape(k, 2, -1)
-    return (-3 * center + 4 * vals[:, 0, :] - vals[:, 1, :]) / (2 * h)
+    stencil = np.stack([points + h * directions, points + 2 * h * directions])
+    vals = _values(u, stencil.reshape(-1, N)).reshape(2, k, -1)
+    return (-3 * center + 4 * vals[0] - vals[1]) / (2 * h)
 
 
 def _residual_levels(
@@ -171,8 +183,8 @@ def _residual_levels(
     if normals is None:
         normals = np.eye(boundary.shape[1])[-1]
     normals = np.broadcast_to(normals, boundary.shape)
-    res_int = np.empty((len(h_list), len(interior), spec.m))
-    res_bdy = np.empty((len(h_list), len(boundary), spec.m))
+    res_int = np.empty((len(h_list), spec.m, len(interior))).transpose(0, 2, 1)
+    res_bdy = np.empty((len(h_list), spec.m, len(boundary))).transpose(0, 2, 1)
     for start in range(0, len(interior), BLOCK_CENTERS):
         block = slice(start, start + BLOCK_CENTERS)
         pts = interior[block]

@@ -7,6 +7,7 @@ from halfspace_bubbles import EllipticSystemSpec, fd_verifier, make_bubble_param
 from halfspace_bubbles.bubble_family import (
     BubbleParams,
     bubble_field,
+    evaluate_bubble,
     evaluate_bubble_derivatives,
 )
 from halfspace_bubbles.errors import StencilOutOfDomain
@@ -82,6 +83,34 @@ class TestStencils:
         assert normal_derivative_at(g, np.zeros(3), h=0.1) == pytest.approx(0.0, abs=1e-13)
         k = lambda pts: 3 * pts[:, -1] ** 2 - 2 * pts[:, -1] + 1
         assert normal_derivative_at(k, np.zeros(3), h=0.1) == pytest.approx(-2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    def test_component_does_not_depend_on_the_components_beside_it(self, N):
+        # the neighbour sum runs in one order for every m: a lone bubble and
+        # the same bubble twice over give the same bits
+        y0 = np.linspace(-0.5, 0.5, N)
+        one = BubbleParams(sigma=0.8, betas=[1.3], y0=y0)
+        two = BubbleParams(sigma=0.8, betas=[1.3, 1.3], y0=y0)
+        pts = np.random.default_rng(5).uniform(0.1, 2.0, size=(200, N))
+        lap_one = central_laplacian(bubble_field(one), pts, 1e-3, evaluate_bubble(one, pts))
+        lap_two = central_laplacian(bubble_field(two), pts, 1e-3, evaluate_bubble(two, pts))
+        np.testing.assert_array_equal(lap_two[:, 0], lap_one[:, 0])
+        np.testing.assert_array_equal(lap_two[:, 1], lap_one[:, 0])
+
+    def test_values_and_residuals_are_component_major(self, spec_f3, params_f3):
+        # public shapes are (k, m); the memory behind them is (m, k)
+        u = bubble_field(params_f3)
+        pts = np.random.default_rng(6).uniform(0.1, 2.0, size=(50, 4))
+        center = evaluate_bubble(params_f3, pts)
+        assert center.shape == (50, 2) and center.T.flags.c_contiguous
+        assert central_laplacian(u, pts, 1e-3, center).T.flags.c_contiguous
+        assert one_sided_derivative(u, pts, np.eye(4)[-1], 1e-3, center).T.flags.c_contiguous
+        res_int, res_bdy = fd_verifier._residual_levels(
+            spec_f3, u, pts, pts * [1, 1, 1, 0], [4e-3, 2e-3, 1e-3]
+        )
+        assert res_int.shape == res_bdy.shape == (3, 50, 2)
+        assert res_int.transpose(0, 2, 1).flags.c_contiguous
+        assert res_bdy.transpose(0, 2, 1).flags.c_contiguous
 
     def test_bubble_laplacian_slope(self, params_f2):
         y = np.array([0.5, -0.3, 0.8])
@@ -202,12 +231,16 @@ def _study_box(N):
     return box
 
 
+# One component with 2N = 8 neighbours: the critical N = 4 system.
+SPEC_N4_M1 = EllipticSystemSpec(N=4, m=1, A=[[3.0]], B=[[2.0]], c=[-1.0])
+
+
 class TestBlockedDriver:
-    @pytest.mark.parametrize("name, n_per_axis", [("f2", 9), ("f3", 5)])
+    @pytest.mark.parametrize("name, n_per_axis", [("f2", 9), ("f3", 5), ("n4m1", 5)])
     def test_block_size_leaves_every_result_unchanged(self, name, n_per_axis, monkeypatch):
         # 9^3 = 729 and 5^4 = 625 interior centers, 81 and 125 boundary ones:
         # none a multiple of 7, so the last block of each is partial
-        spec = fixture_spec(name)
+        spec = SPEC_N4_M1 if name == "n4m1" else fixture_spec(name)
         u = bubble_field(make_bubble_params(spec, 1.0))
         box = _study_box(spec.N)
         h_list = np.array([4e-3, 2e-3, 1e-3])
