@@ -36,6 +36,7 @@ __all__ = [
     "interior_residual_relative",
     "boundary_residual_relative",
     "bubble_field",
+    "field_values",
     "exponent_product",
     "log_profile",
     "squared_distance",
@@ -129,6 +130,7 @@ def log_profile(log_amps: np.ndarray, q: np.ndarray, N: int) -> np.ndarray:
 def squared_distance(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
     """|pts - c|^2 over the last axis, (...,), adding the squares axis by axis in order.
 
+    ``c`` is one point (N,) or a batch that broadcasts against ``pts``.
     For a batch (..., k, N) with N < 8 this is bit for bit
     ``np.sum((pts - c)**2, axis=-1)`` (numpy sums a short inner axis
     sequentially) and its square root is ``np.linalg.norm(pts - c, axis=-1)``,
@@ -137,9 +139,9 @@ def squared_distance(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
     """
     pts = np.asarray(pts, dtype=float)
     c = np.asarray(c, dtype=float)
-    total = (pts[..., 0] - c[0]) ** 2
+    total = (pts[..., 0] - c[..., 0]) ** 2
     for a in range(1, pts.shape[-1]):
-        total += (pts[..., a] - c[a]) ** 2
+        total += (pts[..., a] - c[..., a]) ** 2
     return total
 
 
@@ -316,6 +318,11 @@ def bubble_field(params: BubbleParams):
         return evaluate_bubble(params, points)
 
     return field
+
+
+def field_values(u, points: np.ndarray) -> np.ndarray:
+    """Values of the field ``u`` at points (k, N) as (k, m); a scalar field's (k,) is m = 1."""
+    return np.asarray(u(points), dtype=float).reshape(points.shape[0], -1)
 
 
 def load_params(path: str | Path) -> BubbleParams:

@@ -20,14 +20,15 @@ v, and recovers the radial closed-form parameters (mu, alphas).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .bubble_family import BubbleParams, log_profile
+from .bubble_family import BubbleParams, field_values, log_profile, squared_distance
 from .errors import NoRealRoot, StencilOutOfDomain
 from .exponent_system import EllipticSystemSpec
 from .fd_verifier import ConvergenceReport, residual_study
-from .kelvin_inversion import SphereInversion, critical_radius, kelvin_point, kelvin_transform_u
+from .kelvin_inversion import SphereInversion, _kelvin, critical_radius, kelvin_point
 from .sampling import ball_points, unit_directions
 
 __all__ = [
@@ -140,22 +141,22 @@ def verify_T_properties(
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     d, P, Q, T = setup.d, setup.P, setup.Q, setup.T
-    if np.min(np.linalg.norm(samples - P, axis=1)) < 1e-8:
+    dist_P = np.sqrt(squared_distance(samples, P))
+    if np.min(dist_P) < 1e-8:
         raise ValueError("samples must keep distance >= 1e-8 from the pole P")
 
     # (i) involution
     img = kelvin_point(T, samples)
     back = kelvin_point(T, img)
-    inv_rel = np.linalg.norm(back - samples, axis=1) / (np.linalg.norm(samples - P, axis=1) + d)
-    involution_max = float(np.max(inv_rel))
+    involution_max = float(np.max(np.sqrt(squared_distance(back, samples)) / (dist_P + d)))
 
     # (ii) containment and boundary pushforward
-    ratio = np.linalg.norm(img - Q, axis=1) / (2 * d)
+    ratio = np.sqrt(squared_distance(img, Q)) / (2 * d)
     bpts = samples.copy()
     bpts[:, -1] = 0.0
     bimg = kelvin_point(T, bpts)
-    sphere_rel = np.abs(np.linalg.norm(bimg - Q, axis=1) - 2 * d) / (2 * d)
-    min_dist_P = float(np.min(np.linalg.norm(bimg - P, axis=1)))
+    sphere_rel = np.abs(np.sqrt(squared_distance(bimg, Q)) - 2 * d) / (2 * d)
+    min_dist_P = float(np.min(np.sqrt(squared_distance(bimg, P))))
 
     # (iii) critical spheres map into hyperplanes through Q
     plane_max: dict = {}
@@ -174,11 +175,11 @@ def verify_T_properties(
 
         # (iv) mirror pairs across the hyperplane
         zmir = inside - 2 * ((inside - Q) @ normal)[:, None] * normal
-        keep = np.linalg.norm(zmir - P, axis=1) > 1e-9 * d
+        keep = np.sqrt(squared_distance(zmir, P)) > 1e-9 * d
         zin, zmir = inside[keep], zmir[keep]
         lhs = kelvin_point(T, zmir)
         rhs = kelvin_point(SphereInversion(x, lam), kelvin_point(T, zin))
-        rel = np.linalg.norm(lhs - rhs, axis=1) / (np.linalg.norm(lhs - x, axis=1) + lam)
+        rel = np.sqrt(squared_distance(lhs, rhs)) / (np.sqrt(squared_distance(lhs, x)) + lam)
         mirror_max[key] = float(np.max(rel))
 
     return TPropertyReport(
@@ -196,35 +197,24 @@ def verify_T_properties(
 def transform_v(setup: ConformalSetup, u, z: np.ndarray) -> np.ndarray:
     """Transported field on the closed ball, extended continuously at P.
 
-    Within 1e-9 * d of P the value is the exact limit 2**(2-N) * u(xbar).
+    Within 1e-9 * d of P the value is the exact limit 2**(2-N) * u(xbar), read
+    in the same batch.  Values are point-major, (k, m) in C order.
     """
     z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
     pts = np.atleast_2d(z)
-    near = np.linalg.norm(pts - setup.P, axis=1) <= EXTENSION_RADIUS_FACTOR * setup.d
-    far = ~near
-
-    out = None
-    if np.any(far):
-        vals_far = kelvin_transform_u(u, setup.T, pts[far])
-        out = np.empty((pts.shape[0], vals_far.shape[1]))
-        out[far] = vals_far
-    if np.any(near):
-        ext = 2.0 ** (2 - setup.N) * np.asarray(u(setup.xbar[None, :]), dtype=float)[0]
-        if out is None:
-            out = np.tile(ext, (pts.shape[0], 1))
-        else:
-            out[near] = ext
-    return out[0] if single else out
+    T = setup.T
+    dist = np.sqrt(squared_distance(pts, T.center))
+    far = ~(dist <= EXTENSION_RADIUS_FACTOR * setup.d)
+    images = np.tile(setup.xbar, (len(pts), 1))
+    factors = np.full(len(pts), 2.0 ** (2 - setup.N))
+    images[far], factors[far] = _kelvin(T.center, T.radius, pts[far] - T.center, dist[far] ** 2)
+    out = np.multiply(field_values(u, images), factors[:, None], order="C")
+    return out[0] if z.ndim == 1 else out
 
 
 def ball_field(setup: ConformalSetup, u):
-    """Evaluator closure for the transported field on the closed ball."""
-
-    def field(points: np.ndarray) -> np.ndarray:
-        return transform_v(setup, u, points)
-
-    return field
+    """Evaluator for the transported field on the closed ball."""
+    return partial(transform_v, setup, u)
 
 
 def verify_radial(
@@ -248,8 +238,9 @@ def verify_radial(
         dirs = np.atleast_2d(np.asarray(angular_samples, dtype=float))
     out = np.empty(radii.size)
     for k, r in enumerate(radii):
-        vals = np.asarray(v(setup.Q + r * dirs), dtype=float)
-        mean = vals.mean(axis=0)
+        vals = field_values(v, setup.Q + r * dirs)
+        # the mean's summation order follows the memory layout; fix it to point-major
+        mean = np.ascontiguousarray(vals).mean(axis=0)
         out[k] = float(np.max(np.abs(vals - mean) / mean))
     return out
 
@@ -274,9 +265,9 @@ def ball_system_residual(
     d, Q = setup.d, setup.Q
     h = float(max(h_list))
 
-    if np.any(np.linalg.norm(interior - Q, axis=1) > 2 * d - 3 * h):
+    if np.any(np.sqrt(squared_distance(interior, Q)) > 2 * d - 3 * h):
         raise StencilOutOfDomain("interior samples must stay 3h away from the sphere")
-    if np.any(np.abs(np.linalg.norm(boundary - Q, axis=1) - 2 * d) > 1e-9 * d):
+    if np.any(np.abs(np.sqrt(squared_distance(boundary, Q)) - 2 * d) > 1e-9 * d):
         raise StencilOutOfDomain("boundary samples must lie on the sphere")
 
     normals = -(boundary - Q) / (2 * d)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubble_family import bubble_field, exponent_product
+from .bubble_family import bubble_field, exponent_product, field_values
 from .errors import StencilOutOfDomain
 from .exponent_system import EllipticSystemSpec
 
@@ -128,11 +128,6 @@ class ConvergenceReport:
         }
 
 
-def _values(u, points: np.ndarray) -> np.ndarray:
-    """Field values at points (k, N) as (k, m); scalar fields give m = 1."""
-    return np.asarray(u(points), dtype=float).reshape(points.shape[0], -1)
-
-
 def central_laplacian(u, points: np.ndarray, h: float, center: np.ndarray) -> np.ndarray:
     """Second-order central Laplacian of all components at points (k, N).
 
@@ -145,7 +140,7 @@ def central_laplacian(u, points: np.ndarray, h: float, center: np.ndarray) -> np
     for a in range(N):
         stencil[2 * a, :, a] += h
         stencil[2 * a + 1, :, a] -= h
-    vals = _values(u, stencil.reshape(-1, N)).reshape(2 * N, k, -1)
+    vals = field_values(u, stencil.reshape(-1, N)).reshape(2 * N, k, -1)
     total = vals[0] + vals[1]
     for neighbour in vals[2:]:
         total += neighbour
@@ -163,7 +158,7 @@ def one_sided_derivative(
     """
     k, N = points.shape
     stencil = np.stack([points + h * directions, points + 2 * h * directions])
-    vals = _values(u, stencil.reshape(-1, N)).reshape(2, k, -1)
+    vals = field_values(u, stencil.reshape(-1, N)).reshape(2, k, -1)
     return (-3 * center + 4 * vals[0] - vals[1]) / (2 * h)
 
 
@@ -188,14 +183,14 @@ def _residual_levels(
     for start in range(0, len(interior), BLOCK_CENTERS):
         block = slice(start, start + BLOCK_CENTERS)
         pts = interior[block]
-        center = _values(u, pts)
+        center = field_values(u, pts)
         source = exponent_product(spec.A, np.log(center))
         for i, h in enumerate(h_list):
             res_int[i, block] = central_laplacian(u, pts, h, center) + source
     for start in range(0, len(boundary), BLOCK_CENTERS):
         block = slice(start, start + BLOCK_CENTERS)
         pts = boundary[block]
-        center = _values(u, pts)
+        center = field_values(u, pts)
         flux = spec.c * exponent_product(spec.B, np.log(center))
         robin = kappa * center
         for i, h in enumerate(h_list):

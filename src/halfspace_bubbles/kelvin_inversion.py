@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .bubble_family import BubbleParams, evaluate_bubble, squared_distance
+from .bubble_family import BubbleParams, evaluate_bubble, field_values, squared_distance
 from .errors import BadBracket, SingularPoint
 from .exponent_system import EllipticSystemSpec
 
@@ -63,48 +63,43 @@ class SphereInversion:
             raise ValueError("inversion radius must be positive")
 
 
-def _inverted(inv: SphereInversion, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Image of y and |y - center|^2."""
-    dy = y - inv.center
-    dist = np.sqrt(squared_distance(y, inv.center))
+def _kelvin(center, radius: float, dy: np.ndarray, n2: np.ndarray):
+    """Images center + r^2 dy / n2 and Kelvin factors (r^2 / n2)**((N-2)/2), r = radius.
+
+    ``dy`` (..., N) are offsets from the center and ``n2`` (...) their squared norms.
+    """
+    r2 = radius**2
+    return center + r2 * dy / n2[..., None], (r2 / n2) ** (0.5 * (dy.shape[-1] - 2))
+
+
+def _offsets(center: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y - center and |y - center|^2, for y away from the center."""
+    dist = np.sqrt(squared_distance(y, center))
     if np.any(dist < SINGULAR_DISTANCE):
         raise SingularPoint("evaluation point coincides with the inversion center")
     # the squared norm, not a sum of squares: the transported-field reports,
     # whose finest ball-residual step sits at the rounding floor, rest on it
-    n2 = dist**2
-    return inv.center + inv.radius**2 * dy / n2[..., None], n2
+    return y - center, dist**2
 
 
 def kelvin_point(inv: SphereInversion, y: np.ndarray) -> np.ndarray:
     """Image of y under inversion in the sphere; an involution, fixed on the sphere."""
-    return _inverted(inv, np.asarray(y, dtype=float))[0]
+    return _kelvin(inv.center, inv.radius, *_offsets(inv.center, np.asarray(y, dtype=float)))[0]
 
 
 def kelvin_transform_u(u, inv: SphereInversion, y: np.ndarray) -> np.ndarray:
     """Transformed field values at y (single point (N,) or batch (k, N))."""
     y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    pts = np.atleast_2d(y)
-    N = pts.shape[1]
-    inner, n2 = _inverted(inv, pts)
-    factor = (inv.radius**2 / n2) ** (0.5 * (N - 2))
-    vals = np.asarray(u(inner), dtype=float) * factor[:, None]
-    return vals[0] if single else vals
+    inner, factor = _kelvin(inv.center, inv.radius, *_offsets(inv.center, np.atleast_2d(y)))
+    vals = field_values(u, inner) * factor[:, None]
+    return vals[0] if y.ndim == 1 else vals
 
 
-def difference_w(
-    u, inv: SphereInversion, y: np.ndarray, u_y: np.ndarray | None = None
-) -> np.ndarray:
-    """w = u - (transformed u); zero on the inversion sphere by construction.
-
-    ``u_y`` is u at y when the caller already holds it; u is then evaluated
-    only at the inverted points.
-    """
+def difference_w(u, inv: SphereInversion, y: np.ndarray) -> np.ndarray:
+    """w = u - (transformed u); zero on the inversion sphere by construction."""
     y = np.asarray(y, dtype=float)
     pts = np.atleast_2d(y)
-    if u_y is None:
-        u_y = u(pts)
-    w = np.asarray(u_y, dtype=float) - kelvin_transform_u(u, inv, pts)
+    w = field_values(u, pts) - kelvin_transform_u(u, inv, pts)
     return w[0] if y.ndim == 1 else w
 
 
@@ -134,7 +129,7 @@ def center_samples(u, x: np.ndarray, sample_set: np.ndarray) -> CenteredSamples:
     dist = np.sqrt(squared_distance(points, x))
     order = np.argsort(dist, kind="stable")
     dist = dist[order]
-    values = np.asarray(u(points), dtype=float)[order]
+    values = field_values(u, points)[order]
     return CenteredSamples(x, points, order, dist, values, points[order] - x, dist**2)
 
 
@@ -158,10 +153,8 @@ def _w_outside(u, samples: CenteredSamples, lam: float) -> tuple[np.ndarray, int
     first = int(np.searchsorted(samples.dist, lam))
     if np.any(samples.dist[first : first + 1] < SINGULAR_DISTANCE):
         raise SingularPoint("evaluation point coincides with the inversion center")
-    n2 = samples.n2[first:]
-    inner = samples.x + lam**2 * samples.dy[first:] / n2[:, None]
-    factor = (lam**2 / n2) ** (0.5 * (samples.x.size - 2))
-    return samples.values[first:] - np.asarray(u(inner), dtype=float) * factor[:, None], first
+    inner, factor = _kelvin(samples.x, lam, samples.dy[first:], samples.n2[first:])
+    return samples.values[first:] - field_values(u, inner) * factor[:, None], first
 
 
 def min_w(u, samples: CenteredSamples, lam: float):
@@ -182,7 +175,7 @@ def critical_radius(d2: float, xbar: np.ndarray, x: np.ndarray) -> float:
     ``d2`` is the squared width of a boundary profile centered at ``xbar``;
     the critical sphere passes through xbar -+ d e_N.
     """
-    return float(np.sqrt(d2 + np.sum((np.asarray(x, dtype=float) - xbar) ** 2)))
+    return float(np.sqrt(d2 + squared_distance(x, xbar)))
 
 
 def critical_lambda_exact(params: BubbleParams, x: np.ndarray) -> float:
@@ -295,7 +288,6 @@ def verify_symmetry_identity(
     samples = _centered(u, x, sample_set)
     if np.min(samples.dist) < 1e-6:
         raise ValueError("samples must keep distance >= 1e-6 from the center")
-    lam = critical_lambda_exact(params, x)
-    points = samples.points[samples.order]
-    w = difference_w(u, SphereInversion(x, lam), points, u_y=samples.values)
+    inner, factor = _kelvin(x, critical_lambda_exact(params, x), samples.dy, samples.n2)
+    w = samples.values - field_values(u, inner) * factor[:, None]
     return np.max(np.abs(w) / samples.values, axis=0)

@@ -278,12 +278,14 @@ finite = st.floats(-1e100, 1e100, allow_nan=False)
 
 @given(N=st.integers(1, 7), batch=array_shapes(min_dims=1, max_dims=2, max_side=20), data=st.data())
 def test_squared_distance_is_numpy_sum_bit_for_bit(N, batch, data):
-    # batches (k, N) and (k, s, N); numpy sums an inner axis shorter than 8 in order
+    # batches (k, N) and (k, s, N) against one point and against a batch of
+    # points; numpy sums an inner axis shorter than 8 in order
     pts = data.draw(arrays(np.float64, batch + (N,), elements=finite))
-    c = data.draw(arrays(np.float64, (N,), elements=finite))
-    d2 = squared_distance(pts, c)
-    assert d2.tobytes() == np.sum((pts - c) ** 2, axis=-1).tobytes()
-    assert np.sqrt(d2).tobytes() == np.linalg.norm(pts - c, axis=-1).tobytes()
+    for c in (data.draw(arrays(np.float64, (N,), elements=finite)),
+              data.draw(arrays(np.float64, batch + (N,), elements=finite))):
+        d2 = squared_distance(pts, c)
+        assert d2.tobytes() == np.sum((pts - c) ** 2, axis=-1).tobytes()
+        assert np.sqrt(d2).tobytes() == np.linalg.norm(pts - c, axis=-1).tobytes()
 
 
 def test_boundary_restriction_is_centered_profile(fixture_pair):

@@ -532,6 +532,38 @@ def test_benchmark_tracing_resolves_every_name():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_benchmark_tracing_counts_a_traced_run(tmp_path):
+    # the traced wrappers bind the arguments they count by name, so renaming
+    # one (difference_w's y, transform_v's z) would stop only the traced mode
+    perfbench = Path(__file__).parents[1] / "perfbench"
+    spec = tmp_path / "f1.json"
+    spec.write_text(json.dumps({"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [0.0]}))
+    proc = run_child("-c", """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+tracer = tracing.install()
+from halfspace_bubbles import cli
+spec, out = sys.argv[2], sys.argv[3]
+fit = ["--spec", spec, "--sigma", "1.0"]
+codes = [cli.main(argv + ["--out", f"{out}/{argv[0]}.json"]) for argv in (
+    ["verify", *fit, "--grid", "4", "--n-random", "50", "--csv"],
+    ["moving-spheres", *fit, "--grid", "6", "--n-lambda", "8", "--csv"],
+    ["ball", *fit, "--grid", "1"],
+    ["radial", *fit],
+    ["halfline", "--spec", spec],
+)]
+print(json.dumps({"codes": codes, "counts": tracer.counts}))
+""", str(perfbench), str(spec), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * 5
+    counts = result["counts"]
+    for name in ("bubble_family.evaluate_bubble.points", "conformal_ball.transform_v.points",
+                 "reporting.bytes_written"):
+        assert counts.get(name, 0) > 0, name
+
+
 def test_import_leaves_scipy_unloaded(tmp_path):
     # with every scipy import made to fail, the package and its CLI import
     # and every subcommand, the radial and half-line solves included,

@@ -129,6 +129,17 @@ class TestTransportedField:
         variation = verify_radial(setup, v, radii, angular_samples=128)
         assert variation.max() <= 1e-10
 
+    def test_radial_variation_does_not_depend_on_value_layout(self, params_f3):
+        # transported values are point-major, and the sphere mean is taken over
+        # point-major memory, so the same values in Fortran order give the same bytes
+        setup = fixture_setup(params_f3)
+        v = ball_field(setup, bubble_field(params_f3))
+        radii = np.linspace(0.05, 0.95, 8) * 2 * setup.d
+        assert v(setup.Q + radii[:, None] * np.eye(4)[:1]).flags.c_contiguous
+        expected = verify_radial(setup, v, radii, angular_samples=128)
+        fortran = lambda points: np.asfortranarray(v(points))
+        assert verify_radial(setup, fortran, radii, angular_samples=128).tobytes() == expected.tobytes()
+
     def test_perturbed_center_breaks_radial_symmetry(self, params_f2):
         setup = fixture_setup(params_f2)
         shifted = BubbleParams(

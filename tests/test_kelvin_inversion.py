@@ -104,6 +104,22 @@ class TestKelvinTransform:
         uv = evaluate_bubble(params, pts)
         assert np.max(np.abs(w) / uv) <= 1e-12
 
+    def test_scalar_field_is_one_component(self, params_f2):
+        # a field returning (k,) values has one component, as the stencils read
+        # it, so its transform is the (k, 1) column, not a (k, k) outer product
+        column = bubble_field(params_f2)
+        scalar = lambda points: column(points)[:, 0]
+        x = np.zeros(3)
+        inv = SphereInversion(center=x, radius=1.3)
+        pts = standard_samples(x, 1.3, n_radii=4, n_dirs=4)
+        for transform in (kelvin_transform_u, difference_w):
+            assert transform(scalar, inv, pts).shape == (16, 1)
+            assert np.array_equal(transform(scalar, inv, pts), transform(column, inv, pts))
+        by_column = min_w(column, center_samples(column, x, pts), 1.3)
+        by_scalar = min_w(scalar, center_samples(scalar, x, pts), 1.3)
+        assert np.array_equal(by_scalar[0], by_column[0])
+        assert np.array_equal(by_scalar[1], by_column[1])
+
     def test_transformed_field_satisfies_system_to_second_order(self, spec_f2, params_f2):
         # Discrete residuals of the inverted field fall at the stencil order,
         # witnessing that inversions map solutions to solutions.
@@ -264,6 +280,10 @@ def test_min_w_matches_the_mask_and_gather_reference(name, at_origin, x_tang, ra
         ref_mins, ref_argmins = reference_min_w(u, samples, radius)
         assert np.array_equal(mins, ref_mins)
         assert np.array_equal(argmins, ref_argmins)
+    # the symmetry check inverts the sorted samples from index 0: the same
+    # w as difference_w over the points in the caller's order
+    ref_sup = np.max(np.abs(difference_w(u, SphereInversion(x, lam), points)) / u(points), axis=0)
+    assert verify_symmetry_identity(params, x, samples).tobytes() == ref_sup.tobytes()
 
 
 class TestSymmetryIdentity:
