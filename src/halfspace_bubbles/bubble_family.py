@@ -47,6 +47,10 @@ __all__ = [
 # Exponent matrices are spec-exact but stored as floats.
 RANK_RCOND = 1e-10
 
+# A left-null-space misfit above this times max(1, |rhs|) makes the
+# amplitude system inconsistent.
+TOL_SOLVE = 1e-10
+
 
 @dataclass
 class BubbleParams:
@@ -145,9 +149,7 @@ def squared_distance(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
     return total
 
 
-def solve_betas(
-    spec: EllipticSystemSpec, sigma: float, tol_solve: float = 1e-10
-) -> LogLinearSolveResult:
+def solve_betas(spec: EllipticSystemSpec, sigma: float) -> LogLinearSolveResult:
     """Solve the log-linear amplitude system for the given length scale.
 
     The amplitude condition ``log b_i = sum_j A[i,j] log b_j - log(sigma^2 N (N-2))``
@@ -160,7 +162,7 @@ def solve_betas(
     ------
     NoBubbleParameters
         If the right-hand side has a left-null-space component exceeding
-        ``tol_solve``; no amplitude branch exists in that case.
+        ``TOL_SOLVE``; no amplitude branch exists in that case.
     """
     if not 0 < sigma < np.inf:
         raise ValueError("sigma must be positive and finite")
@@ -179,10 +181,10 @@ def solve_betas(
     null_basis = Vt[rank:].copy()
 
     misfit = float(np.max(np.abs(coeffs[rank:]))) if rank < m else 0.0
-    if misfit > tol_solve * max(1.0, float(np.max(np.abs(rhs)))):
+    if misfit > TOL_SOLVE * max(1.0, float(np.max(np.abs(rhs)))):
         raise NoBubbleParameters(
             f"amplitude system inconsistent: left-null-space misfit {misfit:.3e} "
-            f"exceeds tol_solve={tol_solve:.1e}"
+            f"exceeds tol_solve={TOL_SOLVE:.1e}"
         )
     return LogLinearSolveResult(
         log_betas_particular=particular,
@@ -222,15 +224,13 @@ def make_bubble_params(
     spec: EllipticSystemSpec,
     sigma: float,
     y0_prime: np.ndarray | None = None,
-    kernel_coords: np.ndarray | None = None,
-    tol_param: float = 1e-9,
 ) -> BubbleParams:
-    """Assemble a valid family member for the given scale and tangential center."""
-    solve = solve_betas(spec, sigma)
-    if kernel_coords is None and solve.nullity > 0:
-        kernel_coords = np.zeros(solve.nullity)
-    betas = solve.betas(kernel_coords)
-    y0N, _, _ = compute_y0N(spec, betas, sigma, tol_param=tol_param)
+    """Assemble a valid family member for the given scale and tangential center.
+
+    Of a family of amplitudes (nullity > 0) it takes the minimum-norm log amplitudes.
+    """
+    betas = solve_betas(spec, sigma).betas()
+    y0N, _, _ = compute_y0N(spec, betas, sigma)
     y0 = np.zeros(spec.N)
     if y0_prime is not None:
         y0_prime = np.asarray(y0_prime, dtype=float)

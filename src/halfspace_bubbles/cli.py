@@ -156,7 +156,7 @@ def cmd_validate(args) -> int:
     tol_row = args.tol if args.tol is not None else 1e-9
     report = validate_spec(spec, tol_row=tol_row)
     out = {"command": "validate", "spec": str(args.spec), "tol_row": tol_row}
-    out.update(report.to_dict())
+    out.update(reporting.jsonable(report))
     reporting.write_report(out, args.out)
     return 0 if report.passed else 1
 
@@ -223,8 +223,8 @@ def cmd_verify(args) -> int:
             "interior_max_rel": rel_int,
             "boundary_max_rel": rel_bdy,
         },
-        "fd": conv.finest.to_dict(),
-        "convergence": conv.to_dict(),
+        "fd": conv.finest,
+        "convergence": conv,
     }
     if args.csv:
         # central stencils need headroom above the boundary
@@ -252,14 +252,11 @@ def cmd_moving_spheres(args) -> int:
         n_radii=args.grid,
         n_dirs=4 * args.grid,
         seed=args.seed,
-        upper=True,
     )
     # distances and field values once; each radius evaluates only its inverted points
     samples = ki.center_samples(u, x, shell)
-    sweep = ki.sweep_moving_spheres(
-        spec, u, x, samples, lam_lo, lam_hi, n_lambda=args.n_lambda
-    )
-    symmetry = ki.verify_symmetry_identity(params, x, samples)
+    sweep = ki.sweep_moving_spheres(spec, u, samples, lam_lo, lam_hi, n_lambda=args.n_lambda)
+    symmetry = ki.verify_symmetry_identity(params, samples)
 
     below = float(ki.min_w(u, samples, 0.9 * lam_exact)[0].min())
     above = float(ki.min_w(u, samples, 1.1 * lam_exact)[0].min())
@@ -363,7 +360,7 @@ def cmd_ball(args) -> int:
         "command": "ball",
         "spec": str(args.spec),
         "setup": {"xbar": setup.xbar, "d": d},
-        "t_properties": tprops.to_dict(),
+        "t_properties": tprops,
         "radial_variation": {"radii": radii, "max_rel": variation},
         "residual_slopes": {
             "h_list": study.h_list,
@@ -441,7 +438,8 @@ def cmd_halfline(args) -> int:
         "spec": str(args.spec),
         "u0": u0,
     }
-    report.update(cert.to_dict())
+    report.update(reporting.jsonable(cert))
+    report["n_trace"] = len(cert.trace)
     if args.csv:
         reporting.write_trace_csv(cert.trace, _csv_path(args, "halfline"), spec.m)
     return _finish(report, checks, args)

@@ -47,6 +47,12 @@ __all__ = [
 # value; the limit is exact, no detection needed.
 EXTENSION_RADIUS_FACTOR = 1e-9
 
+# Samples of the mapping checks keep this many widths d away from P.
+POLE_MIN_DISTANCE = 1e-8
+
+# Points per critical sphere and mirror pairs per boundary center in the mapping checks.
+N_SPHERE = 512
+
 
 @dataclass
 class ConformalSetup:
@@ -107,24 +113,11 @@ class TPropertyReport:
     mirror_max_rel: dict
     n_samples: int
 
-    def to_dict(self) -> dict:
-        return {
-            "involution_max_rel": self.involution_max_rel,
-            "containment_max_ratio": self.containment_max_ratio,
-            "containment_strict": self.containment_strict,
-            "boundary_sphere_max_rel": self.boundary_sphere_max_rel,
-            "boundary_min_dist_to_P": self.boundary_min_dist_to_P,
-            "plane_max_rel": self.plane_max_rel,
-            "mirror_max_rel": self.mirror_max_rel,
-            "n_samples": self.n_samples,
-        }
-
 
 def verify_T_properties(
     setup: ConformalSetup,
     boundary_xs: list[np.ndarray],
     samples: np.ndarray,
-    n_sphere: int = 512,
     seed: int = 20240901,
 ) -> TPropertyReport:
     """Measure all four mapping properties of T on the given samples.
@@ -137,13 +130,14 @@ def verify_T_properties(
     (iv)  mirror-symmetric pairs across that hyperplane map to inversion-
           symmetric pairs about the critical sphere.
 
-    Nothing raises here; the report carries the measured violations.
+    The samples must keep 1e-8 d from P; beyond that nothing raises, and
+    the report carries the measured violations.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     d, P, Q, T = setup.d, setup.P, setup.Q, setup.T
     dist_P = np.sqrt(squared_distance(samples, P))
-    if np.min(dist_P) < 1e-8:
-        raise ValueError("samples must keep distance >= 1e-8 from the pole P")
+    if np.min(dist_P) < POLE_MIN_DISTANCE * d:
+        raise ValueError("samples must keep distance >= 1e-8 d from the pole P")
 
     # (i) involution
     img = kelvin_point(T, samples)
@@ -161,8 +155,8 @@ def verify_T_properties(
     # (iii) critical spheres map into hyperplanes through Q
     plane_max: dict = {}
     mirror_max: dict = {}
-    dirs = unit_directions(setup.N, n_sphere, seed, upper=True)
-    inside = ball_points(Q, 2 * d, n_sphere, seed + 1, margin=1e-3 * d)
+    dirs = unit_directions(setup.N, N_SPHERE, seed, upper=True)
+    inside = ball_points(Q, 2 * d, N_SPHERE, seed + 1, margin=1e-3 * d)
     for x in boundary_xs:
         x = np.asarray(x, dtype=float)
         lam = critical_radius(d**2, setup.xbar, x)
@@ -221,21 +215,19 @@ def verify_radial(
     setup: ConformalSetup,
     v,
     radii: np.ndarray,
-    angular_samples: int | np.ndarray = 256,
+    angular_samples: int = 256,
     seed: int = 20240902,
 ) -> np.ndarray:
     """Per-radius max of |v - sphere mean| / mean over component spheres about Q.
 
+    Each sphere is read at the same ``angular_samples`` seeded directions.
     Radial symmetry about Q holds exactly for transported family members;
     any center mismatch shows up as an O(1) variation here.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if np.any(radii >= 2 * setup.d):
         raise ValueError("radii must be below the ball radius 2d")
-    if isinstance(angular_samples, (int, np.integer)):
-        dirs = unit_directions(setup.N, int(angular_samples), seed)
-    else:
-        dirs = np.atleast_2d(np.asarray(angular_samples, dtype=float))
+    dirs = unit_directions(setup.N, angular_samples, seed)
     out = np.empty(radii.size)
     for k, r in enumerate(radii):
         vals = field_values(v, setup.Q + r * dirs)

@@ -112,20 +112,6 @@ class ValidationReport:
     passed: bool
     violations: list[Violation] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "violations": [
-                {
-                    "rule": v.rule,
-                    "index": list(v.index) if isinstance(v.index, tuple) else v.index,
-                    "measured": float(v.measured),
-                    "expected": float(v.expected),
-                }
-                for v in self.violations
-            ],
-        }
-
 
 def ensure_well_formed(spec: EllipticSystemSpec) -> None:
     """Raise :class:`MalformedSpec` on shape or finiteness defects."""

@@ -23,11 +23,11 @@ the block size and of the other components evaluated with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bubble_family import bubble_field, exponent_product, field_values
+from .bubble_family import exponent_product, field_values
 from .errors import StencilOutOfDomain
 from .exponent_system import EllipticSystemSpec
 
@@ -64,17 +64,6 @@ class ResidualReport:
     n_interior: int
     n_boundary: int
 
-    def to_dict(self) -> dict:
-        return {
-            "sup_interior": self.sup_interior.tolist(),
-            "sup_boundary": self.sup_boundary.tolist(),
-            "argmax_interior": self.argmax_interior.tolist(),
-            "argmax_boundary": self.argmax_boundary.tolist(),
-            "h": self.h,
-            "n_interior": self.n_interior,
-            "n_boundary": self.n_boundary,
-        }
-
     @classmethod
     def from_residuals(cls, res_int, res_bdy, interior, boundary, h: float) -> "ResidualReport":
         """Sup-norm summary of per-point residuals at the given points."""
@@ -100,7 +89,7 @@ class ConvergenceReport:
     boundary slopes are kept as diagnostics: one-sided boundary stencils
     superconverge on profiles even in the normal coordinate, which shows
     up there and only there.  ``finest`` is the full report of the last
-    (smallest) step; it is not part of :meth:`to_dict`.
+    (smallest) step; it is left out of the serialized report.
     """
 
     h_list: np.ndarray
@@ -112,20 +101,7 @@ class ConvergenceReport:
     slope_boundary: np.ndarray
     degenerate_interior: np.ndarray
     degenerate_boundary: np.ndarray
-    finest: ResidualReport
-
-    def to_dict(self) -> dict:
-        return {
-            "h_list": self.h_list.tolist(),
-            "sup_interior": self.sup_interior.tolist(),
-            "sup_boundary": self.sup_boundary.tolist(),
-            "slope": self.slope.tolist(),
-            "degenerate": self.degenerate.tolist(),
-            "slope_interior": self.slope_interior.tolist(),
-            "slope_boundary": self.slope_boundary.tolist(),
-            "degenerate_interior": self.degenerate_interior.tolist(),
-            "degenerate_boundary": self.degenerate_boundary.tolist(),
-        }
+    finest: ResidualReport = field(repr=False)
 
 
 def central_laplacian(u, points: np.ndarray, h: float, center: np.ndarray) -> np.ndarray:
@@ -354,10 +330,7 @@ def convergence_order(
     """:func:`residual_study` of a field over the lattices of a half-space box.
 
     The lattice is held fixed across ``h`` (margin pinned to the largest
-    step) so only the stencil changes.  ``u`` may be a field evaluator or
-    :class:`~halfspace_bubbles.bubble_family.BubbleParams`.
+    step) so only the stencil changes.
     """
-    if not callable(u):
-        u = bubble_field(u)
     interior, boundary = _box_lattices(spec, box, n_per_axis, float(max(h_list)))
     return residual_study(spec, u, interior, boundary, h_list)

@@ -42,11 +42,15 @@ __all__ = [
     "verify_symmetry_identity",
 ]
 
-# Points closer to the center than this are treated as the center itself.
-SINGULAR_DISTANCE = 1e-300
-
 # Relative width at which the critical-radius bisection stops.
 BISECT_RELATIVE_WIDTH = 1e-10
+
+# min w below -tol_w at the sweep's first radius, with tol_w this times the
+# largest sampled field value, means the sweep starts past the critical radius.
+SWEEP_TOL_W_RELATIVE = 1e-9
+
+# The symmetry check keeps its samples this many critical radii from x.
+SYMMETRY_MIN_DISTANCE = 1e-6
 
 
 @dataclass
@@ -67,16 +71,18 @@ def _kelvin(center, radius: float, dy: np.ndarray, n2: np.ndarray):
     """Images center + r^2 dy / n2 and Kelvin factors (r^2 / n2)**((N-2)/2), r = radius.
 
     ``dy`` (..., N) are offsets from the center and ``n2`` (...) their squared norms.
+    A squared norm below the smallest normal float (a zero or subnormal one,
+    which would cost the image its digits) is the center itself.
     """
+    if np.any(n2 < np.finfo(float).tiny):
+        raise SingularPoint("evaluation point coincides with the inversion center")
     r2 = radius**2
     return center + r2 * dy / n2[..., None], (r2 / n2) ** (0.5 * (dy.shape[-1] - 2))
 
 
 def _offsets(center: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """y - center and |y - center|^2, for y away from the center."""
+    """y - center and |y - center|^2."""
     dist = np.sqrt(squared_distance(y, center))
-    if np.any(dist < SINGULAR_DISTANCE):
-        raise SingularPoint("evaluation point coincides with the inversion center")
     # the squared norm, not a sum of squares: the transported-field reports,
     # whose finest ball-residual step sits at the rounding floor, rest on it
     return y - center, dist**2
@@ -133,15 +139,6 @@ def center_samples(u, x: np.ndarray, sample_set: np.ndarray) -> CenteredSamples:
     return CenteredSamples(x, points, order, dist, values, points[order] - x, dist**2)
 
 
-def _centered(u, x: np.ndarray, sample_set) -> CenteredSamples:
-    """``sample_set`` as samples about x: reused if already centered, else evaluated."""
-    if isinstance(sample_set, CenteredSamples):
-        if not np.array_equal(sample_set.x, x):
-            raise ValueError("the sample set is centered at another point")
-        return sample_set
-    return center_samples(u, x, sample_set)
-
-
 def _w_outside(u, samples: CenteredSamples, lam: float) -> tuple[np.ndarray, int]:
     """w about (samples.x, lam) at the samples with |y - x| >= lam, in distance order.
 
@@ -151,8 +148,6 @@ def _w_outside(u, samples: CenteredSamples, lam: float) -> tuple[np.ndarray, int
     if lam <= 0:
         raise ValueError("inversion radius must be positive")
     first = int(np.searchsorted(samples.dist, lam))
-    if np.any(samples.dist[first : first + 1] < SINGULAR_DISTANCE):
-        raise SingularPoint("evaluation point coincides with the inversion center")
     inner, factor = _kelvin(samples.x, lam, samples.dy[first:], samples.n2[first:])
     return samples.values[first:] - field_values(u, inner) * factor[:, None], first
 
@@ -204,45 +199,40 @@ class SweepResult:
 def sweep_moving_spheres(
     spec: EllipticSystemSpec,
     u,
-    x: np.ndarray,
-    sample_set: np.ndarray,
+    samples: CenteredSamples,
     lambda_lo: float,
     lambda_hi: float,
     n_lambda: int = 33,
-    tol_w: float | None = None,
 ) -> SweepResult:
-    """Track min w over a geometric radius grid and bisect its sign change.
+    """Track min w about ``samples.x`` over a geometric radius grid and bisect its sign change.
 
-    ``sample_set`` is points (k, N), or their :class:`CenteredSamples`
-    about x, whose distances and field values are then reused.  At each
-    radius only samples with |y - x| >= radius participate.  The
-    minimum is positive below the critical radius and negative above it,
-    so its first sign change brackets the critical radius; bisection then
-    narrows the bracket to relative width 1e-10.  Bisection is used on
-    purpose: the minimum can be extremely flat near the root.
-
-    ``tol_w`` defaults to 1e-9 times the largest sampled field value
-    (absolute tolerances are meaningless across scales).
+    ``samples`` holds the field ``u`` at the sample points, from
+    :func:`center_samples`.  At each radius only samples with
+    |y - x| >= radius participate.  The minimum is positive below the
+    critical radius and negative above it, so its first sign change
+    brackets the critical radius; bisection then narrows the bracket to
+    relative width 1e-10.  Bisection is used on purpose: the minimum can
+    be extremely flat near the root.
 
     Raises
     ------
     BadBracket
-        If min w is already below -tol_w at ``lambda_lo``.
+        If min w at ``lambda_lo`` is already below -tol_w, 1e-9 times the
+        largest sampled field value (absolute tolerances are meaningless
+        across scales).
     ValueError
-        If ``x`` is off the boundary hyperplane, where inversions do not
-        preserve the boundary condition.
+        If ``samples.x`` is off the boundary hyperplane, where inversions
+        do not preserve the boundary condition.
     """
-    x = np.asarray(x, dtype=float)
+    x = samples.x
     if x[-1] != 0.0:
         raise ValueError("inversion center must lie on the boundary hyperplane exactly")
-    samples = _centered(u, x, sample_set)
     if np.min(samples.dist) < lambda_lo:
         raise ValueError("all samples must lie outside the ball of radius lambda_lo about x")
     if not (0 < lambda_lo < lambda_hi):
         raise ValueError("need 0 < lambda_lo < lambda_hi")
 
-    if tol_w is None:
-        tol_w = 1e-9 * float(np.max(samples.values))
+    tol_w = SWEEP_TOL_W_RELATIVE * float(np.max(samples.values))
 
     grid = np.geomspace(lambda_lo, lambda_hi, n_lambda)
     mins = np.empty((n_lambda, spec.m))
@@ -274,20 +264,19 @@ def sweep_moving_spheres(
     return SweepResult(grid, mins, argmins, 0.5 * (lo + hi), (lo, hi))
 
 
-def verify_symmetry_identity(
-    params: BubbleParams, x: np.ndarray, sample_set
-) -> np.ndarray:
-    """Per-component sup of |w| / u at the critical radius over the samples.
+def verify_symmetry_identity(params: BubbleParams, samples: CenteredSamples) -> np.ndarray:
+    """Per-component sup of |w| / u at the critical radius about ``samples.x``.
 
     For valid parameters this is rounding noise; the field coincides with
-    its own inversion everywhere, not just asymptotically.  ``sample_set``
-    is points (k, N) or their :class:`CenteredSamples` about x.
+    its own inversion everywhere, not just asymptotically.  ``samples``
+    holds the bubble's values, from :func:`center_samples`, and must keep
+    1e-6 critical radii from x.
     """
-    x = np.asarray(x, dtype=float)
+    x = samples.x
+    lam = critical_lambda_exact(params, x)
+    if np.min(samples.dist) < SYMMETRY_MIN_DISTANCE * lam:
+        raise ValueError("samples must keep distance >= 1e-6 critical radii from the center")
     u = partial(evaluate_bubble, params)
-    samples = _centered(u, x, sample_set)
-    if np.min(samples.dist) < 1e-6:
-        raise ValueError("samples must keep distance >= 1e-6 from the center")
-    inner, factor = _kelvin(x, critical_lambda_exact(params, x), samples.dy, samples.n2)
+    inner, factor = _kelvin(x, lam, samples.dy, samples.n2)
     w = samples.values - field_values(u, inner) * factor[:, None]
     return np.max(np.abs(w) / samples.values, axis=0)

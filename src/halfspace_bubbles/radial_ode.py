@@ -245,21 +245,14 @@ class BreakdownCertificate:
     """Finite-time positivity breakdown of a half-line trajectory.
 
     ``trace`` rows are (t, u_1..u_m, u'_1..u'_m) at accepted integrator
-    steps, the last one at the crossing t_star.
+    steps, the last one at the crossing t_star; the serialized report
+    leaves it out.
     """
 
     t_star: float
     failing_component: int
-    trace: np.ndarray
+    trace: np.ndarray = field(repr=False)
     u_at_t_star: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "t_star": self.t_star,
-            "failing_component": int(self.failing_component),
-            "u_at_t_star": self.u_at_t_star.tolist(),
-            "n_trace": int(self.trace.shape[0]),
-        }
 
 
 def halfline_breakdown(

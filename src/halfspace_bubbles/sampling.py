@@ -35,24 +35,25 @@ def polar_shell(
     n_radii: int,
     n_dirs: int,
     seed: int = 0,
-    upper: bool = True,
 ) -> np.ndarray:
     """Polar grid around ``center``: geometric radii crossed with uniform directions.
 
-    Geometric spacing matches fields that decay algebraically; a uniform
-    grid would waste almost all points in the far field.
+    The directions have last coordinate >= 0, so the grid of a boundary
+    center lies in the closed half-space.  Geometric spacing matches
+    fields that decay algebraically; a uniform grid would waste almost all
+    points in the far field.
     """
     center = np.asarray(center, dtype=float)
     radii = np.geomspace(r_lo, r_hi, n_radii)
-    dirs = unit_directions(center.shape[0], n_dirs, seed, upper=upper)
+    dirs = unit_directions(center.shape[0], n_dirs, seed, upper=True)
     pts = center[None, None, :] + radii[:, None, None] * dirs[None, :, :]
     return pts.reshape(-1, center.shape[0])
 
 
-def sphere_points(center: np.ndarray, radius: float, n: int, seed: int, upper: bool = False) -> np.ndarray:
+def sphere_points(center: np.ndarray, radius: float, n: int, seed: int) -> np.ndarray:
     """n points exactly on the sphere of given center and radius."""
     center = np.asarray(center, dtype=float)
-    dirs = unit_directions(center.shape[0], n, seed, upper=upper)
+    dirs = unit_directions(center.shape[0], n, seed)
     return center + radius * dirs
 
 

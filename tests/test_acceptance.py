@@ -29,6 +29,7 @@ from halfspace_bubbles.exponent_system import EllipticSystemSpec
 from halfspace_bubbles.fd_verifier import convergence_order
 from halfspace_bubbles.kelvin_inversion import (
     SphereInversion,
+    center_samples,
     critical_lambda_exact,
     difference_w,
     sweep_moving_spheres,
@@ -127,10 +128,9 @@ def test_criterion_4_moving_spheres():
         for tang in ((), (1.0,), (3.0, 4.0)):
             x = boundary_center(spec.N, *tang)
             lam = critical_lambda_exact(params, x)
-            samples = polar_shell(
-                x, 0.3 * lam * (1 + 1e-9), 50.0 * lam, 24, 32, seed=307, upper=True
-            )
-            sweep = sweep_moving_spheres(spec, u, x, samples, 0.3 * lam, 3.0 * lam, n_lambda=33)
+            samples = polar_shell(x, 0.3 * lam * (1 + 1e-9), 50.0 * lam, 24, 32, seed=307)
+            centered = center_samples(u, x, samples)
+            sweep = sweep_moving_spheres(spec, u, centered, 0.3 * lam, 3.0 * lam, n_lambda=33)
             assert sweep.lambda_critical_numeric is not None
             worst_gap = max(worst_gap, abs(sweep.lambda_critical_numeric - lam) / lam)
             for factor, want_positive in ((0.9, True), (1.1, False)):
@@ -151,8 +151,10 @@ def test_criterion_5_symmetry_identity():
         for tang in ((), (1.0,), (3.0, 4.0), (-5.0,), (10.0 * sigma,)):
             x = boundary_center(spec.N, *tang)
             lam = critical_lambda_exact(params, x)
-            samples = polar_shell(x, 0.05 * lam, 50.0 * lam, 24, 32, seed=401, upper=True)
-            worst = max(worst, float(verify_symmetry_identity(params, x, samples).max()))
+            samples = center_samples(
+                bubble_field(params), x, polar_shell(x, 0.05 * lam, 50.0 * lam, 24, 32, seed=401)
+            )
+            worst = max(worst, float(verify_symmetry_identity(params, samples).max()))
     ok = worst <= 1e-10
     announce(5, "field equals its critical inversion at five centers per fixture", ok,
              f"sup rel {worst:.2e}")

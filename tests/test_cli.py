@@ -7,7 +7,7 @@ import pytest
 from halfspace_bubbles import make_bubble_params
 from halfspace_bubbles.cli import main
 
-from conftest import fixture_spec, run_child
+from conftest import FIXTURE_NAMES, fixture_spec, run_child
 
 
 @pytest.fixture
@@ -218,6 +218,18 @@ def test_one_parser_serves_every_call(spec_file, params_file, tmp_path):
     assert run("verify", "--spec", spec_file, "--params", params_file, "--grid", "4",
                "--out", out) == 0
     assert json.loads(out.read_text())["n_random"] == 1000
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("sigma", ["1e-12", "1e-6", "1e9"])
+@pytest.mark.parametrize("command", [["moving-spheres", "--grid", "6", "--n-lambda", "8"],
+                                     ["ball", "--grid", "1"]], ids=["moving-spheres", "ball"])
+def test_field_checks_pass_at_every_scale(name, sigma, command, tmp_path):
+    # critical scaling maps the bubble of sigma = 1 onto these, and the sample
+    # sets scale with the bubble: so must every distance guard
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(fixture_spec(name).to_dict()))
+    assert run(*command, "--spec", spec, "--sigma", sigma, "--out", tmp_path / "out.json") == 0
 
 
 class TestSolveParams:

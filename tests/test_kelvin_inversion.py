@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +32,7 @@ from conftest import FIXTURE_NAMES, fixture_spec, moved_params
 
 def standard_samples(x, lam, n_radii=24, n_dirs=32, seed=101):
     """Polar shells from 0.05 to 50 critical radii about the center."""
-    return polar_shell(x, 0.05 * lam, 50.0 * lam, n_radii, n_dirs, seed=seed, upper=True)
+    return polar_shell(x, 0.05 * lam, 50.0 * lam, n_radii, n_dirs, seed=seed)
 
 
 class TestKelvinPoint:
@@ -62,6 +64,22 @@ class TestKelvinPoint:
         with pytest.raises(SingularPoint):
             kelvin_point(inv, np.zeros(3))
 
+    @pytest.mark.parametrize("offset", [1e-160, 1e-155])
+    def test_subnormal_squared_distance_is_singular(self, offset):
+        # |y|^2 is subnormal: the image would lose digits (1e-160 maps to
+        # 1.00001113e+160) or overflow with a warning
+        inv = SphereInversion(center=np.zeros(3), radius=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularPoint):
+                kelvin_point(inv, np.array([offset, 0.0, 0.0]))
+
+    def test_normal_squared_distance_maps_to_the_exact_image(self):
+        inv = SphereInversion(center=np.zeros(3), radius=1.0)
+        image = kelvin_point(inv, np.array([1e-150, 0.0, 0.0]))
+        assert abs(image[0] - 1e150) <= 4 * np.spacing(1e150)
+        assert image[1] == image[2] == 0.0
+
     def test_off_boundary_center_allowed(self):
         # the half-space-to-ball map inverts about a pole below the boundary
         inv = SphereInversion(center=np.array([0.0, 0.0, -0.5]), radius=1.0)
@@ -74,7 +92,7 @@ class TestKelvinPoint:
         x = np.array([0.0, 0.0, 0.1])
         samples = sweep_samples(x, 0.3, 1.0)
         with pytest.raises(ValueError, match="boundary hyperplane"):
-            sweep_moving_spheres(spec_f1, bubble_field(params_f1), x, samples, 0.3, 3.0)
+            sweep(spec_f1, bubble_field(params_f1), x, samples, 0.3, 3.0)
 
 
 class TestKelvinTransform:
@@ -146,7 +164,18 @@ class TestCriticalRadius:
 
 def sweep_samples(x, lam_lo, lam, n_radii=24, n_dirs=32, seed=103):
     """Shells from just outside the sweep start out to the far field."""
-    return polar_shell(x, lam_lo * (1 + 1e-9), 50.0 * lam, n_radii, n_dirs, seed=seed, upper=True)
+    return polar_shell(x, lam_lo * (1 + 1e-9), 50.0 * lam, n_radii, n_dirs, seed=seed)
+
+
+def sweep(spec, u, x, points, lambda_lo, lambda_hi, **kwargs):
+    """The moving-spheres sweep about x over the points."""
+    samples = center_samples(u, x, points)
+    return sweep_moving_spheres(spec, u, samples, lambda_lo, lambda_hi, **kwargs)
+
+
+def symmetry_sup(params, x, points):
+    """The symmetry check about x over the points."""
+    return verify_symmetry_identity(params, center_samples(bubble_field(params), x, points))
 
 
 class TestSweep:
@@ -154,10 +183,10 @@ class TestSweep:
         u = bubble_field(params_f1)
         x = np.zeros(3)
         samples = sweep_samples(x, 0.3, 1.0)
-        sweep = sweep_moving_spheres(spec_f1, u, x, samples, 0.3, 3.0, n_lambda=33)
-        assert sweep.lambda_critical_numeric == pytest.approx(1.0, rel=1e-6)
-        lo, hi = sweep.bracket
-        assert lo <= sweep.lambda_critical_numeric <= hi
+        result = sweep(spec_f1, u, x, samples, 0.3, 3.0, n_lambda=33)
+        assert result.lambda_critical_numeric == pytest.approx(1.0, rel=1e-6)
+        lo, hi = result.bracket
+        assert lo <= result.lambda_critical_numeric <= hi
 
     def test_sign_pattern_around_critical(self, fixture_pair):
         spec, params = fixture_pair
@@ -173,23 +202,6 @@ class TestSweep:
         assert min_w(0.5 * lam) > 0.0
         assert min_w(1.5 * lam) < 0.0
 
-    def test_centered_samples_give_the_same_sweep(self, spec_f2, params_f2):
-        u = bubble_field(params_f2)
-        x = np.array([3.0, 4.0, 0.0])
-        lam = critical_lambda_exact(params_f2, x)
-        points = sweep_samples(x, 0.3 * lam, lam)
-        raw = sweep_moving_spheres(spec_f2, u, x, points, 0.3 * lam, 3.0 * lam)
-        centered = sweep_moving_spheres(
-            spec_f2, u, x, center_samples(u, x, points), 0.3 * lam, 3.0 * lam
-        )
-        np.testing.assert_array_equal(centered.min_w, raw.min_w)
-        np.testing.assert_array_equal(centered.argmin_points, raw.argmin_points)
-        assert centered.bracket == raw.bracket
-        with pytest.raises(ValueError, match="centered at another point"):
-            sweep_moving_spheres(
-                spec_f2, u, np.zeros(3), center_samples(u, x, points), 0.3 * lam, 3.0 * lam
-            )
-
     def test_monotone_start(self, fixture_pair):
         # strictly positive minimum everywhere below 0.9 of the critical radius
         spec, params = fixture_pair
@@ -197,21 +209,21 @@ class TestSweep:
         x = np.zeros(spec.N)
         lam = critical_lambda_exact(params, x)
         samples = sweep_samples(x, 0.2 * lam, lam)
-        sweep = sweep_moving_spheres(spec, u, x, samples, 0.2 * lam, 0.9 * lam, n_lambda=17)
-        assert sweep.lambda_critical_numeric is None
-        assert np.all(sweep.min_w > 0.0)
+        result = sweep(spec, u, x, samples, 0.2 * lam, 0.9 * lam, n_lambda=17)
+        assert result.lambda_critical_numeric is None
+        assert np.all(result.min_w > 0.0)
 
     def test_bad_bracket(self, spec_f1, params_f1):
         u = bubble_field(params_f1)
         x = np.zeros(3)
         samples = sweep_samples(x, 1.5, 1.0)
         with pytest.raises(BadBracket):
-            sweep_moving_spheres(spec_f1, u, x, samples, 1.5, 3.0)
+            sweep(spec_f1, u, x, samples, 1.5, 3.0)
 
     def test_samples_inside_lambda_lo_rejected(self, spec_f1, params_f1):
         samples = standard_samples(np.zeros(3), 1.0)
         with pytest.raises(ValueError):
-            sweep_moving_spheres(spec_f1, bubble_field(params_f1), np.zeros(3), samples, 0.5, 3.0)
+            sweep(spec_f1, bubble_field(params_f1), np.zeros(3), samples, 0.5, 3.0)
 
 
 tangential = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)
@@ -242,8 +254,8 @@ def test_sweep_radius_is_scale_and_translation_covariant(name, log_s, shift, x_t
     spec, params, x, moved, x_moved, s = moved_case(name, log_s, shift, x_tang)
     lam = s * critical_lambda_exact(params, x)
     samples = sweep_samples(x_moved, 0.3 * lam, lam)
-    sweep = sweep_moving_spheres(spec, bubble_field(moved), x_moved, samples, 0.3 * lam, 3.0 * lam)
-    assert sweep.lambda_critical_numeric == pytest.approx(lam, rel=1e-6)
+    result = sweep(spec, bubble_field(moved), x_moved, samples, 0.3 * lam, 3.0 * lam)
+    assert result.lambda_critical_numeric == pytest.approx(lam, rel=1e-6)
 
 
 def reference_min_w(u, samples, lam):
@@ -283,7 +295,7 @@ def test_min_w_matches_the_mask_and_gather_reference(name, at_origin, x_tang, ra
     # the symmetry check inverts the sorted samples from index 0: the same
     # w as difference_w over the points in the caller's order
     ref_sup = np.max(np.abs(difference_w(u, SphereInversion(x, lam), points)) / u(points), axis=0)
-    assert verify_symmetry_identity(params, x, samples).tobytes() == ref_sup.tobytes()
+    assert verify_symmetry_identity(params, samples).tobytes() == ref_sup.tobytes()
 
 
 class TestSymmetryIdentity:
@@ -298,7 +310,7 @@ class TestSymmetryIdentity:
         for x in centers:
             lam = critical_lambda_exact(params, x)
             samples = standard_samples(x, lam)
-            sup = verify_symmetry_identity(params, x, samples)
+            sup = symmetry_sup(params, x, samples)
             assert sup.max() <= 1e-10
 
     def test_any_bubble_is_symmetric_about_its_own_radius(self, params_f2):
@@ -307,7 +319,7 @@ class TestSymmetryIdentity:
         off_family = BubbleParams(sigma=1.1, betas=params_f2.betas, y0=params_f2.y0)
         x = np.zeros(3)
         samples = standard_samples(x, critical_lambda_exact(off_family, x))
-        assert verify_symmetry_identity(off_family, x, samples).max() <= 1e-12
+        assert symmetry_sup(off_family, x, samples).max() <= 1e-12
 
     def test_mismatched_radius_breaks_identity(self, params_f2):
         # Perturbing sigma moves the critical radius; against the original
@@ -323,7 +335,7 @@ class TestSymmetryIdentity:
     def test_samples_too_close_to_center_rejected(self, params_f1):
         samples = np.array([[1e-9, 0.0, 0.0]])
         with pytest.raises(ValueError):
-            verify_symmetry_identity(params_f1, np.zeros(3), samples)
+            symmetry_sup(params_f1, np.zeros(3), samples)
 
 
 def far_field_amplitudes(params, dirs, R):

@@ -1,21 +1,40 @@
 import csv
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from halfspace_bubbles.reporting import write_residual_csv
+from halfspace_bubbles.cli import main
+from halfspace_bubbles.kelvin_inversion import SweepResult
+from halfspace_bubbles.radial_ode import RadialTrajectory
+from halfspace_bubbles.reporting import (
+    write_residual_csv,
+    write_sweep_csv,
+    write_trace_csv,
+    write_trajectory_csv,
+)
+
+
+def csv_writer_table(header, rows) -> bytes:
+    """A table as ``csv.writer`` writes it."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
 
 
 def csv_writer_bytes(res_int, res_bdy) -> bytes:
     """The residual CSV as ``csv.writer`` writes it, one row per value."""
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(["kind", "component", "residual"])
-    for j in range(res_int.shape[1]):
-        writer.writerows(["interior", j, repr(float(v))] for v in res_int[:, j])
-        writer.writerows(["boundary", j, repr(float(v))] for v in res_bdy[:, j])
-    return buf.getvalue().encode("utf-8")
+    rows = [
+        [kind, j, repr(float(v))]
+        for j in range(res_int.shape[1])
+        for kind, column in (("interior", res_int[:, j]), ("boundary", res_bdy[:, j]))
+        for v in column
+    ]
+    return csv_writer_table(["kind", "component", "residual"], rows)
 
 
 SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16, 1e-7, 123456789.125]
@@ -35,3 +54,107 @@ def test_residual_csv_matches_csv_writer_bytes(res_int, res_bdy, tmp_path):
     path = tmp_path / "residuals.csv"
     write_residual_csv(res_int, res_bdy, path)
     assert path.read_bytes() == csv_writer_bytes(res_int, res_bdy)
+
+
+def float_row(values) -> list[str]:
+    return [repr(float(v)) for v in values]
+
+
+def special_block(shape, seed):
+    """Random values of the given shape with the special floats spread through them."""
+    values = np.random.default_rng(seed).standard_normal(shape).ravel()
+    values[: len(SPECIAL)] = SPECIAL[: values.size]
+    return np.random.default_rng(seed + 1).permutation(values).reshape(shape)
+
+
+@pytest.mark.parametrize("n_lambda, m, N", [(5, 3, 4), (4, 1, 3), (0, 2, 3)])
+def test_sweep_csv_matches_csv_writer_bytes(n_lambda, m, N, tmp_path):
+    sweep = SweepResult(
+        lambda_grid=special_block((n_lambda,), 1),
+        min_w=special_block((n_lambda, m), 2),
+        argmin_points=special_block((n_lambda, m, N), 3),
+        lambda_critical_numeric=None,
+        bracket=None,
+    )
+    header = ["lambda", "component", "min_w"] + [f"argmin_{k}" for k in range(N)]
+    rows = [
+        float_row([sweep.lambda_grid[i]]) + [j] + float_row([sweep.min_w[i, j]])
+        + float_row(sweep.argmin_points[i, j])
+        for i in range(n_lambda) for j in range(m)
+    ]
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(sweep, path)
+    assert path.read_bytes() == csv_writer_table(header, rows)
+
+
+@pytest.mark.parametrize("n, m", [(12, 2), (7, 1), (0, 1)])
+def test_trajectory_csv_matches_csv_writer_bytes(n, m, tmp_path):
+    traj = RadialTrajectory(r=special_block((n,), 4), psi=special_block((n, m), 5),
+                            dpsi=special_block((n, m), 6), dense=None)
+    header = ["r"] + [f"psi_{i}" for i in range(m)] + [f"dpsi_{i}" for i in range(m)]
+    rows = [float_row([r, *psi, *dpsi]) for r, psi, dpsi in zip(traj.r, traj.psi, traj.dpsi)]
+    path = tmp_path / "radial.csv"
+    write_trajectory_csv(traj, path)
+    assert path.read_bytes() == csv_writer_table(header, rows)
+
+
+@pytest.mark.parametrize("n, m", [(9, 3), (20, 1)])
+def test_trace_csv_matches_csv_writer_bytes(n, m, tmp_path):
+    trace = special_block((n, 1 + 2 * m), 7)
+    header = ["t"] + [f"u_{i}" for i in range(m)] + [f"du_{i}" for i in range(m)]
+    path = tmp_path / "halfline.csv"
+    write_trace_csv(trace, path, m)
+    assert path.read_bytes() == csv_writer_table(header, [float_row(row) for row in trace])
+
+
+@pytest.fixture
+def spec_file(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [-1.0]}))
+    return path
+
+
+def report_of(*argv):
+    """Exit code and parsed report of one CLI call writing to ``--out``."""
+    out = Path(argv[argv.index("--out") + 1])
+    code = main([str(a) for a in argv])
+    return code, json.loads(out.read_text())
+
+
+def test_verify_convergence_block_has_no_finest_level(spec_file, tmp_path):
+    code, report = report_of("verify", "--spec", spec_file, "--grid", 4, "--n-random", 50,
+                             "--out", tmp_path / "verify.json")
+    assert code == 0
+    assert list(report["convergence"]) == [
+        "h_list", "sup_interior", "sup_boundary", "slope", "degenerate",
+        "slope_interior", "slope_boundary", "degenerate_interior", "degenerate_boundary",
+    ]
+    assert list(report["fd"]) == [
+        "sup_interior", "sup_boundary", "argmax_interior", "argmax_boundary",
+        "h", "n_interior", "n_boundary",
+    ]
+
+
+def test_halfline_report_counts_the_trace(spec_file, tmp_path):
+    code, report = report_of("halfline", "--spec", spec_file, "--csv",
+                             "--out", tmp_path / "halfline.json")
+    assert code == 0
+    assert list(report) == ["command", "spec", "u0", "t_star", "failing_component",
+                            "u_at_t_star", "n_trace", "checks", "passed"]
+    lines = (tmp_path / "halfline.csv").read_text().splitlines()
+    assert report["n_trace"] == len(lines) - 1
+
+
+def test_validate_violations_are_objects(tmp_path):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"N": 4, "m": 2, "A": [[3.0, -0.5], [0.0, 3.0]],
+                                "B": [[2.0, 0.0], [0.0, 2.0]], "c": [-1.0, -1.0]}))
+    code, report = report_of("validate", "--spec", spec, "--out", tmp_path / "validate.json")
+    assert code == 1
+    assert list(report) == ["command", "spec", "tol_row", "passed", "violations"]
+    assert report["violations"][0] == {"rule": "A_nonnegative", "index": [0, 1],
+                                       "measured": -0.5, "expected": 0.0}
+    assert {"rule": "A_row_sum", "index": 0, "measured": 2.5, "expected": 3.0} in report[
+        "violations"]
+    assert report["violations"][-1] == {"rule": "A_irreducible", "index": None,
+                                        "measured": 0.0, "expected": 1.0}

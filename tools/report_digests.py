@@ -1,0 +1,83 @@
+"""Digests of the CLI's reports and CSVs on the fixture specs, for byte-identity checks.
+
+Runs every subcommand on the three fixture systems (f1, f2, f3 at
+sigma = 1), a spec that fails validation and one unusable input, in this
+process through ``halfspace_bubbles.cli.main``, and prints per call its
+exit code, its standard error and the sha256 of every file it wrote.
+Run it against two checkouts and diff the printouts:
+
+    PYTHONPATH=src python tools/report_digests.py OUTDIR > digests.txt
+
+The reports and CSVs stay under OUTDIR, so a difference can be read
+there with ``diff -r``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+from halfspace_bubbles import cli
+
+SPECS = {
+    "f1": {"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [0.0]},
+    "f2": {"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [-1.0]},
+    "f3": {"N": 4, "m": 2, "A": [[1.0, 2.0], [2.0, 1.0]], "B": [[1.0, 1.0], [1.0, 1.0]],
+           "c": [-1.0, -1.0]},
+    # block-diagonal A: validate reports violations and exits 1
+    "reducible": {"N": 4, "m": 2, "A": [[3.0, 0.0], [0.0, 3.0]], "B": [[2.0, 0.0], [0.0, 2.0]],
+                  "c": [-1.0, -1.0]},
+}
+
+
+def calls(name: str) -> dict[str, list[str]]:
+    """Call id -> argv of every fixture call on one spec."""
+    off_origin = "3,4" if SPECS[name]["N"] == 3 else "3,4,0"
+    return {
+        f"{name}.validate": ["validate"],
+        f"{name}.solve-params": ["solve-params"],
+        f"{name}.verify": ["verify", "--csv"],
+        f"{name}.moving-spheres": ["moving-spheres", "--csv"],
+        f"{name}.moving-spheres-x": ["moving-spheres", "--csv", "--x", off_origin],
+        f"{name}.ball": ["ball"],
+        f"{name}.radial": ["radial", "--csv"],
+        f"{name}.halfline": ["halfline", "--csv"],
+    }
+
+
+def main(outdir: str) -> int:
+    root = Path(outdir)
+    root.mkdir(parents=True, exist_ok=True)
+    # reports name their spec file; relative names keep them equal across OUTDIRs
+    os.chdir(root)
+    matrix = {}
+    for name, spec in SPECS.items():
+        Path(f"{name}.spec.json").write_text(json.dumps(spec), encoding="utf-8")
+        if name != "reducible":
+            matrix.update(calls(name))
+    matrix["reducible.validate"] = ["validate"]
+    # a boundary center off the hyperplane: exit 2, malformed_spec
+    matrix["f1.moving-spheres-bad-x"] = ["moving-spheres", "--x", "1,2,3"]
+
+    for call_id, argv in matrix.items():
+        spec = f"{call_id.split('.')[0]}.spec.json"
+        report = Path(f"{call_id}.json")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--spec", spec, "--out", str(report)])
+        print(f"{call_id} exit={code} stderr={err.getvalue()!r}")
+        for path in (report, report.with_suffix(".csv")):
+            if path.exists():
+                print(f"  {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: report_digests.py OUTDIR")
+    sys.exit(main(sys.argv[1]))
