@@ -220,23 +220,14 @@ def compute_y0N(
     return y0N, per_row, spread
 
 
-def make_bubble_params(
-    spec: EllipticSystemSpec,
-    sigma: float,
-    y0_prime: np.ndarray | None = None,
-) -> BubbleParams:
-    """Assemble a valid family member for the given scale and tangential center.
+def make_bubble_params(spec: EllipticSystemSpec, sigma: float) -> BubbleParams:
+    """Assemble the valid family member of the given scale centered above the origin.
 
     Of a family of amplitudes (nullity > 0) it takes the minimum-norm log amplitudes.
     """
     betas = solve_betas(spec, sigma).betas()
     y0N, _, _ = compute_y0N(spec, betas, sigma)
     y0 = np.zeros(spec.N)
-    if y0_prime is not None:
-        y0_prime = np.asarray(y0_prime, dtype=float)
-        if y0_prime.shape != (spec.N - 1,):
-            raise ValueError(f"y0_prime must have shape {(spec.N - 1,)}")
-        y0[: spec.N - 1] = y0_prime
     y0[-1] = y0N
     return BubbleParams(sigma=sigma, betas=betas, y0=y0)
 
@@ -277,33 +268,24 @@ def evaluate_bubble_derivatives(
     return gradients, laplacians
 
 
-def _interior_terms(spec: EllipticSystemSpec, params: BubbleParams, y: np.ndarray):
-    """The two interior terms: exact lap(u_i) and prod_j u_j**A[i,j]."""
-    y = np.asarray(y, dtype=float)
-    _, lap = evaluate_bubble_derivatives(params, y)
-    return lap, exponent_product(spec.A, _log_values(params, y))
-
-
-def _boundary_terms(spec: EllipticSystemSpec, params: BubbleParams, yprime: np.ndarray):
-    """The two boundary terms: exact d(u_i)/d(y_N) and c[i] prod_j u_j**B[i,j]."""
-    yprime = np.asarray(yprime, dtype=float)
-    grads, _ = evaluate_bubble_derivatives(params, yprime)
-    return grads[..., :, -1], spec.c * exponent_product(spec.B, _log_values(params, yprime))
-
-
 def interior_residual_relative(
     spec: EllipticSystemSpec, params: BubbleParams, y: np.ndarray
 ) -> np.ndarray:
-    """Interior residual scaled by |lap(u_i)| (never zero for a bubble)."""
-    lap, prod = _interior_terms(spec, params, y)
+    """|lap(u_i) + prod_j u_j**A[i,j]| scaled by |lap(u_i)| (never zero for a bubble)."""
+    y = np.asarray(y, dtype=float)
+    _, lap = evaluate_bubble_derivatives(params, y)
+    prod = exponent_product(spec.A, _log_values(params, y))
     return np.abs(lap + prod) / np.abs(lap)
 
 
 def boundary_residual_relative(
     spec: EllipticSystemSpec, params: BubbleParams, yprime: np.ndarray
 ) -> np.ndarray:
-    """Boundary residual scaled by the larger of its two terms (0 when both vanish)."""
-    dN, flux = _boundary_terms(spec, params, yprime)
+    """|d(u_i)/d(y_N) - c[i] prod_j u_j**B[i,j]| scaled by the larger term (0 when both vanish)."""
+    yprime = np.asarray(yprime, dtype=float)
+    grads, _ = evaluate_bubble_derivatives(params, yprime)
+    dN = grads[..., :, -1]
+    flux = spec.c * exponent_product(spec.B, _log_values(params, yprime))
     scale = np.maximum(np.abs(dN), np.abs(flux))
     res = np.abs(dN - flux)
     out = np.zeros_like(res)

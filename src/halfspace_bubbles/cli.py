@@ -96,10 +96,10 @@ def _parse_boundary_point(text: str, N: int) -> np.ndarray:
     return vals
 
 
-def _parse_box(text: str | None, N: int, scale: float) -> np.ndarray:
+def _parse_box(text: str | None, N: int) -> np.ndarray:
     if text is None:
-        box = np.tile([-2.0 * scale, 2.0 * scale], (N, 1))
-        box[-1] = [0.0, 2.0 * scale]
+        box = np.tile([-2.0, 2.0], (N, 1))
+        box[-1] = [0.0, 2.0]
         return box
     vals = _parse_floats(text)
     if vals.size != 2 * N:
@@ -113,8 +113,7 @@ def _parse_box(text: str | None, N: int, scale: float) -> np.ndarray:
 def _load_params(args, spec) -> bf.BubbleParams:
     if args.params is not None:
         return bf.load_params(args.params)
-    sigma = args.sigma if args.sigma is not None else 1.0
-    return bf.make_bubble_params(spec, sigma)
+    return bf.make_bubble_params(spec, args.sigma)
 
 
 def _validated_spec(args):
@@ -153,9 +152,8 @@ def _csv_path(args, stem: str) -> Path:
 
 def cmd_validate(args) -> int:
     spec = load_spec(args.spec)
-    tol_row = args.tol if args.tol is not None else 1e-9
-    report = validate_spec(spec, tol_row=tol_row)
-    out = {"command": "validate", "spec": str(args.spec), "tol_row": tol_row}
+    report = validate_spec(spec, tol_row=args.tol)
+    out = {"command": "validate", "spec": str(args.spec), "tol_row": args.tol}
     out.update(reporting.jsonable(report))
     reporting.write_report(out, args.out)
     return 0 if report.passed else 1
@@ -163,17 +161,15 @@ def cmd_validate(args) -> int:
 
 def cmd_solve_params(args) -> int:
     spec = _validated_spec(args)
-    sigma = args.sigma if args.sigma is not None else 1.0
-    tol = args.tol if args.tol is not None else 1e-9
-    solve = bf.solve_betas(spec, sigma)
+    solve = bf.solve_betas(spec, args.sigma)
     betas = solve.betas()
-    y0N, per_row, spread = bf.compute_y0N(spec, betas, sigma, tol_param=tol)
+    y0N, per_row, spread = bf.compute_y0N(spec, betas, args.sigma, tol_param=args.tol)
     y0 = np.zeros(spec.N)
     y0[-1] = y0N
     report = {
         "command": "solve-params",
         "spec": str(args.spec),
-        "sigma": sigma,
+        "sigma": args.sigma,
         "betas": betas,
         "y0": y0,
         "log_betas_particular": solve.log_betas_particular,
@@ -189,7 +185,7 @@ def cmd_solve_params(args) -> int:
 def cmd_verify(args) -> int:
     spec = _validated_spec(args)
     params = _load_params(args, spec)
-    box = _parse_box(args.box, spec.N, scale=1.0)
+    box = _parse_box(args.box, spec.N)
     n_random = args.n_random
     seed = args.seed
 
@@ -263,8 +259,7 @@ def cmd_moving_spheres(args) -> int:
 
     checks = []
     if sweep.lambda_critical_numeric is None:
-        checks.append({"name": "critical_radius_found", "value": 0.0, "threshold": 1.0,
-                       "passed": False})
+        checks.append(_check("critical_radius_found", 0.0, 1.0, larger_ok=True))
         rel_gap = None
     else:
         rel_gap = abs(sweep.lambda_critical_numeric - lam_exact) / lam_exact
@@ -314,7 +309,7 @@ def cmd_ball(args) -> int:
     u = bf.bubble_field(params)
     v = cb.ball_field(setup, u)
     radii = np.linspace(0.05, 0.95, 10) * 2 * d
-    variation = cb.verify_radial(setup, v, radii, angular_samples=256, seed=seed + 1)
+    variation = cb.verify_radial(setup, v, radii, seed=seed + 1)
 
     h = args.h if args.h is not None else 1e-3 * 4 * d
     interior = sampling.ball_points(setup.Q, 2 * d, 400, seed + 2, margin=13 * h)
@@ -461,10 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=True, help="system JSON file (N, m, A, B, c)")
         if params:
             p.add_argument("--params", help="parameter JSON file (sigma, betas, y0)")
-            p.add_argument("--sigma", type=_positive_float,
+            p.add_argument("--sigma", type=_positive_float, default=1.0,
                            help="solve parameters at this scale instead")
         if tol_help is not None:
-            p.add_argument("--tol", type=_positive_float, help=tol_help)
+            p.add_argument("--tol", type=_positive_float, default=1e-9, help=tol_help)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         if csv:
             p.add_argument("--csv", action="store_true", help="also write the CSV table")
@@ -478,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("solve-params", cmd_solve_params, "solve the amplitude system and center height",
                 tol_help="center-height spread tolerance (default 1e-9)")
-    p.add_argument("--sigma", type=_positive_float, help="length scale (default 1.0)")
+    p.add_argument("--sigma", type=_positive_float, default=1.0, help="length scale (default 1.0)")
 
     p = command("verify", cmd_verify, "analytic and finite-difference residual checks",
                 params=True, csv=True, seed=True)

@@ -53,6 +53,9 @@ POLE_MIN_DISTANCE = 1e-8
 # Points per critical sphere and mirror pairs per boundary center in the mapping checks.
 N_SPHERE = 512
 
+# Directions at which the radial-symmetry check reads each sphere about Q.
+N_ANGULAR = 256
+
 
 @dataclass
 class ConformalSetup:
@@ -192,18 +195,16 @@ def transform_v(setup: ConformalSetup, u, z: np.ndarray) -> np.ndarray:
     """Transported field on the closed ball, extended continuously at P.
 
     Within 1e-9 * d of P the value is the exact limit 2**(2-N) * u(xbar), read
-    in the same batch.  Values are point-major, (k, m) in C order.
+    in the same batch.  Points are (k, N); values are point-major, (k, m) in C order.
     """
     z = np.asarray(z, dtype=float)
-    pts = np.atleast_2d(z)
     T = setup.T
-    dist = np.sqrt(squared_distance(pts, T.center))
+    dist = np.sqrt(squared_distance(z, T.center))
     far = ~(dist <= EXTENSION_RADIUS_FACTOR * setup.d)
-    images = np.tile(setup.xbar, (len(pts), 1))
-    factors = np.full(len(pts), 2.0 ** (2 - setup.N))
-    images[far], factors[far] = _kelvin(T.center, T.radius, pts[far] - T.center, dist[far] ** 2)
-    out = np.multiply(field_values(u, images), factors[:, None], order="C")
-    return out[0] if z.ndim == 1 else out
+    images = np.tile(setup.xbar, (len(z), 1))
+    factors = np.full(len(z), 2.0 ** (2 - setup.N))
+    images[far], factors[far] = _kelvin(T.center, T.radius, z[far] - T.center, dist[far] ** 2)
+    return np.multiply(field_values(u, images), factors[:, None], order="C")
 
 
 def ball_field(setup: ConformalSetup, u):
@@ -215,19 +216,18 @@ def verify_radial(
     setup: ConformalSetup,
     v,
     radii: np.ndarray,
-    angular_samples: int = 256,
     seed: int = 20240902,
 ) -> np.ndarray:
     """Per-radius max of |v - sphere mean| / mean over component spheres about Q.
 
-    Each sphere is read at the same ``angular_samples`` seeded directions.
+    Each sphere is read at the same ``N_ANGULAR`` seeded directions.
     Radial symmetry about Q holds exactly for transported family members;
     any center mismatch shows up as an O(1) variation here.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if np.any(radii >= 2 * setup.d):
         raise ValueError("radii must be below the ball radius 2d")
-    dirs = unit_directions(setup.N, angular_samples, seed)
+    dirs = unit_directions(setup.N, N_ANGULAR, seed)
     out = np.empty(radii.size)
     for k, r in enumerate(radii):
         vals = field_values(v, setup.Q + r * dirs)

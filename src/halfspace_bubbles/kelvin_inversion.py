@@ -45,10 +45,6 @@ __all__ = [
 # Relative width at which the critical-radius bisection stops.
 BISECT_RELATIVE_WIDTH = 1e-10
 
-# min w below -tol_w at the sweep's first radius, with tol_w this times the
-# largest sampled field value, means the sweep starts past the critical radius.
-SWEEP_TOL_W_RELATIVE = 1e-9
-
 # The symmetry check keeps its samples this many critical radii from x.
 SYMMETRY_MIN_DISTANCE = 1e-6
 
@@ -94,19 +90,16 @@ def kelvin_point(inv: SphereInversion, y: np.ndarray) -> np.ndarray:
 
 
 def kelvin_transform_u(u, inv: SphereInversion, y: np.ndarray) -> np.ndarray:
-    """Transformed field values at y (single point (N,) or batch (k, N))."""
+    """Transformed field values (k, m) at points y (k, N)."""
     y = np.asarray(y, dtype=float)
-    inner, factor = _kelvin(inv.center, inv.radius, *_offsets(inv.center, np.atleast_2d(y)))
-    vals = field_values(u, inner) * factor[:, None]
-    return vals[0] if y.ndim == 1 else vals
+    inner, factor = _kelvin(inv.center, inv.radius, *_offsets(inv.center, y))
+    return field_values(u, inner) * factor[:, None]
 
 
 def difference_w(u, inv: SphereInversion, y: np.ndarray) -> np.ndarray:
-    """w = u - (transformed u); zero on the inversion sphere by construction."""
+    """w = u - (transformed u), (k, m) at points y (k, N); zero on the inversion sphere."""
     y = np.asarray(y, dtype=float)
-    pts = np.atleast_2d(y)
-    w = field_values(u, pts) - kelvin_transform_u(u, inv, pts)
-    return w[0] if y.ndim == 1 else w
+    return field_values(u, y) - kelvin_transform_u(u, inv, y)
 
 
 @dataclass
@@ -217,9 +210,8 @@ def sweep_moving_spheres(
     Raises
     ------
     BadBracket
-        If min w at ``lambda_lo`` is already below -tol_w, 1e-9 times the
-        largest sampled field value (absolute tolerances are meaningless
-        across scales).
+        If min w at ``lambda_lo`` is already negative: the sweep starts past
+        the critical radius.
     ValueError
         If ``samples.x`` is off the boundary hyperplane, where inversions
         do not preserve the boundary condition.
@@ -232,8 +224,6 @@ def sweep_moving_spheres(
     if not (0 < lambda_lo < lambda_hi):
         raise ValueError("need 0 < lambda_lo < lambda_hi")
 
-    tol_w = SWEEP_TOL_W_RELATIVE * float(np.max(samples.values))
-
     grid = np.geomspace(lambda_lo, lambda_hi, n_lambda)
     mins = np.empty((n_lambda, spec.m))
     argmins = np.empty((n_lambda, spec.m, samples.points.shape[1]))
@@ -241,9 +231,9 @@ def sweep_moving_spheres(
         mins[k], argmins[k] = min_w(u, samples, float(lam))
 
     overall = mins.min(axis=1)
-    if overall[0] < -tol_w:
+    if overall[0] < 0.0:
         raise BadBracket(
-            f"min w = {overall[0]:.3e} < -tol_w at lambda_lo={lambda_lo}; start below the "
+            f"min w = {overall[0]:.3e} < 0 at lambda_lo={lambda_lo}; start below the "
             "critical radius"
         )
 
@@ -251,8 +241,6 @@ def sweep_moving_spheres(
     if negative.size == 0:
         return SweepResult(grid, mins, argmins, None, None)
     k = int(negative[0])
-    if k == 0:
-        raise BadBracket("sign change not bracketed: already negative at lambda_lo")
 
     lo, hi = float(grid[k - 1]), float(grid[k])
     while (hi - lo) > BISECT_RELATIVE_WIDTH * hi:

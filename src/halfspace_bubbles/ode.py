@@ -136,11 +136,6 @@ ERROR_EXPONENT = -1.0 / 8.0  # the error estimate is of order 7
 LSQ_TOL = 1e-15
 
 FINISHED, EVENT, FAILED = 0, 1, -1
-MESSAGES = {
-    FINISHED: "The solver successfully reached the end of the integration interval.",
-    EVENT: "A termination event occurred.",
-    FAILED: "Required step size is less than spacing between numbers.",
-}
 
 
 def _rms(x: np.ndarray) -> float:
@@ -190,7 +185,7 @@ def _interpolate(F, x, y_old):
 
 
 class DenseSolution:
-    """The piecewise interpolant over the accepted steps; ``sol(t)`` is (n,) or (n, k).
+    """The piecewise interpolant over the accepted steps; ``sol(t)`` of times (k,) is (n, k).
 
     A time on a step boundary takes the earlier step; times outside the
     integrated range extrapolate the first or the last step.
@@ -202,8 +197,6 @@ class DenseSolution:
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.steps) - 1)
-        if t.ndim == 0:
-            return self.steps[int(seg)](t)
         used, inv = np.unique(seg, return_inverse=True)
         steps = [self.steps[i] for i in used]
         F = np.stack([s.coefficients() for s in steps], axis=1)[:, inv]  # (7, k, n)
@@ -218,22 +211,17 @@ class OdeResult:
     """Accepted states ``y`` (n, k) at times ``t`` (k,); the last is the event's, if one fired.
 
     ``status`` is 0 (end reached), 1 (an event fired) or -1 (the step fell
-    below ten ulp of t).  ``nfev`` counts the right-hand-side evaluations
-    made before the solve returned.
+    below ten ulp of t).  ``event`` is the index of the event that ended the
+    run, or None.  ``nfev`` counts the right-hand-side evaluations made
+    before the solve returned.
     """
 
     t: np.ndarray
     y: np.ndarray
     sol: DenseSolution
-    t_events: list[np.ndarray]
-    y_events: list[np.ndarray]
     status: int
-    message: str
+    event: int | None
     nfev: int
-
-    @property
-    def success(self) -> bool:
-        return self.status >= 0
 
 
 def _rk_step(fun, t, y, h, K) -> np.ndarray:
@@ -328,9 +316,7 @@ def solve_ivp(
     h_abs = _initial_step(counted, t, y, f, t_end, rtol, atol)
     ts, ys, steps = [t], [y], []
     g = [event(t, y) for event in events]
-    t_events = [[] for _ in events]
-    y_events = [[] for _ in events]
-    status = None
+    status, fired_event = None, None
     while status is None:
         min_step = 10 * abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -370,25 +356,14 @@ def solve_ivp(
             first = int(np.argmin(roots))
             t_new = roots[first]
             y_new = step(t_new)
-            t_events[fired[first]].append(t_new)
-            y_events[fired[first]].append(y_new)
-            status = EVENT
+            status, fired_event = EVENT, fired[first]
         g = g_new
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
 
     ts = np.array(ts)
-    return OdeResult(
-        t=ts,
-        y=np.vstack(ys).T,
-        sol=DenseSolution(ts, steps),
-        t_events=[np.array(te) for te in t_events],
-        y_events=[np.array(ye) for ye in y_events],
-        status=status,
-        message=MESSAGES[status],
-        nfev=nfev,
-    )
+    return OdeResult(ts, np.vstack(ys).T, DenseSolution(ts, steps), status, fired_event, nfev)
 
 
 @dataclass

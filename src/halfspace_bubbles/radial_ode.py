@@ -42,6 +42,9 @@ __all__ = [
 # fractional powers defined while an event localizes the actual crossing.
 POSITIVITY_FLOOR = 1e-300
 
+# Unit-scale time by which a half-line trajectory must have left the positive cone.
+HORIZON = 1e6
+
 
 @dataclass
 class RadialTrajectory:
@@ -104,7 +107,7 @@ def integrate_radial(
     carries it to ``r_end`` from there, or to the first radius where
     ``stop(r, psi, dpsi)`` falls through zero, located on the step's
     interpolant (``r_end`` may then be infinite).  The result holds the
-    accepted steps.
+    accepted steps.  ``r_end`` must be positive.
 
     Raises
     ------
@@ -116,15 +119,9 @@ def integrate_radial(
     psi0 = np.atleast_1d(np.asarray(psi0, dtype=float))
     if not np.all((psi0 > 0) & np.isfinite(psi0)):
         raise ValueError("initial values must be positive and finite")
-    if not (r_end >= 0 and tol > 0):
-        raise ValueError("need r_end >= 0 and tol > 0")
+    if not (r_end > 0 and tol > 0):
+        raise ValueError("need r_end > 0 and tol > 0")
     m = psi0.shape[0]
-
-    if r_end == 0.0:
-        return RadialTrajectory(
-            np.array([0.0]), psi0[None, :], np.zeros((1, m)), lambda r: _series_eval(spec, psi0, r)
-        )
-
     r_s = _series_launch_radius(spec, psi0, r_end, tol)
     psi_s, dpsi_s = _series_eval(spec, psi0, r_s)
     y0 = np.concatenate([psi_s[0], dpsi_s[0]])
@@ -140,10 +137,10 @@ def integrate_radial(
         events.append(lambda r, y: stop(r, y[:m], y[m:]))
 
     sol = solve_ivp(rhs, (r_s, r_end), y0, rtol=tol, atol=0.0, events=events)
-    if sol.t_events[0].size:
-        raise PositivityLoss(f"component reached zero at r = {sol.t_events[0][0]:.6g}")
-    if not sol.success:
-        raise StepFailure(f"integration stalled: {sol.message}")
+    if sol.event == 0:
+        raise PositivityLoss(f"component reached zero at r = {sol.t[-1]:.6g}")
+    if sol.status < 0:
+        raise StepFailure(f"integration stalled: step below ten ulp of r = {sol.t[-1]:.6g}")
 
     def dense(r):
         psi, dpsi = _series_eval(spec, psi0, r)
@@ -255,11 +252,7 @@ class BreakdownCertificate:
     u_at_t_star: np.ndarray
 
 
-def halfline_breakdown(
-    spec: EllipticSystemSpec,
-    u0: np.ndarray,
-    horizon: float = 1e6,
-) -> BreakdownCertificate:
+def halfline_breakdown(spec: EllipticSystemSpec, u0: np.ndarray) -> BreakdownCertificate:
     """Integrate the half-line system until a component leaves the positive cone.
 
     Initial slopes come from the boundary condition; the second derivative
@@ -270,13 +263,13 @@ def halfline_breakdown(
     M**(-2/(N-2)), M, M**(N/(N-2)).  DOP853 (:func:`halfspace_bubbles.ode.solve_ivp`)
     stops at the first fall of min(v) through zero, located on the step's
     interpolant to adjacent floats; that event time and state are t* and
-    v(t*).  ``horizon`` is a unit-scale time.
+    v(t*).
 
     Raises
     ------
     HorizonExceeded
-        If no crossing occurs before ``horizon``; this flags a tolerance
-        or setup problem, never a counterexample.
+        If no crossing occurs before the unit-scale time ``HORIZON``; this
+        flags a tolerance or setup problem, never a counterexample.
     """
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     if not np.all((u0 > 0) & np.isfinite(u0)) or not validate_spec(spec).passed:
@@ -294,20 +287,22 @@ def halfline_breakdown(
         return float(np.min(y[:m]))
 
     y0 = np.concatenate([v0, spec.c * exponent_product(spec.B, np.log(v0))])
-    sol = solve_ivp(rhs, (0.0, horizon), y0, rtol=1e-12, atol=1e-14, events=[crossing])
-    if sol.status == -1:
-        raise StepFailure(f"half-line integration stalled: {sol.message}")
-    if not sol.t_events[0].size:
+    sol = solve_ivp(rhs, (0.0, HORIZON), y0, rtol=1e-12, atol=1e-14, events=[crossing])
+    if sol.status < 0:
+        raise StepFailure(
+            f"half-line integration stalled: step below ten ulp of t = {sol.t[-1]:.6g}"
+        )
+    if sol.event is None:
         raise HorizonExceeded(
-            f"no positivity breakdown located before t = {horizon:g}; "
+            f"no positivity breakdown located before t = {HORIZON:g}; "
             "tighten tolerances or extend the horizon"
         )
-    v_star = sol.y_events[0][0][:m]
+    v_star = sol.y[:m, -1]
 
     to_u = np.repeat([t_scale, scale, scale ** (spec.N / (spec.N - 2))], [1, m, m])
     trace = np.column_stack([sol.t, sol.y.T]) * to_u
     return BreakdownCertificate(
-        t_star=float(t_scale * sol.t_events[0][0]),
+        t_star=float(t_scale * sol.t[-1]),
         failing_component=int(np.argmin(v_star)),
         trace=trace,
         u_at_t_star=scale * v_star,

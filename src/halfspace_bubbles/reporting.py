@@ -42,13 +42,9 @@ def jsonable(obj):
     return obj
 
 
-def dumps_report(report: dict) -> str:
-    return json.dumps(jsonable(report), indent=2) + "\n"
-
-
 def write_report(report: dict, path: str | Path | None) -> None:
     """Write the report to ``path``, or to stdout when no path is given."""
-    text = dumps_report(report)
+    text = json.dumps(jsonable(report), indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:

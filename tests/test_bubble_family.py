@@ -309,6 +309,7 @@ def test_params_reject_nonpositive_values():
 
 
 def test_make_bubble_params_tangential_center(spec_f2):
-    params = make_bubble_params(spec_f2, sigma=1.0, y0_prime=np.array([2.0, -1.0]))
-    np.testing.assert_allclose(params.y0[:2], [2.0, -1.0])
+    # the center sits above the origin, at the height the boundary row demands
+    params = make_bubble_params(spec_f2, sigma=1.0)
+    assert params.y0[:2].tolist() == [0.0, 0.0]
     assert params.y0[-1] == pytest.approx(-np.sqrt(3.0), rel=1e-14)

@@ -189,6 +189,21 @@ def test_two_radii_are_enough_to_sweep(spec_file, params_file, tmp_path):
                "--n-lambda", "2", "--out", out) == 0
 
 
+@pytest.mark.parametrize("lambda_lo", ["2.000000002", "2.0000002", "2.5"])
+def test_sweep_starting_past_the_critical_radius_is_a_bad_bracket(
+    lambda_lo, spec_file, tmp_path, capsys
+):
+    # the critical radius about x = 0 is 2: each start past it, however close,
+    # exits 1 with the same error code and the same message form
+    assert run("moving-spheres", "--spec", spec_file, "--lambda-lo", lambda_lo,
+               "--out", tmp_path / "sweep.json") == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error_code"] == "bad_bracket"
+    detail = error["detail"]
+    assert detail.startswith("min w = -")
+    assert detail.endswith(f" < 0 at lambda_lo={lambda_lo}; start below the critical radius")
+
+
 def test_seed_zero_is_a_seed(spec_file, params_file, tmp_path):
     out = tmp_path / "verify.json"
     assert run("verify", "--spec", spec_file, "--params", params_file, "--grid", "4",
@@ -460,8 +475,9 @@ class TestEachValueOnce:
         report = json.loads(out.read_text())
         (sol,) = results
         # u0 = 2 on N = 3 maps unit-scale time by 2**-2 and values by 2, both exact
-        assert report["t_star"] == 0.25 * sol.t_events[0][0]
-        assert report["u_at_t_star"] == (2.0 * sol.y_events[0][0][:1]).tolist()
+        assert sol.event == 0
+        assert report["t_star"] == 0.25 * sol.t[-1]
+        assert report["u_at_t_star"] == (2.0 * sol.y[:1, -1]).tolist()
         assert evaluated == []  # no dense output is evaluated after the event
 
 

@@ -102,7 +102,8 @@ class TestTransportedField:
         setup = fixture_setup(params_f2)
         u = bubble_field(params_f2)
         np.testing.assert_allclose(
-            transform_v(setup, u, setup.Q), evaluate_bubble(params_f2, setup.Q), rtol=1e-14
+            transform_v(setup, u, setup.Q[None]), evaluate_bubble(params_f2, setup.Q[None]),
+            rtol=1e-14,
         )
 
     def test_extension_limit_at_pole(self, fixture_pair):
@@ -115,18 +116,18 @@ class TestTransportedField:
         direction[-1] = 0.8
         for eps, tol in ((1e-3, 2e-3), (1e-6, 2e-6)):
             z = setup.P + eps * setup.d * direction
-            v = transform_v(setup, u, z)
+            v = transform_v(setup, u, z[None])[0]
             assert np.max(np.abs(v - extension) / extension) <= tol
         # inside the extension radius the exact limit value is returned
         z = setup.P + 1e-12 * setup.d * direction
-        np.testing.assert_array_equal(transform_v(setup, u, z), extension)
+        np.testing.assert_array_equal(transform_v(setup, u, z[None])[0], extension)
 
     def test_radial_symmetry(self, fixture_pair):
         spec, params = fixture_pair
         setup = fixture_setup(params)
         v = ball_field(setup, bubble_field(params))
         radii = np.linspace(0.05, 0.95, 8) * 2 * setup.d
-        variation = verify_radial(setup, v, radii, angular_samples=128)
+        variation = verify_radial(setup, v, radii)
         assert variation.max() <= 1e-10
 
     def test_radial_variation_does_not_depend_on_value_layout(self, params_f3):
@@ -136,9 +137,9 @@ class TestTransportedField:
         v = ball_field(setup, bubble_field(params_f3))
         radii = np.linspace(0.05, 0.95, 8) * 2 * setup.d
         assert v(setup.Q + radii[:, None] * np.eye(4)[:1]).flags.c_contiguous
-        expected = verify_radial(setup, v, radii, angular_samples=128)
+        expected = verify_radial(setup, v, radii)
         fortran = lambda points: np.asfortranarray(v(points))
-        assert verify_radial(setup, fortran, radii, angular_samples=128).tobytes() == expected.tobytes()
+        assert verify_radial(setup, fortran, radii).tobytes() == expected.tobytes()
 
     def test_perturbed_center_breaks_radial_symmetry(self, params_f2):
         setup = fixture_setup(params_f2)
@@ -146,13 +147,13 @@ class TestTransportedField:
             sigma=params_f2.sigma, betas=params_f2.betas, y0=params_f2.y0 + [0.05, 0.0, 0.0]
         )
         v = ball_field(setup, bubble_field(shifted))
-        variation = verify_radial(setup, v, [setup.d], angular_samples=128)
+        variation = verify_radial(setup, v, [setup.d])
         assert variation.max() > 1e-4
 
     def test_variation_vanishes_toward_center(self, params_f2):
         setup = fixture_setup(params_f2)
         v = ball_field(setup, bubble_field(params_f2))
-        variation = verify_radial(setup, v, [1e-8 * setup.d], angular_samples=64)
+        variation = verify_radial(setup, v, [1e-8 * setup.d])
         assert variation.max() <= 1e-12
 
     def test_radii_must_fit_in_ball(self, params_f1):

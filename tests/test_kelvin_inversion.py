@@ -99,16 +99,16 @@ class TestKelvinTransform:
     def test_equals_field_on_sphere(self, params_f2):
         u = bubble_field(params_f2)
         inv = SphereInversion(center=np.zeros(3), radius=1.3)
-        y = inv.center + 1.3 * np.array([0.6, 0.0, 0.8])
-        np.testing.assert_allclose(kelvin_transform_u(u, inv, y), u(y[None, :])[0], rtol=1e-14)
+        y = inv.center + 1.3 * np.array([[0.6, 0.0, 0.8]])
+        np.testing.assert_allclose(kelvin_transform_u(u, inv, y), u(y), rtol=1e-14)
         np.testing.assert_allclose(difference_w(u, inv, y), 0.0, atol=1e-16)
 
     def test_scaling_factor_at_double_radius(self, params_f2):
         # |y| = 2 lam: the transform reads the field at y/4 and scales by 1/2.
         u = bubble_field(params_f2)
         inv = SphereInversion(center=np.zeros(3), radius=1.0)
-        y = np.array([1.2, 0.0, 1.6])  # |y| = 2
-        expected = 0.5 * u((y / 4)[None, :])[0]
+        y = np.array([[1.2, 0.0, 1.6]])  # |y| = 2
+        expected = 0.5 * u(y / 4)
         np.testing.assert_allclose(kelvin_transform_u(u, inv, y), expected, rtol=1e-14)
 
     def test_critical_radius_makes_transform_the_identity(self, fixture_pair):

@@ -131,12 +131,10 @@ class TestIntegrateRadial:
         curvature = 2 * (traj.psi[0] - psi0) / delta**2
         np.testing.assert_allclose(curvature, -prod0 / spec.N, rtol=1e-4)
 
-    def test_zero_interval_returns_single_identity_state(self, spec_f1):
-        traj = integrate_radial(spec_f1, [1.3], 0.0, tol=1e-10)
-        assert traj.r.shape == (1,)
-        assert traj.r[0] == 0.0
-        np.testing.assert_array_equal(traj.psi[0], [1.3])
-        np.testing.assert_array_equal(traj.dpsi[0], [0.0])
+    def test_zero_interval_is_rejected(self, spec_f1):
+        for r_end in (0.0, -1.0):
+            with pytest.raises(ValueError, match="r_end > 0"):
+                integrate_radial(spec_f1, [1.3], r_end, tol=1e-10)
 
     def test_tolerance_controls_error_with_consistent_order(self, spec_f2, params_f2):
         # An adaptive error-per-step scheme tracks tol roughly linearly, so a
@@ -333,9 +331,10 @@ class TestHalflineBreakdown:
         cert = halfline_breakdown(spec_f3, [1.0, 1.0])
         assert cert.t_star > 0.0
 
-    def test_horizon_flags_setup_problem(self, spec_f1):
-        with pytest.raises(HorizonExceeded):
-            halfline_breakdown(spec_f1, [1.0], horizon=0.1)
+    def test_horizon_flags_setup_problem(self, spec_f1, monkeypatch):
+        monkeypatch.setattr(radial_ode, "HORIZON", 0.1)
+        with pytest.raises(HorizonExceeded, match="before t = 0.1;"):
+            halfline_breakdown(spec_f1, [1.0])
 
     @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
     @pytest.mark.parametrize("u0", [1e-4, 1.0, 1e8])

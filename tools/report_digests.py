@@ -1,9 +1,12 @@
 """Digests of the CLI's reports and CSVs on the fixture specs, for byte-identity checks.
 
 Runs every subcommand on the three fixture systems (f1, f2, f3 at
-sigma = 1), a spec that fails validation and one unusable input, in this
-process through ``halfspace_bubbles.cli.main``, and prints per call its
-exit code, its standard error and the sha256 of every file it wrote.
+sigma = 1), a spec that fails validation, and the error paths: sweeps
+that start past the critical radius, a shot that cannot meet the Robin
+condition on incompatible boundary rows, and unusable inputs.  Each call
+goes through ``halfspace_bubbles.cli.main`` in this process; per call it
+prints the exit code, the standard error and the sha256 of every file it
+wrote.
 Run it against two checkouts and diff the printouts:
 
     PYTHONPATH=src python tools/report_digests.py OUTDIR > digests.txt
@@ -32,6 +35,9 @@ SPECS = {
     # block-diagonal A: validate reports violations and exits 1
     "reducible": {"N": 4, "m": 2, "A": [[3.0, 0.0], [0.0, 3.0]], "B": [[2.0, 0.0], [0.0, 2.0]],
                   "c": [-1.0, -1.0]},
+    # f3's A with diagonal boundary rows that demand two different profiles
+    "x3": {"N": 4, "m": 2, "A": [[1.0, 2.0], [2.0, 1.0]], "B": [[2.0, 0.0], [0.0, 2.0]],
+           "c": [-1.0, -0.5]},
 }
 
 
@@ -58,11 +64,17 @@ def main(outdir: str) -> int:
     matrix = {}
     for name, spec in SPECS.items():
         Path(f"{name}.spec.json").write_text(json.dumps(spec), encoding="utf-8")
-        if name != "reducible":
+        if name in ("f1", "f2", "f3"):
             matrix.update(calls(name))
     matrix["reducible.validate"] = ["validate"]
-    # a boundary center off the hyperplane: exit 2, malformed_spec
+    # sweeps from past f2's critical radius 2, just past it and well past it: exit 1, bad_bracket
+    matrix["f2.moving-spheres-near-lo"] = ["moving-spheres", "--lambda-lo", "2.000000002"]
+    matrix["f2.moving-spheres-far-lo"] = ["moving-spheres", "--lambda-lo", "2.5"]
+    # f3's parameters (its solve-params report; extra keys are ignored): exit 1, shoot_failed
+    matrix["x3.radial"] = ["radial", "--params", "f3.solve-params.json"]
+    # a boundary center off the hyperplane, a box below the boundary: exit 2, malformed_spec
     matrix["f1.moving-spheres-bad-x"] = ["moving-spheres", "--x", "1,2,3"]
+    matrix["f1.verify-bad-box"] = ["verify", "--box=-1,1,-1,1,-1,1"]
 
     for call_id, argv in matrix.items():
         spec = f"{call_id.split('.')[0]}.spec.json"
