@@ -60,9 +60,9 @@ class ShootFailed(HalfspaceBubblesError):
 
 
 class HorizonExceeded(HalfspaceBubblesError):
-    """No positivity breakdown located before the time horizon.
+    """No positivity breakdown located before the unit-scale time horizon.
 
-    Flags a tolerance or setup problem, never a counterexample.
+    Flags a setup problem, never a counterexample.
     """
 
     code = "horizon_exceeded"

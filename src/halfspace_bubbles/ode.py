@@ -15,6 +15,7 @@ Levenberg-Marquardt steps on a forward-difference Jacobian.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -26,13 +27,13 @@ EPS = np.finfo(float).eps
 
 # DOP853 tableau: 12 stages, the 13th (f at the new point), and 3 extra
 # stages for the dense output.  Nonzero entries of A by row and column.
-C = np.array([
+C = (
     0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
     0.118350341907227396726757197510, 0.281649658092772603273242802490,
     0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
     0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0,
     0.1, 0.2, 0.777777777777777777777777777778,
-])
+)
 _A = {
     1: {0: 5.26001519587677318785587544488e-2},
     2: {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
@@ -82,6 +83,7 @@ _A = {
 A = np.zeros((16, 16))
 for _i, _row in _A.items():
     A[_i, list(_row)] = list(_row.values())
+A_ROWS = [A[s, :s] for s in range(16)]  # the stage weights row by row
 B = A[12, :12]
 # error estimators of orders 5 and 3, over the 13 stages
 E5 = np.zeros(13)
@@ -138,8 +140,9 @@ LSQ_TOL = 1e-15
 FINISHED, EVENT, FAILED = 0, 1, -1
 
 
+# math.sqrt(x.dot(x)) is the norm numpy's linalg.norm computes for a 1-D x
 def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size**0.5
+    return math.sqrt(x.dot(x)) / x.size**0.5
 
 
 class _Step:
@@ -160,7 +163,7 @@ class _Step:
         if self.F is None:
             K, h = self.K, self.h
             for s in range(13, 16):
-                K[s] = self.fun(self.t_old + C[s] * h, self.y_old + np.dot(K[:s].T, A[s, :s]) * h)
+                K[s] = self.fun(self.t_old + C[s] * h, self.y_old + np.dot(K[:s].T, A_ROWS[s]) * h)
             dy = self.y - self.y_old
             F = np.empty((7, dy.size))
             F[0] = dy
@@ -197,12 +200,11 @@ class DenseSolution:
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.steps) - 1)
-        used, inv = np.unique(seg, return_inverse=True)
-        steps = [self.steps[i] for i in used]
-        F = np.stack([s.coefficients() for s in steps], axis=1)[:, inv]  # (7, k, n)
-        t_old = np.array([s.t_old for s in steps])[inv]
-        h = np.array([s.h for s in steps])[inv]
-        y_old = np.stack([s.y_old for s in steps])[inv]
+        steps = [self.steps[i] for i in seg]
+        F = np.stack([s.coefficients() for s in steps], axis=1)  # (7, k, n)
+        t_old = np.array([s.t_old for s in steps])
+        h = np.array([s.h for s in steps])
+        y_old = np.stack([s.y_old for s in steps])
         return _interpolate(F, ((t - t_old) / h)[:, None], y_old).T
 
 
@@ -230,7 +232,7 @@ def _rk_step(fun, t, y, h, K) -> np.ndarray:
     Fills the stages K[1:13] (K[12] is fun at the new point) and returns y(t + h).
     """
     for s in range(1, 12):
-        K[s] = fun(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
+        K[s] = fun(t + C[s] * h, y + np.dot(K[:s].T, A_ROWS[s]) * h)
     y_new = y + h * np.dot(K[:12].T, B)
     K[12] = fun(t + h, y_new)
     return y_new
@@ -252,11 +254,11 @@ def _initial_step(fun, t0, y0, f0, t_end, rtol, atol) -> float:
 
 def _error_norm(K, h, scale) -> float:
     """RMS size of the blended 5th/3rd-order error estimate relative to ``scale``."""
-    err5 = np.linalg.norm(np.dot(K.T, E5) / scale) ** 2
-    err3 = np.linalg.norm(np.dot(K.T, E3) / scale) ** 2
+    e5, e3 = np.dot(K.T, E5) / scale, np.dot(K.T, E3) / scale
+    err5, err3 = math.sqrt(e5.dot(e5)) ** 2, math.sqrt(e3.dot(e3)) ** 2
     if err5 == 0 and err3 == 0:
         return 0.0
-    return np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * scale.size)
+    return abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * scale.size)
 
 
 def _event_root(g, a, b, ga, gb) -> float:
@@ -305,20 +307,14 @@ def solve_ivp(
     """
     t, t_end = map(float, t_span)
     y = np.asarray(y0, dtype=float)
-    nfev = 0
-
-    def counted(t, y):
-        nonlocal nfev
-        nfev += 1
-        return fun(t, y)
-
-    f = counted(t, y)
-    h_abs = _initial_step(counted, t, y, f, t_end, rtol, atol)
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t_end, rtol, atol)
+    nfev = 2
     ts, ys, steps = [t], [y], []
     g = [event(t, y) for event in events]
     status, fired_event = None, None
     while status is None:
-        min_step = 10 * abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         K = np.empty((16, y.size))
@@ -330,7 +326,8 @@ def solve_ivp(
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = abs(h)
-            y_new = _rk_step(counted, t, y, h, K)
+            y_new = _rk_step(fun, t, y, h, K)
+            nfev += 12
             f_new = K[12]
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err = _error_norm(K[:13], h, scale)
@@ -342,7 +339,7 @@ def solve_ivp(
             rejected = True
         if status == FAILED:
             break
-        step = _Step(counted, t, h, y, y_new, K)
+        step = _Step(fun, t, h, y, y_new, K)
         steps.append(step)
         if t_new >= t_end:
             status = FINISHED
@@ -357,6 +354,7 @@ def solve_ivp(
             t_new = roots[first]
             y_new = step(t_new)
             status, fired_event = EVENT, fired[first]
+            nfev += 3  # the interpolant's extra stages
         g = g_new
         t, y, f = t_new, y_new, f_new
         ts.append(t)

@@ -45,6 +45,8 @@ POSITIVITY_FLOOR = 1e-300
 # Unit-scale time by which a half-line trajectory must have left the positive cone.
 HORIZON = 1e6
 
+SERIES_TERMS = 8  # of the launch series in r**2 about the radial origin
+
 
 @dataclass
 class RadialTrajectory:
@@ -68,27 +70,53 @@ class RadialTrajectory:
         return RadialTrajectory(r=r, psi=psi, dpsi=dpsi, dense=self.dense)
 
 
-def _series_launch_radius(spec, psi0, r_end, tol) -> float:
-    """Launch radius keeping the dropped fourth-order series term below tol.
+def _series_coefficients(spec, psi0) -> np.ndarray:
+    """Coefficients a (SERIES_TERMS, m) of the launch series psi = sum_k a[k] r**(2k).
 
-    It stays 1e-3 below r_end and below every row's Robin balance radius,
-    where the Robin term (N-2)/(2r) psi meets the flux |c| prod_j psi_j**B[i,j].
+    In rho = r**2 the radial operator is 4 rho psi_rho_rho + 2N psi_rho, so
+    a[k+1] = -p[k] / (2 (k+1) (2k+N)), p the series of exp(A log psi), built
+    by the power-series log and exp recurrences.
     """
-    prod0 = exponent_product(spec.A, np.log(psi0))
-    r_s = (tol * 2 * spec.N / float(np.max(prod0))) ** 0.25
-    flux0 = np.abs(spec.c) * exponent_product(spec.B, np.log(psi0))
+    a, log_psi, p = (np.zeros((SERIES_TERMS, psi0.shape[0])) for _ in range(3))
+    a[0], log_psi[0] = psi0, np.log(psi0)
+    p[0] = exponent_product(spec.A, log_psi[0])
+    for n in range(1, SERIES_TERMS):
+        a[n] = -p[n - 1] / (2 * n * (2 * n - 2 + spec.N))
+        # n a[n] = sum_{j=1..n} j log_psi[j] a[n-j], and likewise p from A log_psi
+        j = np.arange(1, n + 1)[:, None]
+        tail = np.sum(j[:-1] * log_psi[1:n] * a[n - 1 : 0 : -1], axis=0)
+        log_psi[n] = (n * a[n] - tail) / (n * a[0])
+        p[n] = np.sum(j * (log_psi[1 : n + 1] @ spec.A.T) * p[n - 1 :: -1], axis=0) / n
+    return a
+
+
+def _series_launch_radius(spec, a, r_end, tol) -> float:
+    """Launch radius: the dropped term below tol/2 of psi0, its slope below tol/2 of 2 a[1] r.
+
+    |a[K]| is bounded by the larger of the last two terms, each carried on
+    at its own rate |a[k] / psi0|**(1/k), so the bound scales with the
+    profile; the half covers its shortfall on coefficients that grow slower
+    than geometrically (N = 3).  The radius stays 1e-3 of r_end and a tenth
+    of every row's Robin balance radius, where (N-2)/(2r) psi meets the
+    flux |c| prod_j psi_j**B[i,j].
+    """
+    K, half = SERIES_TERMS, tol / 2
+    k = np.arange(K - 2, K)[:, None]
+    a_K = np.max(np.abs(a[-2:] / a[0]) ** (K / k), axis=0)  # bound on |a[K] / psi0|, (m,)
+    flux0 = np.abs(spec.c) * exponent_product(spec.B, np.log(a[0]))
     with np.errstate(divide="ignore"):
-        balance = float(np.min((spec.N - 2) * psi0 / (2 * flux0)))
-    return min(r_s, 1e-3 * r_end, 1e-3 * balance)
+        rho = np.minimum(
+            (half / a_K) ** (1 / K), (half * np.abs(a[1] / a[0]) / (K * a_K)) ** (1 / (K - 1))
+        )
+        balance = float(np.min((spec.N - 2) * a[0] / (2 * flux0)))
+    return min(float(np.min(rho)) ** 0.5, 1e-3 * r_end, 0.1 * balance)
 
 
-def _series_eval(spec, psi0, r):
-    """Quadratic series about r = 0: psi, dpsi at radii r (k,)."""
-    prod0 = exponent_product(spec.A, np.log(psi0))
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    psi = psi0[None, :] - (r**2)[:, None] / (2 * spec.N) * prod0[None, :]
-    dpsi = -r[:, None] / spec.N * prod0[None, :]
-    return psi, dpsi
+def _series_eval(a, r):
+    """psi, dpsi of the launch series with coefficients a at radii r (k,)."""
+    k = np.arange(SERIES_TERMS)
+    powers = (r**2)[:, None] ** k
+    return powers @ a, 2 * r[:, None] * (powers[:, :-1] @ (k[1:, None] * a[1:]))
 
 
 def integrate_radial(
@@ -101,8 +129,8 @@ def integrate_radial(
     """Integrate the radial profile system from r = 0 with local tolerance tol.
 
     The (N-1)/r term is singular at the origin, so the trajectory starts
-    from a quadratic series on [0, r_s] with r_s chosen so the dropped
-    fourth-order term stays below ``tol``; the package's own DOP853
+    from a series in r**2 on [0, r_s], with r_s chosen so the dropped term
+    and its slope stay below ``tol / 2``; the package's own DOP853
     (:func:`halfspace_bubbles.ode.solve_ivp`, relative local error ``tol``)
     carries it to ``r_end`` from there, or to the first radius where
     ``stop(r, psi, dpsi)`` falls through zero, located on the step's
@@ -121,16 +149,19 @@ def integrate_radial(
         raise ValueError("initial values must be positive and finite")
     if not (r_end > 0 and tol > 0):
         raise ValueError("need r_end > 0 and tol > 0")
-    m = psi0.shape[0]
-    r_s = _series_launch_radius(spec, psi0, r_end, tol)
-    psi_s, dpsi_s = _series_eval(spec, psi0, r_s)
+    m, AT = psi0.shape[0], spec.A.T
+    a = _series_coefficients(spec, psi0)
+    r_s = _series_launch_radius(spec, a, r_end, tol)
+    psi_s, dpsi_s = _series_eval(a, np.array([r_s]))
     y0 = np.concatenate([psi_s[0], dpsi_s[0]])
 
     def rhs(r, y):
         psi = np.maximum(y[:m], POSITIVITY_FLOOR)
         dpsi = y[m:]
-        prod = exponent_product(spec.A, np.log(psi))
-        return np.concatenate([dpsi, -(spec.N - 1) / r * dpsi - prod])
+        out = np.empty(2 * m)
+        out[:m] = dpsi
+        out[m:] = -(spec.N - 1) / r * dpsi - np.exp(np.log(psi) @ AT)
+        return out
 
     events = [lambda r, y: float(np.min(y[:m]))]  # positivity
     if stop is not None:
@@ -143,12 +174,13 @@ def integrate_radial(
         raise StepFailure(f"integration stalled: step below ten ulp of r = {sol.t[-1]:.6g}")
 
     def dense(r):
-        psi, dpsi = _series_eval(spec, psi0, r)
+        psi, dpsi = np.empty((2, r.size, m))
         above = r > r_s
+        if not np.all(above):
+            psi[~above], dpsi[~above] = _series_eval(a, r[~above])
         if np.any(above):
             y = sol.sol(r[above])
-            psi[above] = y[:m].T
-            dpsi[above] = y[m:].T
+            psi[above], dpsi[above] = y[:m].T, y[m:].T
         return psi, dpsi
 
     psi, dpsi = np.vstack([psi0, sol.y[:m].T]), np.vstack([np.zeros(m), sol.y[m:].T])
@@ -184,8 +216,9 @@ def shoot_robin(
     mismatch at 2d is k-scaled psi_ref's at s = 2d / mu, so one least-squares
     solve for (log s, theta) runs on psi_ref, from its best accepted step.
     Each row's mismatch tends to +1 as s -> 0 and to -1/3 as s -> inf: the
-    series launch stays below every row's Robin balance and the integration
-    stops once every row is below -1/6, so the steps span every root.  The
+    series launch stays below a tenth of every row's Robin balance radius,
+    where the mismatch is still near +1, and the integration stops once
+    every row is below -1/6, so the accepted steps span every root.  The
     profile is integrated numerically, never taken from the closed form, so
     agreement with the recovery formulas is a genuine cross-check.  The shot
     profile, psi_ref so rescaled onto [0, 2d], is returned with (alphas, mu).
@@ -269,7 +302,7 @@ def halfline_breakdown(spec: EllipticSystemSpec, u0: np.ndarray) -> BreakdownCer
     ------
     HorizonExceeded
         If no crossing occurs before the unit-scale time ``HORIZON``; this
-        flags a tolerance or setup problem, never a counterexample.
+        flags a setup problem, never a counterexample.
     """
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     if not np.all((u0 > 0) & np.isfinite(u0)) or not validate_spec(spec).passed:
@@ -278,10 +311,14 @@ def halfline_breakdown(spec: EllipticSystemSpec, u0: np.ndarray) -> BreakdownCer
     scale = float(np.max(u0))
     t_scale = scale ** (-2.0 / (spec.N - 2))
     v0 = u0 / scale
+    AT = spec.A.T
 
     def rhs(t, y):
         v = np.maximum(y[:m], POSITIVITY_FLOOR)
-        return np.concatenate([y[m:], -exponent_product(spec.A, np.log(v))])
+        out = np.empty(2 * m)
+        out[:m] = y[m:]
+        out[m:] = -np.exp(np.log(v) @ AT)
+        return out
 
     def crossing(t, y):
         return float(np.min(y[:m]))
@@ -295,7 +332,7 @@ def halfline_breakdown(spec: EllipticSystemSpec, u0: np.ndarray) -> BreakdownCer
     if sol.event is None:
         raise HorizonExceeded(
             f"no positivity breakdown located before t = {HORIZON:g}; "
-            "tighten tolerances or extend the horizon"
+            "at unit scale (max u0 = 1) that flags a setup problem, never a counterexample"
         )
     v_star = sol.y[:m, -1]
 

@@ -117,6 +117,37 @@ def test_min_step_failure_raises_step_failure(call, spec_f1, monkeypatch):
             radial_ode.halfline_breakdown(spec_f1, [1.0])
 
 
+@pytest.mark.parametrize("call", ["radial", "halfline", "oscillator"])
+def test_nfev_counts_the_calls_made_before_returning(call, spec_f3, params_f3, monkeypatch):
+    # a radial shot ends on its stop event and a half-line solve on its
+    # crossing, each located on the step's interpolant; the oscillator runs
+    # to its end time, rejected steps included
+    seen = []
+
+    def counting(fun, *args, **kwargs):
+        calls = 0
+
+        def wrapped(t, y):
+            nonlocal calls
+            calls += 1
+            return fun(t, y)
+
+        out = ode.solve_ivp(wrapped, *args, **kwargs)
+        seen.append((out, calls))
+        return out
+
+    monkeypatch.setattr(radial_ode, "solve_ivp", counting)
+    if call == "radial":
+        radial_ode.shoot_robin(spec_f3, setup_from_params(params_f3).d, tol=1e-10)
+    elif call == "halfline":
+        radial_ode.halfline_breakdown(spec_f3, np.ones(spec_f3.m))
+    else:
+        radial_ode.solve_ivp(oscillator, (0.0, 50.0), np.array([0.0, 1.0]), rtol=1e-9, atol=1e-12)
+    [(out, calls)] = seen
+    assert out.event == {"radial": 1, "halfline": 0, "oscillator": None}[call]
+    assert out.nfev == calls
+
+
 class TestLeastSquares:
     def test_root_on_an_active_bound(self):
         out = ode.least_squares(lambda x: np.array([x[0] ** 2 - 4.0]), np.array([0.5]),

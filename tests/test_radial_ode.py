@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 from scipy.integrate import quad
 
-from halfspace_bubbles import radial_ode
+from halfspace_bubbles import ode, radial_ode
 from halfspace_bubbles.bubble_family import make_bubble_params, solve_betas
 from halfspace_bubbles.conformal_ball import recover_mu_alpha, setup_from_params
 from halfspace_bubbles.errors import HorizonExceeded, PositivityLoss, ShootFailed
@@ -241,6 +241,60 @@ SPECS = {
     "incompatible": incompatible_rows_spec(),
 }
 SHOOTABLE = ["degenerate", "f1", "f2", "f3"]
+
+
+def spec_n5() -> EllipticSystemSpec:
+    """N = 5, two coupled components: row sums (N+2)/(N-2) = 7/3 and N/(N-2) = 5/3."""
+    return EllipticSystemSpec(
+        N=5, m=2, A=[[1.0, 4.0 / 3.0], [4.0 / 3.0, 1.0]], B=[[5.0 / 6.0, 5.0 / 6.0]] * 2,
+        c=[-1.0, -1.0],
+    )
+
+
+LAUNCH_SPECS = {**{name: SPECS[name] for name in SHOOTABLE}, "n5": spec_n5()}
+
+
+class TestLaunchSeries:
+    # psi_ref = beta (1 + r^2)**(-(N-2)/2) solves the radial system for the
+    # mu = 1 amplitudes beta, so its series in r^2 is beta binom(-(N-2)/2, k)
+    @pytest.mark.parametrize("name", sorted(LAUNCH_SPECS))
+    def test_coefficients_are_binomial(self, name):
+        spec = LAUNCH_SPECS[name]
+        beta = solve_betas(spec, 1.0).betas()
+        a = radial_ode._series_coefficients(spec, beta)
+        j, alpha = np.arange(radial_ode.SERIES_TERMS - 1), -(spec.N - 2) / 2
+        binom = np.cumprod(np.append(1.0, (alpha - j) / (j + 1)))  # binom(alpha, k)
+        exact = beta * binom[:, None]
+        assert a.shape == exact.shape
+        np.testing.assert_allclose(a, exact, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-10])
+    @pytest.mark.parametrize("name", sorted(LAUNCH_SPECS))
+    def test_launch_state_matches_closed_form(self, name, tol):
+        spec = LAUNCH_SPECS[name]
+        beta = solve_betas(spec, 1.0).betas()
+        traj = integrate_radial(spec, beta, 1e3, tol=tol)
+        r_s = traj.r[1]  # the first state after r = 0 is the launch
+        psi = closed_form_psi(spec.N, beta, 1.0, r_s)
+        dpsi = -(spec.N - 2) * beta * r_s * (1 + r_s**2) ** (-spec.N / 2)
+        np.testing.assert_allclose(traj.psi[1], psi, rtol=tol, atol=0)
+        np.testing.assert_allclose(traj.dpsi[1], dpsi, rtol=tol, atol=0)
+
+    @pytest.mark.parametrize("name, most", [("f1", 25), ("f2", 22), ("f3", 35)])
+    def test_reference_integration_steps(self, name, most, monkeypatch):
+        # a launch near r = 1e-3 costs 51, 40 and 64 steps: the (N-1)/r term
+        # holds each step to a fixed fraction of r
+        spec = LAUNCH_SPECS[name]
+        steps = []
+
+        def recording(*args, **kwargs):
+            out = ode.solve_ivp(*args, **kwargs)
+            steps.append(out.t.size - 1)
+            return out
+
+        monkeypatch.setattr(radial_ode, "solve_ivp", recording)
+        shoot_robin(spec, setup_from_params(make_bubble_params(spec, sigma=1.0)).d, tol=1e-10)
+        assert len(steps) == 1 and steps[0] <= most
 
 
 @functools.cache

@@ -1,9 +1,11 @@
 """Digests of the CLI's reports and CSVs on the fixture specs, for byte-identity checks.
 
 Runs every subcommand on the three fixture systems (f1, f2, f3 at
-sigma = 1), a spec that fails validation, and the error paths: sweeps
-that start past the critical radius, a shot that cannot meet the Robin
-condition on incompatible boundary rows, and unusable inputs.  Each call
+sigma = 1), the half-line solve from the scaled starts u0 = 1e-4 and 1e8
+on f3 and the incompatible-rows spec x3, a spec that fails validation,
+and the error paths: sweeps that start past the critical radius, a shot
+that cannot meet the Robin condition on incompatible boundary rows, and
+unusable inputs.  Each call
 goes through ``halfspace_bubbles.cli.main`` in this process; per call it
 prints the exit code, the standard error and the sha256 of every file it
 wrote.
@@ -72,6 +74,10 @@ def main(outdir: str) -> int:
     matrix["f2.moving-spheres-far-lo"] = ["moving-spheres", "--lambda-lo", "2.5"]
     # f3's parameters (its solve-params report; extra keys are ignored): exit 1, shoot_failed
     matrix["x3.radial"] = ["radial", "--params", "f3.solve-params.json"]
+    # the half-line solve at scaled starts, where the stepper runs on u0 / max(u0)
+    for name in ("f3", "x3"):
+        for u0 in ("1e-4", "1e8"):
+            matrix[f"{name}.halfline-{u0}"] = ["halfline", "--csv", "--u0", u0]
     # a boundary center off the hyperplane, a box below the boundary: exit 2, malformed_spec
     matrix["f1.moving-spheres-bad-x"] = ["moving-spheres", "--x", "1,2,3"]
     matrix["f1.verify-bad-box"] = ["verify", "--box=-1,1,-1,1,-1,1"]
