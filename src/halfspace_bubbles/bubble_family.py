@@ -7,11 +7,8 @@ Every positive solution of the system is a "bubble"
 where the amplitudes solve a log-linear system tied to ``sigma`` and the
 center height ``y0[N-1]`` is pinned by the boundary coefficients.  This
 module solves for those parameters, evaluates the bubbles and their exact
-derivatives, and computes interior/boundary residuals analytically.
-
-All exponent products are evaluated as exp(sum e_j log u_j) by
-:func:`exponent_product`: the exponents are fractional and the bases span
-many decades.
+derivatives, and computes interior/boundary residuals analytically from
+them and the spec's source and flux.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ __all__ = [
     "boundary_residual_relative",
     "bubble_field",
     "field_values",
-    "exponent_product",
     "log_profile",
     "squared_distance",
     "load_params",
@@ -112,14 +108,6 @@ class LogLinearSolveResult:
                 raise ValueError(f"expected {self.nullity} kernel coordinates, got {coords.shape}")
             logb = logb + coords @ self.null_basis
         return np.exp(logb)
-
-
-def exponent_product(exponents: np.ndarray, log_values: np.ndarray) -> np.ndarray:
-    """Row-wise products prod_j exp(log_values[j])**exponents[i, j], in log space.
-
-    ``log_values`` may be (..., m); the result has the same leading shape.
-    """
-    return np.exp(log_values @ np.asarray(exponents).T)
 
 
 def log_profile(log_amps: np.ndarray, q: np.ndarray, N: int) -> np.ndarray:
@@ -209,7 +197,7 @@ def compute_y0N(
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     if np.any(betas <= 0) or not 0 < sigma < np.inf:
         raise ValueError("betas and sigma must be positive")
-    per_row = sigma**2 * spec.N * spec.c * exponent_product(spec.B - spec.A, np.log(betas))
+    per_row = sigma**2 * spec.N * spec.c * np.exp(np.log(betas) @ (spec.B - spec.A).T)
     y0N = float(np.mean(per_row))
     spread = float(np.max(np.abs(per_row - y0N)))
     if spread > tol_param * (1.0 + abs(y0N)):
@@ -274,8 +262,7 @@ def interior_residual_relative(
     """|lap(u_i) + prod_j u_j**A[i,j]| scaled by |lap(u_i)| (never zero for a bubble)."""
     y = np.asarray(y, dtype=float)
     _, lap = evaluate_bubble_derivatives(params, y)
-    prod = exponent_product(spec.A, _log_values(params, y))
-    return np.abs(lap + prod) / np.abs(lap)
+    return np.abs(lap + spec.source(_log_values(params, y))) / np.abs(lap)
 
 
 def boundary_residual_relative(
@@ -285,7 +272,7 @@ def boundary_residual_relative(
     yprime = np.asarray(yprime, dtype=float)
     grads, _ = evaluate_bubble_derivatives(params, yprime)
     dN = grads[..., :, -1]
-    flux = spec.c * exponent_product(spec.B, _log_values(params, yprime))
+    flux = spec.flux(_log_values(params, yprime))
     scale = np.maximum(np.abs(dN), np.abs(flux))
     res = np.abs(dN - flux)
     out = np.zeros_like(res)

@@ -7,6 +7,9 @@ the boundary coefficient vector ``c``:
     lap(u_i) + prod_j u_j**A[i,j] = 0          for y_N > 0,
     d(u_i)/d(y_N) = c[i] * prod_j u_j**B[i,j]  on y_N = 0.
 
+The two nonlinear terms are :meth:`EllipticSystemSpec.source` and ``flux``,
+taken in log space: the exponents are fractional, the values span decades.
+
 The structural constraints (row sums pinned to the scale-critical values,
 non-negative exponents, irreducibility of ``A``, diagonal boundary rows
 wherever ``c[i] >= 0``) are exact identities in exact arithmetic.  Inputs
@@ -62,6 +65,16 @@ class EllipticSystemSpec:
         self.A = np.asarray(self.A, dtype=float)
         self.B = np.asarray(self.B, dtype=float)
         self.c = np.asarray(self.c, dtype=float)
+        # plain attributes, not fields: to_dict and == see A and B only
+        self.AT, self.BT = self.A.T, self.B.T
+
+    def source(self, log_u: np.ndarray) -> np.ndarray:
+        """Interior source prod_j u_j**A[i,j] from log u (..., m); (..., m)."""
+        return np.exp(log_u @ self.AT)
+
+    def flux(self, log_u: np.ndarray) -> np.ndarray:
+        """Boundary flux c[i] prod_j u_j**B[i,j] from log u (..., m); (..., m)."""
+        return self.c * np.exp(log_u @ self.BT)
 
     def to_dict(self) -> dict:
         return {

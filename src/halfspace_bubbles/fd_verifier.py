@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bubble_family import exponent_product, field_values
+from .bubble_family import field_values
 from .errors import StencilOutOfDomain
 from .exponent_system import EllipticSystemSpec
 
@@ -160,14 +160,14 @@ def _residual_levels(
         block = slice(start, start + BLOCK_CENTERS)
         pts = interior[block]
         center = field_values(u, pts)
-        source = exponent_product(spec.A, np.log(center))
+        source = spec.source(np.log(center))
         for i, h in enumerate(h_list):
             res_int[i, block] = central_laplacian(u, pts, h, center) + source
     for start in range(0, len(boundary), BLOCK_CENTERS):
         block = slice(start, start + BLOCK_CENTERS)
         pts = boundary[block]
         center = field_values(u, pts)
-        flux = spec.c * exponent_product(spec.B, np.log(center))
+        flux = spec.flux(np.log(center))
         robin = kappa * center
         for i, h in enumerate(h_list):
             d_in = one_sided_derivative(u, pts, normals[block], h, center)

@@ -213,9 +213,9 @@ class OdeResult:
     """Accepted states ``y`` (n, k) at times ``t`` (k,); the last is the event's, if one fired.
 
     ``status`` is 0 (end reached), 1 (an event fired) or -1 (the step fell
-    below ten ulp of t).  ``event`` is the index of the event that ended the
-    run, or None.  ``nfev`` counts the right-hand-side evaluations made
-    before the solve returned.
+    below ten ulp of t or was NaN).  ``event`` is the index of the event
+    that ended the run, or None.  ``nfev`` counts the right-hand-side
+    evaluations made before the solve returned.
     """
 
     t: np.ndarray
@@ -320,7 +320,7 @@ def solve_ivp(
         K = np.empty((16, y.size))
         K[0] = f
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN step fails too
                 status = FAILED
                 break
             t_new = min(t + h_abs, t_end)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bubble_family import exponent_product, log_profile, solve_betas
+from .bubble_family import log_profile, solve_betas
 from .errors import HorizonExceeded, PositivityLoss, ShootFailed, StepFailure
 from .exponent_system import EllipticSystemSpec, validate_spec
 # module-level names, looked up at each call, so a caller can wrap them
@@ -79,14 +79,14 @@ def _series_coefficients(spec, psi0) -> np.ndarray:
     """
     a, log_psi, p = (np.zeros((SERIES_TERMS, psi0.shape[0])) for _ in range(3))
     a[0], log_psi[0] = psi0, np.log(psi0)
-    p[0] = exponent_product(spec.A, log_psi[0])
+    p[0] = spec.source(log_psi[0])
     for n in range(1, SERIES_TERMS):
         a[n] = -p[n - 1] / (2 * n * (2 * n - 2 + spec.N))
         # n a[n] = sum_{j=1..n} j log_psi[j] a[n-j], and likewise p from A log_psi
         j = np.arange(1, n + 1)[:, None]
         tail = np.sum(j[:-1] * log_psi[1:n] * a[n - 1 : 0 : -1], axis=0)
         log_psi[n] = (n * a[n] - tail) / (n * a[0])
-        p[n] = np.sum(j * (log_psi[1 : n + 1] @ spec.A.T) * p[n - 1 :: -1], axis=0) / n
+        p[n] = np.sum(j * (log_psi[1 : n + 1] @ spec.AT) * p[n - 1 :: -1], axis=0) / n
     return a
 
 
@@ -103,7 +103,7 @@ def _series_launch_radius(spec, a, r_end, tol) -> float:
     K, half = SERIES_TERMS, tol / 2
     k = np.arange(K - 2, K)[:, None]
     a_K = np.max(np.abs(a[-2:] / a[0]) ** (K / k), axis=0)  # bound on |a[K] / psi0|, (m,)
-    flux0 = np.abs(spec.c) * exponent_product(spec.B, np.log(a[0]))
+    flux0 = np.abs(spec.flux(np.log(a[0])))
     with np.errstate(divide="ignore"):
         rho = np.minimum(
             (half / a_K) ** (1 / K), (half * np.abs(a[1] / a[0]) / (K * a_K)) ** (1 / (K - 1))
@@ -149,7 +149,7 @@ def integrate_radial(
         raise ValueError("initial values must be positive and finite")
     if not (r_end > 0 and tol > 0):
         raise ValueError("need r_end > 0 and tol > 0")
-    m, AT = psi0.shape[0], spec.A.T
+    m, source = psi0.shape[0], spec.source
     a = _series_coefficients(spec, psi0)
     r_s = _series_launch_radius(spec, a, r_end, tol)
     psi_s, dpsi_s = _series_eval(a, np.array([r_s]))
@@ -160,7 +160,7 @@ def integrate_radial(
         dpsi = y[m:]
         out = np.empty(2 * m)
         out[:m] = dpsi
-        out[m:] = -(spec.N - 1) / r * dpsi - np.exp(np.log(psi) @ AT)
+        out[m:] = -(spec.N - 1) / r * dpsi - source(np.log(psi))
         return out
 
     events = [lambda r, y: float(np.min(y[:m]))]  # positivity
@@ -196,7 +196,7 @@ def closed_form_psi(N: int, alphas: np.ndarray, mu: float, r: np.ndarray) -> np.
 
 def _robin_residual(spec, d, psi, dpsi):
     """Normalized Robin mismatch at r = 2d."""
-    flux = spec.c * exponent_product(spec.B, np.log(psi))
+    flux = spec.flux(np.log(psi))
     res = dpsi + (spec.N - 2) / (4 * d) * psi + flux
     scale = np.abs(dpsi) + (spec.N - 2) / (4 * d) * psi + np.abs(flux)
     return res / scale
@@ -311,19 +311,19 @@ def halfline_breakdown(spec: EllipticSystemSpec, u0: np.ndarray) -> BreakdownCer
     scale = float(np.max(u0))
     t_scale = scale ** (-2.0 / (spec.N - 2))
     v0 = u0 / scale
-    AT = spec.A.T
+    source = spec.source
 
     def rhs(t, y):
         v = np.maximum(y[:m], POSITIVITY_FLOOR)
         out = np.empty(2 * m)
         out[:m] = y[m:]
-        out[m:] = -np.exp(np.log(v) @ AT)
+        out[m:] = -source(np.log(v))
         return out
 
     def crossing(t, y):
         return float(np.min(y[:m]))
 
-    y0 = np.concatenate([v0, spec.c * exponent_product(spec.B, np.log(v0))])
+    y0 = np.concatenate([v0, spec.flux(np.log(v0))])
     sol = solve_ivp(rhs, (0.0, HORIZON), y0, rtol=1e-12, atol=1e-14, events=[crossing])
     if sol.status < 0:
         raise StepFailure(

@@ -49,6 +49,13 @@ def spec_m2_symmetric() -> EllipticSystemSpec:
     )
 
 
+def spec_m2_asymmetric() -> EllipticSystemSpec:
+    """Unequal row and column sums in A and B, so a transposed exponent matrix changes values."""
+    return EllipticSystemSpec(
+        N=4, m=2, A=[[1.0, 2.0], [0.5, 2.5]], B=[[0.5, 1.5], [1.2, 0.8]], c=[-1.0, -1.0]
+    )
+
+
 @pytest.fixture
 def spec_f1():
     """N=3, single component, zero boundary coefficient."""
@@ -65,6 +72,12 @@ def spec_f2():
 def spec_f3():
     """N=4, two symmetric components, c = (-1, -1)."""
     return spec_m2_symmetric()
+
+
+@pytest.fixture
+def spec_f4():
+    """N=4, two components with asymmetric exponents, c = (-1, -1)."""
+    return spec_m2_asymmetric()
 
 
 @pytest.fixture
@@ -86,8 +99,11 @@ FIXTURE_NAMES = ("f1", "f2", "f3")
 
 
 def fixture_spec(name: str) -> EllipticSystemSpec:
-    """One of the three standard fixtures by name."""
-    return {"f1": spec_m1(0.0), "f2": spec_m1(-1.0), "f3": spec_m2_symmetric()}[name]
+    """One of the standard fixtures, or the asymmetric f4, by name."""
+    return {
+        "f1": spec_m1(0.0), "f2": spec_m1(-1.0), "f3": spec_m2_symmetric(),
+        "f4": spec_m2_asymmetric(),
+    }[name]
 
 
 @pytest.fixture(params=FIXTURE_NAMES)

@@ -10,7 +10,6 @@ from halfspace_bubbles.bubble_family import (
     compute_y0N,
     evaluate_bubble,
     evaluate_bubble_derivatives,
-    exponent_product,
     interior_residual_relative,
     make_bubble_params,
     solve_betas,
@@ -230,7 +229,7 @@ class TestAnalyticResiduals:
         for factor, sign in ((1.01, 1.0), (0.99, -1.0)):
             params = BubbleParams(sigma=1.0, betas=[3**0.25 * factor], y0=[0.0, 0.0, 0.0])
             _, lap = evaluate_bubble_derivatives(params, y)
-            res = lap + exponent_product(spec_f1.A, np.log(evaluate_bubble(params, y)))
+            res = lap + spec_f1.source(np.log(evaluate_bubble(params, y)))
             assert np.sign(res[0]) == sign
             assert abs(res[0]) > 1e-6
 

@@ -247,6 +247,16 @@ def test_field_checks_pass_at_every_scale(name, sigma, command, tmp_path):
     assert run(*command, "--spec", spec, "--sigma", sigma, "--out", tmp_path / "out.json") == 0
 
 
+@pytest.mark.parametrize("command", ["validate", "solve-params", "verify", "moving-spheres",
+                                     "ball", "radial", "halfline"])
+def test_asymmetric_fixture_passes_every_subcommand(command, tmp_path):
+    # f4's A and B have unequal row and column sums, so an exponent matrix
+    # read transposed at any site makes one of these exit 1
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(fixture_spec("f4").to_dict()))
+    assert run(command, "--spec", spec, "--out", tmp_path / "out.json") == 0
+
+
 class TestSolveParams:
     def test_report_is_loadable_as_params(self, spec_file, params_file):
         from halfspace_bubbles.bubble_family import load_params

@@ -7,7 +7,7 @@ from halfspace_bubbles.bubble_family import make_bubble_params
 from halfspace_bubbles.conformal_ball import setup_from_params
 from halfspace_bubbles.errors import ShootFailed, StepFailure
 
-from conftest import degenerate_spec, incompatible_rows_spec, spec_m1, spec_m2_symmetric
+from conftest import degenerate_spec, incompatible_rows_spec, run_child, spec_m1, spec_m2_symmetric
 
 
 def oscillator(t, y):
@@ -100,6 +100,21 @@ def test_step_failure_below_ten_ulp():
     out = ode.solve_ivp(lambda t, y: y * y, (0.0, 2.0), np.array([1.0]), rtol=1e-10, atol=0.0)
     assert out.status == ode.FAILED and out.event is None
     assert abs(out.t[-1] - 1.0) < 1e-9
+
+
+def test_nan_step_fails_instead_of_looping():
+    # with atol = 0 the zero component of (0, 1) makes the starting step NaN,
+    # which compares false against every bound; a child process keeps a
+    # regression from hanging the suite
+    script = (
+        "import numpy as np; from halfspace_bubbles import ode; "
+        "out = ode.solve_ivp(lambda t, y: np.array([y[1], -y[0]]), (0.0, 10.0), "
+        "np.array([0.0, 1.0]), rtol=1e-10, atol=0.0); "
+        "print(out.status, out.event, out.nfev)"
+    )
+    proc = run_child("-W", "ignore::RuntimeWarning", "-c", script, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(ode.FAILED), "None", "2"]
 
 
 @pytest.mark.parametrize("call", ["radial", "halfline"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp as scipy_solve_ivp
 
 from halfspace_bubbles import ode, radial_ode
 from halfspace_bubbles.bubble_family import make_bubble_params, solve_betas
@@ -24,6 +24,7 @@ from conftest import (
     incompatible_rows_spec,
     run_child,
     spec_m1,
+    spec_m2_asymmetric,
     spec_m2_symmetric,
 )
 
@@ -62,6 +63,36 @@ def breakdown_time_mpmath(c: float, u0: float) -> float:
             return mp.sqrt(3) / u_max**2 * mp.quad(lambda x: 1 / mp.sqrt(1 - x**6), [0, x_end])
 
         return float(fall(ratio) if c <= 0 else 2 * fall(1) - fall(ratio))
+
+
+def breakdown_time_radau(spec, u0) -> float:
+    """t* of u_i'' = -prod_j u_j**A[i][j], u_i'(0) = c[i] prod_j u_j(0)**B[i][j], by scipy.
+
+    The right-hand side is written here from the system, as plain loops, and
+    integrated by scipy's Radau with its own crossing event: a route that
+    shares no code with the package's half-line solve.
+    """
+    A, B, c, m = spec.A.tolist(), spec.B.tolist(), spec.c.tolist(), spec.m
+
+    def product(E, i, u):
+        out = 1.0
+        for j in range(m):
+            out *= max(u[j], 0.0) ** E[i][j]  # trial stages may step past the crossing
+        return out
+
+    def rhs(t, y):
+        return [*y[m:], *(-product(A, i, y) for i in range(m))]
+
+    def crossing(t, y):
+        return min(y[:m])
+
+    crossing.terminal, crossing.direction = True, -1
+    y0 = [*u0, *(c[i] * product(B, i, u0) for i in range(m))]
+    sol = scipy_solve_ivp(
+        rhs, (0.0, 1e3), y0, method="Radau", rtol=1e-12, atol=1e-14, events=crossing
+    )
+    assert sol.status == 1
+    return float(sol.t_events[0][0])
 
 
 def closed_form_residual(spec, alphas, mu, r):
@@ -397,6 +428,24 @@ class TestHalflineBreakdown:
         oracle = breakdown_time_mpmath(c, u0)
         cert = halfline_breakdown(spec, [u0])
         assert abs(cert.t_star - oracle) <= 1e-7 * oracle
+
+    def test_asymmetric_breakdown_time_matches_pinned_oracle(self, spec_f4):
+        # mpmath's Taylor integrator odefun at 25 digits, with a positivity
+        # bisection of width 6e-15, took 104 s, so the value is pinned here
+        oracle = 0.31337033370467
+        cert = halfline_breakdown(spec_f4, [1.0, 2.0])
+        assert abs(cert.t_star - oracle) <= 1e-10 * oracle
+
+    @pytest.mark.parametrize(
+        "spec",
+        [spec_m2_symmetric(), spec_m2_asymmetric(), incompatible_rows_spec()],
+        ids=["f3", "f4", "x3"],
+    )
+    def test_breakdown_time_matches_independent_route(self, spec):
+        # unequal starts leave the diagonal u_1 = u_2, which equal row sums keep invariant
+        oracle = breakdown_time_radau(spec, [1.0, 2.0])
+        cert = halfline_breakdown(spec, [1.0, 2.0])
+        assert abs(cert.t_star - oracle) <= 1e-10 * oracle
 
     def test_rejects_nonpositive_start(self, spec_f1):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 """Digests of the CLI's reports and CSVs on the fixture specs, for byte-identity checks.
 
-Runs every subcommand on the three fixture systems (f1, f2, f3 at
-sigma = 1), the half-line solve from the scaled starts u0 = 1e-4 and 1e8
+Runs every subcommand on the four fixture systems (f1, f2, f3 and the
+asymmetric f4, at sigma = 1), the half-line solve from the scaled starts u0 = 1e-4 and 1e8
 on f3 and the incompatible-rows spec x3, a spec that fails validation,
 and the error paths: sweeps that start past the critical radius, a shot
 that cannot meet the Robin condition on incompatible boundary rows, and
@@ -33,6 +33,9 @@ SPECS = {
     "f1": {"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [0.0]},
     "f2": {"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [-1.0]},
     "f3": {"N": 4, "m": 2, "A": [[1.0, 2.0], [2.0, 1.0]], "B": [[1.0, 1.0], [1.0, 1.0]],
+           "c": [-1.0, -1.0]},
+    # unequal row and column sums: a transposed exponent matrix changes the values
+    "f4": {"N": 4, "m": 2, "A": [[1.0, 2.0], [0.5, 2.5]], "B": [[0.5, 1.5], [1.2, 0.8]],
            "c": [-1.0, -1.0]},
     # block-diagonal A: validate reports violations and exits 1
     "reducible": {"N": 4, "m": 2, "A": [[3.0, 0.0], [0.0, 3.0]], "B": [[2.0, 0.0], [0.0, 2.0]],
@@ -66,7 +69,7 @@ def main(outdir: str) -> int:
     matrix = {}
     for name, spec in SPECS.items():
         Path(f"{name}.spec.json").write_text(json.dumps(spec), encoding="utf-8")
-        if name in ("f1", "f2", "f3"):
+        if name in ("f1", "f2", "f3", "f4"):
             matrix.update(calls(name))
     matrix["reducible.validate"] = ["validate"]
     # sweeps from past f2's critical radius 2, just past it and well past it: exit 1, bad_bracket
