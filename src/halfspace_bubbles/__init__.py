@@ -43,7 +43,6 @@ from .fd_verifier import (
     residual_sweep,
 )
 from .kelvin_inversion import (
-    SphereInversion,
     SweepResult,
     critical_lambda_exact,
     difference_w,

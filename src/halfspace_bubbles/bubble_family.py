@@ -227,7 +227,7 @@ def _log_values(params: BubbleParams, pts: np.ndarray) -> np.ndarray:
 
 
 def evaluate_bubble(params: BubbleParams, y: np.ndarray) -> np.ndarray:
-    """Component values at one point (N,) or a batch (k, N).
+    """Component values (k, m) at a batch of points y (k, N).
 
     The denominator ``sigma^2 + |y - y0|^2`` never vanishes, so this is
     defined on all of R^N; callers are responsible for staying in the

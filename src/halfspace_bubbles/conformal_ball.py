@@ -11,10 +11,10 @@ A half-space field u transports to its Kelvin transform about that sphere,
     v(z) = (2d / |z - P|)**(N-2) * u(T z),
 
 which for a family member with matching (xbar, d) is radially symmetric
-about Q and satisfies the ball system with a Robin boundary term.  T is
-the :class:`~halfspace_bubbles.kelvin_inversion.SphereInversion` about P
-with radius 2d; this module checks its four mapping properties, evaluates
-v, and recovers the radial closed-form parameters (mu, alphas).
+about Q and satisfies the ball system with a Robin boundary term.  T and
+v are the inversion of :mod:`halfspace_bubbles.kelvin_inversion` with
+center P and radius 2d; this module checks the four mapping properties of
+T, evaluates v, and recovers the radial closed-form parameters (mu, alphas).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .bubble_family import BubbleParams, field_values, log_profile, squared_dist
 from .errors import NoRealRoot, StencilOutOfDomain
 from .exponent_system import EllipticSystemSpec
 from .fd_verifier import ConvergenceReport, residual_study
-from .kelvin_inversion import SphereInversion, _kelvin, critical_radius, kelvin_point
+from .kelvin_inversion import _kelvin, _offsets, critical_radius, kelvin_point
 from .sampling import ball_points, unit_directions
 
 __all__ = [
@@ -90,11 +90,6 @@ class ConformalSetup:
         out[-1] = self.d
         return out
 
-    @property
-    def T(self) -> SphereInversion:
-        """The half-space-to-ball map: inversion about P with radius 2d."""
-        return SphereInversion(self.P, 2 * self.d)
-
 
 def setup_from_params(params: BubbleParams) -> ConformalSetup:
     """Geometry matching a family member: d^2 = sigma^2 + y0N^2, xbar = (y0', 0)."""
@@ -137,21 +132,21 @@ def verify_T_properties(
     the report carries the measured violations.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    d, P, Q, T = setup.d, setup.P, setup.Q, setup.T
+    d, P, Q = setup.d, setup.P, setup.Q
     dist_P = np.sqrt(squared_distance(samples, P))
     if np.min(dist_P) < POLE_MIN_DISTANCE * d:
         raise ValueError("samples must keep distance >= 1e-8 d from the pole P")
 
     # (i) involution
-    img = kelvin_point(T, samples)
-    back = kelvin_point(T, img)
+    img = kelvin_point(P, 2 * d, samples)
+    back = kelvin_point(P, 2 * d, img)
     involution_max = float(np.max(np.sqrt(squared_distance(back, samples)) / (dist_P + d)))
 
     # (ii) containment and boundary pushforward
     ratio = np.sqrt(squared_distance(img, Q)) / (2 * d)
     bpts = samples.copy()
     bpts[:, -1] = 0.0
-    bimg = kelvin_point(T, bpts)
+    bimg = kelvin_point(P, 2 * d, bpts)
     sphere_rel = np.abs(np.sqrt(squared_distance(bimg, Q)) - 2 * d) / (2 * d)
     min_dist_P = float(np.min(np.sqrt(squared_distance(bimg, P))))
 
@@ -165,7 +160,7 @@ def verify_T_properties(
         lam = critical_radius(d**2, setup.xbar, x)
         normal = (x - P) / np.linalg.norm(x - P)
         z = x + lam * dirs
-        tz = kelvin_point(T, z)
+        tz = kelvin_point(P, 2 * d, z)
         plane_dist = np.abs((tz - Q) @ normal)
         key = ",".join(repr(float(v)) for v in x)
         plane_max[key] = float(np.max(plane_dist) / d)
@@ -174,8 +169,8 @@ def verify_T_properties(
         zmir = inside - 2 * ((inside - Q) @ normal)[:, None] * normal
         keep = np.sqrt(squared_distance(zmir, P)) > 1e-9 * d
         zin, zmir = inside[keep], zmir[keep]
-        lhs = kelvin_point(T, zmir)
-        rhs = kelvin_point(SphereInversion(x, lam), kelvin_point(T, zin))
+        lhs = kelvin_point(P, 2 * d, zmir)
+        rhs = kelvin_point(x, lam, kelvin_point(P, 2 * d, zin))
         rel = np.sqrt(squared_distance(lhs, rhs)) / (np.sqrt(squared_distance(lhs, x)) + lam)
         mirror_max[key] = float(np.max(rel))
 
@@ -198,12 +193,11 @@ def transform_v(setup: ConformalSetup, u, z: np.ndarray) -> np.ndarray:
     in the same batch.  Points are (k, N); values are point-major, (k, m) in C order.
     """
     z = np.asarray(z, dtype=float)
-    T = setup.T
-    dist = np.sqrt(squared_distance(z, T.center))
-    far = ~(dist <= EXTENSION_RADIUS_FACTOR * setup.d)
-    images = np.tile(setup.xbar, (len(z), 1))
-    factors = np.full(len(z), 2.0 ** (2 - setup.N))
-    images[far], factors[far] = _kelvin(T.center, T.radius, z[far] - T.center, dist[far] ** 2)
+    dy, dist, n2 = _offsets(setup.P, z)
+    near = dist <= EXTENSION_RADIUS_FACTOR * setup.d
+    n2[near] = 1.0  # keeps the kernel off the pole; the extension replaces these values
+    images, factors = _kelvin(setup.P, 2 * setup.d, dy, n2)
+    images[near], factors[near] = setup.xbar, 2.0 ** (2 - setup.N)
     return np.multiply(field_values(u, images), factors[:, None], order="C")
 
 

@@ -28,7 +28,6 @@ from .errors import BadBracket, SingularPoint
 from .exponent_system import EllipticSystemSpec
 
 __all__ = [
-    "SphereInversion",
     "SweepResult",
     "CenteredSamples",
     "center_samples",
@@ -49,57 +48,46 @@ BISECT_RELATIVE_WIDTH = 1e-10
 SYMMETRY_MIN_DISTANCE = 1e-6
 
 
-@dataclass
-class SphereInversion:
-    """One inversion sphere: any center and a positive radius."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        self.radius = float(self.radius)
-        if self.radius <= 0:
-            raise ValueError("inversion radius must be positive")
-
-
 def _kelvin(center, radius: float, dy: np.ndarray, n2: np.ndarray):
     """Images center + r^2 dy / n2 and Kelvin factors (r^2 / n2)**((N-2)/2), r = radius.
 
     ``dy`` (..., N) are offsets from the center and ``n2`` (...) their squared norms.
-    A squared norm below the smallest normal float (a zero or subnormal one,
-    which would cost the image its digits) is the center itself.
+    The radius must be positive; a squared norm below the smallest normal float (a
+    zero or subnormal one, which would cost the image its digits) is the center itself.
     """
+    if not radius > 0:
+        raise ValueError("inversion radius must be positive")
     if np.any(n2 < np.finfo(float).tiny):
         raise SingularPoint("evaluation point coincides with the inversion center")
     r2 = radius**2
     return center + r2 * dy / n2[..., None], (r2 / n2) ** (0.5 * (dy.shape[-1] - 2))
 
 
-def _offsets(center: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """y - center and |y - center|^2."""
+def _offsets(center: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """y - center, |y - center| and |y - center|^2."""
     dist = np.sqrt(squared_distance(y, center))
     # the squared norm, not a sum of squares: the transported-field reports,
     # whose finest ball-residual step sits at the rounding floor, rest on it
-    return y - center, dist**2
+    return y - center, dist, dist**2
 
 
-def kelvin_point(inv: SphereInversion, y: np.ndarray) -> np.ndarray:
-    """Image of y under inversion in the sphere; an involution, fixed on the sphere."""
-    return _kelvin(inv.center, inv.radius, *_offsets(inv.center, np.asarray(y, dtype=float)))[0]
+def kelvin_point(center: np.ndarray, radius: float, y: np.ndarray) -> np.ndarray:
+    """Images (k, N) of points y (k, N) in the sphere (center, radius); an involution."""
+    dy, _, n2 = _offsets(center, np.asarray(y, dtype=float))
+    return _kelvin(center, radius, dy, n2)[0]
 
 
-def kelvin_transform_u(u, inv: SphereInversion, y: np.ndarray) -> np.ndarray:
+def kelvin_transform_u(u, center: np.ndarray, radius: float, y: np.ndarray) -> np.ndarray:
     """Transformed field values (k, m) at points y (k, N)."""
-    y = np.asarray(y, dtype=float)
-    inner, factor = _kelvin(inv.center, inv.radius, *_offsets(inv.center, y))
+    dy, _, n2 = _offsets(center, np.asarray(y, dtype=float))
+    inner, factor = _kelvin(center, radius, dy, n2)
     return field_values(u, inner) * factor[:, None]
 
 
-def difference_w(u, inv: SphereInversion, y: np.ndarray) -> np.ndarray:
+def difference_w(u, center: np.ndarray, radius: float, y: np.ndarray) -> np.ndarray:
     """w = u - (transformed u), (k, m) at points y (k, N); zero on the inversion sphere."""
     y = np.asarray(y, dtype=float)
-    return field_values(u, y) - kelvin_transform_u(u, inv, y)
+    return field_values(u, y) - kelvin_transform_u(u, center, radius, y)
 
 
 @dataclass
@@ -125,11 +113,10 @@ def center_samples(u, x: np.ndarray, sample_set: np.ndarray) -> CenteredSamples:
     """Distances from x and values of the field ``u`` at the samples (k, N)."""
     x = np.asarray(x, dtype=float)
     points = np.atleast_2d(np.asarray(sample_set, dtype=float))
-    dist = np.sqrt(squared_distance(points, x))
+    dy, dist, n2 = _offsets(x, points)
     order = np.argsort(dist, kind="stable")
-    dist = dist[order]
     values = field_values(u, points)[order]
-    return CenteredSamples(x, points, order, dist, values, points[order] - x, dist**2)
+    return CenteredSamples(x, points, order, dist[order], values, dy[order], n2[order])
 
 
 def _w_outside(u, samples: CenteredSamples, lam: float) -> tuple[np.ndarray, int]:
@@ -138,8 +125,6 @@ def _w_outside(u, samples: CenteredSamples, lam: float) -> tuple[np.ndarray, int
     Returns w (k', m) and the sorted index of the first of those samples.
     The arithmetic is that of :func:`difference_w`, so w is the same to the bit.
     """
-    if lam <= 0:
-        raise ValueError("inversion radius must be positive")
     first = int(np.searchsorted(samples.dist, lam))
     inner, factor = _kelvin(samples.x, lam, samples.dy[first:], samples.n2[first:])
     return samples.values[first:] - field_values(u, inner) * factor[:, None], first

@@ -299,11 +299,10 @@ def solve_ivp(
 ) -> OdeResult:
     """Integrate y' = fun(t, y) from t_span[0] towards t_span[1] > t_span[0] by DOP853.
 
-    ``t_span[1]`` may be infinite when an event ends the run.  Each local
-    error is kept below ``atol + rtol |y|`` in the RMS norm.  Every event is
-    terminal and fires where ``event(t, y)`` falls through zero (from >= 0
-    to <= 0 across a step); the earliest root, located on that step's
-    interpolant, ends the integration there.
+    Each local error is kept below ``atol + rtol |y|`` in the RMS norm.
+    Every event is terminal and fires where ``event(t, y)`` falls through
+    zero (from >= 0 to <= 0 across a step); the earliest root, located on
+    that step's interpolant, ends the integration there.
     """
     t, t_end = map(float, t_span)
     y = np.asarray(y0, dtype=float)

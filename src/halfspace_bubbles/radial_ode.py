@@ -42,7 +42,8 @@ __all__ = [
 # fractional powers defined while an event localizes the actual crossing.
 POSITIVITY_FLOOR = 1e-300
 
-# Unit-scale time by which a half-line trajectory must have left the positive cone.
+# Unit-scale end of both open-ended integrations: the time by which a half-line trajectory
+# leaves the positive cone, and the radius by which the Robin reference profile settles.
 HORIZON = 1e6
 
 SERIES_TERMS = 8  # of the launch series in r**2 about the radial origin
@@ -134,8 +135,7 @@ def integrate_radial(
     (:func:`halfspace_bubbles.ode.solve_ivp`, relative local error ``tol``)
     carries it to ``r_end`` from there, or to the first radius where
     ``stop(r, psi, dpsi)`` falls through zero, located on the step's
-    interpolant (``r_end`` may then be infinite).  The result holds the
-    accepted steps.  ``r_end`` must be positive.
+    interpolant.  The result holds the accepted steps.  ``r_end`` must be positive.
 
     Raises
     ------
@@ -218,16 +218,17 @@ def shoot_robin(
     Each row's mismatch tends to +1 as s -> 0 and to -1/3 as s -> inf: the
     series launch stays below a tenth of every row's Robin balance radius,
     where the mismatch is still near +1, and the integration stops once
-    every row is below -1/6, so the accepted steps span every root.  The
-    profile is integrated numerically, never taken from the closed form, so
-    agreement with the recovery formulas is a genuine cross-check.  The shot
-    profile, psi_ref so rescaled onto [0, 2d], is returned with (alphas, mu).
+    every row is below -1/6 (by r = ``HORIZON``), so the accepted steps span
+    every root.  The profile is integrated numerically, never taken from the
+    closed form, so agreement with the recovery formulas is a genuine
+    cross-check.  The shot profile, psi_ref so rescaled onto [0, 2d], comes third.
 
     Raises
     ------
     ShootFailed
         If no parameter choice drives the normalized residuals below
-        ``tol`` (inconsistent boundary coefficients across rows).
+        ``tol`` (inconsistent boundary coefficients across rows), or if
+        psi_ref has not settled by r = ``HORIZON``.
     """
     if not 0 < d < np.inf or not validate_spec(spec).passed:
         raise ValueError("need finite d > 0 and a spec passing validate_spec (critical scaling)")
@@ -238,7 +239,9 @@ def shoot_robin(
         return float(np.max(_robin_residual(spec, r / 2, psi, dpsi))) + 1.0 / 6.0
 
     # psi_ref(0) = alphas(1) * 1**(2-N)
-    ref = integrate_radial(spec, solve.betas(), np.inf, tol_int, stop=settled)
+    ref = integrate_radial(spec, solve.betas(), HORIZON, tol_int, stop=settled)
+    if ref.r[-1] >= HORIZON:
+        raise ShootFailed(f"the Robin mismatch of psi_ref stayed above -1/6 up to r = {HORIZON:g}")
     s_ref = ref.r[1:]  # accepted steps, from the series launch to the settled radius
     scan = np.abs(_robin_residual(spec, s_ref[:, None] / 2, ref.psi[1:], ref.dpsi[1:])).max(axis=1)
 

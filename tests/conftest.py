@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 import halfspace_bubbles
 from halfspace_bubbles import BubbleParams, EllipticSystemSpec, make_bubble_params
@@ -149,3 +150,33 @@ def run_child(*args, timeout=None):
         env={**os.environ, "PYTHONPATH": path},
         timeout=timeout,
     )
+
+
+def breakdown_time_radau(spec, u0) -> float:
+    """t* of u_i'' = -prod_j u_j**A[i][j], u_i'(0) = c[i] prod_j u_j(0)**B[i][j], by scipy.
+
+    The right-hand side is written here from the system, as plain loops, and
+    integrated by scipy's Radau with its own crossing event: a route that
+    shares no code with the package's half-line solve.
+    """
+    A, B, c, m = spec.A.tolist(), spec.B.tolist(), spec.c.tolist(), spec.m
+
+    def product(E, i, u):
+        out = 1.0
+        for j in range(m):
+            out *= max(u[j], 0.0) ** E[i][j]  # trial stages may step past the crossing
+        return out
+
+    def rhs(t, y):
+        return [*y[m:], *(-product(A, i, y) for i in range(m))]
+
+    def crossing(t, y):
+        return min(y[:m])
+
+    crossing.terminal, crossing.direction = True, -1
+    y0 = [*u0, *(c[i] * product(B, i, u0) for i in range(m))]
+    sol = scipy_solve_ivp(
+        rhs, (0.0, 1e3), y0, method="Radau", rtol=1e-12, atol=1e-14, events=crossing
+    )
+    assert sol.status == 1
+    return float(sol.t_events[0][0])

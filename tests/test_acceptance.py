@@ -28,7 +28,6 @@ from halfspace_bubbles.conformal_ball import (
 from halfspace_bubbles.exponent_system import EllipticSystemSpec
 from halfspace_bubbles.fd_verifier import convergence_order
 from halfspace_bubbles.kelvin_inversion import (
-    SphereInversion,
     center_samples,
     critical_lambda_exact,
     difference_w,
@@ -136,7 +135,7 @@ def test_criterion_4_moving_spheres():
             for factor, want_positive in ((0.9, True), (1.1, False)):
                 mask = np.linalg.norm(samples - x, axis=1) >= factor * lam
                 w_min = float(
-                    difference_w(u, SphereInversion(x, factor * lam), samples[mask]).min()
+                    difference_w(u, x, factor * lam, samples[mask]).min()
                 )
                 sign_ok = sign_ok and ((w_min > 0.0) == want_positive)
     ok = worst_gap <= 1e-6 and sign_ok

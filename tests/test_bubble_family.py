@@ -128,11 +128,11 @@ class TestComputeY0N:
 class TestEvaluateBubble:
     def test_value_at_center(self, spec_f1):
         params = make_bubble_params(spec_f1, sigma=1.0)  # y0 = 0, on the boundary
-        u = evaluate_bubble(params, params.y0)
+        (u,) = evaluate_bubble(params, params.y0[None])
         assert u[0] == pytest.approx(params.betas[0] * params.sigma ** (2 - 3), rel=1e-15)
 
     def test_value_at_unit_height(self, params_f1):
-        u = evaluate_bubble(params_f1, np.array([0.0, 0.0, 1.0]))
+        (u,) = evaluate_bubble(params_f1, np.array([[0.0, 0.0, 1.0]]))
         assert u[0] == pytest.approx(3**0.25 / np.sqrt(2.0), rel=1e-14)
         assert u[0] == pytest.approx(0.9306048591020996, rel=1e-14)
 
@@ -146,7 +146,7 @@ class TestEvaluateBubble:
         # |y|^(N-2) u -> beta along any ray
         for direction in (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])):
             R = 1e7
-            u = evaluate_bubble(params_f2, R * direction)
+            (u,) = evaluate_bubble(params_f2, R * direction[None])
             assert R * u[0] == pytest.approx(params_f2.betas[0], rel=1e-5)
 
 
@@ -183,9 +183,7 @@ class TestDerivatives:
             for a in range(3):
                 e = np.zeros(3)
                 e[a] = h
-                up = evaluate_bubble(params_f2, y + e)[0]
-                dn = evaluate_bubble(params_f2, y - e)[0]
-                mid = evaluate_bubble(params_f2, y)[0]
+                up, dn, mid = evaluate_bubble(params_f2, np.array([y + e, y - e, y]))[:, 0]
                 grad_fd[a] = (up - dn) / (2 * h)
                 lap_fd += (up - 2 * mid + dn) / h**2
             return (

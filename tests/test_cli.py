@@ -3,11 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from halfspace_bubbles import make_bubble_params
+from halfspace_bubbles import EllipticSystemSpec, make_bubble_params, validate_spec
 from halfspace_bubbles.cli import main
 
-from conftest import FIXTURE_NAMES, fixture_spec, run_child
+from conftest import FIXTURE_NAMES, breakdown_time_radau, fixture_spec, run_child
 
 
 @pytest.fixture
@@ -204,6 +206,24 @@ def test_sweep_starting_past_the_critical_radius_is_a_bad_bracket(
     assert detail.endswith(f" < 0 at lambda_lo={lambda_lo}; start below the critical radius")
 
 
+def test_sweep_ending_below_the_critical_radius_finds_no_crossing(spec_file, tmp_path, capsys):
+    # the critical radius about x = 0 is 2: a sweep up to 1.5 never sees min w < 0,
+    # so the report has no numeric radius and its one failing check says so
+    out = tmp_path / "sweep.json"
+    assert run("moving-spheres", "--spec", spec_file, "--lambda-hi", "1.5", "--csv",
+               "--out", out) == 1
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert report["lambda_numeric"] is None
+    assert report["rel_gap"] is None
+    assert report["bracket"] is None
+    failed = [check["name"] for check in report["checks"] if not check["passed"]]
+    assert failed == ["critical_radius_found"]
+    rows = out.with_suffix(".csv").read_text().splitlines()
+    assert len(rows) == 1 + 33  # header, then one row per radius of the default grid
+    assert all(float(row.split(",")[2]) > 0.0 for row in rows[1:])  # min_w
+
+
 def test_seed_zero_is_a_seed(spec_file, params_file, tmp_path):
     out = tmp_path / "verify.json"
     assert run("verify", "--spec", spec_file, "--params", params_file, "--grid", "4",
@@ -255,6 +275,68 @@ def test_asymmetric_fixture_passes_every_subcommand(command, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(fixture_spec("f4").to_dict()))
     assert run(command, "--spec", spec, "--out", tmp_path / "out.json") == 0
+
+
+@st.composite
+def admissible_asymmetric_specs(draw):
+    """N in 3..5, m in 2..3: A irreducible and B with critical row sums, one shared c.
+
+    Rows are random weights scaled to the row targets, so A and (for c < 0)
+    B have unequal row and column sums.  Rows with c >= 0 are diagonal.
+    All rows have the same sums and the same c, so equal betas solve the
+    amplitude system.  c takes a few fixed values: a continuous one could
+    land near a zero of the radial profile's third derivative, where the
+    ball's boundary slope breaks (ROADMAP item 1).
+    """
+    N, m = draw(st.integers(3, 5)), draw(st.integers(2, 3))
+    p, q = (N + 2) / (N - 2), N / (N - 2)
+    # for m = 3, drop at most one entry off the cycle 0 -> 1 -> 2 -> 0
+    dropped = draw(st.sampled_from([None, (0, 2), (1, 0), (2, 1)])) if m == 3 else None
+
+    def row(i, total):
+        weights = draw(st.lists(st.floats(0.2, 1.0), min_size=m, max_size=m))
+        if dropped is not None and dropped[0] == i:
+            weights[dropped[1]] = 0.0
+        return [total * w / sum(weights) for w in weights]
+
+    A = [row(i, p) for i in range(m)]
+    # nullity 0: the amplitude solution is unique, so it is the equal one
+    assume(abs(np.linalg.det(np.eye(m) - np.array(A))) > 1e-2)
+    c = draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5]))
+    B = [row(i, q) for i in range(m)] if c < 0 else (q * np.eye(m)).tolist()
+    return EllipticSystemSpec(N=N, m=m, A=A, B=B, c=[c] * m)
+
+
+@settings(max_examples=6)
+@given(spec=admissible_asymmetric_specs())
+@example(spec=EllipticSystemSpec(
+    N=5, m=3, A=[[1.0, 1.0, 1 / 3], [0.5, 0.5, 4 / 3], [2.0, 1 / 3, 0.0]],
+    B=[[1.0, 0.5, 1 / 6], [0.2, 0.8, 2 / 3], [0.0, 1.5, 1 / 6]], c=[-0.5] * 3))
+@example(spec=EllipticSystemSpec(N=4, m=2, A=[[1.0, 2.0], [0.5, 2.5]], B=2 * np.eye(2),
+                                 c=[0.0, 0.0]))
+def test_admissible_asymmetric_specs_pass_every_check(spec, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("spec")
+    path, params, out = tmp / "spec.json", tmp / "params.json", tmp / "out.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    assert validate_spec(spec).passed
+    assert run("solve-params", "--spec", path, "--out", params) == 0
+    # equal betas (sigma^2 N (N-2))^((N-2)/4), center height sigma c sqrt(N/(N-2)); sigma = 1
+    N, c = spec.N, spec.c[0]
+    solved = json.loads(params.read_text())
+    np.testing.assert_allclose(solved["betas"], (N * (N - 2)) ** ((N - 2) / 4), rtol=1e-13)
+    assert solved["y0"][-1] == pytest.approx(c * np.sqrt(N / (N - 2)), rel=1e-13, abs=1e-13)
+    for command in (["verify", "--grid", "4", "--n-random", "50"],
+                    ["moving-spheres", "--grid", "6", "--n-lambda", "8"],
+                    ["ball", "--grid", "1"], ["radial"]):
+        # N = 4 with c = 0 puts the ball's boundary on that zero: the one-sided
+        # stencil's slope reads 3 and the order-2 gate fails (ROADMAP item 1)
+        expected = 1 if command[0] == "ball" and (N, c) == (4, 0.0) else 0
+        assert run(*command, "--spec", path, "--params", params, "--out", out) == expected
+    # unequal starts: equal ones stay on the diagonal, where every row sees the same values
+    u0 = [1.0 + k for k in range(spec.m)]
+    assert run("halfline", "--u0", ",".join(map(str, u0)), "--spec", path, "--out", out) == 0
+    t_star = json.loads(out.read_text())["t_star"]
+    assert t_star == pytest.approx(breakdown_time_radau(spec, u0), rel=1e-10)
 
 
 class TestSolveParams:

@@ -22,6 +22,11 @@ def fixture_setup(params):
     return setup_from_params(params)
 
 
+def T(setup, y):
+    """The half-space-to-ball map: inversion about P with radius 2d, at points (k, N)."""
+    return kelvin_point(setup.P, 2 * setup.d, y)
+
+
 class TestGeometry:
     def test_setup_invariants(self, params_f2):
         setup = fixture_setup(params_f2)
@@ -32,20 +37,20 @@ class TestGeometry:
 
     def test_fixed_point_at_Q(self, params_f2):
         setup = fixture_setup(params_f2)
-        np.testing.assert_allclose(kelvin_point(setup.T, setup.Q), setup.Q, rtol=1e-15)
+        np.testing.assert_allclose(T(setup, setup.Q[None]), setup.Q[None], rtol=1e-15)
 
     def test_image_of_xbar(self, params_f2):
         # |xbar - P| = d, so the image is P + 4(xbar - P) = xbar + 3 d e_N
         setup = fixture_setup(params_f2)
         expected = setup.xbar + 3 * setup.d * np.eye(3)[-1]
-        np.testing.assert_allclose(kelvin_point(setup.T, setup.xbar), expected, rtol=1e-15)
+        np.testing.assert_allclose(T(setup, setup.xbar[None]), expected[None], rtol=1e-15)
 
     def test_involution(self, params_f3):
         setup = fixture_setup(params_f3)
         rng = np.random.default_rng(11)
         pts = rng.uniform(-10, 10, size=(2000, 4))
         pts[:, -1] = np.abs(pts[:, -1]) + 1e-6
-        back = kelvin_point(setup.T, kelvin_point(setup.T, pts))
+        back = T(setup, T(setup, pts))
         rel = np.linalg.norm(back - pts, axis=1) / (
             np.linalg.norm(pts - setup.P, axis=1) + setup.d
         )
@@ -54,7 +59,7 @@ class TestGeometry:
     def test_singular_at_pole(self, params_f1):
         setup = fixture_setup(params_f1)
         with pytest.raises(SingularPoint):
-            kelvin_point(setup.T, setup.P)
+            T(setup, setup.P[None])
 
     def test_critical_radius_passes_through_poles(self, params_f2):
         setup = fixture_setup(params_f2)
@@ -90,8 +95,8 @@ class TestMappingProperties:
     def test_far_sample_lands_near_pole(self, params_f1):
         # images of far points pile up at P, which sits on the sphere itself
         setup = fixture_setup(params_f1)
-        y = np.array([0.0, 0.0, 1e6])
-        img = kelvin_point(setup.T, y)
+        y = np.array([[0.0, 0.0, 1e6]])
+        img = T(setup, y)
         ratio = np.linalg.norm(img - setup.Q) / (2 * setup.d)
         assert ratio < 1.0
         assert 1.0 - ratio < 1e-5
@@ -110,7 +115,7 @@ class TestTransportedField:
         spec, params = fixture_pair
         setup = fixture_setup(params)
         u = bubble_field(params)
-        extension = 2.0 ** (2 - spec.N) * evaluate_bubble(params, setup.xbar)
+        extension = 2.0 ** (2 - spec.N) * evaluate_bubble(params, setup.xbar[None])[0]
         direction = np.zeros(spec.N)
         direction[0] = 0.6
         direction[-1] = 0.8

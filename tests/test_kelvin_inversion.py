@@ -15,7 +15,6 @@ from halfspace_bubbles.bubble_family import (
 from halfspace_bubbles.errors import BadBracket, SingularPoint
 from halfspace_bubbles.fd_verifier import convergence_order
 from halfspace_bubbles.kelvin_inversion import (
-    SphereInversion,
     center_samples,
     critical_lambda_exact,
     difference_w,
@@ -37,55 +36,62 @@ def standard_samples(x, lam, n_radii=24, n_dirs=32, seed=101):
 
 class TestKelvinPoint:
     def test_sphere_is_fixed(self):
-        inv = SphereInversion(center=np.array([1.0, 2.0, 0.0]), radius=1.7)
-        direction = np.array([3.0, -1.0, 2.0])
-        y = inv.center + 1.7 * direction / np.linalg.norm(direction)
-        np.testing.assert_allclose(kelvin_point(inv, y), y, rtol=1e-15)
+        center = np.array([1.0, 2.0, 0.0])
+        direction = np.array([[3.0, -1.0, 2.0]])
+        y = center + 1.7 * direction / np.linalg.norm(direction)
+        np.testing.assert_allclose(kelvin_point(center, 1.7, y), y, rtol=1e-15)
 
     def test_radial_inversion(self):
-        inv = SphereInversion(center=np.zeros(3), radius=1.0)
         np.testing.assert_allclose(
-            kelvin_point(inv, np.array([0.0, 0.0, 2.0])), [0.0, 0.0, 0.5], atol=1e-16
+            kelvin_point(np.zeros(3), 1.0, np.array([[0.0, 0.0, 2.0]])), [[0.0, 0.0, 0.5]],
+            atol=1e-16,
         )
 
     def test_involution_on_random_points(self):
-        inv = SphereInversion(center=np.array([0.5, -1.0, 0.0]), radius=2.3)
+        center, radius = np.array([0.5, -1.0, 0.0]), 2.3
         rng = np.random.default_rng(3)
         pts = rng.uniform(-20, 20, size=(10_000, 3))
         pts[:, -1] = np.abs(pts[:, -1])
-        back = kelvin_point(inv, kelvin_point(inv, pts))
-        rel = np.linalg.norm(back - pts, axis=1) / (
-            np.linalg.norm(pts - inv.center, axis=1) + inv.radius
-        )
+        back = kelvin_point(center, radius, kelvin_point(center, radius, pts))
+        rel = np.linalg.norm(back - pts, axis=1) / (np.linalg.norm(pts - center, axis=1) + radius)
         assert rel.max() <= 1e-14
 
     def test_singular_point(self):
-        inv = SphereInversion(center=np.zeros(3), radius=1.0)
         with pytest.raises(SingularPoint):
-            kelvin_point(inv, np.zeros(3))
+            kelvin_point(np.zeros(3), 1.0, np.zeros((1, 3)))
 
     @pytest.mark.parametrize("offset", [1e-160, 1e-155])
     def test_subnormal_squared_distance_is_singular(self, offset):
         # |y|^2 is subnormal: the image would lose digits (1e-160 maps to
         # 1.00001113e+160) or overflow with a warning
-        inv = SphereInversion(center=np.zeros(3), radius=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularPoint):
-                kelvin_point(inv, np.array([offset, 0.0, 0.0]))
+                kelvin_point(np.zeros(3), 1.0, np.array([[offset, 0.0, 0.0]]))
 
     def test_normal_squared_distance_maps_to_the_exact_image(self):
-        inv = SphereInversion(center=np.zeros(3), radius=1.0)
-        image = kelvin_point(inv, np.array([1e-150, 0.0, 0.0]))
+        (image,) = kelvin_point(np.zeros(3), 1.0, np.array([[1e-150, 0.0, 0.0]]))
         assert abs(image[0] - 1e150) <= 4 * np.spacing(1e150)
         assert image[1] == image[2] == 0.0
 
     def test_off_boundary_center_allowed(self):
         # the half-space-to-ball map inverts about a pole below the boundary
-        inv = SphereInversion(center=np.array([0.0, 0.0, -0.5]), radius=1.0)
-        np.testing.assert_allclose(kelvin_point(inv, np.array([0.0, 0.0, 1.5])), [0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            SphereInversion(center=np.zeros(3), radius=0.0)
+        pole = np.array([0.0, 0.0, -0.5])
+        image = kelvin_point(pole, 1.0, np.array([[0.0, 0.0, 1.5]]))
+        np.testing.assert_allclose(image, [[0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
+    def test_radius_must_be_positive(self, params_f2, radius):
+        # one check, in the kernel, for every inversion; a NaN radius fails it too
+        c, pts = np.zeros(3), np.array([[0.0, 0.0, 1.5]])
+        samples = center_samples(bubble_field(params_f2), c, pts)
+        for invert in (
+            lambda: kelvin_point(c, radius, pts),
+            lambda: difference_w(bubble_field(params_f2), c, radius, pts),
+            lambda: min_w(bubble_field(params_f2), samples, radius),
+        ):
+            with pytest.raises(ValueError, match="inversion radius must be positive"):
+                invert()
 
     def test_center_must_be_on_boundary(self, spec_f1, params_f1):
         # the boundary-center rule belongs to the moving-spheres sweep
@@ -98,27 +104,25 @@ class TestKelvinPoint:
 class TestKelvinTransform:
     def test_equals_field_on_sphere(self, params_f2):
         u = bubble_field(params_f2)
-        inv = SphereInversion(center=np.zeros(3), radius=1.3)
-        y = inv.center + 1.3 * np.array([[0.6, 0.0, 0.8]])
-        np.testing.assert_allclose(kelvin_transform_u(u, inv, y), u(y), rtol=1e-14)
-        np.testing.assert_allclose(difference_w(u, inv, y), 0.0, atol=1e-16)
+        y = 1.3 * np.array([[0.6, 0.0, 0.8]])
+        np.testing.assert_allclose(kelvin_transform_u(u, np.zeros(3), 1.3, y), u(y), rtol=1e-14)
+        np.testing.assert_allclose(difference_w(u, np.zeros(3), 1.3, y), 0.0, atol=1e-16)
 
     def test_scaling_factor_at_double_radius(self, params_f2):
         # |y| = 2 lam: the transform reads the field at y/4 and scales by 1/2.
         u = bubble_field(params_f2)
-        inv = SphereInversion(center=np.zeros(3), radius=1.0)
         y = np.array([[1.2, 0.0, 1.6]])  # |y| = 2
         expected = 0.5 * u(y / 4)
-        np.testing.assert_allclose(kelvin_transform_u(u, inv, y), expected, rtol=1e-14)
+        transformed = kelvin_transform_u(u, np.zeros(3), 1.0, y)
+        np.testing.assert_allclose(transformed, expected, rtol=1e-14)
 
     def test_critical_radius_makes_transform_the_identity(self, fixture_pair):
         spec, params = fixture_pair
         u = bubble_field(params)
         x = np.zeros(spec.N)
         lam = critical_lambda_exact(params, x)
-        inv = SphereInversion(center=x, radius=lam)
         pts = standard_samples(x, lam)
-        w = difference_w(u, inv, pts)
+        w = difference_w(u, x, lam, pts)
         uv = evaluate_bubble(params, pts)
         assert np.max(np.abs(w) / uv) <= 1e-12
 
@@ -128,11 +132,10 @@ class TestKelvinTransform:
         column = bubble_field(params_f2)
         scalar = lambda points: column(points)[:, 0]
         x = np.zeros(3)
-        inv = SphereInversion(center=x, radius=1.3)
         pts = standard_samples(x, 1.3, n_radii=4, n_dirs=4)
         for transform in (kelvin_transform_u, difference_w):
-            assert transform(scalar, inv, pts).shape == (16, 1)
-            assert np.array_equal(transform(scalar, inv, pts), transform(column, inv, pts))
+            assert transform(scalar, x, 1.3, pts).shape == (16, 1)
+            assert np.array_equal(transform(scalar, x, 1.3, pts), transform(column, x, 1.3, pts))
         by_column = min_w(column, center_samples(column, x, pts), 1.3)
         by_scalar = min_w(scalar, center_samples(scalar, x, pts), 1.3)
         assert np.array_equal(by_scalar[0], by_column[0])
@@ -141,9 +144,8 @@ class TestKelvinTransform:
     def test_transformed_field_satisfies_system_to_second_order(self, spec_f2, params_f2):
         # Discrete residuals of the inverted field fall at the stencil order,
         # witnessing that inversions map solutions to solutions.
-        inv = SphereInversion(center=np.zeros(3), radius=0.7)
         u = bubble_field(params_f2)
-        field = lambda points: kelvin_transform_u(u, inv, points)
+        field = lambda points: kelvin_transform_u(u, np.zeros(3), 0.7, points)
         box = np.array([[0.5, 1.5], [0.5, 1.5], [0.0, 1.0]])
         conv = convergence_order(spec_f2, field, box, np.array([4e-3, 2e-3, 1e-3]), n_per_axis=6)
         assert abs(conv.slope[0] - 2.0) < 0.1
@@ -197,7 +199,7 @@ class TestSweep:
 
         def min_w(l):
             mask = np.linalg.norm(samples - x, axis=1) >= l
-            return difference_w(u, SphereInversion(x, l), samples[mask]).min()
+            return difference_w(u, x, l, samples[mask]).min()
 
         assert min_w(0.5 * lam) > 0.0
         assert min_w(1.5 * lam) < 0.0
@@ -262,7 +264,7 @@ def reference_min_w(u, samples, lam):
     """min w and its argmin over the samples at |y - x| >= lam, masked in the caller's order."""
     x, points = samples.x, samples.points
     outside = points[np.sqrt(squared_distance(points, x)) >= lam]
-    w = difference_w(u, SphereInversion(x, lam), outside)
+    w = difference_w(u, x, lam, outside)
     return w.min(axis=0), outside[np.argmin(w, axis=0)]
 
 
@@ -294,7 +296,7 @@ def test_min_w_matches_the_mask_and_gather_reference(name, at_origin, x_tang, ra
         assert np.array_equal(argmins, ref_argmins)
     # the symmetry check inverts the sorted samples from index 0: the same
     # w as difference_w over the points in the caller's order
-    ref_sup = np.max(np.abs(difference_w(u, SphereInversion(x, lam), points)) / u(points), axis=0)
+    ref_sup = np.max(np.abs(difference_w(u, x, lam, points)) / u(points), axis=0)
     assert verify_symmetry_identity(params, samples).tobytes() == ref_sup.tobytes()
 
 
@@ -328,7 +330,7 @@ class TestSymmetryIdentity:
         x = np.zeros(3)
         lam_original = critical_lambda_exact(params_f2, x)
         samples = standard_samples(x, lam_original)
-        w = difference_w(bubble_field(perturbed), SphereInversion(x, lam_original), samples)
+        w = difference_w(bubble_field(perturbed), x, lam_original, samples)
         rel = np.abs(w) / evaluate_bubble(perturbed, samples)
         assert rel.max() > 1e-3
 

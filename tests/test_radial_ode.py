@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from scipy.integrate import quad, solve_ivp as scipy_solve_ivp
+from scipy.integrate import quad
 
 from halfspace_bubbles import ode, radial_ode
 from halfspace_bubbles.bubble_family import make_bubble_params, solve_betas
@@ -20,6 +20,7 @@ from halfspace_bubbles.radial_ode import (
 )
 
 from conftest import (
+    breakdown_time_radau,
     degenerate_spec,
     incompatible_rows_spec,
     run_child,
@@ -63,36 +64,6 @@ def breakdown_time_mpmath(c: float, u0: float) -> float:
             return mp.sqrt(3) / u_max**2 * mp.quad(lambda x: 1 / mp.sqrt(1 - x**6), [0, x_end])
 
         return float(fall(ratio) if c <= 0 else 2 * fall(1) - fall(ratio))
-
-
-def breakdown_time_radau(spec, u0) -> float:
-    """t* of u_i'' = -prod_j u_j**A[i][j], u_i'(0) = c[i] prod_j u_j(0)**B[i][j], by scipy.
-
-    The right-hand side is written here from the system, as plain loops, and
-    integrated by scipy's Radau with its own crossing event: a route that
-    shares no code with the package's half-line solve.
-    """
-    A, B, c, m = spec.A.tolist(), spec.B.tolist(), spec.c.tolist(), spec.m
-
-    def product(E, i, u):
-        out = 1.0
-        for j in range(m):
-            out *= max(u[j], 0.0) ** E[i][j]  # trial stages may step past the crossing
-        return out
-
-    def rhs(t, y):
-        return [*y[m:], *(-product(A, i, y) for i in range(m))]
-
-    def crossing(t, y):
-        return min(y[:m])
-
-    crossing.terminal, crossing.direction = True, -1
-    y0 = [*u0, *(c[i] * product(B, i, u0) for i in range(m))]
-    sol = scipy_solve_ivp(
-        rhs, (0.0, 1e3), y0, method="Radau", rtol=1e-12, atol=1e-14, events=crossing
-    )
-    assert sol.status == 1
-    return float(sol.t_events[0][0])
 
 
 def closed_form_residual(spec, alphas, mu, r):
@@ -210,7 +181,7 @@ class TestShooting:
         d = setup.d
         alphas, mu, _ = shoot_robin(spec, d, tol=1e-10)
         psi_2d = closed_form_psi(spec.N, alphas, mu, 2 * d)
-        expected = 2.0 ** (2 - spec.N) * evaluate_bubble(params, setup.xbar)
+        expected = 2.0 ** (2 - spec.N) * evaluate_bubble(params, setup.xbar[None])[0]
         np.testing.assert_allclose(psi_2d, expected, rtol=1e-8)
 
     def test_shot_profile_is_the_closed_form_of_the_shot(self, fixture_pair):
@@ -478,6 +449,30 @@ except ValueError:
     proc = run_child("-c", script, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "rejected"
+
+
+def test_unsettled_reference_profile_fails_at_the_horizon():
+    # with a Robin mismatch that never falls below -1/6, psi_ref's integration
+    # ends at HORIZON and the shot fails; a child process keeps a regression,
+    # an integration with no end, from hanging the suite
+    script = """
+import numpy as np
+from halfspace_bubbles import EllipticSystemSpec, radial_ode
+from halfspace_bubbles.errors import ShootFailed
+radial_ode._robin_residual = lambda spec, d, psi, dpsi: np.ones_like(psi)
+for spec in (EllipticSystemSpec(N=3, m=1, A=[[5.0]], B=[[3.0]], c=[-1.0]),
+             EllipticSystemSpec(N=4, m=2, A=[[1.0, 2.0], [2.0, 1.0]],
+                                B=[[1.0, 1.0], [1.0, 1.0]], c=[-1.0, -1.0])):
+    try:
+        radial_ode.shoot_robin(spec, 2.0)
+    except ShootFailed as err:
+        print(type(err).__name__, err)
+"""
+    proc = run_child("-c", script, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("ShootFailed") and "r = 1e+06" in line for line in lines)
 
 
 def test_non_critical_spec_rejected():

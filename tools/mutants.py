@@ -2,10 +2,12 @@
 
 Each mutant is a named (file under src/halfspace_bubbles, old, new) triple;
 ``old`` must occur exactly once in its file.  For each mutant the checkout
-(less .git and caches) is copied to a temporary directory, the one change
+(less .git, caches and benchmark runs) is copied to a temporary directory, the one change
 is made there, and the test suite runs on that copy with ``-x -q``.  A
 failing suite kills the mutant; a passing one lets it survive.  The suite
-first runs once on an unmutated copy, which must pass.
+first runs once on an unmutated copy, which must pass; a mutant whose suite
+runs ``HANG_FACTOR`` times longer than that is stopped, printed as hung and
+counted as a survivor.
 
     python tools/mutants.py                 # every mutant
     python tools/mutants.py source flux     # the named ones
@@ -16,14 +18,20 @@ takes a suite run per mutant.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# A mutant's suite may run this many times as long as the unmutated one.
+HANG_FACTOR = 20
 
 MUTANTS = {
     # the transposition sites: each reads an exponent matrix by (i, j)
@@ -35,15 +43,40 @@ MUTANTS = {
     "halfline-slope-sign": ("radial_ode.py", "[v0, spec.flux(", "[v0, -spec.flux("),
     "halfline-rhs-sign": ("radial_ode.py", "out[m:] = -source(np.log(v))",
                           "out[m:] = source(np.log(v))"),
+    # the sign of c in each boundary law
+    "robin-c-sign": ("radial_ode.py", "* psi + flux", "* psi - flux"),
+    "levels-c-sign": ("fd_verifier.py", "(d_in - robin) - flux", "(d_in - robin) + flux"),
+    "analytic-c-sign": ("bubble_family.py", "np.abs(dN - flux)", "np.abs(dN + flux)"),
+    # the radial Laplacian's (N-1)/r
+    "radial-damping": ("radial_ode.py", "-(spec.N - 1) / r", "-(spec.N - 2) / r"),
+    # the Robin coefficient (N-2)/(4d), in the shooting and in the ball's residual
+    "robin-coefficient": ("radial_ode.py", "res = dpsi + (spec.N - 2)",
+                          "res = dpsi + (spec.N - 1)"),
+    "ball-kappa": ("conformal_ball.py", "kappa=(setup.N - 2)", "kappa=(setup.N - 1)"),
+    # the Kelvin factor's exponent (N-2)/2
+    "kelvin-exponent": ("kelvin_inversion.py", "(dy.shape[-1] - 2)", "(dy.shape[-1] - 1)"),
+    # the one-sided stencil: its weights on u(p + h n) and u(p + 2h n), and its 2h
+    "one-sided-weights": ("fd_verifier.py", "4 * vals[0] - vals[1]", "4 * vals[1] - vals[0]"),
+    "one-sided-2h": ("fd_verifier.py", "vals[1]) / (2 * h)", "vals[1]) / h"),
+    # the half-line's time scale M**(-2/(N-2))
+    "halfline-time-scale": ("radial_ode.py", "scale ** (-2.0 / (spec.N - 2))",
+                            "scale ** (2.0 / (spec.N - 2))"),
+    # the critical radius's d^2 = sigma^2 + y0N^2
+    "critical-radius-d2": ("kelvin_inversion.py", "critical_radius(params.width2,",
+                           "critical_radius(params.sigma**2,"),
 }
 
 
-def fails(name: str | None) -> bool:
-    """Run the suite on a fresh copy with mutant ``name`` applied (None: none); True if it fails."""
+def outcome(name: str | None, limit: float | None = None) -> str:
+    """Run the suite on a fresh copy with mutant ``name`` applied (None: none).
+
+    Returns killed (the suite fails), survived (it passes) or hung (it runs
+    past ``limit`` seconds and is stopped).
+    """
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".pytest_cache"))
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_runs"))
         if name is not None:
             file, old, new = MUTANTS[name]
             path = copy / "src" / "halfspace_bubbles" / file
@@ -51,25 +84,34 @@ def fails(name: str | None) -> bool:
             if text.count(old) != 1:
                 raise SystemExit(f"{name}: {old!r} occurs {text.count(old)} times in {file}")
             path.write_text(text.replace(old, new), encoding="utf-8")
-        proc = subprocess.run(
+        # a session of its own, so a hung suite is stopped with its child processes
+        proc = subprocess.Popen(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-            cwd=copy, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(copy / "src")},
+            cwd=copy, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env={**os.environ, "PYTHONPATH": str(copy / "src")}, start_new_session=True,
         )
-    return proc.returncode != 0
+        try:
+            return "killed" if proc.wait(timeout=limit) else "survived"
+        except subprocess.TimeoutExpired:
+            with contextlib.suppress(ProcessLookupError):  # it ended meanwhile
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            return "hung"
 
 
 def main(names: list[str]) -> int:
     unknown = set(names) - set(MUTANTS)
     if unknown:
         raise SystemExit(f"unknown mutants: {sorted(unknown)}")
-    if fails(None):
+    start = time.perf_counter()
+    if outcome(None) != "survived":
         raise SystemExit("the suite fails on the unmutated copy; no mutant can be judged")
+    limit = HANG_FACTOR * (time.perf_counter() - start)
     survivors = 0
     for name in names or MUTANTS:
-        killed = fails(name)
-        survivors += not killed
-        print(f"{name}: {'killed' if killed else 'survived'}", flush=True)
+        result = outcome(name, limit)
+        survivors += result != "killed"
+        print(f"{name}: {result}", flush=True)
     return survivors
 
 

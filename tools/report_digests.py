@@ -3,7 +3,8 @@
 Runs every subcommand on the four fixture systems (f1, f2, f3 and the
 asymmetric f4, at sigma = 1), the half-line solve from the scaled starts u0 = 1e-4 and 1e8
 on f3 and the incompatible-rows spec x3, a spec that fails validation,
-and the error paths: sweeps that start past the critical radius, a shot
+and the error paths: sweeps that start past the critical radius or end
+below it, a shot
 that cannot meet the Robin condition on incompatible boundary rows, and
 unusable inputs.  Each call
 goes through ``halfspace_bubbles.cli.main`` in this process; per call it
@@ -75,6 +76,8 @@ def main(outdir: str) -> int:
     # sweeps from past f2's critical radius 2, just past it and well past it: exit 1, bad_bracket
     matrix["f2.moving-spheres-near-lo"] = ["moving-spheres", "--lambda-lo", "2.000000002"]
     matrix["f2.moving-spheres-far-lo"] = ["moving-spheres", "--lambda-lo", "2.5"]
+    # a sweep that ends below f2's critical radius: exit 1, no crossing, null lambda_numeric
+    matrix["f2.moving-spheres-no-crossing"] = ["moving-spheres", "--csv", "--lambda-hi", "1.5"]
     # f3's parameters (its solve-params report; extra keys are ignored): exit 1, shoot_failed
     matrix["x3.radial"] = ["radial", "--params", "f3.solve-params.json"]
     # the half-line solve at scaled starts, where the stepper runs on u0 / max(u0)
