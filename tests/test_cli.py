@@ -286,7 +286,8 @@ def admissible_asymmetric_specs(draw):
     All rows have the same sums and the same c, so equal betas solve the
     amplitude system.  c takes a few fixed values: a continuous one could
     land near a zero of the radial profile's third derivative, where the
-    ball's boundary slope breaks (ROADMAP item 1).
+    ball's boundary slope breaks (ROADMAP item 1).  N = 4 with c = 0 lands
+    on one; test_ball_passes_on_the_zero_third_derivative holds that case.
     """
     N, m = draw(st.integers(3, 5)), draw(st.integers(2, 3))
     p, q = (N + 2) / (N - 2), N / (N - 2)
@@ -302,7 +303,7 @@ def admissible_asymmetric_specs(draw):
     A = [row(i, p) for i in range(m)]
     # nullity 0: the amplitude solution is unique, so it is the equal one
     assume(abs(np.linalg.det(np.eye(m) - np.array(A))) > 1e-2)
-    c = draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5]))
+    c = draw(st.sampled_from([-1.0, -0.5, 0.5] if N == 4 else [-1.0, -0.5, 0.0, 0.5]))
     B = [row(i, q) for i in range(m)] if c < 0 else (q * np.eye(m)).tolist()
     return EllipticSystemSpec(N=N, m=m, A=A, B=B, c=[c] * m)
 
@@ -312,8 +313,6 @@ def admissible_asymmetric_specs(draw):
 @example(spec=EllipticSystemSpec(
     N=5, m=3, A=[[1.0, 1.0, 1 / 3], [0.5, 0.5, 4 / 3], [2.0, 1 / 3, 0.0]],
     B=[[1.0, 0.5, 1 / 6], [0.2, 0.8, 2 / 3], [0.0, 1.5, 1 / 6]], c=[-0.5] * 3))
-@example(spec=EllipticSystemSpec(N=4, m=2, A=[[1.0, 2.0], [0.5, 2.5]], B=2 * np.eye(2),
-                                 c=[0.0, 0.0]))
 def test_admissible_asymmetric_specs_pass_every_check(spec, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("spec")
     path, params, out = tmp / "spec.json", tmp / "params.json", tmp / "out.json"
@@ -328,15 +327,23 @@ def test_admissible_asymmetric_specs_pass_every_check(spec, tmp_path_factory):
     for command in (["verify", "--grid", "4", "--n-random", "50"],
                     ["moving-spheres", "--grid", "6", "--n-lambda", "8"],
                     ["ball", "--grid", "1"], ["radial"]):
-        # N = 4 with c = 0 puts the ball's boundary on that zero: the one-sided
-        # stencil's slope reads 3 and the order-2 gate fails (ROADMAP item 1)
-        expected = 1 if command[0] == "ball" and (N, c) == (4, 0.0) else 0
-        assert run(*command, "--spec", path, "--params", params, "--out", out) == expected
+        assert run(*command, "--spec", path, "--params", params, "--out", out) == 0
     # unequal starts: equal ones stay on the diagonal, where every row sees the same values
     u0 = [1.0 + k for k in range(spec.m)]
     assert run("halfline", "--u0", ",".join(map(str, u0)), "--spec", path, "--out", out) == 0
     t_star = json.loads(out.read_text())["t_star"]
     assert t_star == pytest.approx(breakdown_time_radau(spec, u0), rel=1e-10)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: N = 4 with c = 0 puts the ball's "
+                   "boundary on a zero of the profile's third derivative; the one-sided "
+                   "stencil's slope reads 3 and the order-2 gate fails")
+def test_ball_passes_on_the_zero_third_derivative(tmp_path):
+    spec = EllipticSystemSpec(N=4, m=2, A=[[1.0, 2.0], [0.5, 2.5]], B=2 * np.eye(2),
+                              c=[0.0, 0.0])
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    assert run("ball", "--grid", "1", "--spec", path, "--out", tmp_path / "out.json") == 0
 
 
 class TestSolveParams:
