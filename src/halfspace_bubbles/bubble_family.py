@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IncompatibleBoundaryCoefficients, NoBubbleParameters
-from .exponent_system import EllipticSystemSpec
+from .errors import IncompatibleBoundaryCoefficients, MalformedSpec, NoBubbleParameters
+from .exponent_system import EllipticSystemSpec, json_numbers
 
 __all__ = [
     "BubbleParams",
@@ -62,8 +62,9 @@ class BubbleParams:
         self.y0 = np.asarray(self.y0, dtype=float)
         if not 0 < self.sigma < np.inf:
             raise ValueError("sigma must be positive and finite")
-        if np.any(self.betas <= 0):
-            raise ValueError("betas must be positive")
+        finite = np.isfinite(self.betas).all() and np.isfinite(self.y0).all()
+        if not (finite and np.all(self.betas > 0)):
+            raise ValueError("betas must be positive and finite, y0 finite")
 
     @property
     def N(self) -> int:
@@ -83,7 +84,11 @@ class BubbleParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BubbleParams":
-        return cls(sigma=data["sigma"], betas=data["betas"], y0=data["y0"])
+        """Build from parsed JSON; sigma is one number, betas and y0 hold numbers only."""
+        sigma = json_numbers(data["sigma"], "sigma")
+        if sigma.ndim:
+            raise MalformedSpec(f"sigma must be one number, got {data['sigma']!r}")
+        return cls(sigma, json_numbers(data["betas"], "betas"), json_numbers(data["y0"], "y0"))
 
 
 @dataclass

@@ -111,9 +111,13 @@ def _parse_box(text: str | None, N: int) -> np.ndarray:
 
 
 def _load_params(args, spec) -> bf.BubbleParams:
-    if args.params is not None:
-        return bf.load_params(args.params)
-    return bf.make_bubble_params(spec, args.sigma)
+    if args.params is None:
+        return bf.make_bubble_params(spec, args.sigma)
+    params = bf.load_params(args.params)
+    if params.y0.shape != (spec.N,) or params.betas.shape != (spec.m,):
+        raise MalformedSpec(f"params of y0 shape {params.y0.shape} and betas shape "
+                            f"{params.betas.shape} do not fit N = {spec.N}, m = {spec.m}")
+    return params
 
 
 def _validated_spec(args):
@@ -316,7 +320,7 @@ def cmd_ball(args) -> int:
     boundary = sampling.sphere_points(setup.Q, 2 * d, 200, seed + 3)
     study = cb.ball_system_residual(spec, setup, v, interior, boundary, [4 * h, 2 * h, h])
 
-    mu, alphas = cb.recover_mu_alpha(setup, params)
+    mu, alphas = cb.recover_mu_alpha(params)
     alpha_res = float(
         np.max(
             np.abs(
@@ -378,7 +382,7 @@ def cmd_radial(args) -> int:
     params = _load_params(args, spec)
     setup = cb.setup_from_params(params)
     d = setup.d
-    mu, alphas = cb.recover_mu_alpha(setup, params)
+    mu, alphas = cb.recover_mu_alpha(params)
 
     alphas_shoot, mu_shoot, shot = ro.shoot_robin(spec, d, tol=1e-10)
     mu_gap = abs(mu_shoot - mu) / mu

@@ -14,7 +14,8 @@ which for a family member with matching (xbar, d) is radially symmetric
 about Q and satisfies the ball system with a Robin boundary term.  T and
 v are the inversion of :mod:`halfspace_bubbles.kelvin_inversion` with
 center P and radius 2d; this module checks the four mapping properties of
-T, evaluates v, and recovers the radial closed-form parameters (mu, alphas).
+T, evaluates v, and gives the radial profile's parameters (mu, alphas) of
+a family member in closed form.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .bubble_family import BubbleParams, field_values, log_profile, squared_distance
-from .errors import NoRealRoot, StencilOutOfDomain
+from .errors import StencilOutOfDomain
 from .exponent_system import EllipticSystemSpec
 from .fd_verifier import ConvergenceReport, residual_study
 from .kelvin_inversion import _kelvin, _offsets, critical_radius, kelvin_point
@@ -262,35 +263,18 @@ def ball_system_residual(
     )
 
 
-def recover_mu_alpha(
-    setup: ConformalSetup, params: BubbleParams
-) -> tuple[float, np.ndarray]:
+def recover_mu_alpha(params: BubbleParams) -> tuple[float, np.ndarray]:
     """Radial closed-form parameters (mu, alphas) of the transported field.
 
-    Solves t^2 - t + sigma^2/(4 d^2) = 0 for t = 4d^2/(mu^2 + 4d^2) and
-    picks the root whose implied center height d(2t - 1) matches the sign
-    of y0N (both roots are positive; only the center display separates
-    them).  Then mu = 2d sqrt((1-t)/t) and alphas = betas * t**(-(N-2)/2).
-
-    Raises
-    ------
-    NoRealRoot
-        If sigma^2 exceeds d^2 beyond rounding; cannot happen for a setup
-        derived from valid parameters, where d^2 = sigma^2 + y0N^2.
+    The profile's center height d(2t - 1), t = 4d^2/(mu^2 + 4d^2), is y0N, so
+    mu/(2d) = sqrt((d - y0N)/(d + y0N)).  With e = d + |y0N| the smaller of
+    d - y0N, d + y0N is sigma^2/e, free of cancellation: mu/(2d) is sigma/e
+    for y0N >= 0, e/sigma below the boundary; alphas = betas * t**(-(N-2)/2).
     """
-    d = setup.d
-    sigma = params.sigma
-    y0N = params.y0[-1]
-    N = params.N
-
-    disc = 1.0 - sigma**2 / d**2
-    if disc < -1e-12:
-        raise NoRealRoot(f"sigma^2 = {sigma**2} exceeds d^2 = {d**2}")
-    root = np.sqrt(max(disc, 0.0))
-    candidates = np.array([(1.0 + root) / 2.0, (1.0 - root) / 2.0])
-    displays = d * (2.0 * candidates - 1.0)
-    t = float(candidates[np.argmin(np.abs(displays - y0N))])
-
-    mu = 2.0 * d * np.sqrt((1.0 - t) / t)
-    alphas = np.exp(log_profile(np.log(params.betas), t, N))
-    return float(mu), alphas
+    sigma, y0N = params.sigma, params.y0[-1]
+    d = np.sqrt(params.width2)
+    e = d + abs(y0N)
+    half_mu = sigma / e if y0N >= 0 else e / sigma
+    t = 1.0 / (1.0 + half_mu**2)
+    alphas = np.exp(log_profile(np.log(params.betas), t, params.N))
+    return float(2.0 * d * half_mu), alphas

@@ -72,9 +72,3 @@ class StencilOutOfDomain(HalfspaceBubblesError):
     """A finite-difference stencil point falls outside the field's domain."""
 
     code = "stencil_out_of_domain"
-
-
-class NoRealRoot(HalfspaceBubblesError):
-    """Scale-recovery quadratic has no real root (length scale exceeds profile width)."""
-
-    code = "no_real_root"

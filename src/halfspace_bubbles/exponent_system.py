@@ -87,14 +87,14 @@ class EllipticSystemSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EllipticSystemSpec":
-        """Build from parsed JSON; ``N`` and ``m`` must be integers, never coerced."""
+        """Build from parsed JSON: N and m are integers, A, B and c numbers, never coerced."""
         try:
             spec = cls(
                 N=_integer(data["N"], "N"),
                 m=_integer(data["m"], "m"),
-                A=np.asarray(data["A"], dtype=float),
-                B=np.asarray(data["B"], dtype=float),
-                c=np.asarray(data["c"], dtype=float),
+                A=json_numbers(data["A"], "A"),
+                B=json_numbers(data["B"], "B"),
+                c=json_numbers(data["c"], "c"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedSpec(f"cannot build system data: {exc}") from exc
@@ -107,6 +107,14 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise MalformedSpec(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def json_numbers(value, name: str) -> np.ndarray:
+    """Nested lists of JSON numbers as a float array; strings and bools raise, never coerced."""
+    entries = np.array(value, dtype=object)
+    if not all(type(v) in (int, float) for v in entries.flat):
+        raise MalformedSpec(f"{name} must hold numbers only, in lists of equal length: {value!r}")
+    return entries.astype(float)
 
 
 class Violation(NamedTuple):

@@ -178,7 +178,7 @@ def test_criterion_6_conformal_map():
         worst["mirror"] = max(worst["mirror"], max(rep.mirror_max_rel.values()))
         contained = contained and rep.containment_strict
 
-        mu, alphas = recover_mu_alpha(setup, params)
+        mu, alphas = recover_mu_alpha(params)
         condition = np.log(alphas) - spec.A @ np.log(alphas) + np.log(
             mu**2 * spec.N * (spec.N - 2)
         )
@@ -207,7 +207,7 @@ def test_criterion_7_radial_profile():
     for name, spec, params in all_fixture_pairs():
         setup = setup_from_params(params)
         d = setup.d
-        mu, alphas = recover_mu_alpha(setup, params)
+        mu, alphas = recover_mu_alpha(params)
         psi0 = alphas * mu ** (2 - spec.N)
         r = np.linspace(0.0, 2 * d, 200)
         traj = integrate_radial(spec, psi0, 2 * d, tol=1e-10).at(r)

@@ -185,6 +185,54 @@ def test_bad_count_flag_is_a_usage_error(command, input_files, capsys):
     assert json.loads(capsys.readouterr().err)["error_code"] == "usage"
 
 
+PARAMS_EDITS = {
+    # shapes that do not fit the spec (N = 3, m = 1); each of these exited 0 or 1 before
+    "two-betas": ({"betas": [1.0, 1.0]}, "malformed_spec"),
+    "y0-of-two": ({"y0": [0.0, -1.0]}, "malformed_spec"),
+    "y0-of-four": ({"y0": [0.0, 0.0, 0.0, -1.0]}, "malformed_spec"),
+    "y0-2d": ({"y0": [[0.0, 0.0, -1.0]]}, "malformed_spec"),
+    "sigma-list": ({"sigma": [1.0]}, "malformed_spec"),
+    # non-finite entries, which Python's json reads as NaN and Infinity
+    "nan-beta": ({"betas": [float("nan")]}, "input_error"),
+    "infinite-y0": ({"y0": [float("inf"), 0.0, -1.0]}, "input_error"),
+    # entries that are no JSON number, once read as 1.0 and 0.0
+    "string-sigma": ({"sigma": "1.0"}, "malformed_spec"),
+    "bool-beta": ({"betas": [True]}, "malformed_spec"),
+    "string-y0": ({"y0": ["0", 0.0, -1.0]}, "malformed_spec"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(PARAMS_EDITS))
+@pytest.mark.parametrize("command", ["verify", "moving-spheres", "ball", "radial"])
+def test_params_that_do_not_fit_the_spec_exit_two(
+    command, edit, spec_file, params_file, tmp_path, capsys
+):
+    fields, error_code = PARAMS_EDITS[edit]
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps({**json.loads(params_file.read_text()), **fields}))
+    capsys.readouterr()
+    assert run(command, "--spec", spec_file, "--params", path, "--out", tmp_path / "out.json") == 2
+    # one error object on stderr and nothing else, so no traceback
+    assert json.loads(capsys.readouterr().err)["error_code"] == error_code
+
+
+@pytest.mark.parametrize(
+    "command, N, A, B, c",
+    [
+        ("ball", 3, [[5.0]], [[3.0]], [1000.0]),
+        ("ball", 3, [[5.0]], [[3.0]], [-1000.0]),
+        ("ball", 4, [[1.0, 2.0], [0.5, 2.5]], [[0.5, 1.5], [1.2, 0.8]], [-1000.0, -1000.0]),
+        ("radial", 3, [[5.0]], [[3.0]], [-1e5]),
+    ],
+)
+def test_transport_passes_far_from_the_boundary(command, N, A, B, c, tmp_path):
+    # |y0N| / sigma grows with |c|, so the center sits 1.7e3 widths (1.7e5 for
+    # radial) off the boundary: the recovered (mu, alphas) must not cancel there
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"N": N, "m": len(c), "A": A, "B": B, "c": c}))
+    assert run(command, "--spec", spec, "--out", tmp_path / "out.json") == 0
+
+
 def test_two_radii_are_enough_to_sweep(spec_file, params_file, tmp_path):
     out = tmp_path / "sweep.json"
     assert run("moving-spheres", "--spec", spec_file, "--params", params_file,

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from mpmath import mp
 
-from halfspace_bubbles.bubble_family import BubbleParams, bubble_field, evaluate_bubble
+from halfspace_bubbles.bubble_family import (
+    BubbleParams,
+    bubble_field,
+    evaluate_bubble,
+    make_bubble_params,
+)
 from halfspace_bubbles.conformal_ball import (
-    ConformalSetup,
     ball_field,
     ball_system_residual,
     recover_mu_alpha,
@@ -12,10 +17,13 @@ from halfspace_bubbles.conformal_ball import (
     verify_radial,
     verify_T_properties,
 )
-from halfspace_bubbles.errors import NoRealRoot, SingularPoint, StencilOutOfDomain
+from halfspace_bubbles.errors import SingularPoint, StencilOutOfDomain
+from halfspace_bubbles.exponent_system import EllipticSystemSpec
 from halfspace_bubbles.kelvin_inversion import critical_radius, kelvin_point
 from halfspace_bubbles.radial_ode import closed_form_psi
 from halfspace_bubbles.sampling import ball_points, halfspace_box_points, sphere_points
+
+from conftest import spec_m1, spec_m2_asymmetric
 
 
 def fixture_setup(params):
@@ -233,7 +241,7 @@ class TestRecovery:
     def test_boundary_center_gives_balanced_root(self, params_f1):
         # y0 on the boundary: d = sigma, double root t = 1/2, mu = 2d
         setup = fixture_setup(params_f1)
-        mu, alphas = recover_mu_alpha(setup, params_f1)
+        mu, alphas = recover_mu_alpha(params_f1)
         assert mu == pytest.approx(2 * setup.d, rel=1e-12)
         np.testing.assert_allclose(
             alphas, params_f1.betas * 2.0 ** ((params_f1.N - 2) / 2), rtol=1e-12
@@ -242,18 +250,43 @@ class TestRecovery:
     def test_submerged_center_branch_selection(self, params_f2):
         # hand value: t = (2 - sqrt(3))/4, mu = 2d sqrt((1-t)/t) = 4 (2 + sqrt(3))
         setup = fixture_setup(params_f2)
-        mu, alphas = recover_mu_alpha(setup, params_f2)
+        mu, alphas = recover_mu_alpha(params_f2)
         assert mu == pytest.approx(4 * (2 + np.sqrt(3.0)), rel=1e-13)
         t = 4 * setup.d**2 / (mu**2 + 4 * setup.d**2)
         assert setup.d * (2 * t - 1) == pytest.approx(params_f2.y0[-1], rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [1e-12, 1.0, 1e9])
+    @pytest.mark.parametrize(
+        "system, c",
+        [("m1", c) for c in (-1e5, -1e3, -1.0, 0.0, 1.0, 1e3, 1e5)]
+        + [("f4", c) for c in (-1e5, -1e3, -1.0, 0.0)],
+    )
+    def test_closed_form_matches_mpmath(self, system, c, sigma):
+        # |y0N| / sigma grows with |c| alone: at c = -1e5 the center sits 1.7e5
+        # widths below the boundary, and d - |y0N| cancels in floating point
+        if system == "m1":
+            spec = spec_m1(c)
+        else:
+            f4 = spec_m2_asymmetric()
+            spec = EllipticSystemSpec(N=4, m=2, A=f4.A, B=f4.B, c=[c, c])
+        params = make_bubble_params(spec, sigma)
+        mu, alphas = recover_mu_alpha(params)
+        with mp.workdps(50):
+            s, y0N = mp.mpf(params.sigma), mp.mpf(params.y0[-1])
+            d = mp.sqrt(s**2 + y0N**2)
+            mu_ref = 2 * d * s / (d + y0N)
+            t = 1 / (1 + (mu_ref / (2 * d)) ** 2)
+            alphas_ref = [mp.mpf(b) * t ** (-mp.mpf(spec.N - 2) / 2) for b in params.betas]
+            mu_ref, alphas_ref = float(mu_ref), np.array([float(a) for a in alphas_ref])
+        assert abs(mu - mu_ref) <= 1e-13 * mu_ref
+        np.testing.assert_allclose(alphas, alphas_ref, rtol=1e-13, atol=0)
 
     def test_recovered_parameters_satisfy_amplitude_condition(self, fixture_pair):
         # alphas must solve the amplitude system at scale mu (re-solved, not assumed)
         from halfspace_bubbles.bubble_family import solve_betas
 
         spec, params = fixture_pair
-        setup = fixture_setup(params)
-        mu, alphas = recover_mu_alpha(setup, params)
+        mu, alphas = recover_mu_alpha(params)
         resolved = solve_betas(spec, mu).betas()
         np.testing.assert_allclose(alphas, resolved, rtol=1e-10)
         condition = np.log(alphas) - spec.A @ np.log(alphas) + np.log(mu**2 * spec.N * (spec.N - 2))
@@ -262,7 +295,7 @@ class TestRecovery:
     def test_closed_form_matches_transport(self, fixture_pair):
         spec, params = fixture_pair
         setup = fixture_setup(params)
-        mu, alphas = recover_mu_alpha(setup, params)
+        mu, alphas = recover_mu_alpha(params)
         u = bubble_field(params)
         r = np.linspace(0.0, 2 * setup.d * (1 - 1e-9), 100)
         dirs = np.zeros((100, spec.N))
@@ -274,7 +307,3 @@ class TestRecovery:
         psi = closed_form_psi(spec.N, alphas, mu, r)
         assert np.max(np.abs(v - psi) / psi) <= 1e-10
 
-    def test_no_real_root_when_width_too_small(self, params_f2):
-        narrow = ConformalSetup(xbar=np.zeros(3), d=0.5 * params_f2.sigma)
-        with pytest.raises(NoRealRoot):
-            recover_mu_alpha(narrow, params_f2)

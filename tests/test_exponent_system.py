@@ -181,6 +181,20 @@ def test_load_spec_rejects_non_integer_sizes(tmp_path, key, text):
         load_spec(path)
 
 
+@pytest.mark.parametrize(
+    "key, text",
+    [("A", '[["5.0"]]'), ("A", "[[true]]"), ("B", '[["3"]]'), ("c", "[true]"), ("c", '["-1"]')],
+)
+def test_load_spec_rejects_entries_that_are_no_numbers(tmp_path, key, text):
+    # each of these was read as a float, and the spec passed validation
+    fields = {"A": "[[5.0]]", "B": "[[3.0]]", "c": "[-1.0]", key: text}
+    path = tmp_path / "spec.json"
+    path.write_text(f'{{"N": 3, "m": 1, "A": {fields["A"]}, "B": {fields["B"]}, '
+                    f'"c": {fields["c"]}}}')
+    with pytest.raises(MalformedSpec, match=f"^{key} "):
+        load_spec(path)
+
+
 def test_from_dict_accepts_numpy_integers():
     spec = EllipticSystemSpec.from_dict(
         {"N": np.int64(3), "m": np.int32(1), "A": [[5.0]], "B": [[3.0]], "c": [-1.0]}

@@ -84,7 +84,7 @@ def closed_form_residual(spec, alphas, mu, r):
 
 def fixture_mu_alpha(spec, params):
     setup = setup_from_params(params)
-    mu, alphas = recover_mu_alpha(setup, params)
+    mu, alphas = recover_mu_alpha(params)
     return setup.d, mu, alphas
 
 
@@ -201,9 +201,9 @@ class TestShooting:
         with pytest.raises(ShootFailed):
             shoot_robin(incompatible_rows_spec(), np.sqrt(3.0), tol=1e-10)
 
-    @pytest.mark.parametrize("c", [-1000.0, -50.0, 50.0, 1000.0])
+    @pytest.mark.parametrize("c", [-1e5, -1000.0, -50.0, 50.0, 1000.0])
     def test_extreme_coefficients_match_closed_form(self, c):
-        # the Robin root s* = 2d/mu runs from 3e-4 (c = -1000) to 3.5e3 (c = 1000)
+        # the Robin root s* = 2d/mu runs from 2.9e-6 (c = -1e5) to 3.5e3 (c = 1000)
         spec = spec_m1(c)
         d, mu, alphas = fixture_mu_alpha(spec, make_bubble_params(spec, sigma=1.0))
         alphas_shot, mu_shot, _ = shoot_robin(spec, d, tol=1e-10)

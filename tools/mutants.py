@@ -64,6 +64,9 @@ MUTANTS = {
     # the critical radius's d^2 = sigma^2 + y0N^2
     "critical-radius-d2": ("kelvin_inversion.py", "critical_radius(params.width2,",
                            "critical_radius(params.sigma**2,"),
+    # mu/(2d) is sigma/e above the boundary and e/sigma below it
+    "recover-branch": ("conformal_ball.py", "sigma / e if y0N >= 0 else e / sigma",
+                       "e / sigma if y0N >= 0 else sigma / e"),
 }
 
 

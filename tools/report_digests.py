@@ -1,7 +1,8 @@
 """Digests of the CLI's reports and CSVs on the fixture specs, for byte-identity checks.
 
 Runs every subcommand on the four fixture systems (f1, f2, f3 and the
-asymmetric f4, at sigma = 1), the half-line solve from the scaled starts u0 = 1e-4 and 1e8
+asymmetric f4, at sigma = 1), ``ball`` and ``radial`` on f2's exponents with c = -1000,
+the half-line solve from the scaled starts u0 = 1e-4 and 1e8
 on f3 and the incompatible-rows spec x3, a spec that fails validation,
 and the error paths: sweeps that start past the critical radius or end
 below it, a shot
@@ -44,6 +45,8 @@ SPECS = {
     # f3's A with diagonal boundary rows that demand two different profiles
     "x3": {"N": 4, "m": 2, "A": [[1.0, 2.0], [2.0, 1.0]], "B": [[2.0, 0.0], [0.0, 2.0]],
            "c": [-1.0, -0.5]},
+    # f2 with the center 1.7e3 widths below the boundary
+    "deep": {"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [-1000.0]},
 }
 
 
@@ -80,6 +83,11 @@ def main(outdir: str) -> int:
     matrix["f2.moving-spheres-no-crossing"] = ["moving-spheres", "--csv", "--lambda-hi", "1.5"]
     # f3's parameters (its solve-params report; extra keys are ignored): exit 1, shoot_failed
     matrix["x3.radial"] = ["radial", "--params", "f3.solve-params.json"]
+    # f3's parameters on f2, whose N and m they do not fit: exit 2, malformed_spec
+    matrix["f2.radial-f3-params"] = ["radial", "--params", "f3.solve-params.json"]
+    # transport far from the boundary, where the recovered (mu, alphas) could cancel
+    matrix["deep.ball"] = ["ball"]
+    matrix["deep.radial"] = ["radial"]
     # the half-line solve at scaled starts, where the stepper runs on u0 / max(u0)
     for name in ("f3", "x3"):
         for u0 in ("1e-4", "1e8"):
