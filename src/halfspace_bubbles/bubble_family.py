@@ -85,10 +85,13 @@ class BubbleParams:
     @classmethod
     def from_dict(cls, data: dict) -> "BubbleParams":
         """Build from parsed JSON; sigma is one number, betas and y0 hold numbers only."""
-        sigma = json_numbers(data["sigma"], "sigma")
+        try:
+            sigma, betas, y0 = (json_numbers(data[key], key) for key in ("sigma", "betas", "y0"))
+        except (TypeError, OverflowError) as exc:  # no JSON object, or an int past float range
+            raise MalformedSpec(f"cannot build parameters: {exc}") from exc
         if sigma.ndim:
             raise MalformedSpec(f"sigma must be one number, got {data['sigma']!r}")
-        return cls(sigma, json_numbers(data["betas"], "betas"), json_numbers(data["y0"], "y0"))
+        return cls(sigma, betas, y0)
 
 
 @dataclass

@@ -96,7 +96,7 @@ class EllipticSystemSpec:
                 B=json_numbers(data["B"], "B"),
                 c=json_numbers(data["c"], "c"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedSpec(f"cannot build system data: {exc}") from exc
         ensure_well_formed(spec)
         return spec

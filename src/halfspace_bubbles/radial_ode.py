@@ -17,6 +17,7 @@ integrator returns a certificate of that breakdown.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -47,6 +48,8 @@ POSITIVITY_FLOOR = 1e-300
 HORIZON = 1e6
 
 SERIES_TERMS = 8  # of the launch series in r**2 about the radial origin
+
+HALFLINE_RUNS_KEPT = 32  # unit-scale half-line runs cached per process, one per ray of u0
 
 
 @dataclass
@@ -295,11 +298,12 @@ def halfline_breakdown(spec: EllipticSystemSpec, u0: np.ndarray) -> BreakdownCer
     is strictly negative while all components are positive, so every slope
     decreases monotonically and some component must reach zero.  By
     critical scaling, u(t) = M v(M**(2/(N-2)) t) with M = max(u0) and v the
-    trajectory from u0 / M: v is integrated, and t, u, u' are mapped back by
-    M**(-2/(N-2)), M, M**(N/(N-2)).  DOP853 (:func:`halfspace_bubbles.ode.solve_ivp`)
-    stops at the first fall of min(v) through zero, located on the step's
-    interpolant to adjacent floats; that event time and state are t* and
-    v(t*).
+    trajectory from u0 / M: v is integrated once per (spec, direction u0 / M)
+    per process, kept among the last ``HALFLINE_RUNS_KEPT`` runs, and t, u, u'
+    are mapped back by M**(-2/(N-2)), M, M**(N/(N-2)) into a fresh certificate
+    on each call.  DOP853 (:func:`halfspace_bubbles.ode.solve_ivp`) stops at
+    the first fall of min(v) through zero, located on the step's interpolant
+    to adjacent floats; that event time and state are t* and v(t*).
 
     Raises
     ------
@@ -314,7 +318,40 @@ def halfline_breakdown(spec: EllipticSystemSpec, u0: np.ndarray) -> BreakdownCer
     scale = float(np.max(u0))
     t_scale = scale ** (-2.0 / (spec.N - 2))
     v0 = u0 / scale
-    source = spec.source
+    key = (m, spec.A.tobytes(), spec.B.tobytes(), spec.c.tobytes(), v0.tobytes(), HORIZON)
+    t, y, status, event = _unit_halfline(_UnitStart(key, spec, v0))
+    if status < 0:
+        raise StepFailure(f"half-line integration stalled: step below ten ulp of t = {t[-1]:.6g}")
+    if event is None:
+        raise HorizonExceeded(
+            f"no positivity breakdown located before t = {HORIZON:g}; "
+            "at unit scale (max u0 = 1) that flags a setup problem, never a counterexample"
+        )
+    v_star = y[:m, -1]
+
+    to_u = np.repeat([t_scale, scale, scale ** (spec.N / (spec.N - 2))], [1, m, m])
+    trace = np.column_stack([t, y.T]) * to_u
+    return BreakdownCertificate(
+        t_star=float(t_scale * t[-1]),
+        failing_component=int(np.argmin(v_star)),
+        trace=trace,
+        u_at_t_star=scale * v_star,
+    )
+
+
+@dataclass(frozen=True)
+class _UnitStart:
+    """A unit-scale half-line start, equal to another exactly when its run reads the same data."""
+
+    key: tuple
+    spec: EllipticSystemSpec = field(compare=False)
+    v0: np.ndarray = field(compare=False)
+
+
+@functools.lru_cache(maxsize=HALFLINE_RUNS_KEPT)
+def _unit_halfline(start: _UnitStart):
+    """(t, y, status, event) of the DOP853 run from start.v0 at unit scale; read-only arrays."""
+    spec, v0, m, source = start.spec, start.v0, start.v0.shape[0], start.spec.source
 
     def rhs(t, y):
         v = np.maximum(y[:m], POSITIVITY_FLOOR)
@@ -328,22 +365,5 @@ def halfline_breakdown(spec: EllipticSystemSpec, u0: np.ndarray) -> BreakdownCer
 
     y0 = np.concatenate([v0, spec.flux(np.log(v0))])
     sol = solve_ivp(rhs, (0.0, HORIZON), y0, rtol=1e-12, atol=1e-14, events=[crossing])
-    if sol.status < 0:
-        raise StepFailure(
-            f"half-line integration stalled: step below ten ulp of t = {sol.t[-1]:.6g}"
-        )
-    if sol.event is None:
-        raise HorizonExceeded(
-            f"no positivity breakdown located before t = {HORIZON:g}; "
-            "at unit scale (max u0 = 1) that flags a setup problem, never a counterexample"
-        )
-    v_star = sol.y[:m, -1]
-
-    to_u = np.repeat([t_scale, scale, scale ** (spec.N / (spec.N - 2))], [1, m, m])
-    trace = np.column_stack([sol.t, sol.y.T]) * to_u
-    return BreakdownCertificate(
-        t_star=float(t_scale * sol.t[-1]),
-        failing_component=int(np.argmin(v_star)),
-        trace=trace,
-        u_at_t_star=scale * v_star,
-    )
+    sol.t.flags.writeable = sol.y.flags.writeable = False
+    return sol.t, sol.y, sol.status, sol.event

@@ -10,7 +10,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 import halfspace_bubbles
-from halfspace_bubbles import BubbleParams, EllipticSystemSpec, make_bubble_params
+from halfspace_bubbles import BubbleParams, EllipticSystemSpec, make_bubble_params, radial_ode
 
 # One profile for every property test: no per-example deadline (a shot or a
 # sweep can take a while), the same examples on every run, and no example
@@ -24,6 +24,12 @@ def pytest_configure(config):
     # cache in pytest's cache directory rather than a .hypothesis/ of its own
     if hasattr(config, "cache"):
         set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
+
+
+@pytest.fixture(autouse=True)
+def fresh_halfline_runs():
+    """Each test starts with no cached half-line run, so a wrapped solve_ivp sees its solve."""
+    radial_ode._unit_halfline.cache_clear()
 
 
 def spec_m1(c: float) -> EllipticSystemSpec:

@@ -65,6 +65,17 @@ class TestValidate:
         err = json.loads(capsys.readouterr().err)
         assert err["error_code"] == "malformed_spec"
 
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '{"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [' + "9" * 401 + "]}",
+    ], ids=["no-object", "huge-int"])
+    def test_unusable_spec_json_exits_two(self, text, tmp_path, capsys):
+        # 401 digits in c ended in an OverflowError traceback, exit 1, before
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        assert run("validate", "--spec", spec) == 2
+        assert json.loads(capsys.readouterr().err)["error_code"] == "malformed_spec"
+
     def test_non_integer_dimension_exits_two(self, tmp_path, capsys):
         spec = tmp_path / "fractional.json"
         spec.write_text(json.dumps({"N": 3.7, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [-1.0]}))
@@ -199,6 +210,8 @@ PARAMS_EDITS = {
     "string-sigma": ({"sigma": "1.0"}, "malformed_spec"),
     "bool-beta": ({"betas": [True]}, "malformed_spec"),
     "string-y0": ({"y0": ["0", 0.0, -1.0]}, "malformed_spec"),
+    # 401 digits: an OverflowError traceback, exit 1, before
+    "huge-int-beta": ({"betas": [10**400]}, "malformed_spec"),
 }
 
 
@@ -214,6 +227,15 @@ def test_params_that_do_not_fit_the_spec_exit_two(
     assert run(command, "--spec", spec_file, "--params", path, "--out", tmp_path / "out.json") == 2
     # one error object on stderr and nothing else, so no traceback
     assert json.loads(capsys.readouterr().err)["error_code"] == error_code
+
+
+@pytest.mark.parametrize("command", ["verify", "moving-spheres", "ball", "radial"])
+def test_params_file_that_is_no_object_exits_two(command, spec_file, tmp_path, capsys):
+    # a TypeError traceback, exit 1, before
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert run(command, "--spec", spec_file, "--params", path, "--out", tmp_path / "out.json") == 2
+    assert json.loads(capsys.readouterr().err)["error_code"] == "malformed_spec"
 
 
 @pytest.mark.parametrize(
@@ -626,6 +648,33 @@ class TestEachValueOnce:
         assert report["t_star"] == 0.25 * sol.t[-1]
         assert report["u_at_t_star"] == (2.0 * sol.y[:1, -1]).tolist()
         assert evaluated == []  # no dense output is evaluated after the event
+
+    @pytest.mark.parametrize("name, starts", [
+        ("f3", ["1e-4", "1", "1e8"]),
+        ("f4", ["1,2", "2,4"]),  # both reduce to the unit-scale start (0.5, 1)
+    ])
+    def test_halfline_integrates_each_direction_once(self, name, starts, tmp_path, monkeypatch):
+        from halfspace_bubbles import radial_ode
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(fixture_spec(name).to_dict()))
+
+        def halfline(u0, stem):
+            out = tmp_path / f"{stem}-{u0}.json"
+            assert run("halfline", "--spec", spec, "--u0", u0, "--out", out, "--csv") == 0
+            return out.read_bytes(), out.with_suffix(".csv").read_bytes()
+
+        fresh = {}
+        for u0 in starts:
+            radial_ode._unit_halfline.cache_clear()
+            fresh[u0] = halfline(u0, "fresh")
+        radial_ode._unit_halfline.cache_clear()
+        solves = []
+        recording(monkeypatch, radial_ode, "solve_ivp", solves, lambda a, kw: a[2])
+        for u0 in starts:
+            # the report and the full trace, byte for byte, as a fresh solve writes them
+            assert halfline(u0, "cached") == fresh[u0]
+        assert len(solves) == 1
 
 
 class TestRadialSensitivity:

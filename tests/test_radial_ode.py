@@ -388,6 +388,7 @@ class TestHalflineBreakdown:
         assert cert.t_star > 0.0
 
     def test_horizon_flags_setup_problem(self, spec_f1, monkeypatch):
+        halfline_breakdown(spec_f1, [1.0])  # cached at the default horizon
         monkeypatch.setattr(radial_ode, "HORIZON", 0.1)
         with pytest.raises(HorizonExceeded, match="before t = 0.1;"):
             halfline_breakdown(spec_f1, [1.0])
@@ -417,6 +418,24 @@ class TestHalflineBreakdown:
         oracle = breakdown_time_radau(spec, [1.0, 2.0])
         cert = halfline_breakdown(spec, [1.0, 2.0])
         assert abs(cert.t_star - oracle) <= 1e-10 * oracle
+
+    @pytest.mark.parametrize("order", [("f3", "f4"), ("f4", "f3")])
+    def test_cached_runs_tell_exponent_matrices_apart(self, order):
+        # f3 and f4 share every row sum of A and B, and (1, 2) leaves the diagonal
+        specs = {"f3": spec_m2_symmetric(), "f4": spec_m2_asymmetric()}
+        oracles = {"f3": breakdown_time_radau(specs["f3"], [1.0, 2.0]), "f4": 0.31337033370467}
+        for name in order:
+            cert = halfline_breakdown(specs[name], [1.0, 2.0])
+            assert abs(cert.t_star - oracles[name]) <= 1e-10 * oracles[name]
+
+    def test_certificates_do_not_share_the_cached_run(self, spec_f3):
+        first = halfline_breakdown(spec_f3, [1.0, 1.0])
+        trace, u_star = first.trace.copy(), first.u_at_t_star.copy()
+        first.trace[:] = 0.0
+        first.u_at_t_star[:] = 0.0
+        second = halfline_breakdown(spec_f3, [1.0, 1.0])
+        np.testing.assert_array_equal(second.trace, trace)
+        np.testing.assert_array_equal(second.u_at_t_star, u_star)
 
     def test_rejects_nonpositive_start(self, spec_f1):
         with pytest.raises(ValueError):
