@@ -51,9 +51,13 @@ def boundary_row_target(N: int) -> float:
     return N / (N - 2)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EllipticSystemSpec:
-    """Dimension, component count, exponent matrices and boundary coefficients."""
+    """Dimension, component count, exponent matrices and boundary coefficients; frozen.
+
+    A, B and c are read-only copies.  Specs compare and hash by ``key``, taken
+    once: N, m and the shape and bytes of A, B and c.
+    """
 
     N: int
     m: int
@@ -62,11 +66,21 @@ class EllipticSystemSpec:
     c: np.ndarray
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        self.B = np.asarray(self.B, dtype=float)
-        self.c = np.asarray(self.c, dtype=float)
-        # plain attributes, not fields: to_dict and == see A and B only
-        self.AT, self.BT = self.A.T, self.B.T
+        A, B, c = (np.array(x, dtype=float) for x in (self.A, self.B, self.c))
+        for x in (A, B, c):
+            x.flags.writeable = False
+        key = (self.N, self.m, *((x.shape, x.tobytes()) for x in (A, B, c)))
+        # set past the frozen __setattr__; AT, BT and key are plain attributes, not fields
+        self.__dict__.update(A=A, B=B, c=c, AT=A.T, BT=B.T, key=key)
+
+    def __eq__(self, other):
+        return isinstance(other, EllipticSystemSpec) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __reduce__(self):  # copies and pickles are built anew, on read-only arrays
+        return EllipticSystemSpec, (self.N, self.m, self.A, self.B, self.c)
 
     def source(self, log_u: np.ndarray) -> np.ndarray:
         """Interior source prod_j u_j**A[i,j] from log u (..., m); (..., m)."""

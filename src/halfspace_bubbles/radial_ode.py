@@ -49,7 +49,15 @@ HORIZON = 1e6
 
 SERIES_TERMS = 8  # of the launch series in r**2 about the radial origin
 
-HALFLINE_RUNS_KEPT = 32  # unit-scale half-line runs cached per process, one per ray of u0
+# unit-scale runs of each kind cached per process, keyed on (spec, what the run reads,
+# HORIZON), each kind in its own LRU order: Robin references psi_ref and half-line rays
+UNIT_RUNS_KEPT = 32
+
+
+def clear_unit_runs() -> None:
+    """Forget every cached unit-scale run, so the next call of each kind integrates afresh."""
+    _robin_reference.cache_clear()
+    _unit_halfline.cache_clear()
 
 
 @dataclass
@@ -235,14 +243,7 @@ def shoot_robin(
     """
     if not 0 < d < np.inf or not validate_spec(spec).passed:
         raise ValueError("need finite d > 0 and a spec passing validate_spec (critical scaling)")
-    solve = solve_betas(spec, 1.0)
-    tol_int = max(min(1e-12, tol * 1e-2), 1e-13)
-
-    def settled(r, psi, dpsi):
-        return float(np.max(_robin_residual(spec, r / 2, psi, dpsi))) + 1.0 / 6.0
-
-    # psi_ref(0) = alphas(1) * 1**(2-N)
-    ref = integrate_radial(spec, solve.betas(), HORIZON, tol_int, stop=settled)
+    solve, ref = _robin_reference(spec, max(min(1e-12, tol * 1e-2), 1e-13), HORIZON)
     if ref.r[-1] >= HORIZON:
         raise ShootFailed(f"the Robin mismatch of psi_ref stayed above -1/6 up to r = {HORIZON:g}")
     s_ref = ref.r[1:]  # accepted steps, from the series launch to the settled radius
@@ -276,6 +277,20 @@ def shoot_robin(
     return alphas, mu, RadialTrajectory(r, *dense(r), dense)
 
 
+@functools.lru_cache(maxsize=UNIT_RUNS_KEPT)
+def _robin_reference(spec, tol, horizon):
+    """The amplitude solve at mu = 1 and psi_ref up to where it settles; read-only arrays."""
+    solve = solve_betas(spec, 1.0)
+
+    def settled(r, psi, dpsi):
+        return float(np.max(_robin_residual(spec, r / 2, psi, dpsi))) + 1.0 / 6.0
+
+    # psi_ref(0) = alphas(1) * 1**(2-N)
+    ref = integrate_radial(spec, solve.betas(), horizon, tol, stop=settled)
+    ref.r.flags.writeable = ref.psi.flags.writeable = ref.dpsi.flags.writeable = False
+    return solve, ref
+
+
 @dataclass
 class BreakdownCertificate:
     """Finite-time positivity breakdown of a half-line trajectory.
@@ -299,7 +314,7 @@ def halfline_breakdown(spec: EllipticSystemSpec, u0: np.ndarray) -> BreakdownCer
     decreases monotonically and some component must reach zero.  By
     critical scaling, u(t) = M v(M**(2/(N-2)) t) with M = max(u0) and v the
     trajectory from u0 / M: v is integrated once per (spec, direction u0 / M)
-    per process, kept among the last ``HALFLINE_RUNS_KEPT`` runs, and t, u, u'
+    per process, kept among the last ``UNIT_RUNS_KEPT`` runs, and t, u, u'
     are mapped back by M**(-2/(N-2)), M, M**(N/(N-2)) into a fresh certificate
     on each call.  DOP853 (:func:`halfspace_bubbles.ode.solve_ivp`) stops at
     the first fall of min(v) through zero, located on the step's interpolant
@@ -318,8 +333,7 @@ def halfline_breakdown(spec: EllipticSystemSpec, u0: np.ndarray) -> BreakdownCer
     scale = float(np.max(u0))
     t_scale = scale ** (-2.0 / (spec.N - 2))
     v0 = u0 / scale
-    key = (m, spec.A.tobytes(), spec.B.tobytes(), spec.c.tobytes(), v0.tobytes(), HORIZON)
-    t, y, status, event = _unit_halfline(_UnitStart(key, spec, v0))
+    t, y, status, event = _unit_halfline(spec, v0.tobytes(), HORIZON)
     if status < 0:
         raise StepFailure(f"half-line integration stalled: step below ten ulp of t = {t[-1]:.6g}")
     if event is None:
@@ -339,19 +353,11 @@ def halfline_breakdown(spec: EllipticSystemSpec, u0: np.ndarray) -> BreakdownCer
     )
 
 
-@dataclass(frozen=True)
-class _UnitStart:
-    """A unit-scale half-line start, equal to another exactly when its run reads the same data."""
-
-    key: tuple
-    spec: EllipticSystemSpec = field(compare=False)
-    v0: np.ndarray = field(compare=False)
-
-
-@functools.lru_cache(maxsize=HALFLINE_RUNS_KEPT)
-def _unit_halfline(start: _UnitStart):
-    """(t, y, status, event) of the DOP853 run from start.v0 at unit scale; read-only arrays."""
-    spec, v0, m, source = start.spec, start.v0, start.v0.shape[0], start.spec.source
+@functools.lru_cache(maxsize=UNIT_RUNS_KEPT)
+def _unit_halfline(spec, v0_bytes, horizon):
+    """(t, y, status, event) of the DOP853 run from v0 at unit scale; read-only arrays."""
+    v0 = np.frombuffer(v0_bytes)
+    m, source = v0.shape[0], spec.source
 
     def rhs(t, y):
         v = np.maximum(y[:m], POSITIVITY_FLOOR)
@@ -364,6 +370,6 @@ def _unit_halfline(start: _UnitStart):
         return float(np.min(y[:m]))
 
     y0 = np.concatenate([v0, spec.flux(np.log(v0))])
-    sol = solve_ivp(rhs, (0.0, HORIZON), y0, rtol=1e-12, atol=1e-14, events=[crossing])
+    sol = solve_ivp(rhs, (0.0, horizon), y0, rtol=1e-12, atol=1e-14, events=[crossing])
     sol.t.flags.writeable = sol.y.flags.writeable = False
     return sol.t, sol.y, sol.status, sol.event

@@ -27,9 +27,9 @@ def pytest_configure(config):
 
 
 @pytest.fixture(autouse=True)
-def fresh_halfline_runs():
-    """Each test starts with no cached half-line run, so a wrapped solve_ivp sees its solve."""
-    radial_ode._unit_halfline.cache_clear()
+def fresh_unit_runs():
+    """Each test starts with no cached unit-scale run, so a wrapped solve_ivp sees its solves."""
+    radial_ode.clear_unit_runs()
 
 
 def spec_m1(c: float) -> EllipticSystemSpec:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from halfspace_bubbles import EllipticSystemSpec, make_bubble_params, validate_spec
 from halfspace_bubbles.cli import main
 
-from conftest import FIXTURE_NAMES, breakdown_time_radau, fixture_spec, run_child
+from conftest import (
+    FIXTURE_NAMES, breakdown_time_radau, fixture_spec, incompatible_rows_spec, run_child,
+)
 
 
 @pytest.fixture
@@ -666,15 +668,49 @@ class TestEachValueOnce:
 
         fresh = {}
         for u0 in starts:
-            radial_ode._unit_halfline.cache_clear()
+            radial_ode.clear_unit_runs()
             fresh[u0] = halfline(u0, "fresh")
-        radial_ode._unit_halfline.cache_clear()
+        radial_ode.clear_unit_runs()
         solves = []
         recording(monkeypatch, radial_ode, "solve_ivp", solves, lambda a, kw: a[2])
         for u0 in starts:
             # the report and the full trace, byte for byte, as a fresh solve writes them
             assert halfline(u0, "cached") == fresh[u0]
         assert len(solves) == 1
+
+    def test_radial_integrates_each_reference_once(self, tmp_path, monkeypatch, capsys):
+        from halfspace_bubbles import radial_ode
+
+        specs = {"f3": fixture_spec("f3"), "f4": fixture_spec("f4"), "x3": incompatible_rows_spec()}
+        for name, spec in specs.items():
+            (tmp_path / f"{name}.spec.json").write_text(json.dumps(spec.to_dict()))
+            params = make_bubble_params(fixture_spec("f3") if name == "x3" else spec, 1.0)
+            (tmp_path / f"{name}.params.json").write_text(json.dumps(params.to_dict()))
+        out = tmp_path / "radial.json"
+
+        def radial(name):
+            """Exit code, stderr, report and CSV of one call; x3 on f3's params fails its shot."""
+            written = (out, out.with_suffix(".csv"))
+            for path in written:
+                path.unlink(missing_ok=True)
+            code = run("radial", "--spec", tmp_path / f"{name}.spec.json",
+                       "--params", tmp_path / f"{name}.params.json", "--out", out, "--csv")
+            return code, capsys.readouterr().err, [p.read_bytes() for p in written if p.exists()]
+
+        fresh = {}
+        for name in specs:
+            radial_ode.clear_unit_runs()
+            fresh[name] = radial(name)
+        assert fresh["x3"][0] == 1 and "shoot_failed" in fresh["x3"][1]
+        assert all(len(fresh[name][2]) == 2 for name in ("f3", "f4"))
+        radial_ode.clear_unit_runs()
+        solves = []
+        recording(monkeypatch, radial_ode, "solve_ivp", solves, lambda a, kw: a[1])
+        for name in ("f3", "f3", "f3", "f4", "x3"):
+            # the report, the trajectory and the stderr, byte for byte, as a fresh solve writes them
+            assert radial(name) == fresh[name]
+        # one psi_ref per spec: the key tells f4 from f3, whose row sums it shares
+        assert len(solves) == 3
 
 
 class TestRadialSensitivity:

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from halfspace_bubbles.exponent_system import (
     load_spec,
     validate_spec,
 )
+
+from conftest import fixture_spec
 
 
 def brute_force_irreducible(A: np.ndarray) -> bool:
@@ -159,6 +164,62 @@ def test_json_roundtrip(tmp_path, spec_f3):
     assert np.array_equal(loaded.A, spec_f3.A)
     assert np.array_equal(loaded.B, spec_f3.B)
     assert np.array_equal(loaded.c, spec_f3.c)
+
+
+@pytest.mark.parametrize("name", ["A", "B", "c"])
+def test_spec_cannot_be_changed(spec_f4, name):
+    # source and flux read transposes taken at construction, so a changed
+    # matrix would leave them on the old one
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(spec_f4, name, getattr(spec_f4, name) + 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(spec_f4, name)[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec_f4.AT = spec_f4.A
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda spec: pickle.loads(pickle.dumps(spec))])
+def test_copies_of_a_spec_stay_frozen(spec_f4, duplicate):
+    twin = duplicate(spec_f4)
+    assert twin == spec_f4 and hash(twin) == hash(spec_f4)
+    for name in ("A", "B", "c"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(twin, name)[0] = 1.0
+    assert twin.AT.base is twin.A and twin.BT.base is twin.B
+
+
+@pytest.mark.parametrize("name", ["f1", "f3", "f4"])
+def test_specs_from_the_same_json_are_equal(tmp_path, name):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(fixture_spec(name).to_dict()))
+    first, second = load_spec(path), load_spec(path)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first == fixture_spec(name)
+    assert len({first, second, fixture_spec(name)}) == 1
+
+
+def test_specs_with_the_same_row_sums_differ(spec_f3, spec_f4):
+    # f3 and f4 share N, m, c and every row sum of A and B; only the matrices tell them apart
+    assert np.array_equal(spec_f3.A.sum(axis=1), spec_f4.A.sum(axis=1))
+    assert np.array_equal(spec_f3.B.sum(axis=1), spec_f4.B.sum(axis=1))
+    assert spec_f3 != spec_f4 and len({spec_f3, spec_f4}) == 2
+    assert spec_f4 != dataclasses.replace(spec_f4, c=[-1.0, -2.0])
+    assert spec_f4 != spec_f4.to_dict()
+
+
+def test_source_and_flux_follow_the_matrices_the_spec_was_built_from(spec_f3, spec_f4):
+    A, B, c = spec_f4.A.copy(), spec_f4.B.copy(), spec_f4.c.copy()
+    spec = EllipticSystemSpec(N=4, m=2, A=A, B=B, c=c)
+    # the caller's arrays are copied: writing into them changes neither the spec nor its terms
+    A[:], B[:], c[:] = spec_f3.A, spec_f3.B, 2.0
+    log_u = np.log([[0.5, 2.0], [3.0, 0.25]])
+    for built in (spec, dataclasses.replace(spec_f3, A=spec_f4.A, B=spec_f4.B)):
+        assert built == spec_f4
+        np.testing.assert_array_equal(built.source(log_u), np.exp(log_u @ spec_f4.A.T))
+        np.testing.assert_array_equal(built.flux(log_u), -np.exp(log_u @ spec_f4.B.T))
+        np.testing.assert_array_equal(built.source(log_u), spec_f4.source(log_u))
 
 
 def test_load_spec_rejects_bad_json(tmp_path):

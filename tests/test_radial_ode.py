@@ -201,6 +201,17 @@ class TestShooting:
         with pytest.raises(ShootFailed):
             shoot_robin(incompatible_rows_spec(), np.sqrt(3.0), tol=1e-10)
 
+    def test_horizon_flags_an_unsettled_reference(self, spec_f2, monkeypatch):
+        shoot_robin(spec_f2, 2.0)  # psi_ref cached at the default horizon
+        ends = []
+        solve = radial_ode.solve_ivp
+        monkeypatch.setattr(radial_ode, "solve_ivp",
+                            lambda *a, **kw: ends.append(a[1][1]) or solve(*a, **kw))
+        monkeypatch.setattr(radial_ode, "HORIZON", 1e-3)
+        with pytest.raises(ShootFailed, match="up to r = 0.001$"):
+            shoot_robin(spec_f2, 2.0)
+        assert ends == [1e-3]  # psi_ref integrated again, to the new horizon
+
     @pytest.mark.parametrize("c", [-1e5, -1000.0, -50.0, 50.0, 1000.0])
     def test_extreme_coefficients_match_closed_form(self, c):
         # the Robin root s* = 2d/mu runs from 2.9e-6 (c = -1e5) to 3.5e3 (c = 1000)

@@ -7,7 +7,9 @@ on f3 and the incompatible-rows spec x3, a spec that fails validation,
 and the error paths: sweeps that start past the critical radius or end
 below it, a shot
 that cannot meet the Robin condition on incompatible boundary rows, and
-unusable inputs.  Each call
+unusable inputs.  Last, ``radial`` runs again on f2, f4 and x3, now on the
+reference profiles this process has cached, so each cached call prints
+next to the digests of its fresh twin.  Each call
 goes through ``halfspace_bubbles.cli.main`` in this process; per call it
 prints the exit code, the standard error and the sha256 of every file it
 wrote.
@@ -95,6 +97,9 @@ def main(outdir: str) -> int:
     # a boundary center off the hyperplane, a box below the boundary: exit 2, malformed_spec
     matrix["f1.moving-spheres-bad-x"] = ["moving-spheres", "--x", "1,2,3"]
     matrix["f1.verify-bad-box"] = ["verify", "--box=-1,1,-1,1,-1,1"]
+    # the same shots again on the cached psi_ref: the same exit, stderr and digests
+    for call_id in ("f2.radial", "f4.radial", "x3.radial"):
+        matrix[f"{call_id}-cached"] = matrix[call_id]
 
     for call_id, argv in matrix.items():
         spec = f"{call_id.split('.')[0]}.spec.json"
