@@ -20,6 +20,7 @@ input handling, not part of the mathematical structure.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,6 +40,9 @@ __all__ = [
     "validate_spec",
     "load_spec",
 ]
+
+
+TOL_ROW = 1e-9  # the default relative tolerance of the row-sum checks
 
 
 def interior_row_target(N: int) -> float:
@@ -81,6 +85,11 @@ class EllipticSystemSpec:
 
     def __reduce__(self):  # copies and pickles are built anew, on read-only arrays
         return EllipticSystemSpec, (self.N, self.m, self.A, self.B, self.c)
+
+    @functools.cached_property
+    def admissible(self) -> bool:
+        """``validate_spec(self).passed``, taken once: here, or by a validate_spec call at TOL_ROW."""
+        return validate_spec(self).passed
 
     def source(self, log_u: np.ndarray) -> np.ndarray:
         """Interior source prod_j u_j**A[i,j] from log u (..., m); (..., m)."""
@@ -184,7 +193,7 @@ def is_irreducible(A: np.ndarray) -> bool:
     return bool(reach.all())
 
 
-def validate_spec(spec: EllipticSystemSpec, tol_row: float = 1e-9) -> ValidationReport:
+def validate_spec(spec: EllipticSystemSpec, tol_row: float = TOL_ROW) -> ValidationReport:
     """Check every structural rule and report all violations.
 
     Row sums are compared to their targets with relative tolerance
@@ -230,6 +239,8 @@ def validate_spec(spec: EllipticSystemSpec, tol_row: float = 1e-9) -> Validation
     if not is_irreducible(spec.A):
         violations.append(Violation("A_irreducible", None, 0.0, 1.0))
 
+    if tol_row == TOL_ROW:
+        spec.__dict__["admissible"] = not violations
     return ValidationReport(passed=not violations, violations=violations)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bubble_family import log_profile, solve_betas
 from .errors import HorizonExceeded, PositivityLoss, ShootFailed, StepFailure
-from .exponent_system import EllipticSystemSpec, validate_spec
+from .exponent_system import EllipticSystemSpec
 # module-level names, looked up at each call, so a caller can wrap them
 from .ode import least_squares, solve_ivp
 
@@ -241,7 +241,7 @@ def shoot_robin(
         ``tol`` (inconsistent boundary coefficients across rows), or if
         psi_ref has not settled by r = ``HORIZON``.
     """
-    if not 0 < d < np.inf or not validate_spec(spec).passed:
+    if not 0 < d < np.inf or not spec.admissible:
         raise ValueError("need finite d > 0 and a spec passing validate_spec (critical scaling)")
     solve, ref = _robin_reference(spec, max(min(1e-12, tol * 1e-2), 1e-13), HORIZON)
     if ref.r[-1] >= HORIZON:
@@ -327,7 +327,7 @@ def halfline_breakdown(spec: EllipticSystemSpec, u0: np.ndarray) -> BreakdownCer
         flags a setup problem, never a counterexample.
     """
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    if not np.all((u0 > 0) & np.isfinite(u0)) or not validate_spec(spec).passed:
+    if not np.all((u0 > 0) & np.isfinite(u0)) or not spec.admissible:
         raise ValueError("need finite u0 > 0 and a spec passing validate_spec (critical scaling)")
     m = u0.shape[0]
     scale = float(np.max(u0))

@@ -712,6 +712,19 @@ class TestEachValueOnce:
         # one psi_ref per spec: the key tells f4 from f3, whose row sums it shares
         assert len(solves) == 3
 
+    @pytest.mark.parametrize("command", [["radial"], ["halfline", "--u0", "2.0"]])
+    def test_each_call_validates_its_spec_once(self, command, spec_file, tmp_path, monkeypatch):
+        from halfspace_bubbles import cli, exponent_system, radial_ode
+
+        validated = []
+        # every name validate_spec goes by in the package
+        for module in (cli, exponent_system, radial_ode):
+            if hasattr(module, "validate_spec"):
+                recording(monkeypatch, module, "validate_spec", validated, lambda a, kw: a[0])
+        for _ in range(2):
+            assert run(*command, "--spec", spec_file, "--out", tmp_path / "out.json") == 0
+        assert len(validated) == 2
+
 
 class TestRadialSensitivity:
     """``radial`` still tells a wrong parameter file from the right one.

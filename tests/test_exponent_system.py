@@ -98,6 +98,19 @@ def test_validate_tol_row_accepts_decimal_noise():
     assert not validate_spec(spec, tol_row=1e-14).passed
 
 
+@pytest.mark.parametrize("tols", [(), (1e-14,), (1e-14, 1e-9)])
+def test_admissible_is_the_default_tolerance_verdict(tols):
+    # whichever validations ran before, at whatever tolerance
+    spec = EllipticSystemSpec(N=3, m=1, A=[[5.0 + 1e-12]], B=[[3.0]], c=[-1.0])
+    for tol in tols:
+        validate_spec(spec, tol_row=tol)
+    assert spec.admissible is True
+    bad = EllipticSystemSpec(N=3, m=1, A=[[6.0]], B=[[3.0]], c=[0.0])
+    for tol in tols:
+        validate_spec(bad, tol_row=tol)
+    assert bad.admissible is False
+
+
 def test_malformed_shapes_raise():
     with pytest.raises(MalformedSpec):
         validate_spec(EllipticSystemSpec(N=3, m=2, A=[[5.0]], B=[[3.0]], c=[-1.0]))

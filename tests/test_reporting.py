@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from halfspace_bubbles import reporting
 from halfspace_bubbles.cli import main
 from halfspace_bubbles.kelvin_inversion import SweepResult
 from halfspace_bubbles.radial_ode import RadialTrajectory
@@ -105,6 +109,62 @@ def test_trace_csv_matches_csv_writer_bytes(n, m, tmp_path):
     path = tmp_path / "halfline.csv"
     write_trace_csv(trace, path, m)
     assert path.read_bytes() == csv_writer_table(header, [float_row(row) for row in trace])
+
+
+def table_bytes(tmp_path, header, columns) -> bytes:
+    path = tmp_path / "table.csv"
+    reporting._write_table(path, header, [("", columns)])
+    return path.read_bytes()
+
+
+def repr_table(header, columns) -> bytes:
+    """The table with every entry as repr of its Python value, as csv.writer writes it."""
+    return csv_writer_table(header, [[repr(v) for v in row] for row in zip(*(
+        column.tolist() for column in columns))])
+
+
+@given(rows=st.integers(1, 4).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(0, 2**64 - 1), min_size=ncols, max_size=ncols), min_size=1, max_size=50)))
+def test_every_bit_pattern_renders_as_repr(rows, tmp_path_factory):
+    columns = list(np.array(rows, dtype=np.uint64).view(np.float64).T)
+    header = [f"x{j}" for j in range(len(columns))]
+    directory = tmp_path_factory.getbasetemp()
+    assert table_bytes(directory, header, columns) == repr_table(header, columns)
+
+
+POWERS_OF_TWO = [x for e in range(-1022, 1024) for x in (
+    2.0**e, math.nextafter(2.0**e, 0.0), math.nextafter(2.0**e, math.inf))]
+
+
+@pytest.mark.parametrize("values", [
+    [5e-324, math.nextafter(2.2250738585072014e-308, 0.0), 2.2250738585072014e-308,
+     1.7976931348623157e308, -0.0, 0.0, math.nan, math.inf, -math.inf],
+    POWERS_OF_TWO,
+    # the layout edges: exponent form below 1e-4 and from 1e16 on
+    [1e-4, math.nextafter(1e-4, 0.0), 1e-5, 1e15, 1e16, math.nextafter(1e16, 0.0),
+     9999999999999998.0, 123456789012345680.0, 0.1, 1.5, 100.0, 1e100, 1e-100, 1e300],
+    [float(n) for n in [*range(-1000, 1000), *range(2**53 - 1000, 2**53 + 1), *(10**k for k in range(17))]],
+    # an even significand's interval holds its bounds: 1e23 is the midpoint of two doubles
+    [1e23, -1e23],
+    # a tie between two 17-digit decimals goes to the even one
+    [1000000000000000.2, 1059438285926254.2],
+    # below a power of two the neighbour is half as far: 2**-1019 needs its 17th digit
+    [2.0**-1019, 2.0**-1018],
+], ids=["extremes", "powers-of-two", "layout-edges", "integers", "even-bounds", "half-even",
+        "power-of-two-interval"])
+def test_explicit_values_render_as_repr(values, tmp_path):
+    column = np.array(values)
+    assert table_bytes(tmp_path, ["x"], [column]) == repr_table(["x"], [column])
+
+
+@pytest.mark.parametrize("columns", [
+    [np.zeros(0), np.zeros(0, dtype=np.int64)],
+    [np.array([0, -1, 7, 2**63 - 1, -(2**63)], dtype=np.int64), np.array([1.0, -0.0, 2.5, 1e-7, 3.0])],
+    [np.array([1.0]), np.array([-2.5e-300]), np.array([3], dtype=np.int64), np.array([np.nan])],
+], ids=["empty", "integer-column", "one-row"])
+def test_tables_render_as_repr(columns, tmp_path):
+    header = [f"x{j}" for j in range(len(columns))]
+    assert table_bytes(tmp_path, header, columns) == repr_table(header, columns)
 
 
 @pytest.fixture

@@ -67,6 +67,12 @@ MUTANTS = {
     # mu/(2d) is sigma/e above the boundary and e/sigma below it
     "recover-branch": ("conformal_ball.py", "sigma / e if y0N >= 0 else e / sigma",
                        "e / sigma if y0N >= 0 else sigma / e"),
+    # the rare branches of the CSV number kernel: a tie between two candidates
+    # goes to the even one, an even significand's interval holds its bounds,
+    # and below a power of two the interval is half as wide
+    "render-half-even": ("reporting.py", "((s & _U(1)) == _U(0))", "((s & _U(1)) == _U(1))"),
+    "render-even-bounds": ("reporting.py", "out = c & _U(1)", "out = _U(1)"),
+    "render-power-of-two": ("reporting.py", "rop(cb - _U(2) + irregular)", "rop(cb - _U(2))"),
 }
 
 
