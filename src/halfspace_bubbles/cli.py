@@ -384,7 +384,7 @@ def cmd_radial(args) -> int:
     d = setup.d
     mu, alphas = cb.recover_mu_alpha(params)
 
-    alphas_shoot, mu_shoot, shot = ro.shoot_robin(spec, d, tol=1e-10)
+    alphas_shoot, mu_shoot, shot, duality = ro.shoot_robin(spec, d, tol=1e-10)
     mu_gap = abs(mu_shoot - mu) / mu
     alpha_gap = float(np.max(np.abs(alphas_shoot - alphas) / alphas))
     # the shot profile, integrated once, against the closed form of the given params
@@ -408,6 +408,7 @@ def cmd_radial(args) -> int:
         "alphas_shoot": alphas_shoot,
         "shooting_mu_rel_gap": mu_gap,
         "shooting_alpha_rel_gap": alpha_gap,
+        "kelvin_duality_residual": duality,
     }
     if args.csv:
         reporting.write_trajectory_csv(traj, _csv_path(args, "radial"))

@@ -54,7 +54,7 @@ class PositivityLoss(HalfspaceBubblesError):
 
 
 class ShootFailed(HalfspaceBubblesError):
-    """Shooting could not drive the terminal residuals below tolerance."""
+    """Shooting missed the Robin condition, or its reference failed the Kelvin duality check."""
 
     code = "shoot_failed"
 

@@ -1,4 +1,4 @@
-"""A numpy DOP853 integrator with terminal events, and a bounded Levenberg-Marquardt solve.
+"""A numpy DOP853 integrator with terminal events, and a Levenberg-Marquardt solve.
 
 Only what :mod:`halfspace_bubbles.radial_ode` uses.  ``solve_ivp`` is
 Hairer, Norsett and Wanner's explicit Runge-Kutta pair of order 8(5,3)
@@ -9,8 +9,8 @@ that fire when an event function falls through zero, located on the
 step's interpolant.  Each step does scipy's DOP853 arithmetic in the same
 order, so the two take the same steps and their trajectories agree to
 rounding (``tests/test_ode.py`` cross-checks them).  ``least_squares``
-minimises the squared norm of a residual vector under an upper bound, by
-Levenberg-Marquardt steps on a forward-difference Jacobian.
+minimises the squared norm of a residual vector by Levenberg-Marquardt
+steps on a forward-difference Jacobian.
 """
 
 from __future__ import annotations
@@ -372,35 +372,24 @@ class LeastSquaresResult:
     nfev: int
 
 
-def least_squares(
-    fun: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, upper: np.ndarray
-) -> LeastSquaresResult:
-    """Minimise |fun(x)|^2 subject to x <= upper by Levenberg-Marquardt.
+def least_squares(fun: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -> LeastSquaresResult:
+    """Minimise |fun(x)|^2 by Levenberg-Marquardt.
 
-    The Jacobian is a forward difference of step sqrt(eps) max(1, |x_j|),
-    taken backwards where the forward step would cross the bound.  Each
-    trial point is clipped to the bound, so a root on an active bound is
-    reached exactly.  The solve stops when the step falls below
-    ``LSQ_TOL (LSQ_TOL + |x|)``, the cost stops falling by more than
-    ``LSQ_TOL`` of itself, the gradient falls below ``LSQ_TOL``, or after
-    100 evaluations per unknown, Jacobian columns included.
+    The Jacobian is a forward difference of step sqrt(eps) max(1, |x_j|).
+    The solve stops when the step falls below ``LSQ_TOL (LSQ_TOL + |x|)``,
+    the cost stops falling by more than ``LSQ_TOL`` of itself, the gradient
+    falls below ``LSQ_TOL``, or after 100 evaluations per unknown, Jacobian
+    columns included.
     """
-    upper = np.asarray(upper, dtype=float)
-    x = np.minimum(np.asarray(x0, dtype=float), upper)
+    x = np.asarray(x0, dtype=float)
     n = x.size
     max_nfev = 100 * n
     f = fun(x)
     nfev, cost, damping = 1, float(f @ f), 1e-3
-
-    def small(step):
-        return np.linalg.norm(step) <= LSQ_TOL * (LSQ_TOL + np.linalg.norm(x))
-
     while cost > 0 and nfev + n < max_nfev:
         J = np.empty((f.size, n))
         for j in range(n):
             h = np.sqrt(EPS) * max(1.0, abs(x[j]))
-            if x[j] + h > upper[j]:
-                h = -h
             xj = x.copy()
             xj[j] += h
             J[:, j] = (fun(xj) - f) / (xj[j] - x[j])
@@ -411,8 +400,8 @@ def least_squares(
         JTJ = J.T @ J
         diag = np.maximum(np.diag(JTJ), EPS * np.max(np.diag(JTJ)))
         while nfev < max_nfev:
-            step = np.minimum(x + np.linalg.solve(JTJ + damping * np.diag(diag), -grad), upper) - x
-            if small(step):
+            step = np.linalg.solve(JTJ + damping * np.diag(diag), -grad)
+            if np.linalg.norm(step) <= LSQ_TOL * (LSQ_TOL + np.linalg.norm(x)):
                 return LeastSquaresResult(x, f, nfev)
             f_new = fun(x + step)
             nfev += 1

@@ -6,8 +6,8 @@ Two ODE problems live here.  The radial profile system on (0, 2d),
 
 integrated from a series launch at the coordinate singularity r = 0 and
 matched against the closed form alphas[i] (mu^2 + r^2)**(-(N-2)/2), with a
-shooting solve for (alphas, mu) from the Robin condition at r = 2d.  And
-the half-line system
+shooting solve for (alphas, mu) from the Robin condition at r = 2d on one
+profile integrated on [0, 1] and its Kelvin image.  And the half-line system
 
     u_i'' = -prod_j u_j**A[i,j],   u_i'(0) = c[i] prod_j u_j(0)**B[i,j],
 
@@ -43,14 +43,16 @@ __all__ = [
 # fractional powers defined while an event localizes the actual crossing.
 POSITIVITY_FLOOR = 1e-300
 
-# Unit-scale end of both open-ended integrations: the time by which a half-line trajectory
-# leaves the positive cone, and the radius by which the Robin reference profile settles.
+# Unit-scale time by which a half-line trajectory must leave the positive cone.
 HORIZON = 1e6
 
 SERIES_TERMS = 8  # of the launch series in r**2 about the radial origin
 
-# unit-scale runs of each kind cached per process, keyed on (spec, what the run reads,
-# HORIZON), each kind in its own LRU order: Robin references psi_ref and half-line rays
+# Largest |psi'(1) + (N-2)/2 psi(1)| / ((N-2)/2 psi(1)) of a psi_ref read through its image
+DUALITY_TOL = 1e-11  # psi_ref on f1-f4 reads 5e-14 to 1.2e-13
+
+# unit-scale runs of each kind cached per process, each kind in its own LRU order: Robin
+# references psi_ref keyed on (spec, tol), half-line rays on (spec, direction, HORIZON)
 UNIT_RUNS_KEPT = 32
 
 
@@ -65,7 +67,8 @@ class RadialTrajectory:
     """Radial trajectory from r = 0; psi and dpsi are (n, m) at the radii r.
 
     ``dense`` evaluates it anywhere on [0, r[-1]]: the launch series below
-    the series radius, the integrator's dense output above it.
+    the series radius, the integrator's dense output above it, and for a
+    shot profile psi_ref's Kelvin image beyond mu.
     """
 
     r: np.ndarray
@@ -108,20 +111,20 @@ def _series_launch_radius(spec, a, r_end, tol) -> float:
     |a[K]| is bounded by the larger of the last two terms, each carried on
     at its own rate |a[k] / psi0|**(1/k), so the bound scales with the
     profile; the half covers its shortfall on coefficients that grow slower
-    than geometrically (N = 3).  The radius stays 1e-3 of r_end and a tenth
-    of every row's Robin balance radius, where (N-2)/(2r) psi meets the
-    flux |c| prod_j psi_j**B[i,j].
+    than geometrically (N = 3).  The radius stays below half of r_end, so
+    the integrator takes a step, and below a tenth of every row's Robin
+    balance radius, where (N-2)/(2r) psi meets the flux |c| prod_j psi_j**B[i,j].
     """
     K, half = SERIES_TERMS, tol / 2
     k = np.arange(K - 2, K)[:, None]
     a_K = np.max(np.abs(a[-2:] / a[0]) ** (K / k), axis=0)  # bound on |a[K] / psi0|, (m,)
     flux0 = np.abs(spec.flux(np.log(a[0])))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # c = 0 or subnormal: no balance radius
         rho = np.minimum(
             (half / a_K) ** (1 / K), (half * np.abs(a[1] / a[0]) / (K * a_K)) ** (1 / (K - 1))
         )
         balance = float(np.min((spec.N - 2) * a[0] / (2 * flux0)))
-    return min(float(np.min(rho)) ** 0.5, 1e-3 * r_end, 0.1 * balance)
+    return min(float(np.min(rho)) ** 0.5, 0.5 * r_end, 0.1 * balance)
 
 
 def _series_eval(a, r):
@@ -132,11 +135,7 @@ def _series_eval(a, r):
 
 
 def integrate_radial(
-    spec: EllipticSystemSpec,
-    psi0: np.ndarray,
-    r_end: float,
-    tol: float,
-    stop: Callable[[float, np.ndarray, np.ndarray], float] | None = None,
+    spec: EllipticSystemSpec, psi0: np.ndarray, r_end: float, tol: float
 ) -> RadialTrajectory:
     """Integrate the radial profile system from r = 0 with local tolerance tol.
 
@@ -144,9 +143,8 @@ def integrate_radial(
     from a series in r**2 on [0, r_s], with r_s chosen so the dropped term
     and its slope stay below ``tol / 2``; the package's own DOP853
     (:func:`halfspace_bubbles.ode.solve_ivp`, relative local error ``tol``)
-    carries it to ``r_end`` from there, or to the first radius where
-    ``stop(r, psi, dpsi)`` falls through zero, located on the step's
-    interpolant.  The result holds the accepted steps.  ``r_end`` must be positive.
+    carries it to ``r_end`` from there.  The result holds the accepted
+    steps.  ``r_end`` must be positive.
 
     Raises
     ------
@@ -175,9 +173,6 @@ def integrate_radial(
         return out
 
     events = [lambda r, y: float(np.min(y[:m]))]  # positivity
-    if stop is not None:
-        events.append(lambda r, y: stop(r, y[:m], y[m:]))
-
     sol = solve_ivp(rhs, (r_s, r_end), y0, rtol=tol, atol=0.0, events=events)
     if sol.event == 0:
         raise PositivityLoss(f"component reached zero at r = {sol.t[-1]:.6g}")
@@ -213,11 +208,28 @@ def _robin_residual(spec, d, psi, dpsi):
     return res / scale
 
 
+def _image_slope(N, t, psi, dpsi):
+    """s**N phi'(s) of the Kelvin image phi(s) = s**(2-N) psi(1/s), from psi and psi' at t = 1/s."""
+    return -(N - 2) * psi / t - dpsi
+
+
+def _folded(ref, N, s):
+    """(t, w, psi, slope) of psi_ref at radii s (k,), from its run on [0, 1] and its Kelvin image.
+
+    t = min(s, 1/s), w = min(1, 1/s) and psi = psi_ref(t): psi_ref(s) = w**(N-2) psi and
+    psi_ref'(s) = w**N slope.  Each term of the Robin mismatch at s > 1 is s**-N times a value
+    at t, so ``_robin_residual(spec, t / 2, psi, slope)`` is the mismatch at s on either side.
+    """
+    w = 1 / np.maximum(s, 1.0)
+    t = np.minimum(s, w)
+    psi, slope = ref.dense(t)
+    slope[s > 1] = _image_slope(N, t[s > 1, None], psi[s > 1], slope[s > 1])
+    return t, w[:, None], psi, slope
+
+
 def shoot_robin(
-    spec: EllipticSystemSpec,
-    d: float,
-    tol: float = 1e-10,
-) -> tuple[np.ndarray, float, RadialTrajectory]:
+    spec: EllipticSystemSpec, d: float, tol: float = 1e-10
+) -> tuple[np.ndarray, float, RadialTrajectory, float]:
     """Find (alphas, mu) whose integrated profile meets the Robin condition at 2d.
 
     Critical scaling and the kernel directions v = A v of the amplitude
@@ -225,40 +237,40 @@ def shoot_robin(
     mu**(-(N-2)/2) k psi_ref(r / mu), k = exp(theta @ null_basis), where
     psi_ref is integrated once from the amplitudes at mu = 1.  Its Robin
     mismatch at 2d is k-scaled psi_ref's at s = 2d / mu, so one least-squares
-    solve for (log s, theta) runs on psi_ref, from its best accepted step.
-    Each row's mismatch tends to +1 as s -> 0 and to -1/3 as s -> inf: the
-    series launch stays below a tenth of every row's Robin balance radius,
-    where the mismatch is still near +1, and the integration stops once
-    every row is below -1/6 (by r = ``HORIZON``), so the accepted steps span
-    every root.  The profile is integrated numerically, never taken from the
-    closed form, so agreement with the recovery formulas is a genuine
-    cross-check.  The shot profile, psi_ref so rescaled onto [0, 2d], comes third.
+    solve for (log s, theta) runs on psi_ref.  psi_ref is integrated on
+    [0, 1] only and read through its Kelvin image above 1 (``_folded``): it
+    is its own image when psi_ref'(1) = -(N-2)/2 psi_ref(1), whose relative
+    miss, the duality residual, comes fourth.  Each row's mismatch tends to
+    +1 as s -> 0 and to -1/3 as s -> inf; the series launch r_s stays below
+    a tenth of every row's Robin balance radius, so the accepted steps on
+    [r_s, 1] and their images span every root, and the solve starts from
+    the best of them.  The profile is integrated numerically, never taken
+    from the closed form, so agreement with the recovery formulas is a
+    genuine cross-check.  The shot profile, psi_ref so rescaled onto [0, 2d], comes third.
 
     Raises
     ------
     ShootFailed
-        If no parameter choice drives the normalized residuals below
-        ``tol`` (inconsistent boundary coefficients across rows), or if
-        psi_ref has not settled by r = ``HORIZON``.
+        If psi_ref's duality residual exceeds ``DUALITY_TOL``, or if no
+        parameter choice drives the normalized residuals below ``tol``
+        (inconsistent boundary coefficients across rows).
     """
     if not 0 < d < np.inf or not spec.admissible:
         raise ValueError("need finite d > 0 and a spec passing validate_spec (critical scaling)")
-    solve, ref = _robin_reference(spec, max(min(1e-12, tol * 1e-2), 1e-13), HORIZON)
-    if ref.r[-1] >= HORIZON:
-        raise ShootFailed(f"the Robin mismatch of psi_ref stayed above -1/6 up to r = {HORIZON:g}")
-    s_ref = ref.r[1:]  # accepted steps, from the series launch to the settled radius
-    scan = np.abs(_robin_residual(spec, s_ref[:, None] / 2, ref.psi[1:], ref.dpsi[1:])).max(axis=1)
+    solve, ref, duality = _robin_reference(spec, max(min(1e-12, tol * 1e-2), 1e-13))
+    if duality > DUALITY_TOL:  # then its image cannot stand in for r > 1
+        raise ShootFailed(f"psi_ref's Kelvin duality residual {duality:.3e} > {DUALITY_TOL:.0e}")
+    N, t, psi, dpsi = spec.N, ref.r[1:, None], ref.psi[1:], ref.dpsi[1:]  # steps on [r_s, 1]
+    slopes = np.vstack([dpsi, _image_slope(N, t, psi, dpsi)])  # stored, at t and at 1/t
+    scan = np.abs(_robin_residual(spec, np.vstack([t, t]) / 2, np.vstack([psi, psi]), slopes))
+    s0 = np.append(t, 1 / t)[np.argmin(scan.max(axis=1))]
 
     def residual(x):
-        s = min(float(np.exp(x[0])), s_ref[-1])  # exp(log s) may round past the bound
         k = np.exp(x[1:] @ solve.null_basis)
-        at = ref.at(s)
-        return _robin_residual(spec, s / 2, k * at.psi[0], k * at.dpsi[0])
+        t, _, psi, slope = _folded(ref, N, np.exp(x[:1]))
+        return _robin_residual(spec, t[0] / 2, k * psi[0], k * slope[0])
 
-    x0 = np.append(np.log(s_ref[np.argmin(scan)]), np.zeros(solve.nullity))
-    # below the launch the series holds; above the last step psi_ref is undefined
-    upper = np.append(np.log(s_ref[-1]), np.full(solve.nullity, np.inf))
-    out = least_squares(residual, x0, upper)
+    out = least_squares(residual, np.append(np.log(s0), np.zeros(solve.nullity)))
     worst = float(np.max(np.abs(out.fun)))
     if worst > tol:
         raise ShootFailed(
@@ -266,29 +278,27 @@ def shoot_robin(
             "boundary rows likely demand incompatible profiles"
         )
     mu = 2 * d / float(np.exp(out.x[0]))
-    alphas = solve.betas(out.x[1:]) * mu ** ((spec.N - 2) / 2)
-    lift = np.exp(out.x[1:] @ solve.null_basis) * mu ** (-(spec.N - 2) / 2)
+    alphas = solve.betas(out.x[1:]) * mu ** ((N - 2) / 2)
+    lift = np.exp(out.x[1:] @ solve.null_basis) * mu ** (-(N - 2) / 2)
 
     def dense(r):
-        psi, dpsi = ref.dense(r / mu)
-        return lift * psi, lift / mu * dpsi
+        _, w, psi, slope = _folded(ref, N, r / mu)
+        return lift * w ** (N - 2) * psi, lift / mu * w**N * slope
 
-    r = np.append(mu * ref.r[mu * ref.r < 2 * d], 2 * d)
-    return alphas, mu, RadialTrajectory(r, *dense(r), dense)
+    steps = mu * np.append(ref.r, 1 / ref.r[-2:0:-1])  # psi_ref's accepted steps and their images
+    r = np.append(steps[steps < 2 * d], 2 * d)
+    return alphas, mu, RadialTrajectory(r, *dense(r), dense), duality
 
 
 @functools.lru_cache(maxsize=UNIT_RUNS_KEPT)
-def _robin_reference(spec, tol, horizon):
-    """The amplitude solve at mu = 1 and psi_ref up to where it settles; read-only arrays."""
+def _robin_reference(spec, tol):
+    """The amplitude solve at mu = 1, psi_ref on [0, 1] (read-only) and its duality residual."""
     solve = solve_betas(spec, 1.0)
-
-    def settled(r, psi, dpsi):
-        return float(np.max(_robin_residual(spec, r / 2, psi, dpsi))) + 1.0 / 6.0
-
     # psi_ref(0) = alphas(1) * 1**(2-N)
-    ref = integrate_radial(spec, solve.betas(), horizon, tol, stop=settled)
+    ref = integrate_radial(spec, solve.betas(), 1.0, tol)
     ref.r.flags.writeable = ref.psi.flags.writeable = ref.dpsi.flags.writeable = False
-    return solve, ref
+    balance = (spec.N - 2) / 2 * ref.psi[-1]
+    return solve, ref, float(np.max(np.abs(ref.dpsi[-1] + balance) / balance))
 
 
 @dataclass

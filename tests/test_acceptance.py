@@ -213,7 +213,7 @@ def test_criterion_7_radial_profile():
         traj = integrate_radial(spec, psi0, 2 * d, tol=1e-10).at(r)
         exact = closed_form_psi(spec.N, alphas, mu, r)
         worst_match = max(worst_match, float(np.max(np.abs(traj.psi - exact) / exact)))
-        alphas_shot, mu_shot, _ = shoot_robin(spec, d, tol=1e-10)
+        alphas_shot, mu_shot, *_ = shoot_robin(spec, d, tol=1e-10)
         worst_shoot = max(
             worst_shoot,
             abs(mu_shot - mu) / mu,

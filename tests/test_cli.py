@@ -350,7 +350,7 @@ def test_asymmetric_fixture_passes_every_subcommand(command, tmp_path):
 
 
 @st.composite
-def admissible_asymmetric_specs(draw):
+def admissible_asymmetric_specs(draw, coefficients=None):
     """N in 3..5, m in 2..3: A irreducible and B with critical row sums, one shared c.
 
     Rows are random weights scaled to the row targets, so A and (for c < 0)
@@ -360,6 +360,7 @@ def admissible_asymmetric_specs(draw):
     land near a zero of the radial profile's third derivative, where the
     ball's boundary slope breaks (ROADMAP item 1).  N = 4 with c = 0 lands
     on one; test_ball_passes_on_the_zero_third_derivative holds that case.
+    A caller that runs no ball check passes its own ``coefficients`` strategy.
     """
     N, m = draw(st.integers(3, 5)), draw(st.integers(2, 3))
     p, q = (N + 2) / (N - 2), N / (N - 2)
@@ -375,7 +376,9 @@ def admissible_asymmetric_specs(draw):
     A = [row(i, p) for i in range(m)]
     # nullity 0: the amplitude solution is unique, so it is the equal one
     assume(abs(np.linalg.det(np.eye(m) - np.array(A))) > 1e-2)
-    c = draw(st.sampled_from([-1.0, -0.5, 0.5] if N == 4 else [-1.0, -0.5, 0.0, 0.5]))
+    if coefficients is None:
+        coefficients = st.sampled_from([-1.0, -0.5, 0.5] if N == 4 else [-1.0, -0.5, 0.0, 0.5])
+    c = draw(coefficients)
     B = [row(i, q) for i in range(m)] if c < 0 else (q * np.eye(m)).tolist()
     return EllipticSystemSpec(N=N, m=m, A=A, B=B, c=[c] * m)
 
@@ -405,6 +408,35 @@ def test_admissible_asymmetric_specs_pass_every_check(spec, tmp_path_factory):
     assert run("halfline", "--u0", ",".join(map(str, u0)), "--spec", path, "--out", out) == 0
     t_star = json.loads(out.read_text())["t_star"]
     assert t_star == pytest.approx(breakdown_time_radau(spec, u0), rel=1e-10)
+
+
+@settings(max_examples=8)
+@given(spec=admissible_asymmetric_specs(st.floats(-1e3, 1e3)))
+def test_radial_shoots_admissible_specs_at_large_coefficients(spec, tmp_path_factory):
+    path = tmp_path_factory.mktemp("spec") / "spec.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    out = path.with_name("out.json")
+    assert run("radial", "--spec", path, "--out", out) == 0
+    report = json.loads(out.read_text())
+    # psi_ref's tolerance 1e-12 sets the floor: up to 9e-13 on N = 3 near c = 0.5
+    assert max(report["shooting_mu_rel_gap"], report["shooting_alpha_rel_gap"]) <= 1e-11
+
+
+M1_EXPONENTS = {3: (5.0, 3.0), 4: (3.0, 2.0), 5: (7 / 3, 5 / 3)}  # A, B of m = 1 by N
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0, 10.0, -10.0, 1e2, -1e2, 1e3, -1e3, 1e4, -1e4, 1e5, 3e5])
+@pytest.mark.parametrize("N", sorted(M1_EXPONENTS))
+def test_radial_shoots_every_coefficient(N, c, tmp_path):
+    # the Robin root s* = 2d / mu runs from about 3e-5 (c = -1e4) to 1e6
+    # (N = 3, c = 3e5); psi_ref on [0, 1] and its Kelvin image cover both ends
+    A, B = M1_EXPONENTS[N]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"N": N, "m": 1, "A": [[A]], "B": [[B]], "c": [c]}))
+    assert run("radial", "--spec", spec, "--out", tmp_path / "out.json") == 0
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert max(report["shooting_mu_rel_gap"], report["shooting_alpha_rel_gap"]) <= 1e-12
+    assert report["kelvin_duality_residual"] <= 1e-12
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: N = 4 with c = 0 puts the ball's "
@@ -735,7 +767,7 @@ class TestRadialSensitivity:
 
     @staticmethod
     def radial(tmp_path, name, perturb):
-        """Exit code and failed checks of ``radial`` on perturbed parameters."""
+        """Exit code and failed checks, name -> (value, threshold), of ``radial`` on new params."""
         spec = fixture_spec(name)
         (tmp_path / "spec.json").write_text(json.dumps(
             {"N": spec.N, "m": spec.m, "A": spec.A.tolist(), "B": spec.B.tolist(),
@@ -747,7 +779,7 @@ class TestRadialSensitivity:
         code = run("radial", "--spec", tmp_path / "spec.json",
                    "--params", tmp_path / "params.json", "--out", tmp_path / "radial.json")
         checks = json.loads((tmp_path / "radial.json").read_text())["checks"]
-        return code, [c["name"] for c in checks if not c["passed"]]
+        return code, {c["name"]: (c["value"], c["threshold"]) for c in checks if not c["passed"]}
 
     @pytest.mark.parametrize("name", ["f2", "f3"])
     @pytest.mark.parametrize("delta, code", [(1e-6, 1), (1e-9, 0)])
@@ -771,7 +803,30 @@ class TestRadialSensitivity:
         def perturb(params):
             params["y0"][0] += 0.5
 
-        assert self.radial(tmp_path, name, perturb) == (0, [])
+        assert self.radial(tmp_path, name, perturb) == (0, {})
+
+    def test_each_gate_fails_a_near_miss_by_less_than_a_thousandfold(self, tmp_path):
+        # sigma x (1 + 1e-7) on f2: every radial check fails, each by less than
+        # 1000x its gate, so a gate loosened 1000-fold lets its own check pass
+        def perturb(params):
+            params["sigma"] *= 1 + 1e-7
+
+        code, failed = self.radial(tmp_path, "f2", perturb)
+        assert code == 1
+        assert sorted(failed) == [
+            "integration_match_rel", "shooting_alpha_rel_gap", "shooting_mu_rel_gap"]
+        for value, threshold in failed.values():
+            assert threshold < value < 1000 * threshold
+
+    def test_incompatible_rows_fail_the_least_squares_solve(self, tmp_path, capsys):
+        # x3 on f3's params: psi_ref passes its duality check, the solve cannot meet both rows
+        spec, params = tmp_path / "x3.json", tmp_path / "params.json"
+        spec.write_text(json.dumps(incompatible_rows_spec().to_dict()))
+        params.write_text(json.dumps(make_bubble_params(fixture_spec("f3"), 1.0).to_dict()))
+        code = run("radial", "--spec", spec, "--params", params, "--out", tmp_path / "out.json")
+        error = json.loads(capsys.readouterr().err)
+        assert (code, error["error_code"]) == (1, "shoot_failed")
+        assert error["detail"].startswith("terminal residual")
 
 
 class TestDeterminism:

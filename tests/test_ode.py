@@ -134,9 +134,9 @@ def test_min_step_failure_raises_step_failure(call, spec_f1, monkeypatch):
 
 @pytest.mark.parametrize("call", ["radial", "halfline", "oscillator"])
 def test_nfev_counts_the_calls_made_before_returning(call, spec_f3, params_f3, monkeypatch):
-    # a radial shot ends on its stop event and a half-line solve on its
-    # crossing, each located on the step's interpolant; the oscillator runs
-    # to its end time, rejected steps included
+    # a radial shot's reference runs to r = 1 and a half-line solve ends on its
+    # crossing, located on the step's interpolant; the oscillator runs to its
+    # end time, rejected steps included
     seen = []
 
     def counting(fun, *args, **kwargs):
@@ -159,30 +159,20 @@ def test_nfev_counts_the_calls_made_before_returning(call, spec_f3, params_f3, m
     else:
         radial_ode.solve_ivp(oscillator, (0.0, 50.0), np.array([0.0, 1.0]), rtol=1e-9, atol=1e-12)
     [(out, calls)] = seen
-    assert out.event == {"radial": 1, "halfline": 0, "oscillator": None}[call]
+    assert out.event == {"radial": None, "halfline": 0, "oscillator": None}[call]
     assert out.nfev == calls
 
 
 class TestLeastSquares:
-    def test_root_on_an_active_bound(self):
-        out = ode.least_squares(lambda x: np.array([x[0] ** 2 - 4.0]), np.array([0.5]),
-                                np.array([2.0]))
-        assert out.x[0] == 2.0 and out.fun[0] == 0.0
-
     def test_interior_root(self):
         out = ode.least_squares(
-            lambda x: np.array([np.exp(x[0]) - 3.0, x[0] + x[1]]), np.zeros(2), np.full(2, np.inf)
+            lambda x: np.array([np.exp(x[0]) - 3.0, x[0] + x[1]]), np.zeros(2)
         )
         np.testing.assert_allclose(out.x, [np.log(3.0), -np.log(3.0)], rtol=1e-15)
         assert np.max(np.abs(out.fun)) <= 1e-15
 
-    def test_bound_stops_a_root_beyond_it(self):
-        out = ode.least_squares(lambda x: np.array([x[0] - 3.0]), np.array([0.0]), np.array([1.0]))
-        assert out.x[0] == 1.0 and out.fun[0] == -2.0
-
     def test_inconsistent_rows_end_at_the_least_squares_minimum(self):
-        out = ode.least_squares(lambda x: np.array([x[0] - 1.0, x[0] + 1.0]), np.array([5.0]),
-                                np.array([np.inf]))
+        out = ode.least_squares(lambda x: np.array([x[0] - 1.0, x[0] + 1.0]), np.array([5.0]))
         # the cost test stops it once the cost stalls to 1e-15 of itself
         assert abs(out.x[0]) <= 1e-12
         np.testing.assert_allclose(out.fun, [-1.0, 1.0], rtol=1e-12)

@@ -168,7 +168,7 @@ class TestShooting:
     def test_reproduces_recovered_parameters(self, fixture_pair):
         spec, params = fixture_pair
         d, mu, alphas = fixture_mu_alpha(spec, params)
-        alphas_shot, mu_shot, _ = shoot_robin(spec, d, tol=1e-10)
+        alphas_shot, mu_shot, *_ = shoot_robin(spec, d, tol=1e-10)
         assert abs(mu_shot - mu) / mu <= 1e-8
         np.testing.assert_allclose(alphas_shot, alphas, rtol=1e-8)
 
@@ -179,7 +179,7 @@ class TestShooting:
         spec, params = fixture_pair
         setup = setup_from_params(params)
         d = setup.d
-        alphas, mu, _ = shoot_robin(spec, d, tol=1e-10)
+        alphas, mu, *_ = shoot_robin(spec, d, tol=1e-10)
         psi_2d = closed_form_psi(spec.N, alphas, mu, 2 * d)
         expected = 2.0 ** (2 - spec.N) * evaluate_bubble(params, setup.xbar[None])[0]
         np.testing.assert_allclose(psi_2d, expected, rtol=1e-8)
@@ -188,7 +188,7 @@ class TestShooting:
         # psi_ref rescaled by critical scaling: values and slopes on [0, 2d]
         spec, params = fixture_pair
         d = setup_from_params(params).d
-        alphas, mu, shot = shoot_robin(spec, d, tol=1e-10)
+        alphas, mu, shot, _ = shoot_robin(spec, d, tol=1e-10)
         assert shot.r[0] == 0.0 and shot.r[-1] == 2 * d
         traj = shot.at(np.linspace(0.0, 2 * d, 57))
         r = traj.r[:, None]
@@ -201,23 +201,27 @@ class TestShooting:
         with pytest.raises(ShootFailed):
             shoot_robin(incompatible_rows_spec(), np.sqrt(3.0), tol=1e-10)
 
-    def test_horizon_flags_an_unsettled_reference(self, spec_f2, monkeypatch):
-        shoot_robin(spec_f2, 2.0)  # psi_ref cached at the default horizon
-        ends = []
-        solve = radial_ode.solve_ivp
-        monkeypatch.setattr(radial_ode, "solve_ivp",
-                            lambda *a, **kw: ends.append(a[1][1]) or solve(*a, **kw))
-        monkeypatch.setattr(radial_ode, "HORIZON", 1e-3)
-        with pytest.raises(ShootFailed, match="up to r = 0.001$"):
+    def test_reference_failing_the_duality_check_fails_the_shot(self, spec_f2, monkeypatch):
+        # amplitudes 1 + delta times psi_ref's make the bubble of width
+        # mu**2 = (1 + delta)**(-4/(N-2)), self-dual in the sphere of radius mu,
+        # not 1: psi'(1) / psi(1) = -(N-2) / (mu**2 + 1), a residual |mu**2 - 1| / (mu**2 + 1)
+        delta, N = 1e-6, spec_f2.N
+        real = radial_ode.integrate_radial
+        monkeypatch.setattr(radial_ode, "integrate_radial",
+                            lambda spec, psi0, *args: real(spec, psi0 * (1 + delta), *args))
+        with pytest.raises(ShootFailed, match="Kelvin duality residual") as failed:
             shoot_robin(spec_f2, 2.0)
-        assert ends == [1e-3]  # psi_ref integrated again, to the new horizon
+        residual = float(str(failed.value).split("residual ")[1].split()[0])
+        mu2 = (1 + delta) ** (-4 / (N - 2))
+        assert residual == pytest.approx(abs(mu2 - 1) / (mu2 + 1), rel=1e-3)
+        assert residual > radial_ode.DUALITY_TOL
 
     @pytest.mark.parametrize("c", [-1e5, -1000.0, -50.0, 50.0, 1000.0])
     def test_extreme_coefficients_match_closed_form(self, c):
         # the Robin root s* = 2d/mu runs from 2.9e-6 (c = -1e5) to 3.5e3 (c = 1000)
         spec = spec_m1(c)
         d, mu, alphas = fixture_mu_alpha(spec, make_bubble_params(spec, sigma=1.0))
-        alphas_shot, mu_shot, _ = shoot_robin(spec, d, tol=1e-10)
+        alphas_shot, mu_shot, *_ = shoot_robin(spec, d, tol=1e-10)
         assert abs(mu_shot - mu) / mu <= 1e-8
         np.testing.assert_allclose(alphas_shot, alphas, rtol=1e-8)
 
@@ -293,10 +297,11 @@ class TestLaunchSeries:
         np.testing.assert_allclose(traj.psi[1], psi, rtol=tol, atol=0)
         np.testing.assert_allclose(traj.dpsi[1], dpsi, rtol=tol, atol=0)
 
-    @pytest.mark.parametrize("name, most", [("f1", 25), ("f2", 22), ("f3", 35)])
+    @pytest.mark.parametrize("name, most", [("f1", 22), ("f2", 31), ("f3", 44)])
     def test_reference_integration_steps(self, name, most, monkeypatch):
-        # a launch near r = 1e-3 costs 51, 40 and 64 steps: the (N-1)/r term
-        # holds each step to a fixed fraction of r
+        # psi_ref runs on [0, 1] from the series' own radius in 20, 28 and 40
+        # steps; a launch held to 1e-3 of that end costs 46, 46 and 70: the
+        # (N-1)/r term holds each step to a fixed fraction of r
         spec = LAUNCH_SPECS[name]
         steps = []
 
@@ -320,8 +325,8 @@ def unit_shot(name):
 def test_shooting_is_scale_covariant(name, log_s):
     # critical scaling: the Robin problem at s d is the one at d, with mu -> s mu
     spec, s = SPECS[name], 10.0**log_s
-    alphas, mu, _ = unit_shot(name)
-    alphas_s, mu_s, _ = shoot_robin(spec, s, tol=1e-10)
+    alphas, mu, *_ = unit_shot(name)
+    alphas_s, mu_s, *_ = shoot_robin(spec, s, tol=1e-10)
     assert abs(mu_s - s * mu) <= 1e-8 * s * mu
     np.testing.assert_allclose(alphas_s, s ** ((spec.N - 2) / 2) * alphas, rtol=1e-8)
 
@@ -481,33 +486,9 @@ except ValueError:
     assert proc.stdout.strip() == "rejected"
 
 
-def test_unsettled_reference_profile_fails_at_the_horizon():
-    # with a Robin mismatch that never falls below -1/6, psi_ref's integration
-    # ends at HORIZON and the shot fails; a child process keeps a regression,
-    # an integration with no end, from hanging the suite
-    script = """
-import numpy as np
-from halfspace_bubbles import EllipticSystemSpec, radial_ode
-from halfspace_bubbles.errors import ShootFailed
-radial_ode._robin_residual = lambda spec, d, psi, dpsi: np.ones_like(psi)
-for spec in (EllipticSystemSpec(N=3, m=1, A=[[5.0]], B=[[3.0]], c=[-1.0]),
-             EllipticSystemSpec(N=4, m=2, A=[[1.0, 2.0], [2.0, 1.0]],
-                                B=[[1.0, 1.0], [1.0, 1.0]], c=[-1.0, -1.0])):
-    try:
-        radial_ode.shoot_robin(spec, 2.0)
-    except ShootFailed as err:
-        print(type(err).__name__, err)
-"""
-    proc = run_child("-c", script, timeout=30)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 2
-    assert all(line.startswith("ShootFailed") and "r = 1e+06" in line for line in lines)
-
-
 def test_non_critical_spec_rejected():
-    # A = 6 > (N+2)/(N-2): critical scaling fails, and the reference profile's
-    # Robin residual never settles, so its integration would never end
+    # A = 6 > (N+2)/(N-2): critical scaling fails, and with it the Kelvin
+    # image the shooting reads psi_ref through
     spec = EllipticSystemSpec(N=3, m=1, A=[[6.0]], B=[[3.0]], c=[0.0])
     with pytest.raises(ValueError):
         shoot_robin(spec, 1.0)
@@ -520,7 +501,7 @@ def test_degenerate_family_shoots_with_kernel_direction():
     spec = degenerate_spec()
     assert solve_betas(spec, 1.0).nullity == 1
     d = np.sqrt(3.0)
-    alphas, mu, _ = shoot_robin(spec, d, tol=1e-10)
+    alphas, mu, *_ = shoot_robin(spec, d, tol=1e-10)
     # whatever member the shot lands on must satisfy the amplitude identity
     condition = np.log(alphas) - spec.A @ np.log(alphas) + np.log(mu**2 * 8.0)
     assert np.max(np.abs(condition)) <= 1e-8

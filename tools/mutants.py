@@ -49,6 +49,8 @@ MUTANTS = {
     "analytic-c-sign": ("bubble_family.py", "np.abs(dN - flux)", "np.abs(dN + flux)"),
     # the radial Laplacian's (N-1)/r
     "radial-damping": ("radial_ode.py", "-(spec.N - 1) / r", "-(spec.N - 2) / r"),
+    # the Kelvin image's slope s**N phi'(s) = -(N-2) psi(t) / t - psi'(t), read for s > 1
+    "image-slope": ("radial_ode.py", "-(N - 2) * psi / t - dpsi", "-(N - 2) * psi / t + dpsi"),
     # the Robin coefficient (N-2)/(4d), in the shooting and in the ball's residual
     "robin-coefficient": ("radial_ode.py", "res = dpsi + (spec.N - 2)",
                           "res = dpsi + (spec.N - 1)"),

@@ -2,6 +2,7 @@
 
 Runs every subcommand on the four fixture systems (f1, f2, f3 and the
 asymmetric f4, at sigma = 1), ``ball`` and ``radial`` on f2's exponents with c = -1000,
+``radial`` at large positive c (N = 4, c = 1e3; N = 5, c = 1e4; N = 3, c = 3e5),
 the half-line solve from the scaled starts u0 = 1e-4 and 1e8
 on f3 and the incompatible-rows spec x3, a spec that fails validation,
 and the error paths: sweeps that start past the critical radius or end
@@ -49,6 +50,10 @@ SPECS = {
            "c": [-1.0, -0.5]},
     # f2 with the center 1.7e3 widths below the boundary
     "deep": {"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [-1000.0]},
+    # m = 1 at large positive c, where the Robin root 2d / mu lies far out on psi_ref's tail
+    "n4-1e3": {"N": 4, "m": 1, "A": [[3.0]], "B": [[2.0]], "c": [1e3]},
+    "n5-1e4": {"N": 5, "m": 1, "A": [[7 / 3]], "B": [[5 / 3]], "c": [1e4]},
+    "n3-3e5": {"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [3e5]},
 }
 
 
@@ -90,6 +95,8 @@ def main(outdir: str) -> int:
     # transport far from the boundary, where the recovered (mu, alphas) could cancel
     matrix["deep.ball"] = ["ball"]
     matrix["deep.radial"] = ["radial"]
+    for name in ("n4-1e3", "n5-1e4", "n3-3e5"):
+        matrix[f"{name}.radial"] = ["radial"]
     # the half-line solve at scaled starts, where the stepper runs on u0 / max(u0)
     for name in ("f3", "x3"):
         for u0 in ("1e-4", "1e8"):
