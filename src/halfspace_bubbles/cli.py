@@ -526,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
         # every other library error is a failed check
         reporting.write_error(exc.code, str(exc))
         return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
         reporting.write_error("input_error", str(exc))
         return 2
 

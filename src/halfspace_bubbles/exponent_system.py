@@ -197,8 +197,8 @@ def validate_spec(spec: EllipticSystemSpec, tol_row: float = TOL_ROW) -> Validat
     """Check every structural rule and report all violations.
 
     Row sums are compared to their targets with relative tolerance
-    ``tol_row``.  The check is pure and deterministic: identical inputs
-    produce identical reports.
+    ``tol_row``; identical inputs give identical reports.  Not pure: at the
+    default ``TOL_ROW`` it stores its verdict in ``spec.admissible``.
     """
     if tol_row <= 0:
         raise ValueError("tol_row must be positive")

@@ -1,11 +1,11 @@
-"""A numpy DOP853 integrator with terminal events, and a Levenberg-Marquardt solve.
+"""A numpy DOP853 integrator with a terminal event, and a Levenberg-Marquardt solve.
 
 Only what :mod:`halfspace_bubbles.radial_ode` uses.  ``solve_ivp`` is
 Hairer, Norsett and Wanner's explicit Runge-Kutta pair of order 8(5,3)
 with its 7th-order dense output (*Solving Ordinary Differential Equations
 I*, sections II.5 and II.6): the standard initial step choice, step
-control on the blended 5th/3rd-order error estimate, and terminal events
-that fire when an event function falls through zero, located on the
+control on the blended 5th/3rd-order error estimate, and a terminal event
+that fires when an event function falls through zero, located on the
 step's interpolant.  Each step does scipy's DOP853 arithmetic in the same
 order, so the two take the same steps and their trajectories agree to
 rounding (``tests/test_ode.py`` cross-checks them).  ``least_squares``
@@ -16,7 +16,7 @@ steps on a forward-difference Jacobian.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,11 +210,10 @@ class DenseSolution:
 
 @dataclass
 class OdeResult:
-    """Accepted states ``y`` (n, k) at times ``t`` (k,); the last is the event's, if one fired.
+    """Accepted states ``y`` (n, k) at times ``t`` (k,); the last is the event's, if it fired.
 
-    ``status`` is 0 (end reached), 1 (an event fired) or -1 (the step fell
-    below ten ulp of t or was NaN).  ``event`` is the index of the event
-    that ended the run, or None.  ``nfev`` counts the right-hand-side
+    ``status`` is 0 (end reached), 1 (the event fired) or -1 (the step fell
+    below ten ulp of t or was NaN).  ``nfev`` counts the right-hand-side
     evaluations made before the solve returned.
     """
 
@@ -222,7 +221,6 @@ class OdeResult:
     y: np.ndarray
     sol: DenseSolution
     status: int
-    event: int | None
     nfev: int
 
 
@@ -295,13 +293,13 @@ def solve_ivp(
     y0: np.ndarray,
     rtol: float,
     atol: float,
-    events: Sequence[Callable[[float, np.ndarray], float]] = (),
+    event: Callable[[float, np.ndarray], float] | None = None,
 ) -> OdeResult:
     """Integrate y' = fun(t, y) from t_span[0] towards t_span[1] > t_span[0] by DOP853.
 
     Each local error is kept below ``atol + rtol |y|`` in the RMS norm.
-    Every event is terminal and fires where ``event(t, y)`` falls through
-    zero (from >= 0 to <= 0 across a step); the earliest root, located on
+    The optional ``event`` is terminal and fires where ``event(t, y)`` falls
+    through zero (from >= 0 to <= 0 across a step); its root, located on
     that step's interpolant, ends the integration there.
     """
     t, t_end = map(float, t_span)
@@ -310,8 +308,7 @@ def solve_ivp(
     h_abs = _initial_step(fun, t, y, f, t_end, rtol, atol)
     nfev = 2
     ts, ys, steps = [t], [y], []
-    g = [event(t, y) for event in events]
-    status, fired_event = None, None
+    g, status = event(t, y) if event is not None else None, None
     while status is None:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -342,25 +339,19 @@ def solve_ivp(
         steps.append(step)
         if t_new >= t_end:
             status = FINISHED
-        g_new = [event(t_new, y_new) for event in events]
-        fired = [i for i in range(len(events)) if g[i] >= 0 >= g_new[i]]
-        if fired:
-            roots = [
-                _event_root(lambda tt, e=events[i]: e(tt, step(tt)), t, t_new, g[i], g_new[i])
-                for i in fired
-            ]
-            first = int(np.argmin(roots))
-            t_new = roots[first]
-            y_new = step(t_new)
-            status, fired_event = EVENT, fired[first]
-            nfev += 3  # the interpolant's extra stages
-        g = g_new
+        if event is not None:
+            g_old, g = g, event(t_new, y_new)
+            if g_old >= 0 >= g:
+                t_new = _event_root(lambda tt: event(tt, step(tt)), t, t_new, g_old, g)
+                y_new = step(t_new)
+                status = EVENT
+                nfev += 3  # the interpolant's extra stages
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
 
     ts = np.array(ts)
-    return OdeResult(ts, np.vstack(ys).T, DenseSolution(ts, steps), status, fired_event, nfev)
+    return OdeResult(ts, np.vstack(ys).T, DenseSolution(ts, steps), status, nfev)
 
 
 @dataclass

@@ -27,7 +27,7 @@ from .bubble_family import log_profile, solve_betas
 from .errors import HorizonExceeded, PositivityLoss, ShootFailed, StepFailure
 from .exponent_system import EllipticSystemSpec
 # module-level names, looked up at each call, so a caller can wrap them
-from .ode import least_squares, solve_ivp
+from .ode import EVENT, FAILED, least_squares, solve_ivp
 
 __all__ = [
     "RadialTrajectory",
@@ -51,8 +51,8 @@ SERIES_TERMS = 8  # of the launch series in r**2 about the radial origin
 # Largest |psi'(1) + (N-2)/2 psi(1)| / ((N-2)/2 psi(1)) of a psi_ref read through its image
 DUALITY_TOL = 1e-11  # psi_ref on f1-f4 reads 5e-14 to 1.2e-13
 
-# unit-scale runs of each kind cached per process, each kind in its own LRU order: Robin
-# references psi_ref keyed on (spec, tol), half-line rays on (spec, direction, HORIZON)
+# unit-scale solves of each kind cached per process, each kind in its own LRU order: Robin
+# roots on psi_ref keyed on the spec, half-line rays on (spec, direction)
 UNIT_RUNS_KEPT = 32
 
 
@@ -172,11 +172,11 @@ def integrate_radial(
         out[m:] = -(spec.N - 1) / r * dpsi - source(np.log(psi))
         return out
 
-    events = [lambda r, y: float(np.min(y[:m]))]  # positivity
-    sol = solve_ivp(rhs, (r_s, r_end), y0, rtol=tol, atol=0.0, events=events)
-    if sol.event == 0:
+    sol = solve_ivp(rhs, (r_s, r_end), y0, rtol=tol, atol=0.0,
+                    event=lambda r, y: float(np.min(y[:m])))  # positivity
+    if sol.status == EVENT:
         raise PositivityLoss(f"component reached zero at r = {sol.t[-1]:.6g}")
-    if sol.status < 0:
+    if sol.status == FAILED:
         raise StepFailure(f"integration stalled: step below ten ulp of r = {sol.t[-1]:.6g}")
 
     def dense(r):
@@ -236,17 +236,12 @@ def shoot_robin(
     system are exact symmetries: the trial profile at (mu, theta) is
     mu**(-(N-2)/2) k psi_ref(r / mu), k = exp(theta @ null_basis), where
     psi_ref is integrated once from the amplitudes at mu = 1.  Its Robin
-    mismatch at 2d is k-scaled psi_ref's at s = 2d / mu, so one least-squares
-    solve for (log s, theta) runs on psi_ref.  psi_ref is integrated on
-    [0, 1] only and read through its Kelvin image above 1 (``_folded``): it
-    is its own image when psi_ref'(1) = -(N-2)/2 psi_ref(1), whose relative
-    miss, the duality residual, comes fourth.  Each row's mismatch tends to
-    +1 as s -> 0 and to -1/3 as s -> inf; the series launch r_s stays below
-    a tenth of every row's Robin balance radius, so the accepted steps on
-    [r_s, 1] and their images span every root, and the solve starts from
-    the best of them.  The profile is integrated numerically, never taken
-    from the closed form, so agreement with the recovery formulas is a
-    genuine cross-check.  The shot profile, psi_ref so rescaled onto [0, 2d], comes third.
+    mismatch at 2d is k-scaled psi_ref's at s = 2d / mu, so the root
+    (log s*, theta*) reads the spec alone and is solved once per spec
+    (``_robin_reference``); d only rescales mu = 2d / s*.  The profile is
+    integrated numerically, never taken from the closed form, so agreement
+    with the recovery formulas is a genuine cross-check.  The shot profile,
+    psi_ref so rescaled onto [0, 2d], comes third, its duality residual fourth.
 
     Raises
     ------
@@ -257,7 +252,41 @@ def shoot_robin(
     """
     if not 0 < d < np.inf or not spec.admissible:
         raise ValueError("need finite d > 0 and a spec passing validate_spec (critical scaling)")
-    solve, ref, duality = _robin_reference(spec, max(min(1e-12, tol * 1e-2), 1e-13))
+    solve, ref, duality, x, worst = _robin_reference(spec)
+    if worst > tol:
+        raise ShootFailed(
+            f"terminal residual {worst:.3e} stayed above tol={tol:.1e}; "
+            "boundary rows likely demand incompatible profiles"
+        )
+    N, mu = spec.N, 2 * d / float(np.exp(x[0]))
+    alphas = solve.betas(x[1:]) * mu ** ((N - 2) / 2)
+    lift = np.exp(x[1:] @ solve.null_basis) * mu ** (-(N - 2) / 2)
+
+    def dense(r):
+        _, w, psi, slope = _folded(ref, N, r / mu)
+        return lift * w ** (N - 2) * psi, lift / mu * w**N * slope
+
+    r = np.array([0.0, 2 * d])
+    return alphas, mu, RadialTrajectory(r, *dense(r), dense), duality
+
+
+@functools.lru_cache(maxsize=UNIT_RUNS_KEPT)
+def _robin_reference(spec):
+    """Amplitude solve at mu = 1, psi_ref, duality residual, root x and its worst residual.
+
+    psi_ref runs on [0, 1] and is read through its Kelvin image above 1
+    (``_folded``); it is its own image when psi_ref'(1) = -(N-2)/2 psi_ref(1),
+    whose relative miss is the duality residual; a miss above ``DUALITY_TOL``
+    raises here, so it is never cached.  Each row's mismatch tends to +1 as
+    s -> 0 and to -1/3 as s -> inf; r_s stays below a tenth of every row's
+    Robin balance radius, so the accepted steps on [r_s, 1] and their images
+    span every root, and the solve for x = (log s, theta) starts from the best.
+    """
+    solve = solve_betas(spec, 1.0)
+    # psi_ref(0) = alphas(1) * 1**(2-N)
+    ref = integrate_radial(spec, solve.betas(), 1.0, 1e-12)
+    balance = (spec.N - 2) / 2 * ref.psi[-1]
+    duality = float(np.max(np.abs(ref.dpsi[-1] + balance) / balance))
     if duality > DUALITY_TOL:  # then its image cannot stand in for r > 1
         raise ShootFailed(f"psi_ref's Kelvin duality residual {duality:.3e} > {DUALITY_TOL:.0e}")
     N, t, psi, dpsi = spec.N, ref.r[1:, None], ref.psi[1:], ref.dpsi[1:]  # steps on [r_s, 1]
@@ -271,34 +300,7 @@ def shoot_robin(
         return _robin_residual(spec, t[0] / 2, k * psi[0], k * slope[0])
 
     out = least_squares(residual, np.append(np.log(s0), np.zeros(solve.nullity)))
-    worst = float(np.max(np.abs(out.fun)))
-    if worst > tol:
-        raise ShootFailed(
-            f"terminal residual {worst:.3e} stayed above tol={tol:.1e}; "
-            "boundary rows likely demand incompatible profiles"
-        )
-    mu = 2 * d / float(np.exp(out.x[0]))
-    alphas = solve.betas(out.x[1:]) * mu ** ((N - 2) / 2)
-    lift = np.exp(out.x[1:] @ solve.null_basis) * mu ** (-(N - 2) / 2)
-
-    def dense(r):
-        _, w, psi, slope = _folded(ref, N, r / mu)
-        return lift * w ** (N - 2) * psi, lift / mu * w**N * slope
-
-    steps = mu * np.append(ref.r, 1 / ref.r[-2:0:-1])  # psi_ref's accepted steps and their images
-    r = np.append(steps[steps < 2 * d], 2 * d)
-    return alphas, mu, RadialTrajectory(r, *dense(r), dense), duality
-
-
-@functools.lru_cache(maxsize=UNIT_RUNS_KEPT)
-def _robin_reference(spec, tol):
-    """The amplitude solve at mu = 1, psi_ref on [0, 1] (read-only) and its duality residual."""
-    solve = solve_betas(spec, 1.0)
-    # psi_ref(0) = alphas(1) * 1**(2-N)
-    ref = integrate_radial(spec, solve.betas(), 1.0, tol)
-    ref.r.flags.writeable = ref.psi.flags.writeable = ref.dpsi.flags.writeable = False
-    balance = (spec.N - 2) / 2 * ref.psi[-1]
-    return solve, ref, float(np.max(np.abs(ref.dpsi[-1] + balance) / balance))
+    return solve, ref, duality, out.x, float(np.max(np.abs(out.fun)))
 
 
 @dataclass
@@ -326,9 +328,10 @@ def halfline_breakdown(spec: EllipticSystemSpec, u0: np.ndarray) -> BreakdownCer
     trajectory from u0 / M: v is integrated once per (spec, direction u0 / M)
     per process, kept among the last ``UNIT_RUNS_KEPT`` runs, and t, u, u'
     are mapped back by M**(-2/(N-2)), M, M**(N/(N-2)) into a fresh certificate
-    on each call.  DOP853 (:func:`halfspace_bubbles.ode.solve_ivp`) stops at
-    the first fall of min(v) through zero, located on the step's interpolant
-    to adjacent floats; that event time and state are t* and v(t*).
+    on each call; M must keep all three finite normal floats.  DOP853
+    (:func:`halfspace_bubbles.ode.solve_ivp`) stops at the first fall of
+    min(v) through zero, located on the step's interpolant to adjacent
+    floats; that event time and state are t* and v(t*).
 
     Raises
     ------
@@ -341,22 +344,17 @@ def halfline_breakdown(spec: EllipticSystemSpec, u0: np.ndarray) -> BreakdownCer
         raise ValueError("need finite u0 > 0 and a spec passing validate_spec (critical scaling)")
     m = u0.shape[0]
     scale = float(np.max(u0))
-    t_scale = scale ** (-2.0 / (spec.N - 2))
-    v0 = u0 / scale
-    t, y, status, event = _unit_halfline(spec, v0.tobytes(), HORIZON)
-    if status < 0:
-        raise StepFailure(f"half-line integration stalled: step below ten ulp of t = {t[-1]:.6g}")
-    if event is None:
-        raise HorizonExceeded(
-            f"no positivity breakdown located before t = {HORIZON:g}; "
-            "at unit scale (max u0 = 1) that flags a setup problem, never a counterexample"
-        )
+    try:  # the factors that map t, u and u' back
+        to_u = [scale ** (-2.0 / (spec.N - 2)), scale, scale ** (spec.N / (spec.N - 2))]
+    except OverflowError:
+        to_u = [np.inf]
+    if not all(np.finfo(float).tiny <= x < np.inf for x in to_u):
+        raise ValueError(f"max u0 = {scale:g} puts a rescaling factor outside the normal floats")
+    t, y = _unit_halfline(spec, (u0 / scale).tobytes())
     v_star = y[:m, -1]
-
-    to_u = np.repeat([t_scale, scale, scale ** (spec.N / (spec.N - 2))], [1, m, m])
-    trace = np.column_stack([t, y.T]) * to_u
+    trace = np.column_stack([t, y.T]) * np.repeat(to_u, [1, m, m])
     return BreakdownCertificate(
-        t_star=float(t_scale * t[-1]),
+        t_star=float(to_u[0] * t[-1]),
         failing_component=int(np.argmin(v_star)),
         trace=trace,
         u_at_t_star=scale * v_star,
@@ -364,8 +362,11 @@ def halfline_breakdown(spec: EllipticSystemSpec, u0: np.ndarray) -> BreakdownCer
 
 
 @functools.lru_cache(maxsize=UNIT_RUNS_KEPT)
-def _unit_halfline(spec, v0_bytes, horizon):
-    """(t, y, status, event) of the DOP853 run from v0 at unit scale; read-only arrays."""
+def _unit_halfline(spec, v0_bytes):
+    """(t, y) of the DOP853 run from v0 at unit scale to its crossing; read-only arrays.
+
+    Raises StepFailure or HorizonExceeded here, so a failed run is never cached.
+    """
     v0 = np.frombuffer(v0_bytes)
     m, source = v0.shape[0], spec.source
 
@@ -376,10 +377,17 @@ def _unit_halfline(spec, v0_bytes, horizon):
         out[m:] = -source(np.log(v))
         return out
 
-    def crossing(t, y):
-        return float(np.min(y[:m]))
-
     y0 = np.concatenate([v0, spec.flux(np.log(v0))])
-    sol = solve_ivp(rhs, (0.0, horizon), y0, rtol=1e-12, atol=1e-14, events=[crossing])
+    sol = solve_ivp(rhs, (0.0, HORIZON), y0, rtol=1e-12, atol=1e-14,
+                    event=lambda t, y: float(np.min(y[:m])))
+    if sol.status == FAILED:
+        raise StepFailure(
+            f"half-line integration stalled: step below ten ulp of t = {sol.t[-1]:.6g}"
+        )
+    if sol.status != EVENT:
+        raise HorizonExceeded(
+            f"no positivity breakdown located before t = {HORIZON:g}; "
+            "at unit scale (max u0 = 1) that flags a setup problem, never a counterexample"
+        )
     sol.t.flags.writeable = sol.y.flags.writeable = False
-    return sol.t, sol.y, sol.status, sol.event
+    return sol.t, sol.y

@@ -122,6 +122,7 @@ def input_files(tmp_path, spec_file, params_file):
         "noncritical": {"N": 3, "m": 1, "A": [[6.0]], "B": [[3.0]], "c": [0.0]},
         "pair": {"N": 4, "m": 2, "A": [[1.0, 2.0], [2.0, 1.0]],
                  "B": [[1.0, 1.0], [1.0, 1.0]], "c": [-1.0, -1.0]},
+        "n5": {"N": 5, "m": 1, "A": [[7 / 3]], "B": [[5 / 3]], "c": [-1.0]},
     }
     for name, spec in specs.items():
         files[name] = tmp_path / f"{name}.json"
@@ -196,6 +197,31 @@ def test_bad_count_flag_is_a_usage_error(command, input_files, capsys):
     assert code == 2
     # one error object on stderr and nothing else, so no traceback
     assert json.loads(capsys.readouterr().err)["error_code"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        # sigma**2 overflows in the amplitude solve (1e154 already exited 2)
+        *(f"{name} --spec {{spec}} --sigma=1e200"
+          for name in ("solve-params", "verify", "moving-spheres", "ball", "radial")),
+        # M**(N/(N-2)), which maps the unit-scale slopes back, overflows
+        "halfline --spec {spec} --u0=1e103",
+        "halfline --spec {n5} --u0=1e300",
+        # M**3 underflows, so every slope read 0 and the monotonicity gate NaN
+        "halfline --spec {spec} --u0=1e-120",
+    ],
+)
+def test_extreme_scale_is_an_input_error(command, input_files, capsys):
+    # these exited 1 with an OverflowError traceback, or with a NaN check
+    code = main([a.format(**input_files) for a in command.split()])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error_code"] == "input_error"
+
+
+@pytest.mark.parametrize("u0", ["1e100", "1e-100"])
+def test_halfline_passes_at_extreme_scales_inside_the_range(u0, spec_file, tmp_path):
+    assert run("halfline", "--spec", spec_file, "--u0", u0, "--out", tmp_path / "h.json") == 0
 
 
 PARAMS_EDITS = {
@@ -678,7 +704,7 @@ class TestEachValueOnce:
         report = json.loads(out.read_text())
         (sol,) = results
         # u0 = 2 on N = 3 maps unit-scale time by 2**-2 and values by 2, both exact
-        assert sol.event == 0
+        assert sol.status == ode.EVENT
         assert report["t_star"] == 0.25 * sol.t[-1]
         assert report["u_at_t_star"] == (2.0 * sol.y[:1, -1]).tolist()
         assert evaluated == []  # no dense output is evaluated after the event
@@ -743,6 +769,38 @@ class TestEachValueOnce:
             assert radial(name) == fresh[name]
         # one psi_ref per spec: the key tells f4 from f3, whose row sums it shares
         assert len(solves) == 3
+
+    def test_radial_solves_each_root_once(self, spec_file, tmp_path, monkeypatch, capsys):
+        from halfspace_bubbles import radial_ode
+
+        x3 = tmp_path / "x3.spec.json"
+        x3.write_text(json.dumps(incompatible_rows_spec().to_dict()))
+        f3_params = tmp_path / "f3.params.json"
+        f3_params.write_text(json.dumps(make_bubble_params(fixture_spec("f3"), 1.0).to_dict()))
+        out = tmp_path / "radial.json"
+        calls = [["--spec", spec_file, "--sigma", sigma] for sigma in ("1", "2", "5")]
+        calls += [["--spec", x3, "--params", f3_params]] * 2
+
+        def radial(argv):
+            """Exit code, stderr, report and CSV of one call; x3 on f3's params fails its shot."""
+            written = (out, out.with_suffix(".csv"))
+            for path in written:
+                path.unlink(missing_ok=True)
+            code = run("radial", *argv, "--out", out, "--csv")
+            return code, capsys.readouterr().err, [p.read_bytes() for p in written if p.exists()]
+
+        fresh = []
+        for argv in calls:
+            radial_ode.clear_unit_runs()
+            fresh.append(radial(argv))
+        assert [code for code, *_ in fresh] == [0, 0, 0, 1, 1]
+        radial_ode.clear_unit_runs()
+        solves, fits = [], []
+        recording(monkeypatch, radial_ode, "solve_ivp", solves, lambda a, kw: a[1])
+        recording(monkeypatch, radial_ode, "least_squares", fits, lambda a, kw: a[1])
+        # each d on f2 only rescales the cached root; x3's failed root is cached too
+        assert [radial(argv) for argv in calls] == fresh
+        assert (len(solves), len(fits)) == (2, 2)
 
     @pytest.mark.parametrize("command", [["radial"], ["halfline", "--u0", "2.0"]])
     def test_each_call_validates_its_spec_once(self, command, spec_file, tmp_path, monkeypatch):

@@ -68,9 +68,9 @@ class TestEvents:
         # y = y0 - t^3 falls through zero at t = cbrt(y0)
         out = ode.solve_ivp(
             lambda t, y: np.array([-3.0 * t * t]), (0.0, 5.0), np.array([y0]), rtol=1e-12,
-            atol=1e-12, events=[lambda t, y: y[0]],
+            atol=1e-12, event=lambda t, y: y[0],
         )
-        assert out.status == ode.EVENT and out.event == 0
+        assert out.status == ode.EVENT
         # the last accepted state is the event's, read on the step's interpolant
         t_e = out.t[-1]
         assert np.array_equal(out.y[:, -1], out.sol([t_e])[:, 0])
@@ -79,26 +79,18 @@ class TestEvents:
         below, above = out.sol([np.nextafter(t_e, -np.inf), np.nextafter(t_e, np.inf)])[0]
         assert below >= 0.0 >= above
 
-    def test_earliest_event_ends_the_run(self):
-        # cos t = -0.9 at t = 2.69 comes after the fall of sin t through 0.5 at 5 pi / 6
-        events = [lambda t, y: y[1] + 0.9, lambda t, y: y[0] - 0.5]
-        out = ode.solve_ivp(oscillator, (0.0, 10.0), exact(0.0), rtol=1e-12, atol=1e-12,
-                            events=events)
-        assert out.event == 1
-        assert out.t[-1] == pytest.approx(np.pi * 5 / 6, rel=1e-11)
-
     def test_rising_crossing_is_not_an_event(self):
         # sin t - 0.5 rises through zero at pi / 6 and falls at 5 pi / 6
         out = ode.solve_ivp(oscillator, (0.0, 10.0), exact(0.0), rtol=1e-12, atol=1e-12,
-                            events=[lambda t, y: y[0] - 0.5])
-        assert out.event == 0
+                            event=lambda t, y: y[0] - 0.5)
+        assert out.status == ode.EVENT
         assert out.t[-1] == pytest.approx(np.pi * 5 / 6, rel=1e-11)
 
 
 def test_step_failure_below_ten_ulp():
     # y' = y^2 from 1 blows up at t = 1: the step shrinks below ten ulp of t
     out = ode.solve_ivp(lambda t, y: y * y, (0.0, 2.0), np.array([1.0]), rtol=1e-10, atol=0.0)
-    assert out.status == ode.FAILED and out.event is None
+    assert out.status == ode.FAILED
     assert abs(out.t[-1] - 1.0) < 1e-9
 
 
@@ -110,11 +102,11 @@ def test_nan_step_fails_instead_of_looping():
         "import numpy as np; from halfspace_bubbles import ode; "
         "out = ode.solve_ivp(lambda t, y: np.array([y[1], -y[0]]), (0.0, 10.0), "
         "np.array([0.0, 1.0]), rtol=1e-10, atol=0.0); "
-        "print(out.status, out.event, out.nfev)"
+        "print(out.status, out.nfev)"
     )
     proc = run_child("-W", "ignore::RuntimeWarning", "-c", script, timeout=30)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(ode.FAILED), "None", "2"]
+    assert proc.stdout.split() == [str(ode.FAILED), "2"]
 
 
 @pytest.mark.parametrize("call", ["radial", "halfline"])
@@ -159,7 +151,8 @@ def test_nfev_counts_the_calls_made_before_returning(call, spec_f3, params_f3, m
     else:
         radial_ode.solve_ivp(oscillator, (0.0, 50.0), np.array([0.0, 1.0]), rtol=1e-9, atol=1e-12)
     [(out, calls)] = seen
-    assert out.event == {"radial": None, "halfline": 0, "oscillator": None}[call]
+    assert out.status == {"radial": ode.FINISHED, "halfline": ode.EVENT,
+                          "oscillator": ode.FINISHED}[call]
     assert out.nfev == calls
 
 
@@ -228,16 +221,14 @@ def recorded_solves(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_matches_scipy_dop853(name, monkeypatch):
     for fun, t_span, y0, kwargs, ours in recorded_solves(name, monkeypatch):
-        events = []
-        for event in kwargs.get("events", ()):
-            def terminal(t, y, event=event):
-                return event(t, y)
+        # both callers pass the positivity event
+        def terminal(t, y, event=kwargs["event"]):
+            return event(t, y)
 
-            terminal.terminal, terminal.direction = True, -1
-            events.append(terminal)
+        terminal.terminal, terminal.direction = True, -1
         ref = scipy.integrate.solve_ivp(
             fun, t_span, y0, method="DOP853", rtol=kwargs["rtol"], atol=kwargs["atol"],
-            dense_output=True, events=events,
+            dense_output=True, events=[terminal],
         )
         assert ours.status == ref.status
         # the accepted steps before the event, and the trajectory between them
@@ -245,8 +236,8 @@ def test_matches_scipy_dop853(name, monkeypatch):
         shared = np.linspace(ours.t[0], min(ours.t[-1], ref.t[-1]), 97)
         scale = np.max(np.abs(ref.y), axis=1, keepdims=True)
         assert np.max(np.abs(ours.sol(shared) - ref.sol(shared)) / scale) <= 1e-13
-        # the same event fired, at the same time
-        for i, te_ref in enumerate(ref.t_events):
-            assert te_ref.size == (ours.event == i)
-            if te_ref.size:
-                np.testing.assert_allclose(ours.t[-1], te_ref[0], rtol=1e-12)
+        # the event fired on both sides or on neither, at the same time
+        (te_ref,) = ref.t_events
+        assert te_ref.size == (ours.status == ode.EVENT)
+        if te_ref.size:
+            np.testing.assert_allclose(ours.t[-1], te_ref[0], rtol=1e-12)

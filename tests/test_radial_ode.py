@@ -406,6 +406,8 @@ class TestHalflineBreakdown:
     def test_horizon_flags_setup_problem(self, spec_f1, monkeypatch):
         halfline_breakdown(spec_f1, [1.0])  # cached at the default horizon
         monkeypatch.setattr(radial_ode, "HORIZON", 0.1)
+        # the horizon is a constant, not part of the cache key: forget the run made under 1e6
+        radial_ode.clear_unit_runs()
         with pytest.raises(HorizonExceeded, match="before t = 0.1;"):
             halfline_breakdown(spec_f1, [1.0])
 

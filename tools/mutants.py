@@ -60,6 +60,8 @@ MUTANTS = {
     # the one-sided stencil: its weights on u(p + h n) and u(p + 2h n), and its 2h
     "one-sided-weights": ("fd_verifier.py", "4 * vals[0] - vals[1]", "4 * vals[1] - vals[0]"),
     "one-sided-2h": ("fd_verifier.py", "vals[1]) / (2 * h)", "vals[1]) / h"),
+    # the terminal event fires where it falls through zero, never where it rises
+    "event-direction": ("ode.py", "if g_old >= 0 >= g:", "if g_old <= 0 <= g:"),
     # the half-line's time scale M**(-2/(N-2))
     "halfline-time-scale": ("radial_ode.py", "scale ** (-2.0 / (spec.N - 2))",
                             "scale ** (2.0 / (spec.N - 2))"),

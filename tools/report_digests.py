@@ -9,8 +9,9 @@ and the error paths: sweeps that start past the critical radius or end
 below it, a shot
 that cannot meet the Robin condition on incompatible boundary rows, and
 unusable inputs.  Last, ``radial`` runs again on f2, f4 and x3, now on the
-reference profiles this process has cached, so each cached call prints
-next to the digests of its fresh twin.  Each call
+roots this process has cached, and on f2 at sigma = 2, once on the root the
+sigma = 1 call cached and once fresh after the cache is cleared, so each
+cached call prints next to the digests of its fresh twin.  Each call
 goes through ``halfspace_bubbles.cli.main`` in this process; per call it
 prints the exit code, the standard error and the sha256 of every file it
 wrote.
@@ -32,7 +33,7 @@ import os
 import sys
 from pathlib import Path
 
-from halfspace_bubbles import cli
+from halfspace_bubbles import cli, radial_ode
 
 SPECS = {
     "f1": {"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [0.0]},
@@ -107,8 +108,13 @@ def main(outdir: str) -> int:
     # the same shots again on the cached psi_ref: the same exit, stderr and digests
     for call_id in ("f2.radial", "f4.radial", "x3.radial"):
         matrix[f"{call_id}-cached"] = matrix[call_id]
+    # a new d on the root cached at sigma = 1, then its fresh twin
+    matrix["f2.radial-sigma2-cached"] = ["radial", "--csv", "--sigma", "2"]
+    matrix["f2.radial-sigma2"] = matrix["f2.radial-sigma2-cached"]
 
     for call_id, argv in matrix.items():
+        if call_id == "f2.radial-sigma2":
+            radial_ode.clear_unit_runs()
         spec = f"{call_id.split('.')[0]}.spec.json"
         report = Path(f"{call_id}.json")
         err = io.StringIO()
