@@ -32,6 +32,7 @@ __all__ = [
     "evaluate_bubble_derivatives",
     "interior_residual_relative",
     "boundary_residual_relative",
+    "axis_neighbours",
     "bubble_field",
     "field_values",
     "log_profile",
@@ -288,12 +289,31 @@ def boundary_residual_relative(
     return out
 
 
+def axis_neighbours(params: BubbleParams, y: np.ndarray, h: float) -> np.ndarray:
+    """Values (2N, k, m) at y + h e_a, y - h e_a of points y (k, N), evaluate_bubble's to the bit."""
+    yT = np.asarray(y, dtype=float).T
+    N, k = yT.shape
+    # squared offsets by axis, added in squared_distance's order: the axes before a are a prefix
+    sq = [(yT[a] - params.y0[a]) ** 2 for a in range(N)]
+    total, prefix = np.empty((2 * N, k)), 0.0
+    for a in range(N):
+        for row, shifted in ((2 * a, yT[a] + h), (2 * a + 1, yT[a] - h)):
+            total[row] = (shifted - params.y0[a]) ** 2 + prefix
+            for b in range(a + 1, N):
+                total[row] += sq[b]
+        prefix = prefix + sq[a]
+    total += params.sigma**2
+    log_u = log_profile(np.log(params.betas), total, N)
+    return np.exp(log_u, out=log_u)
+
+
 def bubble_field(params: BubbleParams):
-    """Field evaluator closure: points (k, N) -> values (k, m). Pure."""
+    """Field evaluator closure: points (k, N) -> values (k, m), with ``axis_neighbours``. Pure."""
 
     def field(points: np.ndarray) -> np.ndarray:
         return evaluate_bubble(params, points)
 
+    field.axis_neighbours = lambda points, h: axis_neighbours(params, points, h)
     return field
 
 

@@ -110,9 +110,24 @@ def _parse_box(text: str | None, N: int) -> np.ndarray:
     return box
 
 
+def _solve_at_sigma(spec, sigma: float, tol: float = 1e-9):
+    """solve_betas and compute_y0N at ``--sigma``: the solve, the params, the rows and spread."""
+    tiny = np.finfo(float).tiny
+    with np.errstate(all="ignore"):  # a scale out of range is the error below, not a warning
+        if sigma * sigma >= tiny and sigma * sigma * spec.N * (spec.N - 2) < np.inf:
+            solve = bf.solve_betas(spec, sigma)
+            if np.all((solve.betas() >= tiny) & (solve.betas() < np.inf)):
+                y0N, rows, spread = bf.compute_y0N(spec, solve.betas(), sigma, tol_param=tol)
+                if np.all(np.isfinite(rows) & ((rows != 0) == (spec.c != 0))):
+                    y0 = np.append(np.zeros(spec.N - 1), y0N)
+                    return solve, bf.BubbleParams(sigma, solve.betas(), y0), rows, spread
+    raise ValueError(f"--sigma {sigma!r} is out of range: sigma^2, sigma^2 N (N-2) and the betas "
+                     "must be finite normal floats, the center heights finite, 0 only where c is")
+
+
 def _load_params(args, spec) -> bf.BubbleParams:
     if args.params is None:
-        return bf.make_bubble_params(spec, args.sigma)
+        return _solve_at_sigma(spec, args.sigma)[1]
     params = bf.load_params(args.params)
     if params.y0.shape != (spec.N,) or params.betas.shape != (spec.m,):
         raise MalformedSpec(f"params of y0 shape {params.y0.shape} and betas shape "
@@ -165,17 +180,13 @@ def cmd_validate(args) -> int:
 
 def cmd_solve_params(args) -> int:
     spec = _validated_spec(args)
-    solve = bf.solve_betas(spec, args.sigma)
-    betas = solve.betas()
-    y0N, per_row, spread = bf.compute_y0N(spec, betas, args.sigma, tol_param=args.tol)
-    y0 = np.zeros(spec.N)
-    y0[-1] = y0N
+    solve, params, per_row, spread = _solve_at_sigma(spec, args.sigma, args.tol)
     report = {
         "command": "solve-params",
         "spec": str(args.spec),
         "sigma": args.sigma,
-        "betas": betas,
-        "y0": y0,
+        "betas": params.betas,
+        "y0": params.y0,
         "log_betas_particular": solve.log_betas_particular,
         "nullity": solve.nullity,
         "null_basis": solve.null_basis,

@@ -162,7 +162,7 @@ def verify_T_properties(
         normal = (x - P) / np.linalg.norm(x - P)
         z = x + lam * dirs
         tz = kelvin_point(P, 2 * d, z)
-        plane_dist = np.abs((tz - Q) @ normal)
+        plane_dist = np.abs(np.subtract(tz, Q, order="C") @ normal)  # @ rounds by layout
         key = ",".join(repr(float(v)) for v in x)
         plane_max[key] = float(np.max(plane_dist) / d)
 

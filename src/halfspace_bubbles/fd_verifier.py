@@ -11,14 +11,15 @@ Field evaluators map point batches (k, N) to component values (k, m) and
 must be pure; residual collection is a plain max-reduction, so reports do
 not depend on evaluation order.
 
-Layout: (k, m) arrays of component values are stored component-major, as
-views of (m, k) memory (bubble values come so from ``log_profile``);
-stencils are neighbour-major, (2N, k, N) and (2, k, N), and residuals are
-allocated as (n_h, m, k).  So kernels and reductions run over contiguous
-points, not over the m <= 3 components.  The 2N neighbour values are added
-explicitly, left to right: numpy's reduce picks its order from the array's
-size and layout, and this one keeps a component's result independent of
-the block size and of the other components evaluated with it.
+Layout: points innermost.  Component values (k, m) are views of (m, k) memory
+(bubble values come so from ``log_profile``), the bubble's neighbour values
+(2N, k, m) of (m, 2N, k), and the sweep's samples, offsets and Kelvin images and
+the box samples of (m, k) and (N, k); stencils are neighbour-major, (2N, k, N)
+and (2, k, N), and residuals (n_h, m, k).  So kernels and reductions run over
+contiguous points, not over the N <= 5 axes or m <= 3 components.  The 2N
+neighbour values are added explicitly, left to right: numpy's reduce picks its
+order from the array's size and layout, and this one keeps a component's result
+independent of the block size and of the other components evaluated with it.
 """
 
 from __future__ import annotations
@@ -109,14 +110,18 @@ def central_laplacian(u, points: np.ndarray, h: float, center: np.ndarray) -> np
 
     ``u`` maps (n, N) to (n, m) or (n,); ``center`` holds its values at the
     points, (k, m), so only the 2N neighbours are evaluated.  Returns the
-    Laplacians, (k, m).  The caller keeps the stencil in the domain.
+    Laplacians, (k, m).  The caller keeps the stencil in the domain.  An evaluator's
+    ``axis_neighbours(points, h)``, if it has one, gives the 2N neighbours' values.
     """
     k, N = points.shape
-    stencil = np.broadcast_to(points, (2 * N, k, N)).copy()
-    for a in range(N):
-        stencil[2 * a, :, a] += h
-        stencil[2 * a + 1, :, a] -= h
-    vals = field_values(u, stencil.reshape(-1, N)).reshape(2 * N, k, -1)
+    if hasattr(u, "axis_neighbours"):
+        vals = u.axis_neighbours(points, h)
+    else:
+        stencil = np.broadcast_to(points, (2 * N, k, N)).copy()
+        for a in range(N):
+            stencil[2 * a, :, a] += h
+            stencil[2 * a + 1, :, a] -= h
+        vals = field_values(u, stencil.reshape(-1, N)).reshape(2 * N, k, -1)
     total = vals[0] + vals[1]
     for neighbour in vals[2:]:
         total += neighbour

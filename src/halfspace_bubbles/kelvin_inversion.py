@@ -51,24 +51,28 @@ SYMMETRY_MIN_DISTANCE = 1e-6
 def _kelvin(center, radius: float, dy: np.ndarray, n2: np.ndarray):
     """Images center + r^2 dy / n2 and Kelvin factors (r^2 / n2)**((N-2)/2), r = radius.
 
-    ``dy`` (..., N) are offsets from the center and ``n2`` (...) their squared norms.
-    The radius must be positive; a squared norm below the smallest normal float (a
-    zero or subnormal one, which would cost the image its digits) is the center itself.
+    ``dy`` (..., N) are offsets from the center, ``n2`` (...) their squared norms, and the
+    images (..., N) views of (N, ...) memory.  The radius must be positive; a squared norm
+    below the smallest normal float (which would cost the image its digits) is the center.
     """
     if not radius > 0:
         raise ValueError("inversion radius must be positive")
     if np.any(n2 < np.finfo(float).tiny):
         raise SingularPoint("evaluation point coincides with the inversion center")
     r2 = radius**2
-    return center + r2 * dy / n2[..., None], (r2 / n2) ** (0.5 * (dy.shape[-1] - 2))
+    images = np.multiply(r2, dy.T, order="C")
+    images /= n2.T
+    images += np.reshape(center, (-1,) + (1,) * (images.ndim - 1))
+    return images.T, (r2 / n2) ** (0.5 * (dy.shape[-1] - 2))
 
 
 def _offsets(center: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """y - center, |y - center| and |y - center|^2."""
+    """y - center (a view of axis-major memory), |y - center| and |y - center|^2."""
+    dy = np.subtract(y.T, np.reshape(center, (-1,) + (1,) * (y.ndim - 1)), order="C")
     dist = np.sqrt(squared_distance(y, center))
     # the squared norm, not a sum of squares: the transported-field reports,
     # whose finest ball-residual step sits at the rounding floor, rest on it
-    return y - center, dist, dist**2
+    return dy.T, dist, dist**2
 
 
 def kelvin_point(center: np.ndarray, radius: float, y: np.ndarray) -> np.ndarray:
@@ -104,8 +108,8 @@ class CenteredSamples:
     points: np.ndarray  # (k, N), in the caller's order
     order: np.ndarray  # (k,), caller's index of each sample in distance order
     dist: np.ndarray  # (k,), |points - x|, ascending
-    values: np.ndarray  # (k, m), u at the samples, in distance order
-    dy: np.ndarray  # (k, N), samples - x, in distance order
+    values: np.ndarray  # (k, m), u at the samples, in distance order; a view of (m, k) memory
+    dy: np.ndarray  # (k, N), samples - x, in distance order; a view of (N, k) memory
     n2: np.ndarray  # (k,), dist**2
 
 
@@ -115,19 +119,19 @@ def center_samples(u, x: np.ndarray, sample_set: np.ndarray) -> CenteredSamples:
     points = np.atleast_2d(np.asarray(sample_set, dtype=float))
     dy, dist, n2 = _offsets(x, points)
     order = np.argsort(dist, kind="stable")
-    values = field_values(u, points)[order]
-    return CenteredSamples(x, points, order, dist[order], values, dy[order], n2[order])
+    values, dy = (np.take(a.T, order, axis=1).T for a in (field_values(u, points), dy))
+    return CenteredSamples(x, points, order, dist[order], values, dy, n2[order])
 
 
 def _w_outside(u, samples: CenteredSamples, lam: float) -> tuple[np.ndarray, int]:
     """w about (samples.x, lam) at the samples with |y - x| >= lam, in distance order.
 
-    Returns w (k', m) and the sorted index of the first of those samples.
-    The arithmetic is that of :func:`difference_w`, so w is the same to the bit.
+    Returns w (m, k'), a contiguous row per component, and the sorted index of the first
+    of those samples.  The arithmetic is :func:`difference_w`'s, so w is the same to the bit.
     """
     first = int(np.searchsorted(samples.dist, lam))
     inner, factor = _kelvin(samples.x, lam, samples.dy[first:], samples.n2[first:])
-    return samples.values[first:] - field_values(u, inner) * factor[:, None], first
+    return samples.values.T[:, first:] - field_values(u, inner).T * factor, first
 
 
 def min_w(u, samples: CenteredSamples, lam: float):
@@ -137,9 +141,9 @@ def min_w(u, samples: CenteredSamples, lam: float):
     tied samples the first in the caller's order is reported.
     """
     w, first = _w_outside(u, samples, lam)
-    mins = w.min(axis=0)
-    tied = np.where(w == mins, samples.order[first:, None], len(samples.order))
-    return mins, samples.points[tied.min(axis=0)]
+    mins = w.min(axis=1)
+    tied = np.where(w == mins[:, None], samples.order[first:], len(samples.order))
+    return mins, samples.points[tied.min(axis=1)]
 
 
 def critical_radius(d2: float, xbar: np.ndarray, x: np.ndarray) -> float:
@@ -251,5 +255,5 @@ def verify_symmetry_identity(params: BubbleParams, samples: CenteredSamples) -> 
         raise ValueError("samples must keep distance >= 1e-6 critical radii from the center")
     u = partial(evaluate_bubble, params)
     inner, factor = _kelvin(x, lam, samples.dy, samples.n2)
-    w = samples.values - field_values(u, inner) * factor[:, None]
-    return np.max(np.abs(w) / samples.values, axis=0)
+    values = samples.values.T
+    return np.max(np.abs(values - field_values(u, inner).T * factor) / values, axis=1)

@@ -69,13 +69,13 @@ def ball_points(center: np.ndarray, radius: float, n: int, seed: int, margin: fl
 
 
 def halfspace_box_points(box: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """n uniform points in an axis box [lo_k, hi_k]; the box must satisfy lo_N >= 0."""
+    """n uniform points (n, N), a view of (N, n) memory, in a box [lo_k, hi_k] with lo_N >= 0."""
     box = np.asarray(box, dtype=float)
     if box[-1, 0] < 0:
         raise ValueError("box extends below the boundary hyperplane")
     rng = np.random.default_rng(seed)
     u = rng.random((n, box.shape[0]))
-    return box[:, 0] + u * (box[:, 1] - box[:, 0])
+    return (np.multiply(u.T, (box[:, 1] - box[:, 0])[:, None], order="C") + box[:, :1]).T
 
 
 def boundary_box_points(box: np.ndarray, n: int, seed: int) -> np.ndarray:

@@ -6,10 +6,13 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from halfspace_bubbles.bubble_family import (
     BubbleParams,
+    axis_neighbours,
     boundary_residual_relative,
+    bubble_field,
     compute_y0N,
     evaluate_bubble,
     evaluate_bubble_derivatives,
+    field_values,
     interior_residual_relative,
     make_bubble_params,
     solve_betas,
@@ -310,3 +313,45 @@ def test_make_bubble_params_tangential_center(spec_f2):
     params = make_bubble_params(spec_f2, sigma=1.0)
     assert params.y0[:2].tolist() == [0.0, 0.0]
     assert params.y0[-1] == pytest.approx(-np.sqrt(3.0), rel=1e-14)
+
+
+def stencil_values(params, y, h):
+    """The bubble at the 2N points y + h e_a, y - h e_a of each point of y (k, N), as (2N, k, m)."""
+    k, N = y.shape
+    stencil = np.broadcast_to(y, (2 * N, k, N)).copy()
+    for a in range(N):
+        stencil[2 * a, :, a] += h
+        stencil[2 * a + 1, :, a] -= h
+    return field_values(bubble_field(params), stencil.reshape(-1, N)).reshape(2 * N, k, -1)
+
+
+# N = 5, m = 3: rows of A sum to (N+2)/(N-2), rows of B to N/(N-2)
+SPEC_N5_M3 = EllipticSystemSpec(
+    N=5, m=3, A=[[1.0, 1.0, 1 / 3], [0.5, 1.5, 1 / 3], [1.0, 0.5, 5 / 6]],
+    B=[[1 / 3, 1.0, 1 / 3], [0.5, 5 / 6, 1 / 3], [1.0, 0.5, 1 / 6]], c=[-1.0, -1.0, -1.0],
+)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ("f4", "n5m3"))
+@pytest.mark.parametrize("h", [4e-3, 2e-3, 1e-3])
+def test_axis_neighbours_are_the_stencil_values_bit_for_bit(name, h):
+    spec = SPEC_N5_M3 if name == "n5m3" else fixture_spec(name)
+    shift = np.append([0.3, -0.2, 0.1, 0.4][: spec.N - 1], 0.0)
+    params = moved_params(make_bubble_params(spec, sigma=1.0), 0.7, shift)
+    y = random_halfspace_points(spec.N, 500, seed=61, lo=-2.0, hi=2.0, hi_last=2.0)
+    neighbours = bubble_field(params).axis_neighbours(y, h)
+    assert neighbours.shape == (2 * spec.N, len(y), spec.m)
+    assert np.array_equal(neighbours, stencil_values(params, y, h))
+
+
+@given(N=st.integers(3, 5), k=st.integers(1, 30), data=st.data())
+def test_axis_neighbours_match_the_stencil_for_any_bubble(N, k, data):
+    m = data.draw(st.integers(1, 3))
+    params = BubbleParams(
+        data.draw(st.floats(1e-3, 1e3)),
+        data.draw(arrays(np.float64, m, elements=st.floats(1e-3, 1e3))),
+        data.draw(arrays(np.float64, N, elements=st.floats(-1e3, 1e3))),
+    )
+    y = data.draw(arrays(np.float64, (k, N), elements=st.floats(-1e3, 1e3)))
+    h = data.draw(st.floats(1e-8, 1.0))
+    assert np.array_equal(axis_neighbours(params, y, h), stencil_values(params, y, h))

@@ -24,7 +24,7 @@ from halfspace_bubbles.kelvin_inversion import (
     sweep_moving_spheres,
     verify_symmetry_identity,
 )
-from halfspace_bubbles.sampling import polar_shell, unit_directions
+from halfspace_bubbles.sampling import halfspace_box_points, polar_shell, unit_directions
 
 from conftest import FIXTURE_NAMES, fixture_spec, moved_params
 
@@ -363,3 +363,65 @@ class TestDecay:
         dirs = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
         est = far_field_amplitudes(params_f2, dirs, 1e8)
         assert (est.max() - est.min()) / est.mean() < 1e-6
+
+
+def point_major_w_outside(u, samples, lam):
+    """The sweep's w (k', m) about (samples.x, lam), computed in point-major (k', N) memory."""
+    first = int(np.searchsorted(samples.dist, lam))
+    dy, n2 = np.ascontiguousarray(samples.dy[first:]), samples.n2[first:]
+    r2 = lam**2
+    inner = samples.x + r2 * dy / n2[:, None]
+    factor = (r2 / n2) ** (0.5 * (dy.shape[1] - 2))
+    u_inner = np.ascontiguousarray(u(inner).reshape(len(inner), -1))
+    return np.ascontiguousarray(samples.values[first:]) - u_inner * factor[:, None], first
+
+
+def point_major_min_w(u, samples, lam):
+    """min w per component and the first tied sample in the caller's order, point-major."""
+    w, first = point_major_w_outside(u, samples, lam)
+    mins = w.min(axis=0)
+    tied = np.where(w == mins, samples.order[first:, None], len(samples.order))
+    return mins, samples.points[tied.min(axis=0)]
+
+
+class TestPointsInnermost:
+    """The sweep's kernels run along the samples and round as the point-major ones do."""
+
+    def test_samples_and_images_are_axis_major(self, params_f2):
+        x = np.zeros(3)
+        points = standard_samples(x, 2.0)
+        samples = center_samples(bubble_field(params_f2), x, points)
+        assert samples.values.T.flags.c_contiguous and samples.dy.T.flags.c_contiguous
+        assert kelvin_point(x, 2.0, points).T.flags.c_contiguous
+        box = np.array([[-2.0, 2.0], [-1.0, 3.0], [0.0, 2.0]])
+        assert halfspace_box_points(box, 50, seed=3).T.flags.c_contiguous
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ("f4",))
+    def test_min_w_and_sweep_equal_the_point_major_kernels(self, name, monkeypatch):
+        import halfspace_bubbles.kelvin_inversion as ki
+
+        spec = fixture_spec(name)
+        params = make_bubble_params(spec, sigma=1.0)
+        x = np.zeros(spec.N)
+        lam = critical_lambda_exact(params, x)
+        shell = sweep_samples(x, 0.3 * lam, lam, n_radii=12, n_dirs=24)
+        # the bubble's center and x lie on the e_N axis, so each sample's mirror
+        # image across e_1 has the same w to the bit: every minimum is tied
+        mirrored = shell * np.r_[-1.0, np.ones(spec.N - 1)]
+        u = bubble_field(params)
+        samples = center_samples(u, x, np.concatenate([mirrored, shell]))
+        for radius in lam * np.array([0.5, 0.9, 1.0, 1.1, 2.0]):
+            mins, argmins = min_w(u, samples, radius)
+            ref_mins, ref_argmins = point_major_min_w(u, samples, radius)
+            assert mins.tobytes() == ref_mins.tobytes()
+            assert argmins.tobytes() == ref_argmins.tobytes()
+            # of a tied pair the first in the caller's order: a mirror image
+            assert np.all((argmins[:, None, :] == mirrored).all(axis=-1).any(axis=-1))
+        result = sweep_moving_spheres(spec, u, samples, 0.3 * lam, 3.0 * lam)
+        monkeypatch.setattr(ki, "_w_outside", point_major_w_outside)
+        monkeypatch.setattr(ki, "min_w", point_major_min_w)
+        reference = sweep_moving_spheres(spec, u, samples, 0.3 * lam, 3.0 * lam)
+        assert result.min_w.tobytes() == reference.min_w.tobytes()
+        assert result.argmin_points.tobytes() == reference.argmin_points.tobytes()
+        assert (result.lambda_critical_numeric, result.bracket) == (
+            reference.lambda_critical_numeric, reference.bracket)

@@ -71,6 +71,12 @@ MUTANTS = {
     # mu/(2d) is sigma/e above the boundary and e/sigma below it
     "recover-branch": ("conformal_ball.py", "sigma / e if y0N >= 0 else e / sigma",
                        "e / sigma if y0N >= 0 else sigma / e"),
+    # the bubble's axis neighbours: each row adds the axes after a in order, and
+    # rows 2a and 2a + 1 hold the steps +h and -h
+    "neighbour-prefix-order": ("bubble_family.py", "for b in range(a + 1, N):",
+                               "for b in reversed(range(a + 1, N)):"),
+    "neighbour-sign": ("bubble_family.py", "((2 * a, yT[a] + h), (2 * a + 1, yT[a] - h))",
+                       "((2 * a, yT[a] - h), (2 * a + 1, yT[a] + h))"),
     # the rare branches of the CSV number kernel: a tie between two candidates
     # goes to the even one, an even significand's interval holds its bounds,
     # and below a power of two the interval is half as wide
