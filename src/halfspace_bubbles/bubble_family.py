@@ -201,7 +201,8 @@ def compute_y0N(
     Row ``i`` demands ``y0N = sigma^2 N c[i] prod_j betas[j]**(B[i,j]-A[i,j])``.
     Returns the mean over rows, the per-row values, and the maximum
     deviation from the mean.  The mean is never silently used as "the"
-    value: a spread above ``tol_param * (1 + |y0N|)`` raises.
+    value: a spread above ``tol_param * max_i |y0N_i|`` raises, a bound
+    relative to the heights' own scale, so the verdict holds at every sigma.
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     if np.any(betas <= 0) or not 0 < sigma < np.inf:
@@ -209,7 +210,7 @@ def compute_y0N(
     per_row = sigma**2 * spec.N * spec.c * np.exp(np.log(betas) @ (spec.B - spec.A).T)
     y0N = float(np.mean(per_row))
     spread = float(np.max(np.abs(per_row - y0N)))
-    if spread > tol_param * (1.0 + abs(y0N)):
+    if spread > tol_param * float(np.max(np.abs(per_row))):
         raise IncompatibleBoundaryCoefficients(
             f"boundary rows give center heights {per_row.tolist()}; "
             f"spread {spread:.3e} admits no single bubble center"

@@ -206,8 +206,13 @@ def cmd_verify(args) -> int:
 
     interior_pts = sampling.halfspace_box_points(box, n_random, seed)
     boundary_pts = sampling.boundary_box_points(box, n_random, seed + 1)
-    rel_int = bf.interior_residual_relative(spec, params, interior_pts).max(axis=0)
-    rel_bdy = bf.boundary_residual_relative(spec, params, boundary_pts).max(axis=0)
+    # per block of points, folded by their max
+    rel_int, rel_bdy = (
+        np.max([relative(spec, params, pts[block]).max(axis=0) for block in fd.point_blocks(len(pts))],
+               axis=0)
+        for relative, pts in ((bf.interior_residual_relative, interior_pts),
+                              (bf.boundary_residual_relative, boundary_pts))
+    )
 
     diameter = float(np.linalg.norm(box[:, 1] - box[:, 0]))
     h = args.h if args.h is not None else 1e-3 * diameter
@@ -330,6 +335,7 @@ def cmd_ball(args) -> int:
     interior = sampling.ball_points(setup.Q, 2 * d, 400, seed + 2, margin=13 * h)
     boundary = sampling.sphere_points(setup.Q, 2 * d, 200, seed + 3)
     study = cb.ball_system_residual(spec, setup, v, interior, boundary, [4 * h, 2 * h, h])
+    slopes = reporting.jsonable(study)  # a slope not fitted is null
 
     mu, alphas = cb.recover_mu_alpha(params)
     alpha_res = float(
@@ -372,13 +378,8 @@ def cmd_ball(args) -> int:
         "setup": {"xbar": setup.xbar, "d": d},
         "t_properties": tprops,
         "radial_variation": {"radii": radii, "max_rel": variation},
-        "residual_slopes": {
-            "h_list": study.h_list,
-            "sup_interior": study.sup_interior,
-            "sup_boundary": study.sup_boundary,
-            "slope_interior": study.slope_interior,
-            "slope_boundary": study.slope_boundary,
-        },
+        "residual_slopes": {key: slopes[key] for key in (
+            "h_list", "sup_interior", "sup_boundary", "slope_interior", "slope_boundary")},
         "mu": mu,
         "alphas": alphas,
         "alpha_condition_residual": alpha_res,

@@ -28,7 +28,7 @@ import numpy as np
 from .bubble_family import BubbleParams, field_values, log_profile, squared_distance
 from .errors import StencilOutOfDomain
 from .exponent_system import EllipticSystemSpec
-from .fd_verifier import ConvergenceReport, residual_study
+from .fd_verifier import ConvergenceReport, point_blocks, residual_study
 from .kelvin_inversion import _kelvin, _offsets, critical_radius, kelvin_point
 from .sampling import ball_points, unit_directions
 
@@ -134,22 +134,27 @@ def verify_T_properties(
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     d, P, Q = setup.d, setup.P, setup.Q
-    dist_P = np.sqrt(squared_distance(samples, P))
-    if np.min(dist_P) < POLE_MIN_DISTANCE * d:
-        raise ValueError("samples must keep distance >= 1e-8 d from the pole P")
-
-    # (i) involution
-    img = kelvin_point(P, 2 * d, samples)
-    back = kelvin_point(P, 2 * d, img)
-    involution_max = float(np.max(np.sqrt(squared_distance(back, samples)) / (dist_P + d)))
-
-    # (ii) containment and boundary pushforward
-    ratio = np.sqrt(squared_distance(img, Q)) / (2 * d)
-    bpts = samples.copy()
-    bpts[:, -1] = 0.0
-    bimg = kelvin_point(P, 2 * d, bpts)
-    sphere_rel = np.abs(np.sqrt(squared_distance(bimg, Q)) - 2 * d) / (2 * d)
-    min_dist_P = float(np.min(np.sqrt(squared_distance(bimg, P))))
+    # (i) and (ii) per block of samples, each folded by its max; -min for the distance to P
+    folds = []
+    for block in point_blocks(len(samples)):
+        pts = samples[block]
+        dist_P = np.sqrt(squared_distance(pts, P))
+        if np.min(dist_P) < POLE_MIN_DISTANCE * d:
+            raise ValueError("samples must keep distance >= 1e-8 d from the pole P")
+        # (i) involution
+        img = kelvin_point(P, 2 * d, pts)
+        back = kelvin_point(P, 2 * d, img)
+        # (ii) containment and boundary pushforward
+        bpts = pts.copy()
+        bpts[:, -1] = 0.0
+        bimg = kelvin_point(P, 2 * d, bpts)
+        folds.append([
+            np.max(np.sqrt(squared_distance(back, pts)) / (dist_P + d)),
+            np.max(np.sqrt(squared_distance(img, Q)) / (2 * d)),
+            np.max(np.abs(np.sqrt(squared_distance(bimg, Q)) - 2 * d) / (2 * d)),
+            -np.min(np.sqrt(squared_distance(bimg, P))),
+        ])
+    involution_max, containment_max, sphere_max, neg_min_dist_P = np.max(folds, axis=0).tolist()
 
     # (iii) critical spheres map into hyperplanes through Q
     plane_max: dict = {}
@@ -177,10 +182,10 @@ def verify_T_properties(
 
     return TPropertyReport(
         involution_max_rel=involution_max,
-        containment_max_ratio=float(np.max(ratio)),
-        containment_strict=bool(np.all(ratio < 1.0)),
-        boundary_sphere_max_rel=float(np.max(sphere_rel)),
-        boundary_min_dist_to_P=min_dist_P,
+        containment_max_ratio=containment_max,
+        containment_strict=containment_max < 1.0,  # a NaN ratio fails, as in np.all(ratio < 1)
+        boundary_sphere_max_rel=sphere_max,
+        boundary_min_dist_to_P=-neg_min_dist_P,
         plane_max_rel=plane_max,
         mirror_max_rel=mirror_max,
         n_samples=samples.shape[0],

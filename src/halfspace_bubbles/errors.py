@@ -72,3 +72,9 @@ class StencilOutOfDomain(HalfspaceBubblesError):
     """A finite-difference stencil point falls outside the field's domain."""
 
     code = "stencil_out_of_domain"
+
+
+class NonFiniteReport(HalfspaceBubblesError):
+    """A report value is NaN or infinite, which strict JSON cannot hold."""
+
+    code = "non_finite_report"

@@ -236,6 +236,11 @@ def validate_spec(spec: EllipticSystemSpec, tol_row: float = TOL_ROW) -> Validat
                         Violation("B_diagonal_when_c_nonnegative", (i, j), spec.B[i, j], expected)
                     )
 
+    # a subnormal c holds too few bits for the flux to be checked to 1e-12
+    for i in range(m):
+        if 0 < abs(spec.c[i]) < np.finfo(float).tiny:
+            violations.append(Violation("c_zero_or_normal", i, spec.c[i], np.finfo(float).tiny))
+
     if not is_irreducible(spec.A):
         violations.append(Violation("A_irreducible", None, 0.0, 1.0))
 

@@ -9,21 +9,25 @@ Nothing here solves a PDE; fields are only checked.
 
 Field evaluators map point batches (k, N) to component values (k, m) and
 must be pure; residual collection is a plain max-reduction, so reports do
-not depend on evaluation order.
+not depend on evaluation order.  Points are walked in blocks of
+``BLOCK_CENTERS``, box lattices read from their 1-d axes, so no array of a
+study grows with its point set.
 
 Layout: points innermost.  Component values (k, m) are views of (m, k) memory
 (bubble values come so from ``log_profile``), the bubble's neighbour values
-(2N, k, m) of (m, 2N, k), and the sweep's samples, offsets and Kelvin images and
-the box samples of (m, k) and (N, k); stencils are neighbour-major, (2N, k, N)
-and (2, k, N), and residuals (n_h, m, k).  So kernels and reductions run over
-contiguous points, not over the N <= 5 axes or m <= 3 components.  The 2N
-neighbour values are added explicitly, left to right: numpy's reduce picks its
-order from the array's size and layout, and this one keeps a component's result
-independent of the block size and of the other components evaluated with it.
+(2N, k, m) of (m, 2N, k), and the sweep's samples, offsets and Kelvin images,
+the box samples and the lattice blocks of (m, k) and (N, k); stencils are
+neighbour-major, (2N, k, N) and (2, k, N), and a block's residuals (n_h, b, m)
+of (n_h, m, b).  So kernels and reductions run over contiguous points, not over
+the N <= 5 axes or m <= 3 components.  The 2N neighbour values are added
+explicitly, left to right: numpy's reduce picks its order from the array's size
+and layout, and this one keeps a component's result independent of the block
+size and of the other components evaluated with it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +56,9 @@ DEGENERATE_FLOOR = 1e-13
 # BLOCK_CENTERS * 2N stencil points at once, whatever the size of the lattice.
 BLOCK_CENTERS = 4096
 
+# A slope's NaN means "not fitted"; reports write it as null (see reporting.jsonable).
+NO_VALUE = {"nan_as_null": True}
+
 
 @dataclass
 class ResidualReport:
@@ -64,21 +71,6 @@ class ResidualReport:
     h: float
     n_interior: int
     n_boundary: int
-
-    @classmethod
-    def from_residuals(cls, res_int, res_bdy, interior, boundary, h: float) -> "ResidualReport":
-        """Sup-norm summary of per-point residuals at the given points."""
-        abs_int = np.abs(res_int)
-        abs_bdy = np.abs(res_bdy)
-        return cls(
-            sup_interior=abs_int.max(axis=0),
-            sup_boundary=abs_bdy.max(axis=0),
-            argmax_interior=interior[np.argmax(abs_int, axis=0)],
-            argmax_boundary=boundary[np.argmax(abs_bdy, axis=0)],
-            h=float(h),
-            n_interior=interior.shape[0],
-            n_boundary=boundary.shape[0],
-        )
 
 
 @dataclass
@@ -96,10 +88,10 @@ class ConvergenceReport:
     h_list: np.ndarray
     sup_interior: np.ndarray  # (len(h_list), m)
     sup_boundary: np.ndarray
-    slope: np.ndarray  # (m,), nan where degenerate
+    slope: np.ndarray = field(metadata=NO_VALUE)  # (m,), nan where degenerate
     degenerate: np.ndarray  # (m,) bool
-    slope_interior: np.ndarray
-    slope_boundary: np.ndarray
+    slope_interior: np.ndarray = field(metadata=NO_VALUE)
+    slope_boundary: np.ndarray = field(metadata=NO_VALUE)
     degenerate_interior: np.ndarray
     degenerate_boundary: np.ndarray
     finest: ResidualReport = field(repr=False)
@@ -143,49 +135,79 @@ def one_sided_derivative(
     return (-3 * center + 4 * vals[0] - vals[1]) / (2 * h)
 
 
-def _residual_levels(
-    spec: EllipticSystemSpec, u, interior, boundary, h_list, normals=None, kappa: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point residuals at every step of a study: (n_h, k, m) and (n_h, kb, m).
+def point_blocks(n: int):
+    """Slices of ``BLOCK_CENTERS`` consecutive points that cover ``range(n)``, in order."""
+    return (slice(start, start + BLOCK_CENTERS) for start in range(0, n, BLOCK_CENTERS))
 
+
+def _residual_blocks(
+    spec: EllipticSystemSpec, u, interior, boundary, h_list, normals=None, kappa: float = 0.0
+):
+    """Per-point residuals of a study, one block at a time: yields (on_boundary, (n_h, b, m)).
+
+    Interior blocks come first, then boundary blocks, each in point order.
     The boundary residual is (d_in u - kappa u) - c prod u^B along the
     inward unit ``normals``, (kb, N) or (N,); e_N and kappa = 0 are the
-    half-space.  Walks the centers in blocks of ``BLOCK_CENTERS``.  Each
-    block's values and source term are evaluated once and shared by every
-    step, so only the neighbours are evaluated per step, and the stencil
-    temporaries are bounded by the block, not the point set.
+    half-space.  Each block's values and source term are evaluated once and
+    shared by every step, so only the neighbours are evaluated per step.
+    Point sets are (k, N) arrays or :class:`_Lattice`; nothing larger than a
+    block is held.
     """
     h_list = [float(h) for h in h_list]
-    if normals is None:
-        normals = np.eye(boundary.shape[1])[-1]
-    normals = np.broadcast_to(normals, boundary.shape)
-    res_int = np.empty((len(h_list), spec.m, len(interior))).transpose(0, 2, 1)
-    res_bdy = np.empty((len(h_list), spec.m, len(boundary))).transpose(0, 2, 1)
-    for start in range(0, len(interior), BLOCK_CENTERS):
-        block = slice(start, start + BLOCK_CENTERS)
+    for block in point_blocks(len(interior)):
         pts = interior[block]
         center = field_values(u, pts)
         source = spec.source(np.log(center))
+        res = np.empty((len(h_list), spec.m, len(pts))).transpose(0, 2, 1)
         for i, h in enumerate(h_list):
-            res_int[i, block] = central_laplacian(u, pts, h, center) + source
-    for start in range(0, len(boundary), BLOCK_CENTERS):
-        block = slice(start, start + BLOCK_CENTERS)
+            res[i] = central_laplacian(u, pts, h, center) + source
+        yield False, res
+    normals = np.broadcast_to(np.eye(spec.N)[-1] if normals is None else normals,
+                              (len(boundary), spec.N))
+    for block in point_blocks(len(boundary)):
         pts = boundary[block]
         center = field_values(u, pts)
         flux = spec.flux(np.log(center))
         robin = kappa * center
+        res = np.empty((len(h_list), spec.m, len(pts))).transpose(0, 2, 1)
         for i, h in enumerate(h_list):
             d_in = one_sided_derivative(u, pts, normals[block], h, center)
-            res_bdy[i, block] = (d_in - robin) - flux
-    return res_int, res_bdy
+            res[i] = (d_in - robin) - flux
+        yield True, res
 
 
-def _check_halfspace_headroom(interior: np.ndarray, h: float) -> None:
+def fold_sup(best, mags: np.ndarray, offset: int):
+    """Fold one block's magnitudes (n_h, b, m), points from ``offset``, into a running (sup, argmax).
+
+    Both are (n_h, m), ``best`` None before the first block.  It holds earlier points, so
+    np.argmax keeps its rules over the whole set: the first index wins a tie, the first NaN wins.
+    """
+    sups, args = mags.max(axis=1), mags.argmax(axis=1) + offset
+    if best is None:
+        return sups, args
+    pick = np.argmax(np.stack([best[0], sups]), axis=0).astype(bool)
+    return np.where(pick, sups, best[0]), np.where(pick, args, best[1])
+
+
+def _study_reports(spec, u, interior, boundary, h_list, normals=None, kappa=0.0):
+    """One :class:`ResidualReport` per step, folded block by block."""
+    if not (len(interior) and len(boundary)):
+        raise ValueError("a residual study needs interior and boundary points")
+    best, seen = [None, None], [0, 0]
+    for on_boundary, res in _residual_blocks(spec, u, interior, boundary, h_list, normals, kappa):
+        best[on_boundary] = fold_sup(best[on_boundary], np.abs(res), seen[on_boundary])
+        seen[on_boundary] += res.shape[1]
+    (sup_int, arg_int), (sup_bdy, arg_bdy) = best
+    return [ResidualReport(sup_int[i], sup_bdy[i], interior[arg_int[i]], boundary[arg_bdy[i]],
+                           float(h), len(interior), len(boundary)) for i, h in enumerate(h_list)]
+
+
+def _check_halfspace_headroom(interior, h: float) -> None:
     """Central stencils of step ``h`` stay in the half-space: every y_N >= h."""
-    if len(interior) and np.min(interior[:, -1]) - h < 0:
+    heights = interior.axes[-1] if isinstance(interior, _Lattice) else interior[:, -1]
+    if len(heights) and np.min(heights) - h < 0:
         raise StencilOutOfDomain(
-            f"interior points need last coordinate >= h={h}; "
-            f"got minimum {np.min(interior[:, -1])}"
+            f"interior points need last coordinate >= h={h}; got minimum {np.min(heights)}"
         )
 
 
@@ -200,27 +222,35 @@ def residuals_at_points(
     interior_points = np.atleast_2d(np.asarray(interior_points, dtype=float))
     boundary_points = np.atleast_2d(np.asarray(boundary_points, dtype=float))
     _check_halfspace_headroom(interior_points, h)
-    res_int, res_bdy = _residual_levels(spec, u, interior_points, boundary_points, [h])
-    return res_int[0], res_bdy[0]
+    # component-major (m, k) memory, as the blocks hold it
+    parts = ([np.empty((spec.m, 0))], [np.empty((spec.m, 0))])
+    for on_boundary, res in _residual_blocks(spec, u, interior_points, boundary_points, [h]):
+        parts[on_boundary].append(res[0].T)
+    return tuple(np.concatenate(p, axis=1).T for p in parts)
 
 
-def _lattice(box: np.ndarray, n_per_axis: int, last_min: float) -> np.ndarray:
-    axes = []
-    for a in range(box.shape[0]):
-        lo, hi = box[a]
-        if a == box.shape[0] - 1:
-            lo = max(lo, last_min)
-        axes.append(np.linspace(lo, hi, n_per_axis))
-    # filled axis by axis from the sparse grids: one (n**N, N) array, no full-size temporaries
-    lattice = np.empty((n_per_axis,) * len(axes) + (len(axes),))
-    for a, g in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
-        lattice[..., a] = g
-    return lattice.reshape(-1, len(axes))
+class _Lattice:
+    """The points of a lattice in C order, read by flat index: (k, N) blocks, never all n**N.
+
+    ``axes`` are its 1-d coordinate axes; a one-entry axis pins a coordinate.
+    """
+
+    def __init__(self, axes: list[np.ndarray]):
+        self.axes, self.shape = axes, tuple(len(axis) for axis in axes)
+
+    def __len__(self) -> int:
+        return math.prod(self.shape)
+
+    def __getitem__(self, index) -> np.ndarray:
+        """Points (k, N) at a slice or an array of flat indices, points innermost."""
+        if isinstance(index, slice):
+            index = np.arange(*index.indices(len(self)))
+        return np.stack([axis[i] for axis, i in zip(self.axes, np.unravel_index(index, self.shape))]).T
 
 
 def _box_lattices(
     spec: EllipticSystemSpec, box: np.ndarray, n_per_axis: int, margin: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[_Lattice, _Lattice]:
     """Interior lattice of a box (last coordinate >= margin) and the lattice of its y_N = 0 face."""
     box = np.asarray(box, dtype=float)
     N = int(spec.N)
@@ -228,10 +258,9 @@ def _box_lattices(
         raise ValueError(f"box must have shape {(N, 2)}")
     if box[-1, 0] < 0:
         raise StencilOutOfDomain("box extends below the boundary hyperplane")
-    interior = _lattice(box, n_per_axis, last_min=max(box[-1, 0], margin))
-    tangential = _lattice(box[:-1], n_per_axis, last_min=-np.inf)
-    boundary = np.hstack([tangential, np.zeros((tangential.shape[0], 1))])
-    return interior, boundary
+    axes = [np.linspace(lo, hi, n_per_axis) for lo, hi in box[:-1]]
+    last = np.linspace(max(box[-1, 0], margin), box[-1, 1], n_per_axis)
+    return _Lattice([*axes, last]), _Lattice([*axes, np.zeros(1)])
 
 
 def residual_sweep(
@@ -252,8 +281,8 @@ def residual_sweep(
     """
     margin = h if interior_margin is None else interior_margin
     interior, boundary = _box_lattices(spec, box, n_per_axis, margin)
-    res_int, res_bdy = residuals_at_points(spec, u, interior, boundary, h)
-    return ResidualReport.from_residuals(res_int, res_bdy, interior, boundary, h)
+    _check_halfspace_headroom(interior, h)
+    return _study_reports(spec, u, interior, boundary, [h])[0]
 
 
 def fit_loglog_slope(h_list: np.ndarray, sups: np.ndarray) -> float:
@@ -290,7 +319,9 @@ def residual_study(
     """Fitted order of the discrete residuals of a field over a shrinking-h study.
 
     Every step runs in one pass over the points, so each center and its
-    source term are evaluated once.  ``normals`` and ``kappa`` set the
+    source term are evaluated once, and each block's residuals are folded
+    into the sups as they come.  ``interior`` and ``boundary`` are (k, N)
+    arrays or box lattices.  ``normals`` and ``kappa`` set the
     boundary law.  On the default, the half-space, every interior point
     must keep y_N >= the largest step; with other normals the caller
     keeps every stencil in its domain.  Components whose residuals sit at
@@ -301,11 +332,7 @@ def residual_study(
         raise ValueError("h_list must be strictly decreasing with at least 3 entries")
     if normals is None:
         _check_halfspace_headroom(interior, float(h_list[0]))
-    levels = _residual_levels(spec, u, interior, boundary, h_list, normals, kappa)
-    reports = [
-        ResidualReport.from_residuals(res_int, res_bdy, interior, boundary, h)
-        for res_int, res_bdy, h in zip(*levels, h_list)
-    ]
+    reports = _study_reports(spec, u, interior, boundary, h_list, normals, kappa)
     sups_i = np.asarray([r.sup_interior for r in reports])
     sups_b = np.asarray([r.sup_boundary for r in reports])
     slope_c, degen_c = convergence_from_sups(h_list, np.maximum(sups_i, sups_b))

@@ -7,6 +7,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from halfspace_bubbles import EllipticSystemSpec, make_bubble_params, validate_spec
+from halfspace_bubbles import bubble_family as bf
+from halfspace_bubbles import fd_verifier as fd
+from halfspace_bubbles import reporting
 from halfspace_bubbles.cli import main
 
 from conftest import (
@@ -458,7 +461,8 @@ def test_admissible_asymmetric_specs_pass_every_check(spec, tmp_path_factory):
 
 
 @settings(max_examples=8)
-@given(spec=admissible_asymmetric_specs(st.floats(-1e3, 1e3)))
+# a nonzero subnormal c is a structural violation, so it is not drawn
+@given(spec=admissible_asymmetric_specs(st.floats(-1e3, 1e3, allow_subnormal=False)))
 def test_radial_shoots_admissible_specs_at_large_coefficients(spec, tmp_path_factory):
     path = tmp_path_factory.mktemp("spec") / "spec.json"
     path.write_text(json.dumps(spec.to_dict()))
@@ -514,6 +518,44 @@ def test_verify_passes_on_the_seeded_n5_spec(tmp_path):
                "--out", tmp_path / "out.json") == 0
 
 
+SUBNORMAL_C = {"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [-2.2250738585e-313]}
+
+
+def test_subnormal_coefficient_fails_validation(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SUBNORMAL_C))
+    out = tmp_path / "report.json"
+    assert run("validate", "--spec", spec, "--out", out) == 1
+    assert json.loads(out.read_text())["violations"] == [
+        {"rule": "c_zero_or_normal", "index": 0, "measured": -2.2250738585e-313,
+         "expected": np.finfo(float).tiny}
+    ]
+
+
+@pytest.mark.parametrize("command", [["solve-params"], ["verify"], ["moving-spheres"], ["ball"],
+                                     ["radial"], ["halfline", "--u0", "1.0"]])
+def test_subnormal_coefficient_is_a_malformed_spec(command, tmp_path, capsys):
+    # c keeps about 35 bits, so the flux could not be checked to 1e-12: verify exited 1 on it
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SUBNORMAL_C))
+    assert run(*command, "--spec", spec, "--out", tmp_path / "out.json") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_code"] == "malformed_spec" and "c_zero_or_normal" in err["detail"]
+
+
+def test_non_finite_report_value_exits_one_naming_its_key(spec_file, tmp_path, capsys, monkeypatch):
+    def nan_residuals(spec, params, y):
+        return np.full((len(y), spec.m), np.nan)
+
+    monkeypatch.setattr(bf, "interior_residual_relative", nan_residuals)
+    out = tmp_path / "verify.json"
+    assert run("verify", "--spec", spec_file, "--grid", 4, "--n-random", 50, "--out", out) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_code"] == "non_finite_report"
+    assert "'analytic.interior_max_rel.0'" in err["detail"]
+    assert not out.exists()
+
+
 class TestSolveParams:
     def test_report_is_loadable_as_params(self, spec_file, params_file):
         from halfspace_bubbles.bubble_family import load_params
@@ -550,8 +592,33 @@ class TestSolveParams:
         err = json.loads(capsys.readouterr().err)
         assert err["error_code"] == "incompatible_boundary_coefficients"
 
+    @pytest.mark.parametrize("sigma", ["1e-150", "1e-9", "1", "1e9", "1e150"])
+    def test_incompatible_rows_exit_one_at_every_scale(self, sigma, tmp_path, capsys):
+        # the heights scale with sigma and differ by a factor of 2; an absolute
+        # spread bound let sigma = 1e-9 and 1e-10 through
+        spec = tmp_path / "x3.json"
+        spec.write_text(json.dumps(incompatible_rows_spec().to_dict()))
+        assert run("solve-params", "--spec", spec, "--sigma", sigma) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error_code"] == "incompatible_boundary_coefficients"
+
 
 class TestPipelines:
+    @pytest.mark.parametrize("command", [["verify", "--grid", "5", "--n-random", "300", "--csv"],
+                                         ["ball", "--grid", "1"]])
+    def test_block_size_leaves_the_files_unchanged(self, command, monkeypatch, tmp_path):
+        # f3 (m = 2) in blocks of 7 points: the lattices, samples and CSV passes all end partial
+        spec = tmp_path / "f3.json"
+        spec.write_text(json.dumps(fixture_spec("f3").to_dict()))
+        files = []
+        for block, tag in ((7, "a"), (10**6, "b")):
+            monkeypatch.setattr(fd, "BLOCK_CENTERS", block)
+            monkeypatch.setattr(reporting, "_VALUES_PER_PASS", block)
+            out = tmp_path / f"{tag}.json"
+            assert run(*command, "--spec", spec, "--out", out) == 0
+            files.append([p.read_bytes() for p in (out, out.with_suffix(".csv")) if p.exists()])
+        assert files[0] == files[1]
+
     def test_verify_passes(self, spec_file, params_file, tmp_path):
         out = tmp_path / "verify.json"
         assert run("verify", "--spec", spec_file, "--params", params_file, "--out", out, "--csv") == 0

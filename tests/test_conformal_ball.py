@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from mpmath import mp
 
+from halfspace_bubbles import fd_verifier
 from halfspace_bubbles.bubble_family import (
     BubbleParams,
     bubble_field,
@@ -99,6 +102,39 @@ class TestMappingProperties:
         assert report.boundary_min_dist_to_P > 0.0
         assert max(report.plane_max_rel.values()) <= 1e-12
         assert max(report.mirror_max_rel.values()) <= 1e-12
+
+    @staticmethod
+    def _samples(setup, N, n, seed):
+        box = np.tile([-5.0 * setup.d, 5.0 * setup.d], (N, 1))
+        box[-1] = [1e-6 * setup.d, 5.0 * setup.d]
+        return halfspace_box_points(box, n, seed=seed)
+
+    def test_block_size_leaves_the_report_unchanged(self, fixture_pair, monkeypatch):
+        spec, params = fixture_pair
+        setup = fixture_setup(params)
+        samples = self._samples(setup, spec.N, 1000, 13)
+        xs = [np.zeros(spec.N)]
+        monkeypatch.setattr(fd_verifier, "BLOCK_CENTERS", 7)
+        blocked = verify_T_properties(setup, xs, samples)
+        # a sample at the pole in the last block still raises
+        with pytest.raises(ValueError, match="pole"):
+            verify_T_properties(setup, xs, np.vstack([samples, setup.P]))
+        monkeypatch.setattr(fd_verifier, "BLOCK_CENTERS", 10**6)
+        assert blocked == verify_T_properties(setup, xs, samples)
+
+    def test_memory_is_bounded_by_the_block(self):
+        # 40,000 samples in N = 5: checks (i) and (ii) on the whole set at once traced 9.5 MB
+        spec = EllipticSystemSpec(N=5, m=1, A=[[7 / 3]], B=[[5 / 3]], c=[-1.0])
+        setup = fixture_setup(make_bubble_params(spec, 1.0))
+        samples = self._samples(setup, 5, 40000, 13)
+        tracemalloc.start()
+        try:
+            report = verify_T_properties(setup, [np.zeros(5)], samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.n_samples == 40000 and report.containment_strict
+        assert peak < 3 * 2**20
 
     def test_far_sample_lands_near_pole(self, params_f1):
         # images of far points pile up at P, which sits on the sphere itself

@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from halfspace_bubbles import EllipticSystemSpec, fd_verifier, make_bubble_params
 from halfspace_bubbles.bubble_family import (
@@ -106,12 +109,13 @@ class TestStencils:
         assert center.shape == (50, 2) and center.T.flags.c_contiguous
         assert central_laplacian(u, pts, 1e-3, center).T.flags.c_contiguous
         assert one_sided_derivative(u, pts, np.eye(4)[-1], 1e-3, center).T.flags.c_contiguous
-        res_int, res_bdy = fd_verifier._residual_levels(
+        blocks = list(fd_verifier._residual_blocks(
             spec_f3, u, pts, pts * [1, 1, 1, 0], [4e-3, 2e-3, 1e-3]
-        )
-        assert res_int.shape == res_bdy.shape == (3, 50, 2)
-        assert res_int.transpose(0, 2, 1).flags.c_contiguous
-        assert res_bdy.transpose(0, 2, 1).flags.c_contiguous
+        ))
+        assert [on_boundary for on_boundary, _ in blocks] == [False, True]
+        for _, res in blocks:
+            assert res.shape == (3, 50, 2)
+            assert res.transpose(0, 2, 1).flags.c_contiguous
 
     def test_bubble_laplacian_slope(self, params_f2):
         y = np.array([0.5, -0.3, 0.8])
@@ -273,9 +277,9 @@ class TestBlockedDriver:
             assert np.array_equal(a, b, equal_nan=True)
 
     def test_study_memory_is_bounded_by_the_block(self):
-        # 12^5 = 248,832 centers.  The lattice, the (3, k, 1) residuals and one
-        # block trace 19.1 MB; every stencil point of a step held at once
-        # would trace about 178 MB.
+        # 12^5 = 248,832 centers.  The lattice's axes and one block trace
+        # 1.6 MB; the whole lattice and its (3, k, 1) residuals traced 18.5 MB,
+        # and every stencil point of a step held at once about 178 MB.
         spec = EllipticSystemSpec(N=5, m=1, A=[[7 / 3]], B=[[5 / 3]], c=[-1.0])
         u = bubble_field(make_bubble_params(spec, 1.0))
         tracemalloc.start()
@@ -287,4 +291,18 @@ class TestBlockedDriver:
         finally:
             tracemalloc.stop()
         assert conv.finest.n_interior == 12**5
-        assert peak < 24 * 2**20
+        assert peak < 6 * 2**20
+
+    @given(
+        mags=arrays(float, st.tuples(st.integers(1, 3), st.integers(1, 40), st.integers(1, 3)),
+                    elements=st.sampled_from([0.0, 1.0, 2.0, np.nan])),
+        cuts=st.sets(st.integers(1, 39)),
+    )
+    def test_fold_keeps_the_max_and_argmax_rules(self, mags, cuts):
+        # few distinct values, so blocks tie; the first index wins a tie, the first NaN wins
+        bounds = [0, *sorted(c for c in cuts if c < mags.shape[1]), mags.shape[1]]
+        best = None
+        for lo, hi in zip(bounds, bounds[1:]):
+            best = fd_verifier.fold_sup(best, mags[:, lo:hi], lo)
+        np.testing.assert_array_equal(best[0], np.max(mags, axis=1))
+        np.testing.assert_array_equal(best[1], np.argmax(mags, axis=1))

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from halfspace_bubbles import reporting
 from halfspace_bubbles.cli import main
+from halfspace_bubbles.errors import NonFiniteReport
+from halfspace_bubbles.fd_verifier import convergence_from_sups
 from halfspace_bubbles.kelvin_inversion import SweepResult
 from halfspace_bubbles.radial_ode import RadialTrajectory
 from halfspace_bubbles.reporting import (
@@ -218,3 +221,41 @@ def test_validate_violations_are_objects(tmp_path):
         "violations"]
     assert report["violations"][-1] == {"rule": "A_irreducible", "index": None,
                                         "measured": 0.0, "expected": 1.0}
+
+
+@pytest.mark.parametrize("value, key", [(math.nan, "b.1.c"), (math.inf, "b.1.c"),
+                                        (np.array([0.5, -np.inf]), "b.1.c.1")])
+def test_non_finite_report_value_raises_naming_its_key(value, key, tmp_path):
+    out = tmp_path / "report.json"
+    report = {"a": 1.0, "b": [{"c": 0.0}, {"c": value}]}
+    with pytest.raises(NonFiniteReport, match=f"'{key}' is not finite"):
+        reporting.write_report(report, out)
+    assert not out.exists()
+    assert NonFiniteReport.code == "non_finite_report"
+
+
+def test_degenerate_slopes_are_written_as_null(tmp_path):
+    # c = -1000 at sigma = 1: the ball study's sups sit below the rounding floor, so
+    # neither slope is fitted; NaN in memory, null in the report, and the call passes
+    spec = tmp_path / "deep.json"
+    spec.write_text(json.dumps({"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [-1000.0]}))
+    code, report = report_of("ball", "--spec", spec, "--out", tmp_path / "ball.json")
+    assert code == 0
+    slopes = report["residual_slopes"]
+    assert slopes["slope_interior"] == slopes["slope_boundary"] == [None]
+    assert all(math.isfinite(v) for row in slopes["sup_interior"] for v in row)
+    sups = np.array(slopes["sup_interior"])
+    assert np.isnan(convergence_from_sups(slopes["h_list"], sups)[0][0])
+
+
+def test_residual_csv_memory_is_bounded_by_the_pass(tmp_path):
+    # 120,000 values: passes of 1 << 15 values traced 12.3 MB
+    res = np.random.default_rng(5).standard_normal((60000, 1))
+    write_residual_csv(res[:10], res[:10], tmp_path / "warm.csv")
+    tracemalloc.start()
+    try:
+        write_residual_csv(res, res, tmp_path / "res.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20

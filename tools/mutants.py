@@ -77,6 +77,11 @@ MUTANTS = {
                                "for b in reversed(range(a + 1, N)):"),
     "neighbour-sign": ("bubble_family.py", "((2 * a, yT[a] + h), (2 * a + 1, yT[a] - h))",
                        "((2 * a, yT[a] - h), (2 * a + 1, yT[a] + h))"),
+    # the blocked sup: a block's NaN or larger value replaces the running one, and
+    # its argmax counts from the block's first point
+    "fold-nan": ("fd_verifier.py", "np.argmax(np.stack([best[0], sups]), axis=0).astype(bool)",
+                 "sups > best[0]"),
+    "fold-offset": ("fd_verifier.py", "mags.argmax(axis=1) + offset", "mags.argmax(axis=1)"),
     # the rare branches of the CSV number kernel: a tie between two candidates
     # goes to the even one, an even significand's interval holds its bounds,
     # and below a power of two the interval is half as wide

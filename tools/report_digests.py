@@ -5,6 +5,8 @@ asymmetric f4, at sigma = 1), ``ball`` and ``radial`` on f2's exponents with c =
 ``radial`` at large positive c (N = 4, c = 1e3; N = 5, c = 1e4; N = 3, c = 3e5),
 the half-line solve from the scaled starts u0 = 1e-4 and 1e8
 on f3 and the incompatible-rows spec x3, a spec that fails validation,
+``verify`` and ``ball`` on point sets that span many blocks and CSV passes
+(f3, f4 and an N = 5, m = 3 spec),
 and the error paths: sweeps that start past the critical radius or end
 below it, a shot
 that cannot meet the Robin condition on incompatible boundary rows, and
@@ -55,6 +57,11 @@ SPECS = {
     "n4-1e3": {"N": 4, "m": 1, "A": [[3.0]], "B": [[2.0]], "c": [1e3]},
     "n5-1e4": {"N": 5, "m": 1, "A": [[7 / 3]], "B": [[5 / 3]], "c": [1e4]},
     "n3-3e5": {"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [3e5]},
+    # N = 5, m = 3 with unequal row and column sums
+    "n5m3": {"N": 5, "m": 3,
+             "A": [[1 / 3, 1.0, 1.0], [0.5, 0.5, 4 / 3], [1.0, 1 / 3, 1.0]],
+             "B": [[1 / 3, 2 / 3, 2 / 3], [1.0, 1 / 3, 1 / 3], [0.5, 0.5, 2 / 3]],
+             "c": [-1.0, -1.0, -1.0]},
 }
 
 
@@ -105,6 +112,12 @@ def main(outdir: str) -> int:
     # a boundary center off the hyperplane, a box below the boundary: exit 2, malformed_spec
     matrix["f1.moving-spheres-bad-x"] = ["moving-spheres", "--x", "1,2,3"]
     matrix["f1.verify-bad-box"] = ["verify", "--box=-1,1,-1,1,-1,1"]
+    # point sets that span many residual blocks and CSV passes: 16^4 = 65,536 and
+    # 9^5 = 59,049 lattice centers, 40,000 mapping samples, and 20,000-point CSVs
+    # of 2 and 3 components
+    matrix["f3.verify-large"] = ["verify", "--grid", "16", "--n-random", "20000", "--csv"]
+    matrix["f4.ball-large"] = ["ball", "--grid", "200"]
+    matrix["n5m3.verify-large"] = ["verify", "--grid", "9", "--n-random", "20000", "--csv"]
     # the same shots again on the cached psi_ref: the same exit, stderr and digests
     for call_id in ("f2.radial", "f4.radial", "x3.radial"):
         matrix[f"{call_id}-cached"] = matrix[call_id]
