@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -41,6 +42,35 @@ from .exponent_system import load_spec, validate_spec
 DEFAULT_SEED = 20240901
 
 INPUT_ERRORS = (MalformedSpec, SingularPoint, StencilOutOfDomain)
+
+# Every gate, one row each: check name -> (relation the value must bear to the threshold,
+# threshold).  A check ``<name>_<i>`` reads the row of ``<name>``; README's gate table lists them.
+GATES = {
+    "analytic_interior_max_rel": (operator.le, 1e-12),
+    "analytic_boundary_max_rel": (operator.le, 1e-12),
+    "fd_slope_gap": (operator.le, 0.1),
+    "critical_radius_found": (operator.ge, 1.0),
+    "critical_radius_rel_gap": (operator.le, 1e-6),
+    "min_w_below_critical": (operator.ge, 0.0),
+    "min_w_above_critical": (operator.ge, 0.0),
+    "symmetry_sup_rel": (operator.le, 1e-10),
+    "involution_max_rel": (operator.le, 1e-13),
+    "containment_strict": (operator.lt, 1.0),
+    "boundary_sphere_max_rel": (operator.le, 1e-12),
+    "plane_max_rel": (operator.le, 1e-12),
+    "mirror_max_rel": (operator.le, 1e-12),
+    "radial_variation_max": (operator.le, 1e-10),
+    "alpha_condition_residual": (operator.le, 1e-10),
+    "closed_form_match_rel": (operator.le, 1e-10),
+    "ball_interior_slope_gap": (operator.le, 0.1),
+    "ball_boundary_slope_gap": (operator.le, 0.1),
+    "integration_match_rel": (operator.le, 1e-8),
+    "shooting_mu_rel_gap": (operator.le, 1e-8),
+    "shooting_alpha_rel_gap": (operator.le, 1e-8),
+    "certificate_found": (operator.gt, 0.0),
+    "slope_monotone_decrease": (operator.le, 1e-9),
+    "value_at_crossing": (operator.le, 1e-10),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,9 +176,12 @@ def _validated_spec(args):
     return spec
 
 
-def _check(name: str, value: float, threshold: float, larger_ok: bool = False) -> dict:
-    passed = value >= threshold if larger_ok else value <= threshold
-    return {"name": name, "value": value, "threshold": threshold, "passed": bool(passed)}
+def _check(name: str, value: float, scale: float = 1.0) -> dict:
+    """Gate ``value`` by the row of ``name`` in GATES, its threshold times ``scale``; NaN fails."""
+    relation, threshold = GATES[name.rstrip("_0123456789")]  # fd_slope_gap_0 reads fd_slope_gap
+    threshold = threshold * scale
+    return {"name": name, "value": value, "threshold": threshold,
+            "passed": bool(relation(value, threshold))}
 
 
 def _finish(report: dict, checks: list[dict], args) -> int:
@@ -221,12 +254,11 @@ def cmd_verify(args) -> int:
     conv = fd.convergence_order(spec, field, box, h_list, n_per_axis=args.grid)
 
     checks = [
-        _check("analytic_interior_max_rel", float(rel_int.max()), 1e-12),
-        _check("analytic_boundary_max_rel", float(rel_bdy.max()), 1e-12),
+        _check("analytic_interior_max_rel", float(rel_int.max())),
+        _check("analytic_boundary_max_rel", float(rel_bdy.max())),
     ]
-    for i in range(spec.m):
-        if not conv.degenerate[i]:
-            checks.append(_check(f"fd_slope_gap_{i}", abs(float(conv.slope[i]) - 2.0), 0.1))
+    checks += [_check(f"fd_slope_gap_{i}", abs(float(conv.slope[i]) - 2.0))
+               for i in range(spec.m) if not conv.degenerate[i]]
 
     report = {
         "command": "verify",
@@ -277,16 +309,14 @@ def cmd_moving_spheres(args) -> int:
     below = float(ki.min_w(u, samples, 0.9 * lam_exact)[0].min())
     above = float(ki.min_w(u, samples, 1.1 * lam_exact)[0].min())
 
-    checks = []
     if sweep.lambda_critical_numeric is None:
-        checks.append(_check("critical_radius_found", 0.0, 1.0, larger_ok=True))
         rel_gap = None
+        checks = [_check("critical_radius_found", 0.0)]
     else:
         rel_gap = abs(sweep.lambda_critical_numeric - lam_exact) / lam_exact
-        checks.append(_check("critical_radius_rel_gap", rel_gap, 1e-6))
-    checks.append(_check("min_w_below_critical", below, 0.0, larger_ok=True))
-    checks.append(_check("min_w_above_critical", -above, 0.0, larger_ok=True))
-    checks.append(_check("symmetry_sup_rel", float(symmetry.max()), 1e-10))
+        checks = [_check("critical_radius_rel_gap", rel_gap)]
+    checks += [_check("min_w_below_critical", below), _check("min_w_above_critical", -above),
+               _check("symmetry_sup_rel", float(symmetry.max()))]
 
     report = {
         "command": "moving-spheres",
@@ -354,23 +384,19 @@ def cmd_ball(args) -> int:
     psi_match = float(np.max(np.abs(cb.transform_v(setup, u, z_cmp) - psi_exact) / psi_exact))
 
     checks = [
-        _check("involution_max_rel", tprops.involution_max_rel, 1e-13),
-        {"name": "containment_strict", "value": tprops.containment_max_ratio,
-         "threshold": 1.0, "passed": tprops.containment_strict},
-        _check("boundary_sphere_max_rel", tprops.boundary_sphere_max_rel, 1e-12),
-        _check("plane_max_rel", max(tprops.plane_max_rel.values()), 1e-12),
-        _check("mirror_max_rel", max(tprops.mirror_max_rel.values()), 1e-12),
-        _check("radial_variation_max", float(variation.max()), 1e-10),
-        _check("alpha_condition_residual", alpha_res, 1e-10),
-        _check("closed_form_match_rel", psi_match, 1e-10),
+        _check("involution_max_rel", tprops.involution_max_rel),
+        _check("containment_strict", tprops.containment_max_ratio),
+        _check("boundary_sphere_max_rel", tprops.boundary_sphere_max_rel),
+        _check("plane_max_rel", max(tprops.plane_max_rel.values())),
+        _check("mirror_max_rel", max(tprops.mirror_max_rel.values())),
+        _check("radial_variation_max", float(variation.max())),
+        _check("alpha_condition_residual", alpha_res),
+        _check("closed_form_match_rel", psi_match),
     ]
-    for i in range(spec.m):
-        if not study.degenerate_interior[i]:
-            checks.append(_check(f"ball_interior_slope_gap_{i}",
-                                 abs(float(study.slope_interior[i]) - 2.0), 0.1))
-        if not study.degenerate_boundary[i]:
-            checks.append(_check(f"ball_boundary_slope_gap_{i}",
-                                 abs(float(study.slope_boundary[i]) - 2.0), 0.1))
+    checks += [_check(f"ball_{part}_slope_gap_{i}",
+                      abs(float(getattr(study, f"slope_{part}")[i]) - 2.0))
+               for i in range(spec.m) for part in ("interior", "boundary")
+               if not getattr(study, f"degenerate_{part}")[i]]
 
     report = {
         "command": "ball",
@@ -405,9 +431,9 @@ def cmd_radial(args) -> int:
     match_err = float(np.max(np.abs(traj.psi - exact) / exact))
 
     checks = [
-        _check("integration_match_rel", match_err, 1e-8),
-        _check("shooting_mu_rel_gap", mu_gap, 1e-8),
-        _check("shooting_alpha_rel_gap", alpha_gap, 1e-8),
+        _check("integration_match_rel", match_err),
+        _check("shooting_mu_rel_gap", mu_gap),
+        _check("shooting_alpha_rel_gap", alpha_gap),
     ]
     report = {
         "command": "radial",
@@ -439,11 +465,10 @@ def cmd_halfline(args) -> int:
     # relative to the largest slope, so the gate reads the same at every scale of u0
     monotone = float(np.max(np.diff(slopes, axis=0)) / np.max(np.abs(slopes)))
     checks = [
-        {"name": "certificate_found", "value": cert.t_star, "threshold": 0.0,
-         "passed": bool(cert.t_star > 0)},
-        _check("slope_monotone_decrease", monotone, 1e-9),
+        _check("certificate_found", cert.t_star),
+        _check("slope_monotone_decrease", monotone),
         _check("value_at_crossing", float(abs(cert.u_at_t_star[cert.failing_component])),
-               1e-10 * float(np.max(u0))),
+               float(np.max(u0))),
     ]
     report = {
         "command": "halfline",

@@ -1,6 +1,7 @@
-"""The mutation tool's anchors still match the package."""
+"""The mutation tool's anchors still match the package, and README lists every mutant."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -26,3 +27,10 @@ def test_mutant_anchor_occurs_once(name):
     text = (ROOT / "src" / "halfspace_bubbles" / file).read_text(encoding="utf-8")
     assert text.count(old) == 1
     assert old != new
+
+
+def test_readme_mutant_table_lists_every_mutant():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text[text.index("| mutant | site | mutation | result |"):]
+    rows = re.findall(r"^\| `([\w-]+)` \|", table.split("\n\n")[0], flags=re.M)
+    assert sorted(rows) == sorted(MUTANTS) and len(rows) == len(set(rows))

@@ -82,6 +82,11 @@ MUTANTS = {
     "fold-nan": ("fd_verifier.py", "np.argmax(np.stack([best[0], sups]), axis=0).astype(bool)",
                  "sups > best[0]"),
     "fold-offset": ("fd_verifier.py", "mags.argmax(axis=1) + offset", "mags.argmax(axis=1)"),
+    # the CLI's gates: value_at_crossing's threshold scales with max(u0), and
+    # containment in the ball is strict
+    "gate-scale": ("cli.py", "threshold = threshold * scale", "threshold = threshold"),
+    "gate-strict": ("cli.py", '"containment_strict": (operator.lt, 1.0)',
+                    '"containment_strict": (operator.le, 1.0)'),
     # the rare branches of the CSV number kernel: a tie between two candidates
     # goes to the even one, an even significand's interval holds its bounds,
     # and below a power of two the interval is half as wide
