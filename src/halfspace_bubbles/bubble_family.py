@@ -13,14 +13,13 @@ them and the spec's source and flux.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import IncompatibleBoundaryCoefficients, MalformedSpec, NoBubbleParameters
-from .exponent_system import EllipticSystemSpec, json_numbers
+from .exponent_system import EllipticSystemSpec, json_numbers, load_json
 
 __all__ = [
     "BubbleParams",
@@ -88,7 +87,7 @@ class BubbleParams:
         """Build from parsed JSON; sigma is one number, betas and y0 hold numbers only."""
         try:
             sigma, betas, y0 = (json_numbers(data[key], key) for key in ("sigma", "betas", "y0"))
-        except (TypeError, OverflowError) as exc:  # no JSON object, or an int past float range
+        except (KeyError, TypeError, OverflowError) as exc:  # no such key, no object, a huge int
             raise MalformedSpec(f"cannot build parameters: {exc}") from exc
         if sigma.ndim:
             raise MalformedSpec(f"sigma must be one number, got {data['sigma']!r}")
@@ -218,16 +217,23 @@ def compute_y0N(
     return y0N, per_row, spread
 
 
-def make_bubble_params(spec: EllipticSystemSpec, sigma: float) -> BubbleParams:
-    """Assemble the valid family member of the given scale centered above the origin.
+def make_bubble_params(spec: EllipticSystemSpec, sigma: float,
+                       tol_param: float = 1e-9) -> BubbleParams:
+    """The family member of scale sigma centered above the origin; ValueError if out of range.
 
-    Of a family of amplitudes (nullity > 0) it takes the minimum-norm log amplitudes.
+    Of a family of amplitudes (nullity > 0) it takes the minimum-norm log amplitudes, and
+    ``tol_param`` bounds the center heights' spread (:func:`compute_y0N`).
     """
-    betas = solve_betas(spec, sigma).betas()
-    y0N, _, _ = compute_y0N(spec, betas, sigma)
-    y0 = np.zeros(spec.N)
-    y0[-1] = y0N
-    return BubbleParams(sigma=sigma, betas=betas, y0=y0)
+    tiny = np.finfo(float).tiny
+    with np.errstate(all="ignore"):  # a scale out of range is the error below, not a warning
+        if sigma * sigma >= tiny and sigma * sigma * spec.N * (spec.N - 2) < np.inf:
+            betas = solve_betas(spec, sigma).betas()
+            if np.all((betas >= tiny) & (betas < np.inf)):
+                y0N, rows, _ = compute_y0N(spec, betas, sigma, tol_param)
+                if np.all(np.isfinite(rows) & ((rows != 0) == (spec.c != 0))):
+                    return BubbleParams(sigma, betas, np.append(np.zeros(spec.N - 1), y0N))
+    raise ValueError(f"sigma {sigma!r} is out of range: sigma^2, sigma^2 N (N-2) and the betas "
+                     "must be finite normal floats, the center heights finite, 0 only where c is")
 
 
 def _log_values(params: BubbleParams, pts: np.ndarray) -> np.ndarray:
@@ -325,6 +331,4 @@ def field_values(u, points: np.ndarray) -> np.ndarray:
 
 def load_params(path: str | Path) -> BubbleParams:
     """Read parameters from JSON with keys sigma, betas, y0 (extra keys ignored)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return BubbleParams.from_dict(data)
+    return BubbleParams.from_dict(load_json(path))

@@ -140,24 +140,17 @@ def _parse_box(text: str | None, N: int) -> np.ndarray:
     return box
 
 
-def _solve_at_sigma(spec, sigma: float, tol: float = 1e-9):
-    """solve_betas and compute_y0N at ``--sigma``: the solve, the params, the rows and spread."""
-    tiny = np.finfo(float).tiny
-    with np.errstate(all="ignore"):  # a scale out of range is the error below, not a warning
-        if sigma * sigma >= tiny and sigma * sigma * spec.N * (spec.N - 2) < np.inf:
-            solve = bf.solve_betas(spec, sigma)
-            if np.all((solve.betas() >= tiny) & (solve.betas() < np.inf)):
-                y0N, rows, spread = bf.compute_y0N(spec, solve.betas(), sigma, tol_param=tol)
-                if np.all(np.isfinite(rows) & ((rows != 0) == (spec.c != 0))):
-                    y0 = np.append(np.zeros(spec.N - 1), y0N)
-                    return solve, bf.BubbleParams(sigma, solve.betas(), y0), rows, spread
-    raise ValueError(f"--sigma {sigma!r} is out of range: sigma^2, sigma^2 N (N-2) and the betas "
-                     "must be finite normal floats, the center heights finite, 0 only where c is")
+def _params_at_sigma(spec, sigma: float, tol: float = 1e-9) -> bf.BubbleParams:
+    """make_bubble_params at ``--sigma``, an out-of-range error naming the flag."""
+    try:
+        return bf.make_bubble_params(spec, sigma, tol)
+    except ValueError as exc:
+        raise ValueError(f"--{exc}") from None
 
 
 def _load_params(args, spec) -> bf.BubbleParams:
     if args.params is None:
-        return _solve_at_sigma(spec, args.sigma)[1]
+        return _params_at_sigma(spec, args.sigma)
     params = bf.load_params(args.params)
     if params.y0.shape != (spec.N,) or params.betas.shape != (spec.m,):
         raise MalformedSpec(f"params of y0 shape {params.y0.shape} and betas shape "
@@ -167,11 +160,10 @@ def _load_params(args, spec) -> bf.BubbleParams:
 
 def _validated_spec(args):
     spec = load_spec(args.spec)
-    report = validate_spec(spec)
-    if not report.passed:
+    if not spec.admissible:
         raise MalformedSpec(
             "spec violates structural rules: "
-            + "; ".join(v.rule for v in report.violations)
+            + "; ".join(v.rule for v in validate_spec(spec).violations)
         )
     return spec
 
@@ -213,7 +205,9 @@ def cmd_validate(args) -> int:
 
 def cmd_solve_params(args) -> int:
     spec = _validated_spec(args)
-    solve, params, per_row, spread = _solve_at_sigma(spec, args.sigma, args.tol)
+    params = _params_at_sigma(spec, args.sigma, args.tol)
+    solve = bf.solve_betas(spec, args.sigma)
+    _, per_row, spread = bf.compute_y0N(spec, params.betas, args.sigma, args.tol)
     report = {
         "command": "solve-params",
         "spec": str(args.spec),
@@ -303,7 +297,7 @@ def cmd_moving_spheres(args) -> int:
     )
     # distances and field values once; each radius evaluates only its inverted points
     samples = ki.center_samples(u, x, shell)
-    sweep = ki.sweep_moving_spheres(spec, u, samples, lam_lo, lam_hi, n_lambda=args.n_lambda)
+    sweep = ki.sweep_moving_spheres(u, samples, lam_lo, lam_hi, n_lambda=args.n_lambda)
     symmetry = ki.verify_symmetry_identity(params, samples)
 
     below = float(ki.min_w(u, samples, 0.9 * lam_exact)[0].min())

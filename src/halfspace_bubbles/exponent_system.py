@@ -38,6 +38,7 @@ __all__ = [
     "boundary_row_target",
     "is_irreducible",
     "validate_spec",
+    "load_json",
     "load_spec",
 ]
 
@@ -59,8 +60,9 @@ def boundary_row_target(N: int) -> float:
 class EllipticSystemSpec:
     """Dimension, component count, exponent matrices and boundary coefficients; frozen.
 
-    A, B and c are read-only copies.  Specs compare and hash by ``key``, taken
-    once: N, m and the shape and bytes of A, B and c.
+    A, B and c are read-only copies, checked by :func:`ensure_well_formed` on
+    construction, copy and unpickling.  Specs compare and hash by ``key``,
+    taken once: N, m and the shape and bytes of A, B and c.
     """
 
     N: int
@@ -76,6 +78,7 @@ class EllipticSystemSpec:
         key = (self.N, self.m, *((x.shape, x.tobytes()) for x in (A, B, c)))
         # set past the frozen __setattr__; AT, BT and key are plain attributes, not fields
         self.__dict__.update(A=A, B=B, c=c, AT=A.T, BT=B.T, key=key)
+        ensure_well_formed(self)
 
     def __eq__(self, other):
         return isinstance(other, EllipticSystemSpec) and self.key == other.key
@@ -88,7 +91,7 @@ class EllipticSystemSpec:
 
     @functools.cached_property
     def admissible(self) -> bool:
-        """``validate_spec(self).passed``, taken once: here, or by a validate_spec call at TOL_ROW."""
+        """``validate_spec(self).passed`` at ``TOL_ROW``, taken once."""
         return validate_spec(self).passed
 
     def source(self, log_u: np.ndarray) -> np.ndarray:
@@ -112,7 +115,7 @@ class EllipticSystemSpec:
     def from_dict(cls, data: dict) -> "EllipticSystemSpec":
         """Build from parsed JSON: N and m are integers, A, B and c numbers, never coerced."""
         try:
-            spec = cls(
+            return cls(
                 N=_integer(data["N"], "N"),
                 m=_integer(data["m"], "m"),
                 A=json_numbers(data["A"], "A"),
@@ -121,8 +124,6 @@ class EllipticSystemSpec:
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedSpec(f"cannot build system data: {exc}") from exc
-        ensure_well_formed(spec)
-        return spec
 
 
 def _integer(value, name: str) -> int:
@@ -197,12 +198,11 @@ def validate_spec(spec: EllipticSystemSpec, tol_row: float = TOL_ROW) -> Validat
     """Check every structural rule and report all violations.
 
     Row sums are compared to their targets with relative tolerance
-    ``tol_row``; identical inputs give identical reports.  Not pure: at the
-    default ``TOL_ROW`` it stores its verdict in ``spec.admissible``.
+    ``tol_row``; identical inputs give identical reports.  Pure: the verdict
+    at ``TOL_ROW`` is cached by ``spec.admissible`` alone.
     """
     if tol_row <= 0:
         raise ValueError("tol_row must be positive")
-    ensure_well_formed(spec)
     m = int(spec.m)
     violations: list[Violation] = []
 
@@ -244,16 +244,21 @@ def validate_spec(spec: EllipticSystemSpec, tol_row: float = TOL_ROW) -> Validat
     if not is_irreducible(spec.A):
         violations.append(Violation("A_irreducible", None, 0.0, 1.0))
 
-    if tol_row == TOL_ROW:
-        spec.__dict__["admissible"] = not violations
     return ValidationReport(passed=not violations, violations=violations)
 
 
-def load_spec(path: str | Path) -> EllipticSystemSpec:
-    """Read system data from a JSON file with keys N, m, A, B, c (row-major matrices)."""
+def load_json(path: str | Path) -> dict:
+    """The JSON object in a file; invalid JSON, or a value that is no object, raises MalformedSpec."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MalformedSpec(f"invalid JSON in {path}: {exc}") from exc
-    return EllipticSystemSpec.from_dict(data)
+    if not isinstance(data, dict):
+        raise MalformedSpec(f"{path} holds no JSON object")
+    return data
+
+
+def load_spec(path: str | Path) -> EllipticSystemSpec:
+    """Read system data from a JSON file with keys N, m, A, B, c (row-major matrices)."""
+    return EllipticSystemSpec.from_dict(load_json(path))

@@ -25,7 +25,6 @@ import numpy as np
 
 from .bubble_family import BubbleParams, evaluate_bubble, field_values, squared_distance
 from .errors import BadBracket, SingularPoint
-from .exponent_system import EllipticSystemSpec
 
 __all__ = [
     "SweepResult",
@@ -179,7 +178,6 @@ class SweepResult:
 
 
 def sweep_moving_spheres(
-    spec: EllipticSystemSpec,
     u,
     samples: CenteredSamples,
     lambda_lo: float,
@@ -214,8 +212,8 @@ def sweep_moving_spheres(
         raise ValueError("need 0 < lambda_lo < lambda_hi")
 
     grid = np.geomspace(lambda_lo, lambda_hi, n_lambda)
-    mins = np.empty((n_lambda, spec.m))
-    argmins = np.empty((n_lambda, spec.m, samples.points.shape[1]))
+    mins = np.empty((n_lambda, samples.values.shape[1]))
+    argmins = np.empty(mins.shape + samples.points.shape[1:])
     for k, lam in enumerate(grid):
         mins[k], argmins[k] = min_w(u, samples, float(lam))
 

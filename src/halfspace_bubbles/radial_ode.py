@@ -134,6 +134,28 @@ def _series_eval(a, r):
     return powers @ a, 2 * r[:, None] * (powers[:, :-1] @ (k[1:, None] * a[1:]))
 
 
+def _cone_flow(spec, y0, span, rtol, atol, radial):
+    """DOP853 run of psi'' = -damping psi' - source(psi), damping (N-1)/r if ``radial`` else 0,
+    from y0 = (psi, psi') to the first fall of min(psi) through zero; StepFailure if it stalls.
+    """
+    m, source = y0.shape[0] // 2, spec.source
+
+    def rhs(r, y):
+        out = np.empty(2 * m)
+        out[:m] = y[m:]
+        out[m:] = -source(np.log(np.maximum(y[:m], POSITIVITY_FLOOR)))
+        if radial:
+            out[m:] -= (spec.N - 1) / r * y[m:]
+        return out
+
+    sol = solve_ivp(rhs, span, y0, rtol=rtol, atol=atol,
+                    event=lambda r, y: float(np.min(y[:m])))  # positivity
+    if sol.status == FAILED:
+        run, var = ("integration", "r") if radial else ("half-line integration", "t")
+        raise StepFailure(f"{run} stalled: step below ten ulp of {var} = {sol.t[-1]:.6g}")
+    return sol
+
+
 def integrate_radial(
     spec: EllipticSystemSpec, psi0: np.ndarray, r_end: float, tol: float
 ) -> RadialTrajectory:
@@ -158,26 +180,14 @@ def integrate_radial(
         raise ValueError("initial values must be positive and finite")
     if not (r_end > 0 and tol > 0):
         raise ValueError("need r_end > 0 and tol > 0")
-    m, source = psi0.shape[0], spec.source
+    m = psi0.shape[0]
     a = _series_coefficients(spec, psi0)
     r_s = _series_launch_radius(spec, a, r_end, tol)
     psi_s, dpsi_s = _series_eval(a, np.array([r_s]))
-    y0 = np.concatenate([psi_s[0], dpsi_s[0]])
-
-    def rhs(r, y):
-        psi = np.maximum(y[:m], POSITIVITY_FLOOR)
-        dpsi = y[m:]
-        out = np.empty(2 * m)
-        out[:m] = dpsi
-        out[m:] = -(spec.N - 1) / r * dpsi - source(np.log(psi))
-        return out
-
-    sol = solve_ivp(rhs, (r_s, r_end), y0, rtol=tol, atol=0.0,
-                    event=lambda r, y: float(np.min(y[:m])))  # positivity
+    sol = _cone_flow(spec, np.concatenate([psi_s[0], dpsi_s[0]]), (r_s, r_end), tol, 0.0,
+                     radial=True)
     if sol.status == EVENT:
         raise PositivityLoss(f"component reached zero at r = {sol.t[-1]:.6g}")
-    if sol.status == FAILED:
-        raise StepFailure(f"integration stalled: step below ten ulp of r = {sol.t[-1]:.6g}")
 
     def dense(r):
         psi, dpsi = np.empty((2, r.size, m))
@@ -368,22 +378,8 @@ def _unit_halfline(spec, v0_bytes):
     Raises StepFailure or HorizonExceeded here, so a failed run is never cached.
     """
     v0 = np.frombuffer(v0_bytes)
-    m, source = v0.shape[0], spec.source
-
-    def rhs(t, y):
-        v = np.maximum(y[:m], POSITIVITY_FLOOR)
-        out = np.empty(2 * m)
-        out[:m] = y[m:]
-        out[m:] = -source(np.log(v))
-        return out
-
     y0 = np.concatenate([v0, spec.flux(np.log(v0))])
-    sol = solve_ivp(rhs, (0.0, HORIZON), y0, rtol=1e-12, atol=1e-14,
-                    event=lambda t, y: float(np.min(y[:m])))
-    if sol.status == FAILED:
-        raise StepFailure(
-            f"half-line integration stalled: step below ten ulp of t = {sol.t[-1]:.6g}"
-        )
+    sol = _cone_flow(spec, y0, (0.0, HORIZON), 1e-12, 1e-14, radial=False)
     if sol.status != EVENT:
         raise HorizonExceeded(
             f"no positivity breakdown located before t = {HORIZON:g}; "

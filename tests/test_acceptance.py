@@ -129,7 +129,7 @@ def test_criterion_4_moving_spheres():
             lam = critical_lambda_exact(params, x)
             samples = polar_shell(x, 0.3 * lam * (1 + 1e-9), 50.0 * lam, 24, 32, seed=307)
             centered = center_samples(u, x, samples)
-            sweep = sweep_moving_spheres(spec, u, centered, 0.3 * lam, 3.0 * lam, n_lambda=33)
+            sweep = sweep_moving_spheres(u, centered, 0.3 * lam, 3.0 * lam, n_lambda=33)
             assert sweep.lambda_critical_numeric is not None
             worst_gap = max(worst_gap, abs(sweep.lambda_critical_numeric - lam) / lam)
             for factor, want_positive in ((0.9, True), (1.1, False)):

@@ -243,6 +243,54 @@ def test_solve_params_passes_at_extreme_scales_inside_the_range(sigma, spec_file
     assert report["y0"][-1] == pytest.approx(-np.sqrt(3.0) * float(sigma), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma, in_range", [
+    *((sigma, False) for sigma in ("1e200", "1e154", "1e-200", "1e-160")),
+    *((sigma, True) for sigma in ("1e150", "1e-150", "1e-9", "1", "1e9")),
+])
+def test_library_member_at_sigma_is_the_solve_params_report(
+    sigma, in_range, spec_file, tmp_path, capsys
+):
+    # make_bubble_params owns the range rule: it raises exactly where --sigma exits 2,
+    # and in range returns the reported params bit for bit (y0N read -1.7320411e-160)
+    out = tmp_path / "params.json"
+    code = run("solve-params", "--spec", spec_file, "--sigma", sigma, "--out", out)
+    spec = EllipticSystemSpec.from_dict(json.loads(spec_file.read_text()))
+    if not in_range:
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error_code"] == "input_error"
+        with pytest.raises(ValueError, match="is out of range"):
+            make_bubble_params(spec, float(sigma))
+        return
+    assert code == 0
+    params = make_bubble_params(spec, float(sigma))
+    report = json.loads(out.read_text())
+    assert params.betas.tobytes() == np.array(report["betas"]).tobytes()
+    assert params.y0.tobytes() == np.array(report["y0"]).tobytes()
+
+
+PARAMS_FILES = {
+    # each exited 2 as input_error with a bare detail, the last two with "'sigma'"
+    "invalid-json": ("{{not json", "{path}"),
+    "missing-key": ('{{"betas": [1.0], "y0": [0.0, 0.0, -1.0]}}', "'sigma'"),
+    "spec-file": ("{spec}", "'sigma'"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(PARAMS_FILES))
+@pytest.mark.parametrize("command", ["verify", "radial"])
+def test_unreadable_params_file_is_malformed(command, case, spec_file, tmp_path, capsys):
+    text, named = PARAMS_FILES[case]
+    path = tmp_path / "params.json"
+    path.write_text(text.format(spec=spec_file.read_text()))
+    assert run(command, "--spec", spec_file, "--params", path, "--out", tmp_path / "out.json") == 2
+    # one error object on stderr and nothing else; its detail names the file or the key
+    error = json.loads(capsys.readouterr().err)
+    assert error["error_code"] == "malformed_spec"
+    assert named.format(path=path) in error["detail"]
+
+
 @pytest.mark.parametrize("u0", ["1e100", "1e-100"])
 def test_halfline_passes_at_extreme_scales_inside_the_range(u0, spec_file, tmp_path):
     assert run("halfline", "--spec", spec_file, "--u0", u0, "--out", tmp_path / "h.json") == 0
@@ -287,7 +335,9 @@ def test_params_file_that_is_no_object_exits_two(command, spec_file, tmp_path, c
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
     assert run(command, "--spec", spec_file, "--params", path, "--out", tmp_path / "out.json") == 2
-    assert json.loads(capsys.readouterr().err)["error_code"] == "malformed_spec"
+    error = json.loads(capsys.readouterr().err)
+    assert error["error_code"] == "malformed_spec"
+    assert str(path) in error["detail"]
 
 
 @pytest.mark.parametrize(

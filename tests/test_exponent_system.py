@@ -120,6 +120,28 @@ def test_malformed_shapes_raise():
         validate_spec(EllipticSystemSpec(N=2, m=1, A=[[5.0]], B=[[3.0]], c=[-1.0]))
 
 
+def test_malformed_spec_raises_at_construction_copy_and_unpickling(spec_f3):
+    with pytest.raises(MalformedSpec, match="boundary coefficient vector"):
+        EllipticSystemSpec(N=4, m=2, A=spec_f3.A, B=spec_f3.B, c=[-1.0])
+    with pytest.raises(MalformedSpec, match="boundary coefficient vector"):
+        dataclasses.replace(spec_f3, c=[[-1.0, -1.0]])
+    # a spec whose c was swapped past the frozen fields: its copies are checked anew
+    spec = EllipticSystemSpec(N=4, m=2, A=spec_f3.A, B=spec_f3.B, c=spec_f3.c)
+    spec.__dict__["c"] = np.array([-1.0, -1.0, -1.0])
+    for round_trip in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+        with pytest.raises(MalformedSpec, match="boundary coefficient vector"):
+            round_trip(spec)
+
+
+def test_validate_spec_writes_nothing_into_its_spec(spec_f3):
+    spec = EllipticSystemSpec(N=3, m=1, A=[[6.0]], B=[[3.0]], c=[0.0])
+    for checked in (spec, spec_f3):
+        before = dict(checked.__dict__)
+        validate_spec(checked)
+        assert checked.__dict__.keys() == before.keys()
+    assert spec.admissible is False
+
+
 def test_is_irreducible_examples():
     assert is_irreducible(np.array([[0.0, 5.0], [5.0, 0.0]]))
     assert not is_irreducible(np.array([[3.0, 0.0], [0.0, 3.0]]))

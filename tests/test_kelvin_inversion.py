@@ -93,12 +93,12 @@ class TestKelvinPoint:
             with pytest.raises(ValueError, match="inversion radius must be positive"):
                 invert()
 
-    def test_center_must_be_on_boundary(self, spec_f1, params_f1):
+    def test_center_must_be_on_boundary(self, params_f1):
         # the boundary-center rule belongs to the moving-spheres sweep
         x = np.array([0.0, 0.0, 0.1])
         samples = sweep_samples(x, 0.3, 1.0)
         with pytest.raises(ValueError, match="boundary hyperplane"):
-            sweep(spec_f1, bubble_field(params_f1), x, samples, 0.3, 3.0)
+            sweep(bubble_field(params_f1), x, samples, 0.3, 3.0)
 
 
 class TestKelvinTransform:
@@ -169,10 +169,10 @@ def sweep_samples(x, lam_lo, lam, n_radii=24, n_dirs=32, seed=103):
     return polar_shell(x, lam_lo * (1 + 1e-9), 50.0 * lam, n_radii, n_dirs, seed=seed)
 
 
-def sweep(spec, u, x, points, lambda_lo, lambda_hi, **kwargs):
+def sweep(u, x, points, lambda_lo, lambda_hi, **kwargs):
     """The moving-spheres sweep about x over the points."""
     samples = center_samples(u, x, points)
-    return sweep_moving_spheres(spec, u, samples, lambda_lo, lambda_hi, **kwargs)
+    return sweep_moving_spheres(u, samples, lambda_lo, lambda_hi, **kwargs)
 
 
 def symmetry_sup(params, x, points):
@@ -181,11 +181,11 @@ def symmetry_sup(params, x, points):
 
 
 class TestSweep:
-    def test_locates_critical_radius(self, spec_f1, params_f1):
+    def test_locates_critical_radius(self, params_f1):
         u = bubble_field(params_f1)
         x = np.zeros(3)
         samples = sweep_samples(x, 0.3, 1.0)
-        result = sweep(spec_f1, u, x, samples, 0.3, 3.0, n_lambda=33)
+        result = sweep(u, x, samples, 0.3, 3.0, n_lambda=33)
         assert result.lambda_critical_numeric == pytest.approx(1.0, rel=1e-6)
         lo, hi = result.bracket
         assert lo <= result.lambda_critical_numeric <= hi
@@ -211,21 +211,21 @@ class TestSweep:
         x = np.zeros(spec.N)
         lam = critical_lambda_exact(params, x)
         samples = sweep_samples(x, 0.2 * lam, lam)
-        result = sweep(spec, u, x, samples, 0.2 * lam, 0.9 * lam, n_lambda=17)
+        result = sweep(u, x, samples, 0.2 * lam, 0.9 * lam, n_lambda=17)
         assert result.lambda_critical_numeric is None
         assert np.all(result.min_w > 0.0)
 
-    def test_bad_bracket(self, spec_f1, params_f1):
+    def test_bad_bracket(self, params_f1):
         u = bubble_field(params_f1)
         x = np.zeros(3)
         samples = sweep_samples(x, 1.5, 1.0)
         with pytest.raises(BadBracket):
-            sweep(spec_f1, u, x, samples, 1.5, 3.0)
+            sweep(u, x, samples, 1.5, 3.0)
 
-    def test_samples_inside_lambda_lo_rejected(self, spec_f1, params_f1):
+    def test_samples_inside_lambda_lo_rejected(self, params_f1):
         samples = standard_samples(np.zeros(3), 1.0)
         with pytest.raises(ValueError):
-            sweep(spec_f1, bubble_field(params_f1), np.zeros(3), samples, 0.5, 3.0)
+            sweep(bubble_field(params_f1), np.zeros(3), samples, 0.5, 3.0)
 
 
 tangential = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)
@@ -253,10 +253,10 @@ def test_critical_radius_is_scale_and_translation_covariant(name, log_s, shift, 
 @given(name=st.sampled_from(FIXTURE_NAMES), log_s=st.floats(-8.0, 8.0),
        shift=tangential, x_tang=tangential)
 def test_sweep_radius_is_scale_and_translation_covariant(name, log_s, shift, x_tang):
-    spec, params, x, moved, x_moved, s = moved_case(name, log_s, shift, x_tang)
+    _, params, x, moved, x_moved, s = moved_case(name, log_s, shift, x_tang)
     lam = s * critical_lambda_exact(params, x)
     samples = sweep_samples(x_moved, 0.3 * lam, lam)
-    result = sweep(spec, bubble_field(moved), x_moved, samples, 0.3 * lam, 3.0 * lam)
+    result = sweep(bubble_field(moved), x_moved, samples, 0.3 * lam, 3.0 * lam)
     assert result.lambda_critical_numeric == pytest.approx(lam, rel=1e-6)
 
 
@@ -417,10 +417,10 @@ class TestPointsInnermost:
             assert argmins.tobytes() == ref_argmins.tobytes()
             # of a tied pair the first in the caller's order: a mirror image
             assert np.all((argmins[:, None, :] == mirrored).all(axis=-1).any(axis=-1))
-        result = sweep_moving_spheres(spec, u, samples, 0.3 * lam, 3.0 * lam)
+        result = sweep_moving_spheres(u, samples, 0.3 * lam, 3.0 * lam)
         monkeypatch.setattr(ki, "_w_outside", point_major_w_outside)
         monkeypatch.setattr(ki, "min_w", point_major_min_w)
-        reference = sweep_moving_spheres(spec, u, samples, 0.3 * lam, 3.0 * lam)
+        reference = sweep_moving_spheres(u, samples, 0.3 * lam, 3.0 * lam)
         assert result.min_w.tobytes() == reference.min_w.tobytes()
         assert result.argmin_points.tobytes() == reference.argmin_points.tobytes()
         assert (result.lambda_critical_numeric, result.bracket) == (

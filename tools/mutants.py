@@ -41,14 +41,13 @@ MUTANTS = {
     "center-height": ("bubble_family.py", "(spec.B - spec.A).T", "(spec.B - spec.A)"),
     # the half-line's signs: c in the initial slope, and u'' = -source
     "halfline-slope-sign": ("radial_ode.py", "[v0, spec.flux(", "[v0, -spec.flux("),
-    "halfline-rhs-sign": ("radial_ode.py", "out[m:] = -source(np.log(v))",
-                          "out[m:] = source(np.log(v))"),
+    "halfline-rhs-sign": ("radial_ode.py", "out[m:] = -source(", "out[m:] = source("),
     # the sign of c in each boundary law
     "robin-c-sign": ("radial_ode.py", "* psi + flux", "* psi - flux"),
     "levels-c-sign": ("fd_verifier.py", "(d_in - robin) - flux", "(d_in - robin) + flux"),
     "analytic-c-sign": ("bubble_family.py", "np.abs(dN - flux)", "np.abs(dN + flux)"),
     # the radial Laplacian's (N-1)/r
-    "radial-damping": ("radial_ode.py", "-(spec.N - 1) / r", "-(spec.N - 2) / r"),
+    "radial-damping": ("radial_ode.py", "(spec.N - 1) / r", "(spec.N - 2) / r"),
     # the Kelvin image's slope s**N phi'(s) = -(N-2) psi(t) / t - psi'(t), read for s > 1
     "image-slope": ("radial_ode.py", "-(N - 2) * psi / t - dpsi", "-(N - 2) * psi / t + dpsi"),
     # the Robin coefficient (N-2)/(4d), in the shooting and in the ball's residual
@@ -82,6 +81,10 @@ MUTANTS = {
     "fold-nan": ("fd_verifier.py", "np.argmax(np.stack([best[0], sups]), axis=0).astype(bool)",
                  "sups > best[0]"),
     "fold-offset": ("fd_verifier.py", "mags.argmax(axis=1) + offset", "mags.argmax(axis=1)"),
+    # a subnormal sigma^2 is out of range, and a params file without a key is malformed
+    "sigma-range": ("bubble_family.py", "sigma * sigma >= tiny and ", ""),
+    "params-missing-key": ("bubble_family.py", "except (KeyError, TypeError, OverflowError)",
+                           "except (TypeError, OverflowError)"),
     # the CLI's gates: value_at_crossing's threshold scales with max(u0), and
     # containment in the ball is strict
     "gate-scale": ("cli.py", "threshold = threshold * scale", "threshold = threshold"),

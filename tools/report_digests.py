@@ -10,7 +10,8 @@ on f3 and the incompatible-rows spec x3, a spec that fails validation,
 and the error paths: sweeps that start past the critical radius or end
 below it, a shot
 that cannot meet the Robin condition on incompatible boundary rows, and
-unusable inputs.  Last, ``radial`` runs again on f2, f4 and x3, now on the
+unusable inputs (among them a params file of invalid JSON, a spec file
+passed as params, and a sigma whose square is subnormal).  Last, ``radial`` runs again on f2, f4 and x3, now on the
 roots this process has cached, and on f2 at sigma = 2, once on the root the
 sigma = 1 call cached and once fresh after the cache is cleared, so each
 cached call prints next to the digests of its fresh twin.  Each call
@@ -100,6 +101,12 @@ def main(outdir: str) -> int:
     matrix["x3.radial"] = ["radial", "--params", "f3.solve-params.json"]
     # f3's parameters on f2, whose N and m they do not fit: exit 2, malformed_spec
     matrix["f2.radial-f3-params"] = ["radial", "--params", "f3.solve-params.json"]
+    # a params file of invalid JSON, and a spec file as params: exit 2, malformed_spec
+    Path("bad-json.params.json").write_text("{not json", encoding="utf-8")
+    matrix["f2.verify-bad-json-params"] = ["verify", "--params", "bad-json.params.json"]
+    matrix["f2.radial-spec-as-params"] = ["radial", "--params", "f2.spec.json"]
+    # sigma^2 subnormal, where the center height loses its digits: exit 2, input_error
+    matrix["f2.solve-params-subnormal-sigma"] = ["solve-params", "--sigma", "1e-160"]
     # transport far from the boundary, where the recovered (mu, alphas) could cancel
     matrix["deep.ball"] = ["ball"]
     matrix["deep.radial"] = ["radial"]
