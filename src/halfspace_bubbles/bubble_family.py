@@ -47,6 +47,10 @@ RANK_RCOND = 1e-10
 # amplitude system inconsistent.
 TOL_SOLVE = 1e-10
 
+# A spread of the boundary rows' center heights above this times the largest
+# |height| admits no single bubble center.
+TOL_HEIGHT = 1e-9
+
 
 @dataclass
 class BubbleParams:
@@ -190,17 +194,14 @@ def solve_betas(spec: EllipticSystemSpec, sigma: float) -> LogLinearSolveResult:
 
 
 def compute_y0N(
-    spec: EllipticSystemSpec,
-    betas: np.ndarray,
-    sigma: float,
-    tol_param: float = 1e-9,
+    spec: EllipticSystemSpec, betas: np.ndarray, sigma: float
 ) -> tuple[float, np.ndarray, float]:
     """Center height implied by each boundary row, with consistency spread.
 
     Row ``i`` demands ``y0N = sigma^2 N c[i] prod_j betas[j]**(B[i,j]-A[i,j])``.
     Returns the mean over rows, the per-row values, and the maximum
     deviation from the mean.  The mean is never silently used as "the"
-    value: a spread above ``tol_param * max_i |y0N_i|`` raises, a bound
+    value: a spread above ``TOL_HEIGHT * max_i |y0N_i|`` raises, a bound
     relative to the heights' own scale, so the verdict holds at every sigma.
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
@@ -209,7 +210,7 @@ def compute_y0N(
     per_row = sigma**2 * spec.N * spec.c * np.exp(np.log(betas) @ (spec.B - spec.A).T)
     y0N = float(np.mean(per_row))
     spread = float(np.max(np.abs(per_row - y0N)))
-    if spread > tol_param * float(np.max(np.abs(per_row))):
+    if spread > TOL_HEIGHT * float(np.max(np.abs(per_row))):
         raise IncompatibleBoundaryCoefficients(
             f"boundary rows give center heights {per_row.tolist()}; "
             f"spread {spread:.3e} admits no single bubble center"
@@ -217,19 +218,18 @@ def compute_y0N(
     return y0N, per_row, spread
 
 
-def make_bubble_params(spec: EllipticSystemSpec, sigma: float,
-                       tol_param: float = 1e-9) -> BubbleParams:
+def make_bubble_params(spec: EllipticSystemSpec, sigma: float) -> BubbleParams:
     """The family member of scale sigma centered above the origin; ValueError if out of range.
 
     Of a family of amplitudes (nullity > 0) it takes the minimum-norm log amplitudes, and
-    ``tol_param`` bounds the center heights' spread (:func:`compute_y0N`).
+    its boundary rows must agree on one center height (:func:`compute_y0N`).
     """
     tiny = np.finfo(float).tiny
     with np.errstate(all="ignore"):  # a scale out of range is the error below, not a warning
         if sigma * sigma >= tiny and sigma * sigma * spec.N * (spec.N - 2) < np.inf:
             betas = solve_betas(spec, sigma).betas()
             if np.all((betas >= tiny) & (betas < np.inf)):
-                y0N, rows, _ = compute_y0N(spec, betas, sigma, tol_param)
+                y0N, rows, _ = compute_y0N(spec, betas, sigma)
                 if np.all(np.isfinite(rows) & ((rows != 0) == (spec.c != 0))):
                     return BubbleParams(sigma, betas, np.append(np.zeros(spec.N - 1), y0N))
     raise ValueError(f"sigma {sigma!r} is out of range: sigma^2, sigma^2 N (N-2) and the betas "

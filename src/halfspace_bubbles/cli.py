@@ -37,7 +37,7 @@ from .errors import (
     SingularPoint,
     StencilOutOfDomain,
 )
-from .exponent_system import load_spec, validate_spec
+from .exponent_system import TOL_ROW, load_spec, validate_spec
 
 DEFAULT_SEED = 20240901
 
@@ -140,10 +140,10 @@ def _parse_box(text: str | None, N: int) -> np.ndarray:
     return box
 
 
-def _params_at_sigma(spec, sigma: float, tol: float = 1e-9) -> bf.BubbleParams:
+def _params_at_sigma(spec, sigma: float) -> bf.BubbleParams:
     """make_bubble_params at ``--sigma``, an out-of-range error naming the flag."""
     try:
-        return bf.make_bubble_params(spec, sigma, tol)
+        return bf.make_bubble_params(spec, sigma)
     except ValueError as exc:
         raise ValueError(f"--{exc}") from None
 
@@ -196,8 +196,8 @@ def _csv_path(args, stem: str) -> Path:
 
 def cmd_validate(args) -> int:
     spec = load_spec(args.spec)
-    report = validate_spec(spec, tol_row=args.tol)
-    out = {"command": "validate", "spec": str(args.spec), "tol_row": args.tol}
+    report = validate_spec(spec)
+    out = {"command": "validate", "spec": str(args.spec), "tol_row": TOL_ROW}
     out.update(reporting.jsonable(report))
     reporting.write_report(out, args.out)
     return 0 if report.passed else 1
@@ -205,9 +205,9 @@ def cmd_validate(args) -> int:
 
 def cmd_solve_params(args) -> int:
     spec = _validated_spec(args)
-    params = _params_at_sigma(spec, args.sigma, args.tol)
+    params = _params_at_sigma(spec, args.sigma)
     solve = bf.solve_betas(spec, args.sigma)
-    _, per_row, spread = bf.compute_y0N(spec, params.betas, args.sigma, args.tol)
+    _, per_row, spread = bf.compute_y0N(spec, params.betas, args.sigma)
     report = {
         "command": "solve-params",
         "spec": str(args.spec),
@@ -339,7 +339,7 @@ def cmd_ball(args) -> int:
     N = spec.N
     seed = args.seed
 
-    n_samples = max(args.grid**2, 10000)
+    n_samples = args.grid**2
     box = np.tile([-5.0 * d, 5.0 * d], (N, 1))
     box[-1] = [1e-6 * d, 5.0 * d]
     samples = sampling.halfspace_box_points(box, n_samples, seed)
@@ -485,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="halfspace-bubbles", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, params=False, tol_help=None, csv=False, seed=False):
+    def command(name, func, summary, params=False, csv=False, seed=False):
         """Subcommand parser with the shared flags it reads."""
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
@@ -494,8 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--params", help="parameter JSON file (sigma, betas, y0)")
             p.add_argument("--sigma", type=_positive_float, default=1.0,
                            help="solve parameters at this scale instead")
-        if tol_help is not None:
-            p.add_argument("--tol", type=_positive_float, default=1e-9, help=tol_help)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         if csv:
             p.add_argument("--csv", action="store_true", help="also write the CSV table")
@@ -504,11 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="sample-set seed")
         return p
 
-    command("validate", cmd_validate, "check the structural rules of a spec file",
-            tol_help="relative row-sum tolerance (default 1e-9)")
+    command("validate", cmd_validate, "check the structural rules of a spec file")
 
-    p = command("solve-params", cmd_solve_params, "solve the amplitude system and center height",
-                tol_help="center-height spread tolerance (default 1e-9)")
+    p = command("solve-params", cmd_solve_params, "solve the amplitude system and center height")
     p.add_argument("--sigma", type=_positive_float, default=1.0, help="length scale (default 1.0)")
 
     p = command("verify", cmd_verify, "analytic and finite-difference residual checks",
@@ -529,8 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("ball", cmd_ball, "conformal transport checks and parameter recovery",
                 params=True, seed=True)
-    p.add_argument("--grid", type=_int_at_least(1), default=100,
-                   help="sqrt of sample count, at least 10,000")
+    p.add_argument("--grid", type=_int_at_least(100), default=100,
+                   help="sqrt of the mapping sample count")
     p.add_argument("--h", type=_positive_float, help="finite-difference step")
 
     command("radial", cmd_radial, "Robin shooting, its profile against the closed form",

@@ -117,7 +117,7 @@ def verify_T_properties(
     setup: ConformalSetup,
     boundary_xs: list[np.ndarray],
     samples: np.ndarray,
-    seed: int = 20240901,
+    seed: int,
 ) -> TPropertyReport:
     """Measure all four mapping properties of T on the given samples.
 
@@ -216,7 +216,7 @@ def verify_radial(
     setup: ConformalSetup,
     v,
     radii: np.ndarray,
-    seed: int = 20240902,
+    seed: int,
 ) -> np.ndarray:
     """Per-radius max of |v - sphere mean| / mean over component spheres about Q.
 

@@ -13,9 +13,9 @@ taken in log space: the exponents are fractional, the values span decades.
 The structural constraints (row sums pinned to the scale-critical values,
 non-negative exponents, irreducibility of ``A``, diagonal boundary rows
 wherever ``c[i] >= 0``) are exact identities in exact arithmetic.  Inputs
-arrive as decimal text, so this module checks them to a relative tolerance
-``tol_row`` instead; the tolerance policy is an artifact of floating-point
-input handling, not part of the mathematical structure.
+arrive as decimal text, so this module checks them to the fixed relative
+tolerance ``TOL_ROW`` instead; the tolerance policy is an artifact of
+floating-point input handling, not part of the mathematical structure.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-TOL_ROW = 1e-9  # the default relative tolerance of the row-sum checks
+TOL_ROW = 1e-9  # the relative tolerance of the row-sum and diagonal checks
 
 
 def interior_row_target(N: int) -> float:
@@ -91,7 +91,7 @@ class EllipticSystemSpec:
 
     @functools.cached_property
     def admissible(self) -> bool:
-        """``validate_spec(self).passed`` at ``TOL_ROW``, taken once."""
+        """``validate_spec(self).passed``, taken once."""
         return validate_spec(self).passed
 
     def source(self, log_u: np.ndarray) -> np.ndarray:
@@ -194,15 +194,13 @@ def is_irreducible(A: np.ndarray) -> bool:
     return bool(reach.all())
 
 
-def validate_spec(spec: EllipticSystemSpec, tol_row: float = TOL_ROW) -> ValidationReport:
+def validate_spec(spec: EllipticSystemSpec) -> ValidationReport:
     """Check every structural rule and report all violations.
 
     Row sums are compared to their targets with relative tolerance
-    ``tol_row``; identical inputs give identical reports.  Pure: the verdict
-    at ``TOL_ROW`` is cached by ``spec.admissible`` alone.
+    ``TOL_ROW``; identical inputs give identical reports.  Pure: the verdict
+    is cached by ``spec.admissible`` alone.
     """
-    if tol_row <= 0:
-        raise ValueError("tol_row must be positive")
     m = int(spec.m)
     violations: list[Violation] = []
 
@@ -220,10 +218,10 @@ def validate_spec(spec: EllipticSystemSpec, tol_row: float = TOL_ROW) -> Validat
     row_a = spec.A.sum(axis=1)
     row_b = spec.B.sum(axis=1)
     for i in range(m):
-        if abs(row_a[i] - target_a) > tol_row * max(1.0, abs(target_a)):
+        if abs(row_a[i] - target_a) > TOL_ROW * max(1.0, abs(target_a)):
             violations.append(Violation("A_row_sum", i, row_a[i], target_a))
     for i in range(m):
-        if abs(row_b[i] - target_b) > tol_row * max(1.0, abs(target_b)):
+        if abs(row_b[i] - target_b) > TOL_ROW * max(1.0, abs(target_b)):
             violations.append(Violation("B_row_sum", i, row_b[i], target_b))
 
     # Rows with non-negative coefficient must couple to their own component only.
@@ -231,7 +229,7 @@ def validate_spec(spec: EllipticSystemSpec, tol_row: float = TOL_ROW) -> Validat
         if spec.c[i] >= 0:
             for j in range(m):
                 expected = target_b if i == j else 0.0
-                if abs(spec.B[i, j] - expected) > tol_row * max(1.0, target_b):
+                if abs(spec.B[i, j] - expected) > TOL_ROW * max(1.0, target_b):
                     violations.append(
                         Violation("B_diagonal_when_c_nonnegative", (i, j), spec.B[i, j], expected)
                     )

@@ -357,7 +357,7 @@ def convergence_order(
     u,
     box: np.ndarray,
     h_list: np.ndarray,
-    n_per_axis: int = 8,
+    n_per_axis: int,
 ) -> ConvergenceReport:
     """:func:`residual_study` of a field over the lattices of a half-space box.
 

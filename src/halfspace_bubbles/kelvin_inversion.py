@@ -182,7 +182,7 @@ def sweep_moving_spheres(
     samples: CenteredSamples,
     lambda_lo: float,
     lambda_hi: float,
-    n_lambda: int = 33,
+    n_lambda: int,
 ) -> SweepResult:
     """Track min w about ``samples.x`` over a geometric radius grid and bisect its sign change.
 
@@ -201,7 +201,8 @@ def sweep_moving_spheres(
         the critical radius.
     ValueError
         If ``samples.x`` is off the boundary hyperplane, where inversions
-        do not preserve the boundary condition.
+        do not preserve the boundary condition, or the radii reach past the
+        samples: a radius beyond the farthest sample inverts none.
     """
     x = samples.x
     if x[-1] != 0.0:
@@ -210,6 +211,9 @@ def sweep_moving_spheres(
         raise ValueError("all samples must lie outside the ball of radius lambda_lo about x")
     if not (0 < lambda_lo < lambda_hi):
         raise ValueError("need 0 < lambda_lo < lambda_hi")
+    if lambda_hi > samples.dist[-1]:
+        raise ValueError(f"lambda_hi {float(lambda_hi)} exceeds the farthest sample's "
+                         f"distance {float(samples.dist[-1])} from x")
 
     grid = np.geomspace(lambda_lo, lambda_hi, n_lambda)
     mins = np.empty((n_lambda, samples.values.shape[1]))

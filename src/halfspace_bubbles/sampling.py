@@ -34,7 +34,7 @@ def polar_shell(
     r_hi: float,
     n_radii: int,
     n_dirs: int,
-    seed: int = 0,
+    seed: int,
 ) -> np.ndarray:
     """Polar grid around ``center``: geometric radii crossed with uniform directions.
 

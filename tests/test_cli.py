@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,8 @@ class TestValidate:
         ("halfline", "--seed=7"),
         ("radial", "--tol=1e-9"),
         ("halfline", "--tol=1e-9"),
+        ("validate", "--tol=1e-9"),
+        ("solve-params", "--tol=1e-9"),
     ],
 )
 def test_flag_a_command_never_reads_exits_two(command, flag, spec_file, capsys):
@@ -139,11 +142,11 @@ def input_files(tmp_path, spec_file, params_file):
 @pytest.mark.parametrize(
     "command, error_code, hangs",
     [
-        ("validate --spec {noncritical} --tol=nan", "usage", False),
-        ("validate --spec {spec} --tol=inf", "usage", False),
-        ("validate --spec {spec} --tol=-1e-9", "usage", False),
+        ("ball --spec {noncritical} --sigma=nan", "usage", False),
+        ("moving-spheres --spec {spec} --sigma=inf", "usage", False),
+        ("solve-params --spec {spec} --sigma=-1e-9", "usage", False),
         ("solve-params --spec {spec} --sigma=nan", "usage", False),
-        ("solve-params --spec {spec} --tol=0", "usage", False),
+        ("verify --spec {spec} --sigma=0", "usage", False),
         ("verify --spec {spec} --sigma=-1", "usage", False),
         ("verify --spec {spec} --h=nan", "usage", False),
         ("verify --spec {spec} --box=-1,1,-1,1,0,nan", "malformed_spec", False),
@@ -188,6 +191,9 @@ def test_non_finite_or_malformed_input_exits_two(command, error_code, hangs, inp
         "moving-spheres --spec {spec} --n-lambda=1",
         "moving-spheres --spec {spec} --grid=0",
         "ball --spec {spec} --grid=0",
+        # fewer than 10,000 mapping samples: each of these ran 10,000 before
+        "ball --spec {spec} --grid=33",
+        "ball --spec {spec} --grid=99",
         # numpy's "expected non-negative integer", an input_error, before the flag
         # had a type of its own
         "verify --spec {spec} --seed=-1",
@@ -396,6 +402,17 @@ def test_sweep_ending_below_the_critical_radius_finds_no_crossing(spec_file, tmp
     assert all(float(row.split(",")[2]) > 0.0 for row in rows[1:])  # min_w
 
 
+def test_sweep_ending_past_the_sample_shell_names_both_radii(spec_file, capsys):
+    # the shell ends at 50 critical radii, 100: numpy failed to reshape the empty
+    # set of samples at distance >= 1000, an input_error of numpy's wording
+    assert run("moving-spheres", "--spec", spec_file, "--lambda-hi", "1000") == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error_code"] == "input_error"
+    match = re.fullmatch(r"lambda_hi 1000\.0 exceeds the farthest sample's distance (\S+) from x",
+                         error["detail"])
+    assert match and float(match[1]) == pytest.approx(100.0, rel=1e-12)
+
+
 def test_seed_zero_is_a_seed(spec_file, params_file, tmp_path):
     out = tmp_path / "verify.json"
     assert run("verify", "--spec", spec_file, "--params", params_file, "--grid", "4",
@@ -403,7 +420,7 @@ def test_seed_zero_is_a_seed(spec_file, params_file, tmp_path):
     assert json.loads(out.read_text())["seed"] == 0
 
 
-@pytest.mark.parametrize("grid, n_samples", [(33, 10000), (101, 10201)])
+@pytest.mark.parametrize("grid, n_samples", [(100, 10000), (101, 10201)])
 def test_ball_grid_is_the_sqrt_of_at_least_ten_thousand_samples(
     grid, n_samples, spec_file, params_file, tmp_path
 ):
@@ -430,13 +447,58 @@ def test_one_parser_serves_every_call(spec_file, params_file, tmp_path):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 @pytest.mark.parametrize("sigma", ["1e-12", "1e-6", "1e9"])
 @pytest.mark.parametrize("command", [["moving-spheres", "--grid", "6", "--n-lambda", "8"],
-                                     ["ball", "--grid", "1"]], ids=["moving-spheres", "ball"])
+                                     ["ball"]], ids=["moving-spheres", "ball"])
 def test_field_checks_pass_at_every_scale(name, sigma, command, tmp_path):
     # critical scaling maps the bubble of sigma = 1 onto these, and the sample
     # sets scale with the bubble: so must every distance guard
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(fixture_spec(name).to_dict()))
     assert run(*command, "--spec", spec, "--sigma", sigma, "--out", tmp_path / "out.json") == 0
+
+
+# every subcommand on small grids, each reading the spec's rules
+SMALL_CALLS = {
+    "validate": ["validate"],
+    "solve-params": ["solve-params"],
+    "verify": ["verify", "--grid", "4", "--n-random", "50"],
+    "moving-spheres": ["moving-spheres", "--grid", "6", "--n-lambda", "8"],
+    "ball": ["ball"],
+    "radial": ["radial"],
+    "halfline": ["halfline"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_CALLS))
+def test_every_subcommand_reads_the_row_sums_at_one_tolerance(command, tmp_path, capsys):
+    # 5.000001 is 2e-7 off its row target, beyond TOL_ROW; 5 + 1e-12 is decimal noise.
+    # validate --tol 1e-3 passed the first, which every other subcommand refused
+    argv = SMALL_CALLS[command]
+    for name, a, refused in (("off", 5.000001, True), ("noise", 5.0 + 1e-12, False)):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({"N": 3, "m": 1, "A": [[a]], "B": [[3.0]], "c": [-1.0]}))
+        out = tmp_path / f"{name}.out.json"
+        code = run(*argv, "--spec", spec, "--out", out)
+        err = capsys.readouterr().err
+        if not refused:
+            # admitted; verify's analytic gate still sees the noise (1.4e-12 > 1e-12) and exits 1
+            assert code != 2, err
+        elif command == "validate":
+            assert code == 1
+            assert [v["rule"] for v in json.loads(out.read_text())["violations"]] == ["A_row_sum"]
+        else:
+            assert code == 2
+            assert json.loads(err)["error_code"] == "malformed_spec"
+
+
+@pytest.mark.parametrize("command", ["solve-params", "verify", "moving-spheres", "ball", "radial"])
+def test_every_subcommand_reads_the_center_heights_at_one_tolerance(command, tmp_path, capsys):
+    # x3's two rows put the center at heights whose spread is 0.25 of the larger;
+    # solve-params --tol 0.9 exited 0 on it, where every other subcommand exits 1
+    spec = tmp_path / "x3.json"
+    spec.write_text(json.dumps(incompatible_rows_spec().to_dict()))
+    assert run(*SMALL_CALLS[command], "--spec", spec, "--out", tmp_path / "out.json") == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_code"] == "incompatible_boundary_coefficients"
 
 
 @pytest.mark.parametrize("command", ["validate", "solve-params", "verify", "moving-spheres",
@@ -501,7 +563,7 @@ def test_admissible_asymmetric_specs_pass_every_check(spec, tmp_path_factory):
     assert solved["y0"][-1] == pytest.approx(c * np.sqrt(N / (N - 2)), rel=1e-13, abs=1e-13)
     for command in (["verify", "--grid", "4", "--n-random", "50"],
                     ["moving-spheres", "--grid", "6", "--n-lambda", "8"],
-                    ["ball", "--grid", "1"], ["radial"]):
+                    ["ball"], ["radial"]):
         assert run(*command, "--spec", path, "--params", params, "--out", out) == 0
     # unequal starts: equal ones stay on the diagonal, where every row sees the same values
     u0 = [1.0 + k for k in range(spec.m)]
@@ -548,7 +610,7 @@ def test_ball_passes_on_the_zero_third_derivative(tmp_path):
                               c=[0.0, 0.0])
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec.to_dict()))
-    assert run("ball", "--grid", "1", "--spec", path, "--out", tmp_path / "out.json") == 0
+    assert run("ball", "--spec", path, "--out", tmp_path / "out.json") == 0
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a pre-asymptotic one-sided truncation "
@@ -655,7 +717,7 @@ class TestSolveParams:
 
 class TestPipelines:
     @pytest.mark.parametrize("command", [["verify", "--grid", "5", "--n-random", "300", "--csv"],
-                                         ["ball", "--grid", "1"]])
+                                         ["ball"]])
     def test_block_size_leaves_the_files_unchanged(self, command, monkeypatch, tmp_path):
         # f3 (m = 2) in blocks of 7 points: the lattices, samples and CSV passes all end partial
         spec = tmp_path / "f3.json"
@@ -1095,7 +1157,7 @@ fit = ["--spec", spec, "--sigma", "1.0"]
 codes = [cli.main(argv + ["--out", f"{out}/{argv[0]}.json"]) for argv in (
     ["verify", *fit, "--grid", "4", "--n-random", "50", "--csv"],
     ["moving-spheres", *fit, "--grid", "6", "--n-lambda", "8", "--csv"],
-    ["ball", *fit, "--grid", "1"],
+    ["ball", *fit],
     ["radial", *fit],
     ["halfline", "--spec", spec],
 )]

@@ -95,7 +95,7 @@ class TestMappingProperties:
         x3 = np.zeros(spec.N)
         x3[:2] = [3.0, 4.0]
         xs += [x2, x3]
-        report = verify_T_properties(setup, xs, samples)
+        report = verify_T_properties(setup, xs, samples, seed=20240901)
         assert report.involution_max_rel <= 1e-13
         assert report.containment_strict
         assert report.boundary_sphere_max_rel <= 1e-12
@@ -115,12 +115,12 @@ class TestMappingProperties:
         samples = self._samples(setup, spec.N, 1000, 13)
         xs = [np.zeros(spec.N)]
         monkeypatch.setattr(fd_verifier, "BLOCK_CENTERS", 7)
-        blocked = verify_T_properties(setup, xs, samples)
+        blocked = verify_T_properties(setup, xs, samples, seed=20240901)
         # a sample at the pole in the last block still raises
         with pytest.raises(ValueError, match="pole"):
-            verify_T_properties(setup, xs, np.vstack([samples, setup.P]))
+            verify_T_properties(setup, xs, np.vstack([samples, setup.P]), seed=20240901)
         monkeypatch.setattr(fd_verifier, "BLOCK_CENTERS", 10**6)
-        assert blocked == verify_T_properties(setup, xs, samples)
+        assert blocked == verify_T_properties(setup, xs, samples, seed=20240901)
 
     def test_memory_is_bounded_by_the_block(self):
         # 40,000 samples in N = 5: checks (i) and (ii) on the whole set at once traced 9.5 MB
@@ -129,7 +129,7 @@ class TestMappingProperties:
         samples = self._samples(setup, 5, 40000, 13)
         tracemalloc.start()
         try:
-            report = verify_T_properties(setup, [np.zeros(5)], samples)
+            report = verify_T_properties(setup, [np.zeros(5)], samples, seed=20240901)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -176,7 +176,7 @@ class TestTransportedField:
         setup = fixture_setup(params)
         v = ball_field(setup, bubble_field(params))
         radii = np.linspace(0.05, 0.95, 8) * 2 * setup.d
-        variation = verify_radial(setup, v, radii)
+        variation = verify_radial(setup, v, radii, seed=20240902)
         assert variation.max() <= 1e-10
 
     def test_radial_variation_does_not_depend_on_value_layout(self, params_f3):
@@ -186,9 +186,9 @@ class TestTransportedField:
         v = ball_field(setup, bubble_field(params_f3))
         radii = np.linspace(0.05, 0.95, 8) * 2 * setup.d
         assert v(setup.Q + radii[:, None] * np.eye(4)[:1]).flags.c_contiguous
-        expected = verify_radial(setup, v, radii)
+        expected = verify_radial(setup, v, radii, seed=20240902)
         fortran = lambda points: np.asfortranarray(v(points))
-        assert verify_radial(setup, fortran, radii).tobytes() == expected.tobytes()
+        assert verify_radial(setup, fortran, radii, seed=20240902).tobytes() == expected.tobytes()
 
     def test_perturbed_center_breaks_radial_symmetry(self, params_f2):
         setup = fixture_setup(params_f2)
@@ -196,20 +196,20 @@ class TestTransportedField:
             sigma=params_f2.sigma, betas=params_f2.betas, y0=params_f2.y0 + [0.05, 0.0, 0.0]
         )
         v = ball_field(setup, bubble_field(shifted))
-        variation = verify_radial(setup, v, [setup.d])
+        variation = verify_radial(setup, v, [setup.d], seed=20240902)
         assert variation.max() > 1e-4
 
     def test_variation_vanishes_toward_center(self, params_f2):
         setup = fixture_setup(params_f2)
         v = ball_field(setup, bubble_field(params_f2))
-        variation = verify_radial(setup, v, [1e-8 * setup.d])
+        variation = verify_radial(setup, v, [1e-8 * setup.d], seed=20240902)
         assert variation.max() <= 1e-12
 
     def test_radii_must_fit_in_ball(self, params_f1):
         setup = fixture_setup(params_f1)
         v = ball_field(setup, bubble_field(params_f1))
         with pytest.raises(ValueError):
-            verify_radial(setup, v, [2.5 * setup.d])
+            verify_radial(setup, v, [2.5 * setup.d], seed=20240902)
 
 
 def study_steps(h):

@@ -220,9 +220,9 @@ class TestConvergenceBookkeeping:
     def test_h_list_validation(self, spec_f1, params_f1):
         u = bubble_field(params_f1)
         with pytest.raises(ValueError):
-            convergence_order(spec_f1, u, BOX3, np.array([1e-3, 2e-3, 4e-3]))
+            convergence_order(spec_f1, u, BOX3, np.array([1e-3, 2e-3, 4e-3]), n_per_axis=8)
         with pytest.raises(ValueError):
-            convergence_order(spec_f1, u, BOX3, np.array([2e-3, 1e-3]))
+            convergence_order(spec_f1, u, BOX3, np.array([2e-3, 1e-3]), n_per_axis=8)
 
     def test_box_below_the_largest_step_is_out_of_domain(self, spec_f1, params_f1):
         # the box tops out at y_N = 0.01 < 4h, so the lattice cannot keep the
@@ -230,7 +230,8 @@ class TestConvergenceBookkeeping:
         flat_box = np.array([[-2.0, 2.0], [-2.0, 2.0], [0.0, 0.01]])
         with pytest.raises(StencilOutOfDomain):
             convergence_order(
-                spec_f1, bubble_field(params_f1), flat_box, np.array([0.04, 0.02, 0.01])
+                spec_f1, bubble_field(params_f1), flat_box, np.array([0.04, 0.02, 0.01]),
+                n_per_axis=8,
             )
 
 

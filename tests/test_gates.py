@@ -21,7 +21,7 @@ SYMBOLS = {"≤": operator.le, "≥": operator.ge, "<": operator.lt, ">": operat
 CALLS = {
     "verify": ["verify", "--grid", "4", "--n-random", "50"],
     "moving-spheres": ["moving-spheres", "--grid", "4", "--n-lambda", "5"],
-    "ball": ["ball", "--grid", "10"],
+    "ball": ["ball"],
     "radial": ["radial"],
     "halfline": ["halfline"],
 }

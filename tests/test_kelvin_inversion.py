@@ -98,7 +98,7 @@ class TestKelvinPoint:
         x = np.array([0.0, 0.0, 0.1])
         samples = sweep_samples(x, 0.3, 1.0)
         with pytest.raises(ValueError, match="boundary hyperplane"):
-            sweep(bubble_field(params_f1), x, samples, 0.3, 3.0)
+            sweep(bubble_field(params_f1), x, samples, 0.3, 3.0, n_lambda=33)
 
 
 class TestKelvinTransform:
@@ -169,10 +169,10 @@ def sweep_samples(x, lam_lo, lam, n_radii=24, n_dirs=32, seed=103):
     return polar_shell(x, lam_lo * (1 + 1e-9), 50.0 * lam, n_radii, n_dirs, seed=seed)
 
 
-def sweep(u, x, points, lambda_lo, lambda_hi, **kwargs):
+def sweep(u, x, points, lambda_lo, lambda_hi, n_lambda):
     """The moving-spheres sweep about x over the points."""
     samples = center_samples(u, x, points)
-    return sweep_moving_spheres(u, samples, lambda_lo, lambda_hi, **kwargs)
+    return sweep_moving_spheres(u, samples, lambda_lo, lambda_hi, n_lambda)
 
 
 def symmetry_sup(params, x, points):
@@ -220,12 +220,12 @@ class TestSweep:
         x = np.zeros(3)
         samples = sweep_samples(x, 1.5, 1.0)
         with pytest.raises(BadBracket):
-            sweep(u, x, samples, 1.5, 3.0)
+            sweep(u, x, samples, 1.5, 3.0, n_lambda=33)
 
     def test_samples_inside_lambda_lo_rejected(self, params_f1):
         samples = standard_samples(np.zeros(3), 1.0)
         with pytest.raises(ValueError):
-            sweep(bubble_field(params_f1), np.zeros(3), samples, 0.5, 3.0)
+            sweep(bubble_field(params_f1), np.zeros(3), samples, 0.5, 3.0, n_lambda=33)
 
 
 tangential = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)
@@ -256,7 +256,7 @@ def test_sweep_radius_is_scale_and_translation_covariant(name, log_s, shift, x_t
     _, params, x, moved, x_moved, s = moved_case(name, log_s, shift, x_tang)
     lam = s * critical_lambda_exact(params, x)
     samples = sweep_samples(x_moved, 0.3 * lam, lam)
-    result = sweep(bubble_field(moved), x_moved, samples, 0.3 * lam, 3.0 * lam)
+    result = sweep(bubble_field(moved), x_moved, samples, 0.3 * lam, 3.0 * lam, n_lambda=33)
     assert result.lambda_critical_numeric == pytest.approx(lam, rel=1e-6)
 
 
@@ -417,10 +417,10 @@ class TestPointsInnermost:
             assert argmins.tobytes() == ref_argmins.tobytes()
             # of a tied pair the first in the caller's order: a mirror image
             assert np.all((argmins[:, None, :] == mirrored).all(axis=-1).any(axis=-1))
-        result = sweep_moving_spheres(u, samples, 0.3 * lam, 3.0 * lam)
+        result = sweep_moving_spheres(u, samples, 0.3 * lam, 3.0 * lam, n_lambda=33)
         monkeypatch.setattr(ki, "_w_outside", point_major_w_outside)
         monkeypatch.setattr(ki, "min_w", point_major_min_w)
-        reference = sweep_moving_spheres(u, samples, 0.3 * lam, 3.0 * lam)
+        reference = sweep_moving_spheres(u, samples, 0.3 * lam, 3.0 * lam, n_lambda=33)
         assert result.min_w.tobytes() == reference.min_w.tobytes()
         assert result.argmin_points.tobytes() == reference.argmin_points.tobytes()
         assert (result.lambda_critical_numeric, result.bracket) == (

@@ -85,6 +85,10 @@ MUTANTS = {
     "sigma-range": ("bubble_family.py", "sigma * sigma >= tiny and ", ""),
     "params-missing-key": ("bubble_family.py", "except (KeyError, TypeError, OverflowError)",
                            "except (TypeError, OverflowError)"),
+    # each rule's one tolerance, and ball's floor of 100 x 100 mapping samples
+    "row-tolerance": ("exponent_system.py", "TOL_ROW = 1e-9", "TOL_ROW = 1e-5"),
+    "height-tolerance": ("bubble_family.py", "TOL_HEIGHT = 1e-9", "TOL_HEIGHT = 0.5"),
+    "grid-floor": ("cli.py", "type=_int_at_least(100)", "type=_int_at_least(1)"),
     # the CLI's gates: value_at_crossing's threshold scales with max(u0), and
     # containment in the ball is strict
     "gate-scale": ("cli.py", "threshold = threshold * scale", "threshold = threshold"),

@@ -11,7 +11,9 @@ and the error paths: sweeps that start past the critical radius or end
 below it, a shot
 that cannot meet the Robin condition on incompatible boundary rows, and
 unusable inputs (among them a params file of invalid JSON, a spec file
-passed as params, and a sigma whose square is subnormal).  Last, ``radial`` runs again on f2, f4 and x3, now on the
+passed as params, a sigma whose square is subnormal, a row sum 2e-7 off
+its target, the ``--tol`` that ``validate`` and ``solve-params`` do not
+take, ``ball --grid 99`` and a sweep past the sample shell).  Last, ``radial`` runs again on f2, f4 and x3, now on the
 roots this process has cached, and on f2 at sigma = 2, once on the root the
 sigma = 1 call cached and once fresh after the cache is cleared, so each
 cached call prints next to the digests of its fresh twin.  Each call
@@ -52,6 +54,8 @@ SPECS = {
     # f3's A with diagonal boundary rows that demand two different profiles
     "x3": {"N": 4, "m": 2, "A": [[1.0, 2.0], [2.0, 1.0]], "B": [[2.0, 0.0], [0.0, 2.0]],
            "c": [-1.0, -0.5]},
+    # f2 with A 2e-7 off its row target: validate exits 1 (A_row_sum), the rest refuse it
+    "off-row": {"N": 3, "m": 1, "A": [[5.000001]], "B": [[3.0]], "c": [-1.0]},
     # f2 with the center 1.7e3 widths below the boundary
     "deep": {"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [-1000.0]},
     # m = 1 at large positive c, where the Robin root 2d / mu lies far out on psi_ref's tail
@@ -107,6 +111,14 @@ def main(outdir: str) -> int:
     matrix["f2.radial-spec-as-params"] = ["radial", "--params", "f2.spec.json"]
     # sigma^2 subnormal, where the center height loses its digits: exit 2, input_error
     matrix["f2.solve-params-subnormal-sigma"] = ["solve-params", "--sigma", "1e-160"]
+    # one tolerance per rule: validate and solve-params take no --tol (exit 2, usage)
+    matrix["off-row.validate"] = ["validate"]
+    matrix["off-row.validate-tol"] = ["validate", "--tol", "1e-3"]
+    matrix["x3.solve-params-tol"] = ["solve-params", "--tol", "0.9"]
+    # fewer than 100 x 100 mapping samples: exit 2, usage
+    matrix["f2.ball-grid-99"] = ["ball", "--grid", "99"]
+    # a sweep past the sample shell, which ends at 50 critical radii: exit 2, input_error
+    matrix["f2.moving-spheres-past-shell"] = ["moving-spheres", "--lambda-hi", "1000"]
     # transport far from the boundary, where the recovered (mu, alphas) could cancel
     matrix["deep.ball"] = ["ball"]
     matrix["deep.radial"] = ["radial"]
