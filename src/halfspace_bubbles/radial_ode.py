@@ -238,7 +238,7 @@ def _folded(ref, N, s):
 
 
 def shoot_robin(
-    spec: EllipticSystemSpec, d: float, tol: float = 1e-10
+    spec: EllipticSystemSpec, d: float, tol: float
 ) -> tuple[np.ndarray, float, RadialTrajectory, float]:
     """Find (alphas, mu) whose integrated profile meets the Robin condition at 2d.
 

@@ -10,7 +10,9 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 import halfspace_bubbles
-from halfspace_bubbles import BubbleParams, EllipticSystemSpec, make_bubble_params, radial_ode
+from halfspace_bubbles import radial_ode
+from halfspace_bubbles.bubble_family import BubbleParams, make_bubble_params
+from halfspace_bubbles.exponent_system import EllipticSystemSpec
 
 # One profile for every property test: no per-example deadline (a shot or a
 # sweep can take a while), the same examples on every run, and no example

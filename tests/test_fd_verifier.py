@@ -6,14 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from halfspace_bubbles import EllipticSystemSpec, fd_verifier, make_bubble_params
+from halfspace_bubbles import fd_verifier
 from halfspace_bubbles.bubble_family import (
     BubbleParams,
     bubble_field,
     evaluate_bubble,
     evaluate_bubble_derivatives,
+    make_bubble_params,
 )
 from halfspace_bubbles.errors import StencilOutOfDomain
+from halfspace_bubbles.exponent_system import EllipticSystemSpec
 from halfspace_bubbles.fd_verifier import (
     central_laplacian,
     convergence_from_sups,

@@ -210,7 +210,7 @@ class TestShooting:
         monkeypatch.setattr(radial_ode, "integrate_radial",
                             lambda spec, psi0, *args: real(spec, psi0 * (1 + delta), *args))
         with pytest.raises(ShootFailed, match="Kelvin duality residual") as failed:
-            shoot_robin(spec_f2, 2.0)
+            shoot_robin(spec_f2, 2.0, tol=1e-10)
         residual = float(str(failed.value).split("residual ")[1].split()[0])
         mu2 = (1 + delta) ** (-4 / (N - 2))
         assert residual == pytest.approx(abs(mu2 - 1) / (mu2 + 1), rel=1e-3)
@@ -473,7 +473,7 @@ def test_non_finite_start_rejected(call):
     # returns, so a missing check must fail here by the deadline, not stall
     script = f"""
 from math import inf, nan
-from halfspace_bubbles import EllipticSystemSpec
+from halfspace_bubbles.exponent_system import EllipticSystemSpec
 from halfspace_bubbles.radial_ode import halfline_breakdown, integrate_radial
 f1 = EllipticSystemSpec(N=3, m=1, A=[[5.0]], B=[[3.0]], c=[0.0])
 f3 = EllipticSystemSpec(N=4, m=2, A=[[1.0, 2.0], [2.0, 1.0]], B=[[1.0, 1.0], [1.0, 1.0]],
@@ -493,7 +493,7 @@ def test_non_critical_spec_rejected():
     # image the shooting reads psi_ref through
     spec = EllipticSystemSpec(N=3, m=1, A=[[6.0]], B=[[3.0]], c=[0.0])
     with pytest.raises(ValueError):
-        shoot_robin(spec, 1.0)
+        shoot_robin(spec, 1.0, tol=1e-10)
     with pytest.raises(ValueError):
         halfline_breakdown(spec, [2.0])
 
