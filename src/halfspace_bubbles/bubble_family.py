@@ -54,7 +54,12 @@ TOL_HEIGHT = 1e-9
 
 @dataclass
 class BubbleParams:
-    """Parameters (sigma, betas, y0) of one member of the classified family."""
+    """Parameters (sigma, betas, y0) of one member of the classified family.
+
+    Its boundary restriction is a bubble of width ``d`` = sqrt(``width2``) > 0 centered
+    at ``xbar`` = (y0', 0).  Every critical sphere passes through ``P`` = xbar - d e_N,
+    the pole of the half-space-to-ball inversion, and ``Q`` = xbar + d e_N, the ball's center.
+    """
 
     sigma: float
     betas: np.ndarray
@@ -69,6 +74,15 @@ class BubbleParams:
         finite = np.isfinite(self.betas).all() and np.isfinite(self.y0).all()
         if not (finite and np.all(self.betas > 0)):
             raise ValueError("betas must be positive and finite, y0 finite")
+        if self.y0.ndim != 1 or not self.y0.size:
+            raise MalformedSpec(f"y0 must be a non-empty 1-d list, got shape {self.y0.shape}")
+        self.d = float(np.sqrt(self.width2))
+        if not self.d > 0:
+            raise ValueError(f"the boundary width d = sqrt(sigma^2 + y0N^2) must be positive; "
+                             f"it is 0 at sigma = {self.sigma!r}, y0N = {float(self.y0[-1])!r}")
+        self.xbar = np.append(self.y0[:-1], 0.0)
+        self.P = np.append(self.y0[:-1], -self.d)
+        self.Q = np.append(self.y0[:-1], self.d)
 
     @property
     def N(self) -> int:

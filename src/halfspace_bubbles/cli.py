@@ -243,9 +243,8 @@ def cmd_verify(args) -> int:
 
     diameter = float(np.linalg.norm(box[:, 1] - box[:, 0]))
     h = args.h if args.h is not None else 1e-3 * diameter
-    h_list = np.array([4 * h, 2 * h, h])
     field = bf.bubble_field(params)
-    conv = fd.convergence_order(spec, field, box, h_list, n_per_axis=args.grid)
+    conv = fd.convergence_order(spec, field, box, h, n_per_axis=args.grid)
 
     checks = [
         _check("analytic_interior_max_rel", float(rel_int.max())),
@@ -334,8 +333,7 @@ def cmd_moving_spheres(args) -> int:
 def cmd_ball(args) -> int:
     spec = _validated_spec(args)
     params = _load_params(args, spec)
-    setup = cb.setup_from_params(params)
-    d = setup.d
+    d = params.d
     N = spec.N
     seed = args.seed
 
@@ -348,17 +346,17 @@ def cmd_ball(args) -> int:
         x = np.zeros(N)
         x[: len(tang)] = tang
         xs.append(x)
-    tprops = cb.verify_T_properties(setup, xs, samples, seed=seed)
+    tprops = cb.verify_T_properties(params, xs, samples, seed=seed)
 
     u = bf.bubble_field(params)
-    v = cb.ball_field(setup, u)
+    v = cb.ball_field(params, u)
     radii = np.linspace(0.05, 0.95, 10) * 2 * d
-    variation = cb.verify_radial(setup, v, radii, seed=seed + 1)
+    variation = cb.verify_radial(params, v, radii, seed=seed + 1)
 
     h = args.h if args.h is not None else 1e-3 * 4 * d
-    interior = sampling.ball_points(setup.Q, 2 * d, 400, seed + 2, margin=13 * h)
-    boundary = sampling.sphere_points(setup.Q, 2 * d, 200, seed + 3)
-    study = cb.ball_system_residual(spec, setup, v, interior, boundary, [4 * h, 2 * h, h])
+    interior = sampling.ball_points(params.Q, 2 * d, 400, seed + 2, margin=13 * h)
+    boundary = sampling.sphere_points(params.Q, 2 * d, 200, seed + 3)
+    study = cb.ball_system_residual(spec, params, v, interior, boundary, h)
     slopes = reporting.jsonable(study)  # a slope not fitted is null
 
     mu, alphas = cb.recover_mu_alpha(params)
@@ -373,9 +371,9 @@ def cmd_ball(args) -> int:
     )
     r_cmp = np.linspace(0.0, 2 * d * (1 - 1e-9), 100)
     dirs = sampling.unit_directions(N, 100, seed + 4)
-    z_cmp = setup.Q + r_cmp[:, None] * dirs
+    z_cmp = params.Q + r_cmp[:, None] * dirs
     psi_exact = ro.closed_form_psi(N, alphas, mu, r_cmp)
-    psi_match = float(np.max(np.abs(cb.transform_v(setup, u, z_cmp) - psi_exact) / psi_exact))
+    psi_match = float(np.max(np.abs(cb.transform_v(params, u, z_cmp) - psi_exact) / psi_exact))
 
     checks = [
         _check("involution_max_rel", tprops.involution_max_rel),
@@ -395,7 +393,7 @@ def cmd_ball(args) -> int:
     report = {
         "command": "ball",
         "spec": str(args.spec),
-        "setup": {"xbar": setup.xbar, "d": d},
+        "setup": {"xbar": params.xbar, "d": d},
         "t_properties": tprops,
         "radial_variation": {"radii": radii, "max_rel": variation},
         "residual_slopes": {key: slopes[key] for key in (
@@ -412,8 +410,7 @@ def cmd_ball(args) -> int:
 def cmd_radial(args) -> int:
     spec = _validated_spec(args)
     params = _load_params(args, spec)
-    setup = cb.setup_from_params(params)
-    d = setup.d
+    d = params.d
     mu, alphas = cb.recover_mu_alpha(params)
 
     alphas_shoot, mu_shoot, shot, duality = ro.shoot_robin(spec, d, tol=1e-10)

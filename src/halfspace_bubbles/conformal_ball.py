@@ -33,9 +33,7 @@ from .kelvin_inversion import _kelvin, _offsets, critical_radius, kelvin_point
 from .sampling import ball_points, unit_directions
 
 __all__ = [
-    "ConformalSetup",
     "TPropertyReport",
-    "setup_from_params",
     "verify_T_properties",
     "transform_v",
     "ball_field",
@@ -59,47 +57,6 @@ N_ANGULAR = 256
 
 
 @dataclass
-class ConformalSetup:
-    """Inversion geometry: boundary center xbar, width d, poles P and Q."""
-
-    xbar: np.ndarray
-    d: float
-
-    def __post_init__(self):
-        self.xbar = np.asarray(self.xbar, dtype=float)
-        self.d = float(self.d)
-        if self.xbar[-1] != 0.0:
-            raise ValueError("xbar must lie on the boundary hyperplane")
-        if self.d <= 0:
-            raise ValueError("d must be positive")
-
-    @property
-    def N(self) -> int:
-        return self.xbar.shape[0]
-
-    @property
-    def P(self) -> np.ndarray:
-        """Inversion pole below the boundary, last coordinate -d."""
-        out = self.xbar.copy()
-        out[-1] = -self.d
-        return out
-
-    @property
-    def Q(self) -> np.ndarray:
-        """Ball center above the boundary, last coordinate +d."""
-        out = self.xbar.copy()
-        out[-1] = self.d
-        return out
-
-
-def setup_from_params(params: BubbleParams) -> ConformalSetup:
-    """Geometry matching a family member: d^2 = sigma^2 + y0N^2, xbar = (y0', 0)."""
-    xbar = params.y0.copy()
-    xbar[-1] = 0.0
-    return ConformalSetup(xbar=xbar, d=float(np.sqrt(params.width2)))
-
-
-@dataclass
 class TPropertyReport:
     """Measured violations of the four mapping properties of T."""
 
@@ -114,7 +71,7 @@ class TPropertyReport:
 
 
 def verify_T_properties(
-    setup: ConformalSetup,
+    params: BubbleParams,
     boundary_xs: list[np.ndarray],
     samples: np.ndarray,
     seed: int,
@@ -133,7 +90,7 @@ def verify_T_properties(
     the report carries the measured violations.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    d, P, Q = setup.d, setup.P, setup.Q
+    d, P, Q = params.d, params.P, params.Q
     # (i) and (ii) per block of samples, each folded by its max; -min for the distance to P
     folds = []
     for block in point_blocks(len(samples)):
@@ -159,11 +116,11 @@ def verify_T_properties(
     # (iii) critical spheres map into hyperplanes through Q
     plane_max: dict = {}
     mirror_max: dict = {}
-    dirs = unit_directions(setup.N, N_SPHERE, seed, upper=True)
+    dirs = unit_directions(params.N, N_SPHERE, seed, upper=True)
     inside = ball_points(Q, 2 * d, N_SPHERE, seed + 1, margin=1e-3 * d)
     for x in boundary_xs:
         x = np.asarray(x, dtype=float)
-        lam = critical_radius(d**2, setup.xbar, x)
+        lam = critical_radius(d**2, params.xbar, x)
         normal = (x - P) / np.linalg.norm(x - P)
         z = x + lam * dirs
         tz = kelvin_point(P, 2 * d, z)
@@ -192,28 +149,28 @@ def verify_T_properties(
     )
 
 
-def transform_v(setup: ConformalSetup, u, z: np.ndarray) -> np.ndarray:
+def transform_v(params: BubbleParams, u, z: np.ndarray) -> np.ndarray:
     """Transported field on the closed ball, extended continuously at P.
 
     Within 1e-9 * d of P the value is the exact limit 2**(2-N) * u(xbar), read
     in the same batch.  Points are (k, N); values are point-major, (k, m) in C order.
     """
     z = np.asarray(z, dtype=float)
-    dy, dist, n2 = _offsets(setup.P, z)
-    near = dist <= EXTENSION_RADIUS_FACTOR * setup.d
+    dy, dist, n2 = _offsets(params.P, z)
+    near = dist <= EXTENSION_RADIUS_FACTOR * params.d
     n2[near] = 1.0  # keeps the kernel off the pole; the extension replaces these values
-    images, factors = _kelvin(setup.P, 2 * setup.d, dy, n2)
-    images[near], factors[near] = setup.xbar, 2.0 ** (2 - setup.N)
+    images, factors = _kelvin(params.P, 2 * params.d, dy, n2)
+    images[near], factors[near] = params.xbar, 2.0 ** (2 - params.N)
     return np.multiply(field_values(u, images), factors[:, None], order="C")
 
 
-def ball_field(setup: ConformalSetup, u):
+def ball_field(params: BubbleParams, u):
     """Evaluator for the transported field on the closed ball."""
-    return partial(transform_v, setup, u)
+    return partial(transform_v, params, u)
 
 
 def verify_radial(
-    setup: ConformalSetup,
+    params: BubbleParams,
     v,
     radii: np.ndarray,
     seed: int,
@@ -225,12 +182,12 @@ def verify_radial(
     any center mismatch shows up as an O(1) variation here.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    if np.any(radii >= 2 * setup.d):
+    if np.any(radii >= 2 * params.d):
         raise ValueError("radii must be below the ball radius 2d")
-    dirs = unit_directions(setup.N, N_ANGULAR, seed)
+    dirs = unit_directions(params.N, N_ANGULAR, seed)
     out = np.empty(radii.size)
     for k, r in enumerate(radii):
-        vals = field_values(v, setup.Q + r * dirs)
+        vals = field_values(v, params.Q + r * dirs)
         # the mean's summation order follows the memory layout; fix it to point-major
         mean = np.ascontiguousarray(vals).mean(axis=0)
         out[k] = float(np.max(np.abs(vals - mean) / mean))
@@ -239,33 +196,31 @@ def verify_radial(
 
 def ball_system_residual(
     spec: EllipticSystemSpec,
-    setup: ConformalSetup,
+    params: BubbleParams,
     v,
     interior_samples: np.ndarray,
     boundary_samples: np.ndarray,
-    h_list,
+    h: float,
 ) -> ConvergenceReport:
-    """Residual study of the ball system for a transported field.
+    """Residual study of the ball system for a transported field at steps 4h, 2h and h.
 
     The same PDE as the half-space inside; on the sphere the boundary law
     is the Robin condition d_in v = c prod v^B + (N-2)/(4d) v, with d_in
     along the inward normal -(z - Q)/(2d).  Interior samples must keep
-    3h of headroom from the sphere at the largest step.
+    12h, three of the largest step 4h, of headroom from the sphere.
     """
     interior = np.atleast_2d(np.asarray(interior_samples, dtype=float))
     boundary = np.atleast_2d(np.asarray(boundary_samples, dtype=float))
-    d, Q = setup.d, setup.Q
-    h = float(max(h_list))
+    d, Q = params.d, params.Q
 
-    if np.any(np.sqrt(squared_distance(interior, Q)) > 2 * d - 3 * h):
-        raise StencilOutOfDomain("interior samples must stay 3h away from the sphere")
+    if np.any(np.sqrt(squared_distance(interior, Q)) > 2 * d - 12 * h):
+        raise StencilOutOfDomain(f"interior samples must stay 3 x 4h = {12 * h} away from "
+                                 f"the sphere at h = {h}")
     if np.any(np.abs(np.sqrt(squared_distance(boundary, Q)) - 2 * d) > 1e-9 * d):
         raise StencilOutOfDomain("boundary samples must lie on the sphere")
 
     normals = -(boundary - Q) / (2 * d)
-    return residual_study(
-        spec, v, interior, boundary, h_list, normals, kappa=(setup.N - 2) / (4 * d)
-    )
+    return residual_study(spec, v, interior, boundary, h, normals, kappa=(params.N - 2) / (4 * d))
 
 
 def recover_mu_alpha(params: BubbleParams) -> tuple[float, np.ndarray]:
@@ -276,8 +231,7 @@ def recover_mu_alpha(params: BubbleParams) -> tuple[float, np.ndarray]:
     d - y0N, d + y0N is sigma^2/e, free of cancellation: mu/(2d) is sigma/e
     for y0N >= 0, e/sigma below the boundary; alphas = betas * t**(-(N-2)/2).
     """
-    sigma, y0N = params.sigma, params.y0[-1]
-    d = np.sqrt(params.width2)
+    sigma, y0N, d = params.sigma, params.y0[-1], params.d
     e = d + abs(y0N)
     half_mu = sigma / e if y0N >= 0 else e / sigma
     t = 1.0 / (1.0 + half_mu**2)

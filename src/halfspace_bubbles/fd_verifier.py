@@ -202,12 +202,13 @@ def _study_reports(spec, u, interior, boundary, h_list, normals=None, kappa=0.0)
                            float(h), len(interior), len(boundary)) for i, h in enumerate(h_list)]
 
 
-def _check_halfspace_headroom(interior, h: float) -> None:
-    """Central stencils of step ``h`` stay in the half-space: every y_N >= h."""
+def _check_halfspace_headroom(interior, h: float, largest: float | None = None) -> None:
+    """Central stencils stay in the half-space: every y_N >= ``largest`` (a study's 4h), else h."""
     heights = interior.axes[-1] if isinstance(interior, _Lattice) else interior[:, -1]
-    if len(heights) and np.min(heights) - h < 0:
+    if len(heights) and np.min(heights) - (h if largest is None else largest) < 0:
+        need = f"h={h}" if largest is None else f"4h={largest} at h={h}"
         raise StencilOutOfDomain(
-            f"interior points need last coordinate >= h={h}; got minimum {np.min(heights)}"
+            f"interior points need last coordinate >= {need}; got minimum {np.min(heights)}"
         )
 
 
@@ -307,31 +308,36 @@ def convergence_from_sups(h_list: np.ndarray, sups: np.ndarray) -> tuple[np.ndar
     return slopes, degenerate
 
 
+def _study_steps(h: float) -> np.ndarray:
+    """The steps 4h, 2h and h of every study; ValueError unless h is positive and finite."""
+    if not 0 < h < np.inf:
+        raise ValueError(f"the finest step h must be positive and finite, got {h!r}")
+    return np.array([4 * h, 2 * h, h])
+
+
 def residual_study(
     spec: EllipticSystemSpec,
     u,
     interior: np.ndarray,
     boundary: np.ndarray,
-    h_list,
+    h: float,
     normals=None,
     kappa: float = 0.0,
 ) -> ConvergenceReport:
-    """Fitted order of the discrete residuals of a field over a shrinking-h study.
+    """Fitted order of the discrete residuals of a field at steps 4h, 2h and h.
 
     Every step runs in one pass over the points, so each center and its
     source term are evaluated once, and each block's residuals are folded
     into the sups as they come.  ``interior`` and ``boundary`` are (k, N)
     arrays or box lattices.  ``normals`` and ``kappa`` set the
     boundary law.  On the default, the half-space, every interior point
-    must keep y_N >= the largest step; with other normals the caller
+    must keep y_N >= 4h, the largest step; with other normals the caller
     keeps every stencil in its domain.  Components whose residuals sit at
     the rounding floor are flagged degenerate instead of fitted.
     """
-    h_list = np.asarray(h_list, dtype=float)
-    if h_list.size < 3 or np.any(np.diff(h_list) >= 0):
-        raise ValueError("h_list must be strictly decreasing with at least 3 entries")
+    h_list = _study_steps(h)
     if normals is None:
-        _check_halfspace_headroom(interior, float(h_list[0]))
+        _check_halfspace_headroom(interior, h, largest=h_list[0])
     reports = _study_reports(spec, u, interior, boundary, h_list, normals, kappa)
     sups_i = np.asarray([r.sup_interior for r in reports])
     sups_b = np.asarray([r.sup_boundary for r in reports])
@@ -356,13 +362,13 @@ def convergence_order(
     spec: EllipticSystemSpec,
     u,
     box: np.ndarray,
-    h_list: np.ndarray,
+    h: float,
     n_per_axis: int,
 ) -> ConvergenceReport:
     """:func:`residual_study` of a field over the lattices of a half-space box.
 
-    The lattice is held fixed across ``h`` (margin pinned to the largest
-    step) so only the stencil changes.
+    The lattice is held fixed across the steps (margin pinned to the largest,
+    4h) so only the stencil changes.
     """
-    interior, boundary = _box_lattices(spec, box, n_per_axis, float(max(h_list)))
-    return residual_study(spec, u, interior, boundary, h_list)
+    interior, boundary = _box_lattices(spec, box, n_per_axis, _study_steps(h)[0])
+    return residual_study(spec, u, interior, boundary, h)

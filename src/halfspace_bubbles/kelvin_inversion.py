@@ -158,12 +158,12 @@ def critical_lambda_exact(params: BubbleParams, x: np.ndarray) -> float:
     """Critical inversion radius of a family member about boundary center x.
 
     The boundary restriction of a bubble has width d with d^2 = sigma^2 +
-    y0N^2 and tangential center xbar = (y0', 0).
+    y0N^2 and center xbar = (y0', 0).
     """
     x = np.asarray(x, dtype=float)
     if x[-1] != 0.0:
         raise ValueError("center must lie on the boundary hyperplane")
-    return critical_radius(params.width2, params.y0[:-1], x[:-1])
+    return critical_radius(params.width2, params.xbar, x)
 
 
 @dataclass

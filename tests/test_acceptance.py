@@ -21,7 +21,6 @@ from halfspace_bubbles.bubble_family import (
 from halfspace_bubbles.cli import main as cli_main
 from halfspace_bubbles.conformal_ball import (
     recover_mu_alpha,
-    setup_from_params,
     transform_v,
     verify_T_properties,
 )
@@ -108,9 +107,7 @@ def test_criterion_3_fd_consistency():
         box = np.tile([-2.0, 2.0], (spec.N, 1))
         box[-1] = [0.0, 2.0]
         n = 8 if spec.N == 3 else 6
-        conv = convergence_order(
-            spec, bubble_field(params), box, np.array([4e-3, 2e-3, 1e-3]), n_per_axis=n
-        )
+        conv = convergence_order(spec, bubble_field(params), box, 1e-3, n_per_axis=n)
         assert not conv.degenerate.any()
         gaps.extend(np.abs(conv.slope - 2.0))
     elapsed = time.perf_counter() - t0
@@ -164,14 +161,13 @@ def test_criterion_6_conformal_map():
              "alpha": 0.0, "psi": 0.0}
     contained = True
     for name, spec, params in all_fixture_pairs():
-        setup = setup_from_params(params)
-        d = setup.d
+        d = params.d
         box = np.tile([-5.0 * d, 5.0 * d], (spec.N, 1))
         box[-1] = [1e-6 * d, 5.0 * d]
         samples = halfspace_box_points(box, 10_000, seed=503)
         xs = [boundary_center(spec.N), boundary_center(spec.N, 1.0),
               boundary_center(spec.N, 3.0, 4.0)]
-        rep = verify_T_properties(setup, xs, samples, seed=20240901)
+        rep = verify_T_properties(params, xs, samples, seed=20240901)
         worst["involution"] = max(worst["involution"], rep.involution_max_rel)
         worst["sphere"] = max(worst["sphere"], rep.boundary_sphere_max_rel)
         worst["plane"] = max(worst["plane"], max(rep.plane_max_rel.values()))
@@ -185,7 +181,7 @@ def test_criterion_6_conformal_map():
         worst["alpha"] = max(worst["alpha"], float(np.max(np.abs(condition))))
         r = np.linspace(0.0, 2 * d * (1 - 1e-9), 100)
         dirs = unit_directions(spec.N, 100, seed=509)
-        v = transform_v(setup, bubble_field(params), setup.Q + r[:, None] * dirs)
+        v = transform_v(params, bubble_field(params), params.Q + r[:, None] * dirs)
         psi = closed_form_psi(spec.N, alphas, mu, r)
         worst["psi"] = max(worst["psi"], float(np.max(np.abs(v - psi) / psi)))
     ok = (
@@ -205,8 +201,7 @@ def test_criterion_7_radial_profile():
     worst_match = 0.0
     worst_shoot = 0.0
     for name, spec, params in all_fixture_pairs():
-        setup = setup_from_params(params)
-        d = setup.d
+        d = params.d
         mu, alphas = recover_mu_alpha(params)
         psi0 = alphas * mu ** (2 - spec.N)
         r = np.linspace(0.0, 2 * d, 200)

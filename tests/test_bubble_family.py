@@ -290,12 +290,9 @@ def test_squared_distance_is_numpy_sum_bit_for_bit(N, batch, data):
 
 def test_boundary_restriction_is_centered_profile(fixture_pair):
     # on y_N = 0 a bubble is betas (d^2 + |x - xbar|^2)**(-(N-2)/2), the ball's boundary data
-    from halfspace_bubbles.conformal_ball import setup_from_params
-
     spec, params = fixture_pair
-    setup = setup_from_params(params)
     pts = random_boundary_points(spec.N, 60, seed=43, lo=-6.0, hi=6.0)
-    q = setup.d**2 + squared_distance(pts, setup.xbar)
+    q = params.d**2 + squared_distance(pts, params.xbar)
     expected = params.betas * q[:, None] ** (-(spec.N - 2) / 2)
     np.testing.assert_allclose(evaluate_bubble(params, pts), expected, rtol=1e-13)
 

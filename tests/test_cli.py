@@ -320,6 +320,8 @@ PARAMS_EDITS = {
     "string-y0": ({"y0": ["0", 0.0, -1.0]}, "malformed_spec"),
     # 401 digits: an OverflowError traceback, exit 1, before
     "huge-int-beta": ({"betas": [10**400]}, "malformed_spec"),
+    # no last coordinate for the boundary width to read
+    "empty-y0": ({"y0": []}, "malformed_spec"),
 }
 
 
@@ -335,6 +337,43 @@ def test_params_that_do_not_fit_the_spec_exit_two(
     assert run(command, "--spec", spec_file, "--params", path, "--out", tmp_path / "out.json") == 2
     # one error object on stderr and nothing else, so no traceback
     assert json.loads(capsys.readouterr().err)["error_code"] == error_code
+
+
+@pytest.mark.parametrize("command", ["verify", "moving-spheres", "ball", "radial"])
+def test_params_of_zero_boundary_width_are_one_input_error(command, tmp_path, capsys):
+    # sigma^2, and with it d^2 = sigma^2 + y0N^2, underflows to 0.  Before, verify
+    # exited 1 (non_finite_report), moving-spheres 2 with numpy's geometric-grid
+    # detail, and ball and radial 2 with a detail of their own
+    zero_width = {"sigma": 1e-170, "betas": [1.0], "y0": [0.0, 0.0, 0.0]}
+    with pytest.raises(ValueError) as rule:
+        bf.BubbleParams(**zero_width)
+    spec, params = tmp_path / "f1.json", tmp_path / "params.json"
+    spec.write_text(json.dumps({"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [0.0]}))
+    params.write_text(json.dumps(zero_width))
+    out = tmp_path / "out.json"
+    assert run(command, "--spec", spec, "--params", params, "--out", out) == 2
+    # one error object on stderr and nothing else, and no report
+    assert json.loads(capsys.readouterr().err) == {"error_code": "input_error",
+                                                   "detail": str(rule.value)}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("h", [None, "0.005"])
+@pytest.mark.parametrize("command", ["verify", "ball"])
+def test_each_study_runs_at_4h_2h_and_h(command, h, spec_file, params_file, tmp_path):
+    out = tmp_path / "out.json"
+    flags = [] if h is None else ["--h", h]
+    assert run(command, "--spec", spec_file, "--params", params_file, *flags, "--out", out) == 0
+    report = json.loads(out.read_text())
+    if h is not None:
+        h = float(h)
+    elif command == "verify":
+        box = np.array(report["box"])
+        h = 1e-3 * float(np.linalg.norm(box[:, 1] - box[:, 0]))
+    else:
+        h = 1e-3 * 4 * report["setup"]["d"]
+    study = report["convergence"] if command == "verify" else report["residual_slopes"]
+    assert study["h_list"] == [4 * h, 2 * h, h]
 
 
 @pytest.mark.parametrize("command", ["verify", "moving-spheres", "ball", "radial"])

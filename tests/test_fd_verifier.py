@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from halfspace_bubbles.fd_verifier import (
     convergence_order,
     fit_loglog_slope,
     one_sided_derivative,
+    residual_study,
     residual_sweep,
     residuals_at_points,
 )
@@ -139,7 +141,7 @@ class TestStencils:
 class TestResidualSweep:
     def test_three_level_study_is_second_order(self, spec_f2, params_f2):
         conv = convergence_order(
-            spec_f2, bubble_field(params_f2), BOX3, np.array([4e-3, 2e-3, 1e-3]), n_per_axis=8
+            spec_f2, bubble_field(params_f2), BOX3, 1e-3, n_per_axis=8
         )
         assert not conv.degenerate[0]
         assert abs(conv.slope[0] - 2.0) < 0.1
@@ -148,9 +150,8 @@ class TestResidualSweep:
 
     def test_study_keeps_its_finest_level(self, spec_f3, params_f3):
         box = np.tile([0.0, 2.0], (4, 1))
-        h_list = np.array([4e-3, 2e-3, 1e-3])
         u = bubble_field(params_f3)
-        conv = convergence_order(spec_f3, u, box, h_list, n_per_axis=5)
+        conv = convergence_order(spec_f3, u, box, 1e-3, n_per_axis=5)
         direct = residual_sweep(spec_f3, u, box, 5, 1e-3, interior_margin=4e-3)
         assert jsonable(conv.finest) == jsonable(direct)
         assert "finest" not in jsonable(conv)
@@ -160,7 +161,7 @@ class TestResidualSweep:
         # third derivative vanishes and the one-sided stencil jumps to
         # third order on the boundary.  The combined slope stays at 2.
         conv = convergence_order(
-            spec_f1, bubble_field(params_f1), BOX3, np.array([4e-3, 2e-3, 1e-3]), n_per_axis=8
+            spec_f1, bubble_field(params_f1), BOX3, 1e-3, n_per_axis=8
         )
         assert abs(conv.slope[0] - 2.0) < 0.1
         assert abs(conv.slope_boundary[0] - 3.0) < 0.2
@@ -219,12 +220,16 @@ class TestConvergenceBookkeeping:
         assert degenerate[0]
         assert np.isnan(slopes[0])
 
-    def test_h_list_validation(self, spec_f1, params_f1):
+    def test_step_validation(self, spec_f1, params_f1):
+        # the step is read before any lattice is built: linspace warned on h = inf
         u = bubble_field(params_f1)
-        with pytest.raises(ValueError):
-            convergence_order(spec_f1, u, BOX3, np.array([1e-3, 2e-3, 4e-3]), n_per_axis=8)
-        with pytest.raises(ValueError):
-            convergence_order(spec_f1, u, BOX3, np.array([2e-3, 1e-3]), n_per_axis=8)
+        for h in (0.0, -1e-3, np.nan, np.inf):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="finest step"):
+                    convergence_order(spec_f1, u, BOX3, h, n_per_axis=8)
+                with pytest.raises(ValueError, match="finest step"):
+                    residual_study(spec_f1, u, E_N[None], np.zeros((1, 3)), h)
 
     def test_box_below_the_largest_step_is_out_of_domain(self, spec_f1, params_f1):
         # the box tops out at y_N = 0.01 < 4h, so the lattice cannot keep the
@@ -232,7 +237,7 @@ class TestConvergenceBookkeeping:
         flat_box = np.array([[-2.0, 2.0], [-2.0, 2.0], [0.0, 0.01]])
         with pytest.raises(StencilOutOfDomain):
             convergence_order(
-                spec_f1, bubble_field(params_f1), flat_box, np.array([0.04, 0.02, 0.01]),
+                spec_f1, bubble_field(params_f1), flat_box, 0.01,
                 n_per_axis=8,
             )
 
@@ -255,14 +260,13 @@ class TestBlockedDriver:
         spec = SPEC_N4_M1 if name == "n4m1" else fixture_spec(name)
         u = bubble_field(make_bubble_params(spec, 1.0))
         box = _study_box(spec.N)
-        h_list = np.array([4e-3, 2e-3, 1e-3])
         rng = np.random.default_rng(3)
         interior = rng.uniform(0.1, 2.0, size=(50, spec.N))
         boundary = interior.copy()
         boundary[:, -1] = 0.0
 
         def results():
-            conv = convergence_order(spec, u, box, h_list, n_per_axis=n_per_axis)
+            conv = convergence_order(spec, u, box, 1e-3, n_per_axis=n_per_axis)
             sweep = residual_sweep(spec, u, box, n_per_axis, 1e-3)
             return (
                 *residuals_at_points(spec, u, interior, boundary, 1e-3),
@@ -288,7 +292,7 @@ class TestBlockedDriver:
         tracemalloc.start()
         try:
             conv = convergence_order(
-                spec, u, _study_box(5), np.array([4e-3, 2e-3, 1e-3]), n_per_axis=12
+                spec, u, _study_box(5), 1e-3, n_per_axis=12
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -147,7 +147,7 @@ class TestKelvinTransform:
         u = bubble_field(params_f2)
         field = lambda points: kelvin_transform_u(u, np.zeros(3), 0.7, points)
         box = np.array([[0.5, 1.5], [0.5, 1.5], [0.0, 1.0]])
-        conv = convergence_order(spec_f2, field, box, np.array([4e-3, 2e-3, 1e-3]), n_per_axis=6)
+        conv = convergence_order(spec_f2, field, box, 1e-3, n_per_axis=6)
         assert abs(conv.slope[0] - 2.0) < 0.1
 
 

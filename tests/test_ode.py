@@ -4,7 +4,6 @@ import scipy.integrate
 
 from halfspace_bubbles import ode, radial_ode
 from halfspace_bubbles.bubble_family import make_bubble_params
-from halfspace_bubbles.conformal_ball import setup_from_params
 from halfspace_bubbles.errors import ShootFailed, StepFailure
 
 from conftest import degenerate_spec, incompatible_rows_spec, run_child, spec_m1, spec_m2_symmetric
@@ -145,7 +144,7 @@ def test_nfev_counts_the_calls_made_before_returning(call, spec_f3, params_f3, m
 
     monkeypatch.setattr(radial_ode, "solve_ivp", counting)
     if call == "radial":
-        radial_ode.shoot_robin(spec_f3, setup_from_params(params_f3).d, tol=1e-10)
+        radial_ode.shoot_robin(spec_f3, params_f3.d, tol=1e-10)
     elif call == "halfline":
         radial_ode.halfline_breakdown(spec_f3, np.ones(spec_f3.m))
     else:
@@ -212,8 +211,7 @@ def recorded_solves(name, monkeypatch):
         assert name == "x3"
     if name in ("f1", "f2", "f3"):
         params = make_bubble_params(spec, sigma=1.0)
-        d = setup_from_params(params).d
-        radial_ode.integrate_radial(spec, params.betas, 2 * d, tol=1e-10)
+        radial_ode.integrate_radial(spec, params.betas, 2 * params.d, tol=1e-10)
     radial_ode.halfline_breakdown(spec, np.ones(spec.m))
     return calls
 

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from halfspace_bubbles import ode, radial_ode
 from halfspace_bubbles.bubble_family import make_bubble_params, solve_betas
-from halfspace_bubbles.conformal_ball import recover_mu_alpha, setup_from_params
+from halfspace_bubbles.conformal_ball import recover_mu_alpha
 from halfspace_bubbles.errors import HorizonExceeded, PositivityLoss, ShootFailed
 from halfspace_bubbles.exponent_system import EllipticSystemSpec
 from halfspace_bubbles.radial_ode import (
@@ -83,9 +83,8 @@ def closed_form_residual(spec, alphas, mu, r):
 
 
 def fixture_mu_alpha(spec, params):
-    setup = setup_from_params(params)
     mu, alphas = recover_mu_alpha(params)
-    return setup.d, mu, alphas
+    return params.d, mu, alphas
 
 
 class TestClosedForm:
@@ -177,17 +176,16 @@ class TestShooting:
         from halfspace_bubbles.bubble_family import evaluate_bubble
 
         spec, params = fixture_pair
-        setup = setup_from_params(params)
-        d = setup.d
+        d = params.d
         alphas, mu, *_ = shoot_robin(spec, d, tol=1e-10)
         psi_2d = closed_form_psi(spec.N, alphas, mu, 2 * d)
-        expected = 2.0 ** (2 - spec.N) * evaluate_bubble(params, setup.xbar[None])[0]
+        expected = 2.0 ** (2 - spec.N) * evaluate_bubble(params, params.xbar[None])[0]
         np.testing.assert_allclose(psi_2d, expected, rtol=1e-8)
 
     def test_shot_profile_is_the_closed_form_of_the_shot(self, fixture_pair):
         # psi_ref rescaled by critical scaling: values and slopes on [0, 2d]
         spec, params = fixture_pair
-        d = setup_from_params(params).d
+        d = params.d
         alphas, mu, shot, _ = shoot_robin(spec, d, tol=1e-10)
         assert shot.r[0] == 0.0 and shot.r[-1] == 2 * d
         traj = shot.at(np.linspace(0.0, 2 * d, 57))
@@ -241,7 +239,7 @@ class TestShooting:
         for attr in calls:
             monkeypatch.setattr(radial_ode, attr, counting(attr))
         if name == "f3":
-            shoot_robin(spec_f3, setup_from_params(params_f3).d, tol=1e-10)
+            shoot_robin(spec_f3, params_f3.d, tol=1e-10)
         elif name == "degenerate":
             shoot_robin(degenerate_spec(), np.sqrt(3.0), tol=1e-10)
         else:
@@ -311,7 +309,7 @@ class TestLaunchSeries:
             return out
 
         monkeypatch.setattr(radial_ode, "solve_ivp", recording)
-        shoot_robin(spec, setup_from_params(make_bubble_params(spec, sigma=1.0)).d, tol=1e-10)
+        shoot_robin(spec, make_bubble_params(spec, sigma=1.0).d, tol=1e-10)
         assert len(steps) == 1 and steps[0] <= most
 
 

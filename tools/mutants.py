@@ -53,7 +53,7 @@ MUTANTS = {
     # the Robin coefficient (N-2)/(4d), in the shooting and in the ball's residual
     "robin-coefficient": ("radial_ode.py", "res = dpsi + (spec.N - 2)",
                           "res = dpsi + (spec.N - 1)"),
-    "ball-kappa": ("conformal_ball.py", "kappa=(setup.N - 2)", "kappa=(setup.N - 1)"),
+    "ball-kappa": ("conformal_ball.py", "kappa=(params.N - 2)", "kappa=(params.N - 1)"),
     # the Kelvin factor's exponent (N-2)/2
     "kelvin-exponent": ("kelvin_inversion.py", "(dy.shape[-1] - 2)", "(dy.shape[-1] - 1)"),
     # the one-sided stencil: its weights on u(p + h n) and u(p + 2h n), and its 2h
@@ -81,6 +81,11 @@ MUTANTS = {
     "fold-nan": ("fd_verifier.py", "np.argmax(np.stack([best[0], sups]), axis=0).astype(bool)",
                  "sups > best[0]"),
     "fold-offset": ("fd_verifier.py", "mags.argmax(axis=1) + offset", "mags.argmax(axis=1)"),
+    # every residual study runs at 4h, 2h and h
+    "study-schedule": ("fd_verifier.py", "np.array([4 * h, 2 * h, h])",
+                       "np.array([3 * h, 2 * h, h])"),
+    # a family member's boundary width d is positive
+    "width-rule": ("bubble_family.py", "if not self.d > 0:", "if self.d < 0:"),
     # a subnormal sigma^2 is out of range, and a params file without a key is malformed
     "sigma-range": ("bubble_family.py", "sigma * sigma >= tiny and ", ""),
     "params-missing-key": ("bubble_family.py", "except (KeyError, TypeError, OverflowError)",

@@ -13,7 +13,10 @@ that cannot meet the Robin condition on incompatible boundary rows, and
 unusable inputs (among them a params file of invalid JSON, a spec file
 passed as params, a sigma whose square is subnormal, a row sum 2e-7 off
 its target, the ``--tol`` that ``validate`` and ``solve-params`` do not
-take, ``ball --grid 99`` and a sweep past the sample shell).  Last, ``radial`` runs again on f2, f4 and x3, now on the
+take, ``ball --grid 99``, a sweep past the sample shell, a params file whose
+boundary width underflows to 0 on ``verify``, ``moving-spheres``, ``ball`` and
+``radial``, one with an empty y0, and ``verify --h 5`` and ``ball --h 1``, whose
+largest step 4h leaves no headroom).  Last, ``radial`` runs again on f2, f4 and x3, now on the
 roots this process has cached, and on f2 at sigma = 2, once on the root the
 sigma = 1 call cached and once fresh after the cache is cleared, so each
 cached call prints next to the digests of its fresh twin.  Each call
@@ -119,6 +122,18 @@ def main(outdir: str) -> int:
     matrix["f2.ball-grid-99"] = ["ball", "--grid", "99"]
     # a sweep past the sample shell, which ends at 50 critical radii: exit 2, input_error
     matrix["f2.moving-spheres-past-shell"] = ["moving-spheres", "--lambda-hi", "1000"]
+    # a boundary width d = sqrt(sigma^2 + y0N^2) that underflows to 0: exit 2, input_error
+    Path("zero-width.params.json").write_text(
+        json.dumps({"sigma": 1e-170, "betas": [1.0], "y0": [0.0, 0.0, 0.0]}), encoding="utf-8")
+    for command in ("verify", "moving-spheres", "ball", "radial"):
+        matrix[f"f1.{command}-zero-width"] = [command, "--params", "zero-width.params.json"]
+    # an empty y0: exit 2, malformed_spec
+    Path("empty-y0.params.json").write_text(
+        json.dumps({"sigma": 1.0, "betas": [1.0], "y0": []}), encoding="utf-8")
+    matrix["f2.verify-empty-y0"] = ["verify", "--params", "empty-y0.params.json"]
+    # a largest step 4h with no headroom: exit 2, stencil_out_of_domain
+    matrix["f2.verify-h5"] = ["verify", "--h", "5"]
+    matrix["f2.ball-h1"] = ["ball", "--h", "1"]
     # transport far from the boundary, where the recovered (mu, alphas) could cancel
     matrix["deep.ball"] = ["ball"]
     matrix["deep.radial"] = ["radial"]
