@@ -13,6 +13,8 @@ them and the spec's source and flux.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +34,7 @@ __all__ = [
     "interior_residual_relative",
     "boundary_residual_relative",
     "axis_neighbours",
+    "lattice_values",
     "bubble_field",
     "field_values",
     "log_profile",
@@ -80,6 +83,9 @@ class BubbleParams:
         if not self.d > 0:
             raise ValueError(f"the boundary width d = sqrt(sigma^2 + y0N^2) must be positive; "
                              f"it is 0 at sigma = {self.sigma!r}, y0N = {float(self.y0[-1])!r}")
+        if not _sigma_in_range(self.sigma, self.N):
+            raise ValueError(f"sigma {self.sigma!r} is out of range: sigma^2 and sigma^2 N (N-2) "
+                             "must be finite normal floats")
         self.xbar = np.append(self.y0[:-1], 0.0)
         self.P = np.append(self.y0[:-1], -self.d)
         self.Q = np.append(self.y0[:-1], self.d)
@@ -136,13 +142,16 @@ class LogLinearSolveResult:
         return np.exp(logb)
 
 
-def log_profile(log_amps: np.ndarray, q: np.ndarray, N: int) -> np.ndarray:
+def log_profile(log_amps: np.ndarray, q: np.ndarray, N: int, out=None) -> np.ndarray:
     """log of amps[i] * q**(-(N-2)/2), the bubble profile in log space; (..., m).
 
-    The result is the (..., m) view of component-major (m, ...) memory.
+    The result is the (..., m) view of component-major (m, ...) memory, ``out`` if
+    given; then the logarithm is taken in place of ``q``.
     """
+    log_q = np.log(q, out=None if out is None else q)
+    log_q *= 0.5 * (N - 2)
     log_amps = np.reshape(log_amps, (-1,) + (1,) * np.ndim(q))
-    return np.moveaxis(log_amps - 0.5 * (N - 2) * np.log(q), 0, -1)
+    return np.moveaxis(np.subtract(log_amps, log_q, out=out), 0, -1)
 
 
 def squared_distance(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -232,6 +241,11 @@ def compute_y0N(
     return y0N, per_row, spread
 
 
+def _sigma_in_range(sigma: float, N: int) -> bool:
+    """sigma^2 and sigma^2 N (N-2) are finite normal floats."""
+    return sigma * sigma >= np.finfo(float).tiny and sigma * sigma * N * (N - 2) < np.inf
+
+
 def make_bubble_params(spec: EllipticSystemSpec, sigma: float) -> BubbleParams:
     """The family member of scale sigma centered above the origin; ValueError if out of range.
 
@@ -240,7 +254,7 @@ def make_bubble_params(spec: EllipticSystemSpec, sigma: float) -> BubbleParams:
     """
     tiny = np.finfo(float).tiny
     with np.errstate(all="ignore"):  # a scale out of range is the error below, not a warning
-        if sigma * sigma >= tiny and sigma * sigma * spec.N * (spec.N - 2) < np.inf:
+        if _sigma_in_range(sigma, spec.N):
             betas = solve_betas(spec, sigma).betas()
             if np.all((betas >= tiny) & (betas < np.inf)):
                 y0N, rows, _ = compute_y0N(spec, betas, sigma)
@@ -328,13 +342,32 @@ def axis_neighbours(params: BubbleParams, y: np.ndarray, h: float) -> np.ndarray
     return np.exp(log_u, out=log_u)
 
 
+def lattice_values(params: BubbleParams, coords, shifts, q, out) -> np.ndarray:
+    """Values (R, b, m) at a lattice's b points moved by R ``shifts``, evaluate_bubble's to the bit.
+
+    ``coords`` are the N axes, shaped to broadcast; shift (a, t) adds t to coordinate a.  The flat
+    buffers ``q`` and ``out`` take q = sigma^2 + |y - y0|^2 (the squares in squared_distance's
+    order, sigma^2 last) and the values, (m, R, b), in their heads."""
+    sub = np.broadcast_shapes(*(x.shape for x in coords))
+    R, b = len(shifts), math.prod(sub)
+    q, out = q[: R * b].reshape(R, *sub), out[: params.m * R * b].reshape(params.m, R, *sub)
+    moved = (-1,) + (1,) * len(sub)  # one row per shift; the other coordinates move by 0.0
+    terms = [(x + np.array([t if c == a else 0.0 for c, t in shifts]).reshape(moved) - y0) ** 2
+             for a, (x, y0) in enumerate(zip(coords, params.y0))]
+    np.add(functools.reduce(np.add, terms[:-1]), terms[-1], out=q)
+    q += params.sigma**2
+    log_profile(np.log(params.betas), q, params.N, out=out)
+    return np.exp(out, out=out).reshape(params.m, R, b).transpose(1, 2, 0)
+
+
 def bubble_field(params: BubbleParams):
-    """Field evaluator closure: points (k, N) -> values (k, m), with ``axis_neighbours``. Pure."""
+    """Field evaluator (k, N) -> (k, m) with ``axis_neighbours`` and ``lattice_values``. Pure."""
 
     def field(points: np.ndarray) -> np.ndarray:
         return evaluate_bubble(params, points)
 
     field.axis_neighbours = lambda points, h: axis_neighbours(params, points, h)
+    field.lattice_values = lambda *args: lattice_values(params, *args)
     return field
 
 

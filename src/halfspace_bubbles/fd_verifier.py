@@ -9,9 +9,9 @@ Nothing here solves a PDE; fields are only checked.
 
 Field evaluators map point batches (k, N) to component values (k, m) and
 must be pure; residual collection is a plain max-reduction, so reports do
-not depend on evaluation order.  Points are walked in blocks of
-``BLOCK_CENTERS``, box lattices read from their 1-d axes, so no array of a
-study grows with its point set.
+not depend on evaluation order.  Points are walked in blocks of at most
+``BLOCK_CENTERS``, box lattices in sub-boxes read from their 1-d axes, so no
+array of a study grows with its point set.
 
 Layout: points innermost.  Component values (k, m) are views of (m, k) memory
 (bubble values come so from ``log_profile``), the bubble's neighbour values
@@ -27,6 +27,7 @@ size and of the other components evaluated with it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -97,27 +98,44 @@ class ConvergenceReport:
     finest: ResidualReport = field(repr=False)
 
 
-def central_laplacian(u, points: np.ndarray, h: float, center: np.ndarray) -> np.ndarray:
-    """Second-order central Laplacian of all components at points (k, N).
-
-    ``u`` maps (n, N) to (n, m) or (n,); ``center`` holds its values at the
-    points, (k, m), so only the 2N neighbours are evaluated.  Returns the
-    Laplacians, (k, m).  The caller keeps the stencil in the domain.  An evaluator's
-    ``axis_neighbours(points, h)``, if it has one, gives the 2N neighbours' values.
-    """
+def _stencil_values(u, points: np.ndarray, h: float, directions=None) -> np.ndarray:
+    """Values (2N, k, m) at points ± h e_a (an evaluator's ``axis_neighbours(points, h)`` if it
+    has one), or (2, k, m) at p + h n and p + 2h n along ``directions``."""
     k, N = points.shape
-    if hasattr(u, "axis_neighbours"):
-        vals = u.axis_neighbours(points, h)
+    if directions is not None:
+        stencil = np.stack([points + h * directions, points + 2 * h * directions])
+    elif hasattr(u, "axis_neighbours"):
+        return u.axis_neighbours(points, h)
     else:
         stencil = np.broadcast_to(points, (2 * N, k, N)).copy()
         for a in range(N):
             stencil[2 * a, :, a] += h
             stencil[2 * a + 1, :, a] -= h
-        vals = field_values(u, stencil.reshape(-1, N)).reshape(2 * N, k, -1)
-    total = vals[0] + vals[1]
+    return field_values(u, stencil.reshape(-1, N)).reshape(len(stencil), k, -1)
+
+
+def _laplacian(vals: np.ndarray, center: np.ndarray, h: float, out=None) -> np.ndarray:
+    """(the 2N neighbour values (2N, k, m) added left to right - 2N center) / h^2, into ``out``."""
+    total = np.add(vals[0], vals[1], out=out)
     for neighbour in vals[2:]:
         total += neighbour
-    return (total - 2 * N * center) / h**2
+    total -= len(vals) * center
+    total /= h**2
+    return total
+
+
+def _one_sided(vals: np.ndarray, center: np.ndarray, h: float) -> np.ndarray:
+    return (-3 * center + 4 * vals[0] - vals[1]) / (2 * h)
+
+
+def central_laplacian(u, points: np.ndarray, h: float, center: np.ndarray) -> np.ndarray:
+    """Second-order central Laplacian of all components at points (k, N).
+
+    ``u`` maps (n, N) to (n, m) or (n,); ``center`` holds its values at the
+    points, (k, m), so only the 2N neighbours are evaluated.  Returns the
+    Laplacians, (k, m).  The caller keeps the stencil in the domain.
+    """
+    return _laplacian(_stencil_values(u, points, h), center, h)
 
 
 def one_sided_derivative(
@@ -129,15 +147,35 @@ def one_sided_derivative(
     domain; ``center`` holds the values at p, (k, m).  Returns the
     derivatives, (k, m).
     """
-    k, N = points.shape
-    stencil = np.stack([points + h * directions, points + 2 * h * directions])
-    vals = field_values(u, stencil.reshape(-1, N)).reshape(2, k, -1)
-    return (-3 * center + 4 * vals[0] - vals[1]) / (2 * h)
+    return _one_sided(_stencil_values(u, points, h, directions), center, h)
 
 
 def point_blocks(n: int):
     """Slices of ``BLOCK_CENTERS`` consecutive points that cover ``range(n)``, in order."""
     return (slice(start, start + BLOCK_CENTERS) for start in range(0, n, BLOCK_CENTERS))
+
+
+def _array_blocks(u, points, m: int, n_h: int, normals):
+    """(center, neighbours(h), residuals) per block of consecutive points; ``normals`` None inside."""
+    for block in point_blocks(len(points)):
+        pts = points[block]
+        neighbours = functools.partial(_stencil_values, u, pts,
+                                       directions=None if normals is None else normals[block])
+        yield field_values(u, pts), neighbours, np.empty((n_h, m, len(pts))).transpose(0, 2, 1)
+
+
+def _lattice_blocks(u, lattice, m: int, n_h: int, face: bool):
+    """:func:`_array_blocks` of a lattice's sub-boxes, the values from ``u.lattice_values``: 2N axis
+    neighbours inside, p + h e_N and p + 2h e_N on the ``face``, in buffers held for the study."""
+    N = len(lattice.shape)
+    rows = 2 if face else 2 * N
+    q, vals, center, res = (np.empty(n * min(BLOCK_CENTERS, len(lattice)))
+                            for n in (rows, m * rows, m, n_h * m))
+    steps = [(N - 1, 1), (N - 1, 2)] if face else [(a, s) for a in range(N) for s in (1, -1)]
+    for coords in lattice.sub_boxes():
+        values = u.lattice_values(coords, [(0, 0.0)], q, center)[0]
+        yield (values, lambda h: u.lattice_values(coords, [(a, s * h) for a, s in steps], q, vals),
+               res[: n_h * m * len(values)].reshape(n_h, m, -1).transpose(0, 2, 1))
 
 
 def _residual_blocks(
@@ -151,29 +189,30 @@ def _residual_blocks(
     half-space.  Each block's values and source term are evaluated once and
     shared by every step, so only the neighbours are evaluated per step.
     Point sets are (k, N) arrays or :class:`_Lattice`; nothing larger than a
-    block is held.
+    block is held.  A lattice on the half-space and an evaluator with
+    ``lattice_values`` take the lattice route, whose blocks share one buffer.
     """
     h_list = [float(h) for h in h_list]
-    for block in point_blocks(len(interior)):
-        pts = interior[block]
-        center = field_values(u, pts)
-        source = spec.source(np.log(center))
-        res = np.empty((len(h_list), spec.m, len(pts))).transpose(0, 2, 1)
-        for i, h in enumerate(h_list):
-            res[i] = central_laplacian(u, pts, h, center) + source
-        yield False, res
-    normals = np.broadcast_to(np.eye(spec.N)[-1] if normals is None else normals,
-                              (len(boundary), spec.N))
-    for block in point_blocks(len(boundary)):
-        pts = boundary[block]
-        center = field_values(u, pts)
-        flux = spec.flux(np.log(center))
-        robin = kappa * center
-        res = np.empty((len(h_list), spec.m, len(pts))).transpose(0, 2, 1)
-        for i, h in enumerate(h_list):
-            d_in = one_sided_derivative(u, pts, normals[block], h, center)
-            res[i] = (d_in - robin) - flux
-        yield True, res
+    for face, points in ((False, interior), (True, boundary)):
+        if isinstance(points, _Lattice) and hasattr(u, "lattice_values") and normals is None:
+            blocks = _lattice_blocks(u, points, spec.m, len(h_list), face)
+        else:
+            inward = np.eye(spec.N)[-1] if normals is None else normals
+            blocks = _array_blocks(u, points, spec.m, len(h_list),
+                                   np.broadcast_to(inward, (len(points), spec.N)) if face else None)
+        for center, neighbours, res in blocks:
+            # the source and flux in the residuals' (m, b) memory, so each step adds them fast
+            if face:
+                flux, robin = np.asfortranarray(spec.flux(np.log(center))), kappa * center
+                for i, h in enumerate(h_list):
+                    d_in = _one_sided(neighbours(h), center, h)
+                    res[i] = (d_in - robin) - flux
+            else:
+                source = np.asfortranarray(spec.source(np.log(center)))
+                for i, h in enumerate(h_list):
+                    _laplacian(neighbours(h), center, h, out=res[i])
+                    res[i] += source
+            yield face, res
 
 
 def fold_sup(best, mags: np.ndarray, offset: int):
@@ -247,6 +286,18 @@ class _Lattice:
         if isinstance(index, slice):
             index = np.arange(*index.indices(len(self)))
         return np.stack([axis[i] for axis, i in zip(self.axes, np.unravel_index(index, self.shape))]).T
+
+    def sub_boxes(self):
+        """Sub-boxes of at most BLOCK_CENTERS points in C order, as N coordinate arrays that
+        broadcast: leading axes fixed, one axis chunked, trailing axes whole."""
+        N = len(self.shape)  # axes j.. are whole, axis j - 1 is chunked, the axes before it fixed
+        j = max(1, next(j for j in range(N + 1) if math.prod(self.shape[j:]) <= BLOCK_CENTERS))
+        chunk = BLOCK_CENTERS // math.prod(self.shape[j:])
+        for lead in np.ndindex(self.shape[: j - 1]):
+            for start in range(0, self.shape[j - 1], chunk):
+                box = [*(slice(i, i + 1) for i in lead), slice(start, start + chunk)]
+                yield [axis[s].reshape((-1,) + (1,) * (N - 1 - a))
+                       for a, (axis, s) in enumerate(zip(self.axes, box + [slice(None)] * (N - j)))]
 
 
 def _box_lattices(

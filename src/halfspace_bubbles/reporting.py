@@ -113,6 +113,19 @@ def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.array(words, dtype=np.uint64).T.copy())
 
 
+@functools.cache
+def _cell_tables() -> tuple[np.ndarray, np.ndarray]:
+    """A cell's exponent sign and digits at row exponent + 500, and its keep mask at row
+    ((sign * 6 + lead) * 19 + size) * 3 + form (0 positional, 1 and 2 the exponent form
+    below and from e100), padded to 32 bytes: np.take copies rows of 4 and 32 bytes fastest.
+    Built on first use."""
+    exponents = b"".join(b"%+04d" % x for x in range(-500, 500))
+    sign, lead, size, form = (i[:, None] for i in np.unravel_index(np.arange(684), (2, 6, 19, 3)))
+    keeps = np.hstack([sign == 1, np.arange(5) < lead, np.arange(18) < size,
+                       form > np.array([0, 0, 1, 0, 0]), np.zeros((684, 3), dtype=bool)])
+    return np.frombuffer(exponents, dtype=np.uint8).reshape(-1, 4), keeps
+
+
 def _mul_hi(a0, a1, b0, b1) -> np.ndarray:
     """High 64 bits of the 128-bit products a b of uint64 arrays given as 32-bit halves (low, high)."""
     p10, p01 = a1 * b0, a0 * b1
@@ -193,19 +206,14 @@ def _render(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slot = np.arange(18)[:, None]
     body = digits[:18] + (digits[1:] - digits[:18]) * (slot < point)
     body += (np.uint8(ord(".")) - body) * (slot == point)
-    e = np.abs(decpt - 1)
+    exponents, keeps = _cell_tables()
     cells = np.empty((x.size, _W), dtype=np.uint8)
     cells[:] = np.frombuffer(b"-0.000" + b"0" * 18 + b"e+000", dtype=np.uint8)
     cells[:, 6:24] = body.T
-    cells[:, 25] = np.where(decpt > 0, ord("+"), ord("-"))
-    for j, unit in zip(range(26, 29), (100, 10, 1)):
-        cells[:, j] = e // unit % 10 + ord("0")
-    keep = np.empty(cells.shape, dtype=bool)
-    keep[:, 0] = np.signbit(x)
-    keep[:, 1:6] = np.arange(5) < np.where(small, 2 - decpt, 0)[:, None]
-    keep[:, 6:24] = np.arange(18) < size[:, None]
-    keep[:, 24:29] = expo[:, None]
-    keep[:, 26] &= e >= 100
+    cells[:, 25:29] = np.take(exponents, decpt + 499, axis=0)
+    form = expo * (1 + (np.abs(decpt - 1) >= 100))
+    lead = np.where(small, 2 - decpt, 0)
+    keep = np.take(keeps, ((np.signbit(x) * 6 + lead) * 19 + size) * 3 + form, axis=0)[:, :_W]
     if odd.any():
         cells[odd], keep[odd] = _texts([repr(v) for v in x[odd].tolist()])
     return cells, keep

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -339,23 +340,40 @@ def test_params_that_do_not_fit_the_spec_exit_two(
     assert json.loads(capsys.readouterr().err)["error_code"] == error_code
 
 
+def assert_params_are_one_input_error(command, fields, tmp_path, capsys):
+    """f1 with the params ``fields`` exits 2 with the rule BubbleParams raises, and no warning."""
+    with pytest.raises(ValueError) as rule:
+        bf.BubbleParams(**fields)
+    spec, params = tmp_path / "f1.json", tmp_path / "params.json"
+    spec.write_text(json.dumps({"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [0.0]}))
+    params.write_text(json.dumps(fields))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, "--spec", spec, "--params", params, "--out", out) == 2
+    # one error object on stderr and nothing else, and no report
+    assert json.loads(capsys.readouterr().err) == {"error_code": "input_error",
+                                                   "detail": str(rule.value)}
+    assert not out.exists()
+    return str(rule.value)
+
+
 @pytest.mark.parametrize("command", ["verify", "moving-spheres", "ball", "radial"])
 def test_params_of_zero_boundary_width_are_one_input_error(command, tmp_path, capsys):
     # sigma^2, and with it d^2 = sigma^2 + y0N^2, underflows to 0.  Before, verify
     # exited 1 (non_finite_report), moving-spheres 2 with numpy's geometric-grid
     # detail, and ball and radial 2 with a detail of their own
     zero_width = {"sigma": 1e-170, "betas": [1.0], "y0": [0.0, 0.0, 0.0]}
-    with pytest.raises(ValueError) as rule:
-        bf.BubbleParams(**zero_width)
-    spec, params = tmp_path / "f1.json", tmp_path / "params.json"
-    spec.write_text(json.dumps({"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [0.0]}))
-    params.write_text(json.dumps(zero_width))
-    out = tmp_path / "out.json"
-    assert run(command, "--spec", spec, "--params", params, "--out", out) == 2
-    # one error object on stderr and nothing else, and no report
-    assert json.loads(capsys.readouterr().err) == {"error_code": "input_error",
-                                                   "detail": str(rule.value)}
-    assert not out.exists()
+    assert "width" in assert_params_are_one_input_error(command, zero_width, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", ["verify", "moving-spheres", "ball", "radial"])
+def test_params_outside_the_sigma_range_are_one_input_error(command, tmp_path, capsys):
+    # sigma^2 underflows to 0 while d = 1 stays positive: the range --sigma admits
+    # holds for params files too.  Before, verify, ball and radial exited 1
+    # (non_finite_report) with numpy warnings, and moving-spheres exited 0
+    fields = {"sigma": 1e-170, "betas": [1.0], "y0": [0.0, 0.0, 1.0]}
+    assert "out of range" in assert_params_are_one_input_error(command, fields, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("h", [None, "0.005"])
@@ -871,21 +889,25 @@ class TestEachValueOnce:
     def test_verify_sweeps_three_levels(self, spec_file, params_file, tmp_path, monkeypatch):
         from halfspace_bubbles import bubble_family
 
-        evaluated, neighbours = [], []
+        evaluated, neighbours, lattice = [], [], []
         recording(monkeypatch, bubble_family, "evaluate_bubble", evaluated,
                   lambda a, kw: len(a[1]))
         recording(monkeypatch, bubble_family, "axis_neighbours", neighbours,
                   lambda a, kw: 2 * a[1].shape[1] * len(a[1]))
+        # (rows, points): one row per shift of a sub-box, whose axes broadcast to its points
+        recording(monkeypatch, bubble_family, "lattice_values", lattice,
+                  lambda a, kw: (len(a[2]), np.broadcast(*a[1]).size))
         out = tmp_path / "verify.json"
         assert run("verify", "--spec", spec_file, "--params", params_file, "--out", out) == 0
         # N = 3 on the default 8-point lattice: each interior center once plus its
         # 2N neighbours at each of the 3 steps, each boundary center once plus its 2
         # inward points at each step; one residual pass serves every level.  The
-        # bubble's central stencils are its axis neighbours, not evaluated points
+        # lattices are read from their axes, so no point is evaluated one by one
         n_interior, n_boundary, N = 8**3, 8**2, 3
-        assert sum(neighbours) == n_interior * 3 * 2 * N
-        assert sum(evaluated) + sum(neighbours) == (n_interior * (1 + 3 * 2 * N)
-                                                    + n_boundary * (1 + 3 * 2))
+        assert evaluated == neighbours == []
+        assert sum(rows * points for rows, points in lattice if rows == 2 * N) == n_interior * 3 * 2 * N
+        assert sum(rows * points for rows, points in lattice) == (n_interior * (1 + 3 * 2 * N)
+                                                                  + n_boundary * (1 + 3 * 2))
         report = json.loads(out.read_text())
         conv = report["convergence"]
         # the "fd" block is the finest level of the convergence study

@@ -1,9 +1,10 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -250,14 +251,24 @@ def _study_box(N):
 
 # One component with 2N = 8 neighbours: the critical N = 4 system.
 SPEC_N4_M1 = EllipticSystemSpec(N=4, m=1, A=[[3.0]], B=[[2.0]], c=[-1.0])
+# N = 5, m = 2: rows of A sum to (N+2)/(N-2), rows of B to N/(N-2)
+SPEC_N5_M2 = EllipticSystemSpec(N=5, m=2, A=[[1.0, 4 / 3], [4 / 3, 1.0]],
+                                B=[[5 / 6, 5 / 6], [5 / 6, 5 / 6]], c=[-1.0, -1.0])
+
+
+def study_fields(conv):
+    """Every field of a ConvergenceReport and of its finest ResidualReport."""
+    return [*(v for v in vars(conv).values() if not isinstance(v, fd_verifier.ResidualReport)),
+            *vars(conv.finest).values()]
 
 
 class TestBlockedDriver:
-    @pytest.mark.parametrize("name, n_per_axis", [("f2", 9), ("f3", 5), ("n4m1", 5)])
+    @pytest.mark.parametrize("name, n_per_axis",
+                             [("f2", 9), ("f3", 5), ("n4m1", 5), ("n5m2", 5)])
     def test_block_size_leaves_every_result_unchanged(self, name, n_per_axis, monkeypatch):
-        # 9^3 = 729 and 5^4 = 625 interior centers, 81 and 125 boundary ones:
-        # none a multiple of 7, so the last block of each is partial
-        spec = SPEC_N4_M1 if name == "n4m1" else fixture_spec(name)
+        # 9^3 = 729, 5^4 = 625 and 5^5 = 3125 interior centers, 81, 125 and 625
+        # boundary ones: none a multiple of 7, so the last block of each is partial
+        spec = {"n4m1": SPEC_N4_M1, "n5m2": SPEC_N5_M2}.get(name) or fixture_spec(name)
         u = bubble_field(make_bubble_params(spec, 1.0))
         box = _study_box(spec.N)
         rng = np.random.default_rng(3)
@@ -271,8 +282,7 @@ class TestBlockedDriver:
             return (
                 *residuals_at_points(spec, u, interior, boundary, 1e-3),
                 *vars(sweep).values(),
-                *(v for v in vars(conv).values() if not isinstance(v, fd_verifier.ResidualReport)),
-                *vars(conv.finest).values(),
+                *study_fields(conv),
             )
 
         monkeypatch.setattr(fd_verifier, "BLOCK_CENTERS", 7)
@@ -281,6 +291,32 @@ class TestBlockedDriver:
         whole = results()
         assert len(blocked) == len(whole)
         for a, b in zip(blocked, whole):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    @pytest.mark.parametrize("block", [7, 4096, 10**6])
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    @settings(max_examples=6)
+    @given(m=st.integers(1, 3), data=st.data())
+    def test_lattice_route_equals_the_point_route(self, N, block, m, data):
+        # the lattice read sub-box by sub-box from its axes, and the same points as
+        # a (k, N) array through the generic route: every field to the bit.  Blocks
+        # of 7 stop at 2,048 centers, which keeps the run to seconds
+        n_per_axis = data.draw(st.integers(1, 12 if block > 7 else int(2048 ** (1 / N))))
+        spec = EllipticSystemSpec(N=N, m=m, A=np.full((m, m), (N + 2) / (N - 2) / m),
+                                  B=np.full((m, m), N / (N - 2) / m), c=-np.ones(m))
+        floats = lambda lo, hi, n: data.draw(arrays(float, n, elements=st.floats(lo, hi)))
+        params = BubbleParams(data.draw(st.floats(0.1, 10.0)), floats(0.1, 10.0, m),
+                              floats(-3.0, 3.0, N))
+        lo, width = floats(-3.0, 1.0, N), floats(0.1, 4.0, N)
+        lo[-1] = data.draw(st.floats(0.0, 1.0))
+        box = np.stack([lo, lo + width], axis=1)
+        h = data.draw(st.floats(1e-4, 1e-2))
+        u = bubble_field(params)
+        interior, boundary = fd_verifier._box_lattices(spec, box, n_per_axis, 4 * h)
+        with mock.patch.object(fd_verifier, "BLOCK_CENTERS", block):
+            on_lattice = convergence_order(spec, u, box, h, n_per_axis)
+            on_points = residual_study(spec, u, interior[:], boundary[:], h)
+        for a, b in zip(study_fields(on_lattice), study_fields(on_points), strict=True):
             assert np.array_equal(a, b, equal_nan=True)
 
     def test_study_memory_is_bounded_by_the_block(self):

@@ -76,6 +76,12 @@ MUTANTS = {
                                "for b in reversed(range(a + 1, N)):"),
     "neighbour-sign": ("bubble_family.py", "((2 * a, yT[a] + h), (2 * a + 1, yT[a] - h))",
                        "((2 * a, yT[a] - h), (2 * a + 1, yT[a] + h))"),
+    # the lattice's q adds sigma^2 after the axis squares, as evaluate_bubble does
+    "lattice-sigma-first": ("bubble_family.py",
+                            "np.add(functools.reduce(np.add, terms[:-1]), terms[-1], out=q)\n"
+                            "    q += params.sigma**2",
+                            "np.add(functools.reduce(np.add, terms[:-1], params.sigma**2), terms[-1],"
+                            " out=q)"),
     # the blocked sup: a block's NaN or larger value replaces the running one, and
     # its argmax counts from the block's first point
     "fold-nan": ("fd_verifier.py", "np.argmax(np.stack([best[0], sups]), axis=0).astype(bool)",
@@ -87,7 +93,7 @@ MUTANTS = {
     # a family member's boundary width d is positive
     "width-rule": ("bubble_family.py", "if not self.d > 0:", "if self.d < 0:"),
     # a subnormal sigma^2 is out of range, and a params file without a key is malformed
-    "sigma-range": ("bubble_family.py", "sigma * sigma >= tiny and ", ""),
+    "sigma-range": ("bubble_family.py", "sigma * sigma >= np.finfo(float).tiny and ", ""),
     "params-missing-key": ("bubble_family.py", "except (KeyError, TypeError, OverflowError)",
                            "except (TypeError, OverflowError)"),
     # each rule's one tolerance, and ball's floor of 100 x 100 mapping samples
@@ -105,6 +111,8 @@ MUTANTS = {
     "render-half-even": ("reporting.py", "((s & _U(1)) == _U(0))", "((s & _U(1)) == _U(1))"),
     "render-even-bounds": ("reporting.py", "out = c & _U(1)", "out = _U(1)"),
     "render-power-of-two": ("reporting.py", "rop(cb - _U(2) + irregular)", "rop(cb - _U(2))"),
+    # a cell's exponent field comes from a table with one row per exponent
+    "csv-exp-table": ("reporting.py", "for x in range(-500, 500)", "for x in range(-499, 501)"),
 }
 
 

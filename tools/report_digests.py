@@ -6,7 +6,9 @@ asymmetric f4, at sigma = 1), ``ball`` and ``radial`` on f2's exponents with c =
 the half-line solve from the scaled starts u0 = 1e-4 and 1e8
 on f3 and the incompatible-rows spec x3, a spec that fails validation,
 ``verify`` and ``ball`` on point sets that span many blocks and CSV passes
-(f3, f4 and an N = 5, m = 3 spec),
+(f3, f4 and an N = 5, m = 3 spec), ``verify`` with and without ``--csv`` on
+lattices walked in part-filled sub-boxes (an N = 5, m = 2 spec at ``--grid 11``),
+on a bubble off the origin in a shifted box, and at ``--grid 1``,
 and the error paths: sweeps that start past the critical radius or end
 below it, a shot
 that cannot meet the Robin condition on incompatible boundary rows, and
@@ -15,7 +17,7 @@ passed as params, a sigma whose square is subnormal, a row sum 2e-7 off
 its target, the ``--tol`` that ``validate`` and ``solve-params`` do not
 take, ``ball --grid 99``, a sweep past the sample shell, a params file whose
 boundary width underflows to 0 on ``verify``, ``moving-spheres``, ``ball`` and
-``radial``, one with an empty y0, and ``verify --h 5`` and ``ball --h 1``, whose
+``radial``, one whose sigma^2 underflows at a positive width on the same four, one with an empty y0, and ``verify --h 5`` and ``ball --h 1``, whose
 largest step 4h leaves no headroom).  Last, ``radial`` runs again on f2, f4 and x3, now on the
 roots this process has cached, and on f2 at sigma = 2, once on the root the
 sigma = 1 call cached and once fresh after the cache is cleared, so each
@@ -41,7 +43,8 @@ import os
 import sys
 from pathlib import Path
 
-from halfspace_bubbles import cli, radial_ode
+from halfspace_bubbles import bubble_family, cli, radial_ode
+from halfspace_bubbles.exponent_system import EllipticSystemSpec
 
 SPECS = {
     "f1": {"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [0.0]},
@@ -65,6 +68,9 @@ SPECS = {
     "n4-1e3": {"N": 4, "m": 1, "A": [[3.0]], "B": [[2.0]], "c": [1e3]},
     "n5-1e4": {"N": 5, "m": 1, "A": [[7 / 3]], "B": [[5 / 3]], "c": [1e4]},
     "n3-3e5": {"N": 3, "m": 1, "A": [[5.0]], "B": [[3.0]], "c": [3e5]},
+    # N = 5, m = 2 with symmetric exponents
+    "n5m2": {"N": 5, "m": 2, "A": [[1.0, 4 / 3], [4 / 3, 1.0]], "B": [[5 / 6, 5 / 6], [5 / 6, 5 / 6]],
+             "c": [-1.0, -1.0]},
     # N = 5, m = 3 with unequal row and column sums
     "n5m3": {"N": 5, "m": 3,
              "A": [[1 / 3, 1.0, 1.0], [0.5, 0.5, 4 / 3], [1.0, 1 / 3, 1.0]],
@@ -127,6 +133,11 @@ def main(outdir: str) -> int:
         json.dumps({"sigma": 1e-170, "betas": [1.0], "y0": [0.0, 0.0, 0.0]}), encoding="utf-8")
     for command in ("verify", "moving-spheres", "ball", "radial"):
         matrix[f"f1.{command}-zero-width"] = [command, "--params", "zero-width.params.json"]
+    # sigma^2 that underflows to 0 at a positive width: exit 2, input_error, as --sigma does
+    Path("tiny-sigma.params.json").write_text(
+        json.dumps({"sigma": 1e-170, "betas": [1.0], "y0": [0.0, 0.0, 1.0]}), encoding="utf-8")
+    for command in ("verify", "moving-spheres", "ball", "radial"):
+        matrix[f"f1.{command}-tiny-sigma"] = [command, "--params", "tiny-sigma.params.json"]
     # an empty y0: exit 2, malformed_spec
     Path("empty-y0.params.json").write_text(
         json.dumps({"sigma": 1.0, "betas": [1.0], "y0": []}), encoding="utf-8")
@@ -152,6 +163,18 @@ def main(outdir: str) -> int:
     matrix["f3.verify-large"] = ["verify", "--grid", "16", "--n-random", "20000", "--csv"]
     matrix["f4.ball-large"] = ["ball", "--grid", "200"]
     matrix["n5m3.verify-large"] = ["verify", "--grid", "9", "--n-random", "20000", "--csv"]
+    # lattices walked in sub-boxes: 11^4 = 14,641 points per y_N row, so the
+    # chunked axis ends in a part-filled sub-box; a bubble off the origin
+    # (f3's params moved by y0' = (0.7, -0.4, 0.3)) in a shifted box; one point per axis
+    params = bubble_family.make_bubble_params(EllipticSystemSpec(**SPECS["f3"]), 1.0)
+    params.y0[:-1] += [0.7, -0.4, 0.3]
+    Path("moved.params.json").write_text(json.dumps(params.to_dict()), encoding="utf-8")
+    shifted = ["--params", "moved.params.json", "--box=-1.3,2.7,-0.6,3.4,-2.1,1.9,0.25,2.25"]
+    for csv in ([], ["--csv"]):
+        suffix = "-csv" if csv else ""
+        matrix[f"n5m2.verify-grid-11{suffix}"] = ["verify", "--grid", "11", *csv]
+        matrix[f"f3.verify-moved{suffix}"] = ["verify", *shifted, *csv]
+        matrix[f"f3.verify-grid-1{suffix}"] = ["verify", "--grid", "1", *csv]
     # the same shots again on the cached psi_ref: the same exit, stderr and digests
     for call_id in ("f2.radial", "f4.radial", "x3.radial"):
         matrix[f"{call_id}-cached"] = matrix[call_id]
