@@ -33,7 +33,6 @@ __all__ = [
     "evaluate_bubble_derivatives",
     "interior_residual_relative",
     "boundary_residual_relative",
-    "axis_neighbours",
     "lattice_values",
     "bubble_field",
     "field_values",
@@ -324,49 +323,43 @@ def boundary_residual_relative(
     return out
 
 
-def axis_neighbours(params: BubbleParams, y: np.ndarray, h: float) -> np.ndarray:
-    """Values (2N, k, m) at y + h e_a, y - h e_a of points y (k, N), evaluate_bubble's to the bit."""
-    yT = np.asarray(y, dtype=float).T
-    N, k = yT.shape
-    # squared offsets by axis, added in squared_distance's order: the axes before a are a prefix
-    sq = [(yT[a] - params.y0[a]) ** 2 for a in range(N)]
-    total, prefix = np.empty((2 * N, k)), 0.0
-    for a in range(N):
-        for row, shifted in ((2 * a, yT[a] + h), (2 * a + 1, yT[a] - h)):
-            total[row] = (shifted - params.y0[a]) ** 2 + prefix
-            for b in range(a + 1, N):
-                total[row] += sq[b]
-        prefix = prefix + sq[a]
-    total += params.sigma**2
-    log_u = log_profile(np.log(params.betas), total, N)
-    return np.exp(log_u, out=log_u)
-
-
 def lattice_values(params: BubbleParams, coords, shifts, q, out) -> np.ndarray:
-    """Values (R, b, m) at a lattice's b points moved by R ``shifts``, evaluate_bubble's to the bit.
+    """Values (R, b, m) at b points moved by R ``shifts``, evaluate_bubble's to the bit.
 
-    ``coords`` are the N axes, shaped to broadcast; shift (a, t) adds t to coordinate a.  The flat
-    buffers ``q`` and ``out`` take q = sigma^2 + |y - y0|^2 (the squares in squared_distance's
-    order, sigma^2 last) and the values, (m, R, b), in their heads."""
+    ``coords`` are the points' N coordinates: a lattice's 1-d axes shaped to broadcast, or the
+    columns (b,) of a point set.  Shift (a, t) adds t to coordinate a.  The flat buffers ``q`` and
+    ``out`` take q = sigma^2 + |y - y0|^2 (the squares in squared_distance's order, sigma^2 last)
+    and the values, (m, R, b), in their heads.  Two builders of q do the same IEEE operations: a
+    lattice's squares are small, so one broadcast reduce adds them for every row at once and its
+    partial sums over the leading axes stay small; a point set's are full columns, so each is
+    squared once per distinct shift along it, and each row adds its own.
+    """
     sub = np.broadcast_shapes(*(x.shape for x in coords))
     R, b = len(shifts), math.prod(sub)
     q, out = q[: R * b].reshape(R, *sub), out[: params.m * R * b].reshape(params.m, R, *sub)
-    moved = (-1,) + (1,) * len(sub)  # one row per shift; the other coordinates move by 0.0
-    terms = [(x + np.array([t if c == a else 0.0 for c, t in shifts]).reshape(moved) - y0) ** 2
-             for a, (x, y0) in enumerate(zip(coords, params.y0))]
-    np.add(functools.reduce(np.add, terms[:-1]), terms[-1], out=q)
+    along = [[t if c == a else 0.0 for c, t in shifts] for a in range(params.N)]  # each row's move
+    if len(sub) > 1:
+        terms = [(x + np.array(t).reshape((-1,) + (1,) * len(sub)) - y0) ** 2
+                 for x, t, y0 in zip(coords, along, params.y0)]
+        np.add(functools.reduce(np.add, terms[:-1]), terms[-1], out=q)
+    else:
+        squares = [{t: (x + t - y0 if t else x - y0) ** 2 for t in set(ts)}
+                   for x, ts, y0 in zip(coords, along, params.y0)]
+        for row, first, second, *rest in zip(q, *along):
+            np.add(squares[0][first], squares[1][second], out=row)
+            for square, t in zip(squares[2:], rest):
+                row += square[t]
     q += params.sigma**2
     log_profile(np.log(params.betas), q, params.N, out=out)
     return np.exp(out, out=out).reshape(params.m, R, b).transpose(1, 2, 0)
 
 
 def bubble_field(params: BubbleParams):
-    """Field evaluator (k, N) -> (k, m) with ``axis_neighbours`` and ``lattice_values``. Pure."""
+    """Field evaluator (k, N) -> (k, m) with ``lattice_values``. Pure."""
 
     def field(points: np.ndarray) -> np.ndarray:
         return evaluate_bubble(params, points)
 
-    field.axis_neighbours = lambda points, h: axis_neighbours(params, points, h)
     field.lattice_values = lambda *args: lattice_values(params, *args)
     return field
 

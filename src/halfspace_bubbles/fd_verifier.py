@@ -14,9 +14,10 @@ not depend on evaluation order.  Points are walked in blocks of at most
 array of a study grows with its point set.
 
 Layout: points innermost.  Component values (k, m) are views of (m, k) memory
-(bubble values come so from ``log_profile``), the bubble's neighbour values
-(2N, k, m) of (m, 2N, k), and the sweep's samples, offsets and Kelvin images,
-the box samples and the lattice blocks of (m, k) and (N, k); stencils are
+(bubble values come so from ``log_profile``), the bubble's shifted values
+(R, b, m) of (m, R, b), and the sweep's samples, offsets and Kelvin images and
+the box samples of (m, k) and (N, k); a block reaches the bubble as N coordinate
+arrays, an array's columns or a sub-box's axes; other fields' stencils are
 neighbour-major, (2N, k, N) and (2, k, N), and a block's residuals (n_h, b, m)
 of (n_h, m, b).  So kernels and reductions run over contiguous points, not over
 the N <= 5 axes or m <= 3 components.  The 2N neighbour values are added
@@ -99,13 +100,10 @@ class ConvergenceReport:
 
 
 def _stencil_values(u, points: np.ndarray, h: float, directions=None) -> np.ndarray:
-    """Values (2N, k, m) at points ± h e_a (an evaluator's ``axis_neighbours(points, h)`` if it
-    has one), or (2, k, m) at p + h n and p + 2h n along ``directions``."""
+    """Values (2N, k, m) at points ± h e_a, or (2, k, m) at p + h n and p + 2h n along ``directions``."""
     k, N = points.shape
     if directions is not None:
         stencil = np.stack([points + h * directions, points + 2 * h * directions])
-    elif hasattr(u, "axis_neighbours"):
-        return u.axis_neighbours(points, h)
     else:
         stencil = np.broadcast_to(points, (2 * N, k, N)).copy()
         for a in range(N):
@@ -155,29 +153,6 @@ def point_blocks(n: int):
     return (slice(start, start + BLOCK_CENTERS) for start in range(0, n, BLOCK_CENTERS))
 
 
-def _array_blocks(u, points, m: int, n_h: int, normals):
-    """(center, neighbours(h), residuals) per block of consecutive points; ``normals`` None inside."""
-    for block in point_blocks(len(points)):
-        pts = points[block]
-        neighbours = functools.partial(_stencil_values, u, pts,
-                                       directions=None if normals is None else normals[block])
-        yield field_values(u, pts), neighbours, np.empty((n_h, m, len(pts))).transpose(0, 2, 1)
-
-
-def _lattice_blocks(u, lattice, m: int, n_h: int, face: bool):
-    """:func:`_array_blocks` of a lattice's sub-boxes, the values from ``u.lattice_values``: 2N axis
-    neighbours inside, p + h e_N and p + 2h e_N on the ``face``, in buffers held for the study."""
-    N = len(lattice.shape)
-    rows = 2 if face else 2 * N
-    q, vals, center, res = (np.empty(n * min(BLOCK_CENTERS, len(lattice)))
-                            for n in (rows, m * rows, m, n_h * m))
-    steps = [(N - 1, 1), (N - 1, 2)] if face else [(a, s) for a in range(N) for s in (1, -1)]
-    for coords in lattice.sub_boxes():
-        values = u.lattice_values(coords, [(0, 0.0)], q, center)[0]
-        yield (values, lambda h: u.lattice_values(coords, [(a, s * h) for a, s in steps], q, vals),
-               res[: n_h * m * len(values)].reshape(n_h, m, -1).transpose(0, 2, 1))
-
-
 def _residual_blocks(
     spec: EllipticSystemSpec, u, interior, boundary, h_list, normals=None, kappa: float = 0.0
 ):
@@ -188,19 +163,34 @@ def _residual_blocks(
     inward unit ``normals``, (kb, N) or (N,); e_N and kappa = 0 are the
     half-space.  Each block's values and source term are evaluated once and
     shared by every step, so only the neighbours are evaluated per step.
-    Point sets are (k, N) arrays or :class:`_Lattice`; nothing larger than a
-    block is held.  A lattice on the half-space and an evaluator with
-    ``lattice_values`` take the lattice route, whose blocks share one buffer.
+    Point sets are (k, N) arrays or :class:`_Lattice`, read in sub-boxes;
+    nothing larger than a block is held.  On the half-space an evaluator with
+    ``lattice_values`` gets each block as its N coordinates (an array's
+    columns, a sub-box's axes) with the shifts of the centers and neighbours;
+    any other, the points of :func:`_stencil_values`.  Buffers are held for
+    the study, so a block's residuals last until the next block is asked for.
     """
-    h_list = [float(h) for h in h_list]
+    h_list, m, N = [float(h) for h in h_list], spec.m, spec.N
+    zipped = hasattr(u, "lattice_values") and normals is None
+    inward = np.broadcast_to(np.eye(N)[-1] if normals is None else normals, (len(boundary), N))
     for face, points in ((False, interior), (True, boundary)):
-        if isinstance(points, _Lattice) and hasattr(u, "lattice_values") and normals is None:
-            blocks = _lattice_blocks(u, points, spec.m, len(h_list), face)
-        else:
-            inward = np.eye(spec.N)[-1] if normals is None else normals
-            blocks = _array_blocks(u, points, spec.m, len(h_list),
-                                   np.broadcast_to(inward, (len(points), spec.N)) if face else None)
-        for center, neighbours, res in blocks:
+        steps = [(N - 1, 1), (N - 1, 2)] if face else [(a, s) for a in range(N) for s in (1, -1)]
+        rows = (len(steps), m * len(steps), m) if zipped else (0, 0, 0)  # q, values, centers
+        q, vals, centers, residuals = (np.empty(n * min(BLOCK_CENTERS, len(points)))
+                                       for n in (*rows, len(h_list) * m))
+        blocks = point_blocks(len(points))
+        if zipped:  # each block as its N coordinates
+            blocks = (points.sub_boxes() if isinstance(points, _Lattice)
+                      else (list(points[block].T) for block in blocks))
+        for block in blocks:
+            if zipped:
+                center = u.lattice_values(block, [(0, 0.0)], q, centers)[0]
+                neighbours = lambda h: u.lattice_values(block, [(a, s * h) for a, s in steps], q, vals)
+            else:
+                pts, directions = points[block], inward[block] if face else None
+                center = field_values(u, pts)
+                neighbours = functools.partial(_stencil_values, u, pts, directions=directions)
+            res = residuals[: len(h_list) * center.size].reshape(len(h_list), m, -1).transpose(0, 2, 1)
             # the source and flux in the residuals' (m, b) memory, so each step adds them fast
             if face:
                 flux, robin = np.asfortranarray(spec.flux(np.log(center))), kappa * center
@@ -265,7 +255,7 @@ def residuals_at_points(
     # component-major (m, k) memory, as the blocks hold it
     parts = ([np.empty((spec.m, 0))], [np.empty((spec.m, 0))])
     for on_boundary, res in _residual_blocks(spec, u, interior_points, boundary_points, [h]):
-        parts[on_boundary].append(res[0].T)
+        parts[on_boundary].append(res[0].T.copy())
     return tuple(np.concatenate(p, axis=1).T for p in parts)
 
 

@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from halfspace_bubbles.bubble_family import (
     BubbleParams,
-    axis_neighbours,
     boundary_residual_relative,
     bubble_field,
     compute_y0N,
@@ -14,12 +13,14 @@ from halfspace_bubbles.bubble_family import (
     evaluate_bubble_derivatives,
     field_values,
     interior_residual_relative,
+    lattice_values,
     make_bubble_params,
     solve_betas,
     squared_distance,
 )
 from halfspace_bubbles.errors import IncompatibleBoundaryCoefficients, NoBubbleParameters
 from halfspace_bubbles.exponent_system import EllipticSystemSpec
+from halfspace_bubbles.fd_verifier import _stencil_values
 
 from conftest import (
     FIXTURE_NAMES,
@@ -322,6 +323,17 @@ def stencil_values(params, y, h):
     return field_values(bubble_field(params), stencil.reshape(-1, N)).reshape(2 * N, k, -1)
 
 
+def zipped_values(params, y, shifts):
+    """``lattice_values`` of points y (k, N) passed as their N columns: (len(shifts), k, m)."""
+    q, out = np.empty(len(shifts) * len(y)), np.empty(params.m * len(shifts) * len(y))
+    return lattice_values(params, list(y.T), shifts, q, out)
+
+
+def axis_shifts(N, h):
+    """The 2N central-stencil shifts (a, +h), (a, -h), axis by axis."""
+    return [(a, s * h) for a in range(N) for s in (1, -1)]
+
+
 # N = 5, m = 3: rows of A sum to (N+2)/(N-2), rows of B to N/(N-2)
 SPEC_N5_M3 = EllipticSystemSpec(
     N=5, m=3, A=[[1.0, 1.0, 1 / 3], [0.5, 1.5, 1 / 3], [1.0, 0.5, 5 / 6]],
@@ -336,7 +348,7 @@ def test_axis_neighbours_are_the_stencil_values_bit_for_bit(name, h):
     shift = np.append([0.3, -0.2, 0.1, 0.4][: spec.N - 1], 0.0)
     params = moved_params(make_bubble_params(spec, sigma=1.0), 0.7, shift)
     y = random_halfspace_points(spec.N, 500, seed=61, lo=-2.0, hi=2.0, hi_last=2.0)
-    neighbours = bubble_field(params).axis_neighbours(y, h)
+    neighbours = zipped_values(params, y, axis_shifts(spec.N, h))
     assert neighbours.shape == (2 * spec.N, len(y), spec.m)
     assert np.array_equal(neighbours, stencil_values(params, y, h))
 
@@ -351,4 +363,28 @@ def test_axis_neighbours_match_the_stencil_for_any_bubble(N, k, data):
     )
     y = data.draw(arrays(np.float64, (k, N), elements=st.floats(-1e3, 1e3)))
     h = data.draw(st.floats(1e-8, 1.0))
-    assert np.array_equal(axis_neighbours(params, y, h), stencil_values(params, y, h))
+    assert np.array_equal(zipped_values(params, y, axis_shifts(N, h)), stencil_values(params, y, h))
+
+
+@given(N=st.integers(3, 5), m=st.integers(1, 3), k=st.integers(1, 299), data=st.data())
+def test_zipped_points_are_the_bubble_at_every_moved_point(N, m, k, data):
+    # y0' != 0, and a third of the points on y_N = 0, where the face stencil starts
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    y0 = np.append(rng.choice([-1.0, 1.0], N - 1) * rng.uniform(1e-3, 10.0, N - 1),
+                   rng.uniform(-10.0, 10.0))
+    params = BubbleParams(data.draw(st.floats(1e-3, 1e3)), rng.uniform(1e-3, 1e3, m), y0)
+    y = rng.uniform(-5.0, 5.0, (k, N))
+    y[:, -1] = np.abs(y[:, -1])
+    y[::3, -1] = 0.0
+    h = data.draw(st.floats(1e-4, 1e-1))
+    field = lambda points: evaluate_bubble(params, points)
+    face = [(N - 1, h), (N - 1, 2 * h)]
+    for shifts, generic in ((axis_shifts(N, h), _stencil_values(field, y, h)),
+                            (face, _stencil_values(field, y, h, directions=np.eye(N)[-1]))):
+        values = zipped_values(params, y, shifts + [(0, 0.0)])
+        assert np.array_equal(values[:-1], generic)
+        for row, (a, t) in zip(values, shifts):
+            point = y.copy()
+            point[:, a] += t
+            assert np.array_equal(row, evaluate_bubble(params, point))
+        assert np.array_equal(values[-1], evaluate_bubble(params, y))

@@ -889,11 +889,9 @@ class TestEachValueOnce:
     def test_verify_sweeps_three_levels(self, spec_file, params_file, tmp_path, monkeypatch):
         from halfspace_bubbles import bubble_family
 
-        evaluated, neighbours, lattice = [], [], []
+        evaluated, lattice = [], []
         recording(monkeypatch, bubble_family, "evaluate_bubble", evaluated,
                   lambda a, kw: len(a[1]))
-        recording(monkeypatch, bubble_family, "axis_neighbours", neighbours,
-                  lambda a, kw: 2 * a[1].shape[1] * len(a[1]))
         # (rows, points): one row per shift of a sub-box, whose axes broadcast to its points
         recording(monkeypatch, bubble_family, "lattice_values", lattice,
                   lambda a, kw: (len(a[2]), np.broadcast(*a[1]).size))
@@ -904,7 +902,7 @@ class TestEachValueOnce:
         # inward points at each step; one residual pass serves every level.  The
         # lattices are read from their axes, so no point is evaluated one by one
         n_interior, n_boundary, N = 8**3, 8**2, 3
-        assert evaluated == neighbours == []
+        assert evaluated == []
         assert sum(rows * points for rows, points in lattice if rows == 2 * N) == n_interior * 3 * 2 * N
         assert sum(rows * points for rows, points in lattice) == (n_interior * (1 + 3 * 2 * N)
                                                                   + n_boundary * (1 + 3 * 2))
@@ -914,6 +912,32 @@ class TestEachValueOnce:
         assert report["fd"]["h"] == conv["h_list"][-1] == min(conv["h_list"])
         assert report["fd"]["sup_interior"] == conv["sup_interior"][-1]
         assert report["fd"]["sup_boundary"] == conv["sup_boundary"][-1]
+
+    def test_verify_csv_reads_each_random_point_once(
+        self, spec_file, params_file, tmp_path, monkeypatch
+    ):
+        from halfspace_bubbles import bubble_family
+
+        evaluated, lattice = [], []
+        recording(monkeypatch, bubble_family, "evaluate_bubble", evaluated,
+                  lambda a, kw: len(a[1]))
+        # (rows, points, on a point set): a point set's coordinates are its (k,) columns
+        recording(monkeypatch, bubble_family, "lattice_values", lattice,
+                  lambda a, kw: (len(a[2]), np.broadcast(*a[1]).size, a[1][0].ndim == 1))
+        out = tmp_path / "verify.json"
+        assert run("verify", "--spec", spec_file, "--params", params_file, "--out", out,
+                   "--csv") == 0
+        # the CSV's one step: each interior center once plus its 2N neighbours, each
+        # boundary center once plus its 2 inward points; the lattice study as without --csv
+        report = json.loads(out.read_text())
+        kept, n_boundary, N = report["csv_interior_points"]["written"], report["n_random"], 3
+        assert evaluated == []
+        on_points = [(rows, points) for rows, points, zipped in lattice if zipped]
+        assert sum(rows * points for rows, points in on_points) == (kept * (1 + 2 * N)
+                                                                    + n_boundary * (1 + 2))
+        assert sum(rows * points for rows, points in on_points if rows == 2 * N) == kept * 2 * N
+        assert sum(rows * points for rows, points, zipped in lattice if not zipped) == (
+            8**3 * (1 + 3 * 2 * N) + 8**2 * (1 + 3 * 2))
 
     def test_moving_spheres_evaluates_samples_once(
         self, spec_file, params_file, tmp_path, monkeypatch

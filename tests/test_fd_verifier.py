@@ -319,6 +319,36 @@ class TestBlockedDriver:
         for a, b in zip(study_fields(on_lattice), study_fields(on_points), strict=True):
             assert np.array_equal(a, b, equal_nan=True)
 
+    @pytest.mark.parametrize("block", [7, 4096])
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    @settings(max_examples=6)
+    @given(m=st.integers(1, 3), data=st.data())
+    def test_zipped_route_equals_the_generic_route(self, N, block, m, data):
+        # the bubble's evaluator reads each block's coordinates through lattice_values, a
+        # plain function of the same bubble gets the points of _stencil_values: on random
+        # points and on a lattice, every value, sup and argmax to the bit
+        spec = EllipticSystemSpec(N=N, m=m, A=np.full((m, m), (N + 2) / (N - 2) / m),
+                                  B=np.full((m, m), N / (N - 2) / m), c=-np.ones(m))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        params = BubbleParams(data.draw(st.floats(0.1, 10.0)), rng.uniform(0.1, 10.0, m),
+                              rng.uniform(-3.0, 3.0, N))
+        h, k = data.draw(st.floats(1e-4, 1e-2)), data.draw(st.integers(1, 300))
+        interior = rng.uniform(-3.0, 3.0, (k, N))
+        interior[:, -1] = rng.uniform(4 * h, 3.0, k)
+        boundary = rng.uniform(-3.0, 3.0, (k, N))
+        boundary[:, -1] = 0.0
+        n_per_axis = data.draw(st.integers(1, int(2048 ** (1 / N))))
+
+        def results(u):
+            return [*study_fields(residual_study(spec, u, interior, boundary, h)),
+                    *study_fields(convergence_order(spec, u, _study_box(N), h, n_per_axis)),
+                    *residuals_at_points(spec, u, interior, boundary, h)]
+
+        with mock.patch.object(fd_verifier, "BLOCK_CENTERS", block):
+            zipped, generic = results(bubble_field(params)), results(lambda y: evaluate_bubble(params, y))
+        for a, b in zip(zipped, generic, strict=True):
+            assert np.array_equal(a, b, equal_nan=True)
+
     def test_study_memory_is_bounded_by_the_block(self):
         # 12^5 = 248,832 centers.  The lattice's axes and one block trace
         # 1.6 MB; the whole lattice and its (3, k, 1) residuals traced 18.5 MB,

@@ -41,7 +41,10 @@ MUTANTS = {
     "center-height": ("bubble_family.py", "(spec.B - spec.A).T", "(spec.B - spec.A)"),
     # the half-line's signs: c in the initial slope, and u'' = -source
     "halfline-slope-sign": ("radial_ode.py", "[v0, spec.flux(", "[v0, -spec.flux("),
-    "halfline-rhs-sign": ("radial_ode.py", "out[m:] = -source(", "out[m:] = source("),
+    "halfline-rhs-sign": ("radial_ode.py", "np.negative(np.exp(", "np.positive(np.exp("),
+    # the flow's right-hand side reads the source's exponents by (i, j), as source does
+    "cone-flow-AT": ("radial_ode.py", "POSITIVITY_FLOOR)) @ spec.AT)",
+                     "POSITIVITY_FLOOR)) @ spec.A)"),
     # the sign of c in each boundary law
     "robin-c-sign": ("radial_ode.py", "* psi + flux", "* psi - flux"),
     "levels-c-sign": ("fd_verifier.py", "(d_in - robin) - flux", "(d_in - robin) + flux"),
@@ -70,18 +73,17 @@ MUTANTS = {
     # mu/(2d) is sigma/e above the boundary and e/sigma below it
     "recover-branch": ("conformal_ball.py", "sigma / e if y0N >= 0 else e / sigma",
                        "e / sigma if y0N >= 0 else sigma / e"),
-    # the bubble's axis neighbours: each row adds the axes after a in order, and
-    # rows 2a and 2a + 1 hold the steps +h and -h
-    "neighbour-prefix-order": ("bubble_family.py", "for b in range(a + 1, N):",
-                               "for b in reversed(range(a + 1, N)):"),
-    "neighbour-sign": ("bubble_family.py", "((2 * a, yT[a] + h), (2 * a + 1, yT[a] - h))",
-                       "((2 * a, yT[a] - h), (2 * a + 1, yT[a] + h))"),
-    # the lattice's q adds sigma^2 after the axis squares, as evaluate_bubble does
+    # the bubble's neighbours: a point set's rows add the axes after the second in
+    # order, and rows 2a and 2a + 1 of the study's stencil hold the steps +h and -h
+    "neighbour-prefix-order": ("bubble_family.py", "zip(squares[2:], rest)",
+                               "reversed(list(zip(squares[2:], rest)))"),
+    "neighbour-sign": ("fd_verifier.py", "for s in (1, -1)]", "for s in (-1, 1)]"),
+    # the lattice's q adds sigma^2 after the axis squares, as evaluate_bubble does;
+    # the mutant adds it first and takes it off before the shared sigma^2 add
     "lattice-sigma-first": ("bubble_family.py",
-                            "np.add(functools.reduce(np.add, terms[:-1]), terms[-1], out=q)\n"
-                            "    q += params.sigma**2",
+                            "np.add(functools.reduce(np.add, terms[:-1]), terms[-1], out=q)",
                             "np.add(functools.reduce(np.add, terms[:-1], params.sigma**2), terms[-1],"
-                            " out=q)"),
+                            " out=q)\n        q -= params.sigma**2"),
     # the blocked sup: a block's NaN or larger value replaces the running one, and
     # its argmax counts from the block's first point
     "fold-nan": ("fd_verifier.py", "np.argmax(np.stack([best[0], sups]), axis=0).astype(bool)",

@@ -24,7 +24,10 @@ sigma = 1 call cached and once fresh after the cache is cleared, so each
 cached call prints next to the digests of its fresh twin.  Each call
 goes through ``halfspace_bubbles.cli.main`` in this process; per call it
 prints the exit code, the standard error and the sha256 of every file it
-wrote.
+wrote.  The first line names numpy's version, its baseline and the CPU
+features it dispatches to: bytes are comparable only between printouts whose
+first lines are equal, since exp, log and power kernels differ by build
+and dispatch level.
 Run it against two checkouts and diff the printouts:
 
     PYTHONPATH=src python tools/report_digests.py OUTDIR > digests.txt
@@ -42,6 +45,8 @@ import json
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from halfspace_bubbles import bubble_family, cli, radial_ode
 from halfspace_bubbles.exponent_system import EllipticSystemSpec
@@ -94,7 +99,19 @@ def calls(name: str) -> dict[str, list[str]]:
     }
 
 
+def cpu_dispatch() -> tuple[list[str], list[str]]:
+    """numpy's baseline CPU features, and the dispatched ones above it that this process enabled."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    enabled = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    return list(umath.__cpu_baseline__), enabled
+
+
 def main(outdir: str) -> int:
+    baseline, enabled = cpu_dispatch()
+    print(f"numpy {np.__version__} baseline {' '.join(baseline)} dispatch {' '.join(enabled) or '-'}")
     root = Path(outdir)
     root.mkdir(parents=True, exist_ok=True)
     # reports name their spec file; relative names keep them equal across OUTDIRs
