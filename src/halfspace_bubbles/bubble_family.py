@@ -323,20 +323,20 @@ def boundary_residual_relative(
     return out
 
 
-def lattice_values(params: BubbleParams, coords, shifts, q, out) -> np.ndarray:
+def lattice_values(params: BubbleParams, coords, shifts) -> np.ndarray:
     """Values (R, b, m) at b points moved by R ``shifts``, evaluate_bubble's to the bit.
 
-    ``coords`` are the points' N coordinates: a lattice's 1-d axes shaped to broadcast, or the
-    columns (b,) of a point set.  Shift (a, t) adds t to coordinate a.  The flat buffers ``q`` and
-    ``out`` take q = sigma^2 + |y - y0|^2 (the squares in squared_distance's order, sigma^2 last)
-    and the values, (m, R, b), in their heads.  Two builders of q do the same IEEE operations: a
-    lattice's squares are small, so one broadcast reduce adds them for every row at once and its
-    partial sums over the leading axes stay small; a point set's are full columns, so each is
-    squared once per distinct shift along it, and each row adds its own.
+    ``coords`` are N coordinates, a lattice's 1-d axes shaped to broadcast or a point set's (b,)
+    columns; shift (a, t) adds t to coordinate a.  q = sigma^2 + |y - y0|^2 adds the squares in
+    squared_distance's order, sigma^2 last, and the values are (m, R, b) memory.  Two builders of q
+    do the same IEEE operations, each the faster on its shape: a lattice's squares are small, so one
+    broadcast reduce adds them for every row at once and its partial sums over the leading axes stay
+    small; a point set's are full columns, so each is squared once per distinct shift along it, and
+    each row adds its own.
     """
     sub = np.broadcast_shapes(*(x.shape for x in coords))
     R, b = len(shifts), math.prod(sub)
-    q, out = q[: R * b].reshape(R, *sub), out[: params.m * R * b].reshape(params.m, R, *sub)
+    q, out = np.empty((R, *sub)), np.empty((params.m, R, *sub))
     along = [[t if c == a else 0.0 for c, t in shifts] for a in range(params.N)]  # each row's move
     if len(sub) > 1:
         terms = [(x + np.array(t).reshape((-1,) + (1,) * len(sub)) - y0) ** 2

@@ -16,14 +16,13 @@ array of a study grows with its point set.
 Layout: points innermost.  Component values (k, m) are views of (m, k) memory
 (bubble values come so from ``log_profile``), the bubble's shifted values
 (R, b, m) of (m, R, b), and the sweep's samples, offsets and Kelvin images and
-the box samples of (m, k) and (N, k); a block reaches the bubble as N coordinate
-arrays, an array's columns or a sub-box's axes; other fields' stencils are
-neighbour-major, (2N, k, N) and (2, k, N), and a block's residuals (n_h, b, m)
-of (n_h, m, b).  So kernels and reductions run over contiguous points, not over
-the N <= 5 axes or m <= 3 components.  The 2N neighbour values are added
-explicitly, left to right: numpy's reduce picks its order from the array's size
-and layout, and this one keeps a component's result independent of the block
-size and of the other components evaluated with it.
+the box samples of (m, k) and (N, k); the bubble reads a block's N columns or
+axes; other fields' stencils are neighbour-major, (2N, k, N) and (2, k, N), and
+a block's residuals (n_h, b, m) of (n_h, m, b).  So kernels and reductions run
+over contiguous points, not over the N <= 5 axes or m <= 3 components.  The 2N
+neighbour values are added explicitly, left to right: numpy's reduce picks its
+order from the array's size and layout, and this one keeps a component's result
+independent of the block size and of the other components evaluated with it.
 """
 
 from __future__ import annotations
@@ -153,6 +152,29 @@ def point_blocks(n: int):
     return (slice(start, start + BLOCK_CENTERS) for start in range(0, n, BLOCK_CENTERS))
 
 
+def _block_values(u, points, N: int, face: bool, normals):
+    """Each block's center values (b, m) and neighbours(h), in point order.
+
+    On the half-space an evaluator with ``lattice_values`` gets a block as its N coordinates (a
+    sub-box's axes, an array's columns) with the shifts of the centers and of the 2N axis or 2 face
+    neighbours; any other evaluator gets the block's points through :func:`_stencil_values`.
+    """
+    if not hasattr(u, "lattice_values") or normals is not None:
+        inward = np.eye(N)[-1] if normals is None else normals
+        for block in point_blocks(len(points)):
+            pts = points[block]
+            directions = np.broadcast_to(inward, (len(points), N))[block] if face else None
+            neighbours = functools.partial(_stencil_values, u, pts, directions=directions)
+            yield field_values(u, pts), neighbours
+        return
+    steps = [(N - 1, 1), (N - 1, 2)] if face else [(a, s) for a in range(N) for s in (1, -1)]
+    blocks = (points.sub_boxes() if isinstance(points, _Lattice)
+              else (list(points[block].T) for block in point_blocks(len(points))))
+    for coords in blocks:
+        yield (u.lattice_values(coords, [(0, 0.0)])[0],
+               lambda h: u.lattice_values(coords, [(a, s * h) for a, s in steps]))
+
+
 def _residual_blocks(
     spec: EllipticSystemSpec, u, interior, boundary, h_list, normals=None, kappa: float = 0.0
 ):
@@ -163,34 +185,12 @@ def _residual_blocks(
     inward unit ``normals``, (kb, N) or (N,); e_N and kappa = 0 are the
     half-space.  Each block's values and source term are evaluated once and
     shared by every step, so only the neighbours are evaluated per step.
-    Point sets are (k, N) arrays or :class:`_Lattice`, read in sub-boxes;
-    nothing larger than a block is held.  On the half-space an evaluator with
-    ``lattice_values`` gets each block as its N coordinates (an array's
-    columns, a sub-box's axes) with the shifts of the centers and neighbours;
-    any other, the points of :func:`_stencil_values`.  Buffers are held for
-    the study, so a block's residuals last until the next block is asked for.
+    Point sets are (k, N) arrays or :class:`_Lattice`.
     """
-    h_list, m, N = [float(h) for h in h_list], spec.m, spec.N
-    zipped = hasattr(u, "lattice_values") and normals is None
-    inward = np.broadcast_to(np.eye(N)[-1] if normals is None else normals, (len(boundary), N))
+    h_list, m = [float(h) for h in h_list], spec.m
     for face, points in ((False, interior), (True, boundary)):
-        steps = [(N - 1, 1), (N - 1, 2)] if face else [(a, s) for a in range(N) for s in (1, -1)]
-        rows = (len(steps), m * len(steps), m) if zipped else (0, 0, 0)  # q, values, centers
-        q, vals, centers, residuals = (np.empty(n * min(BLOCK_CENTERS, len(points)))
-                                       for n in (*rows, len(h_list) * m))
-        blocks = point_blocks(len(points))
-        if zipped:  # each block as its N coordinates
-            blocks = (points.sub_boxes() if isinstance(points, _Lattice)
-                      else (list(points[block].T) for block in blocks))
-        for block in blocks:
-            if zipped:
-                center = u.lattice_values(block, [(0, 0.0)], q, centers)[0]
-                neighbours = lambda h: u.lattice_values(block, [(a, s * h) for a, s in steps], q, vals)
-            else:
-                pts, directions = points[block], inward[block] if face else None
-                center = field_values(u, pts)
-                neighbours = functools.partial(_stencil_values, u, pts, directions=directions)
-            res = residuals[: len(h_list) * center.size].reshape(len(h_list), m, -1).transpose(0, 2, 1)
+        for center, neighbours in _block_values(u, points, spec.N, face, normals):
+            res = np.empty((len(h_list), m, len(center))).transpose(0, 2, 1)
             # the source and flux in the residuals' (m, b) memory, so each step adds them fast
             if face:
                 flux, robin = np.asfortranarray(spec.flux(np.log(center))), kappa * center
@@ -255,7 +255,7 @@ def residuals_at_points(
     # component-major (m, k) memory, as the blocks hold it
     parts = ([np.empty((spec.m, 0))], [np.empty((spec.m, 0))])
     for on_boundary, res in _residual_blocks(spec, u, interior_points, boundary_points, [h]):
-        parts[on_boundary].append(res[0].T.copy())
+        parts[on_boundary].append(res[0].T)
     return tuple(np.concatenate(p, axis=1).T for p in parts)
 
 

@@ -229,10 +229,10 @@ def _rk_step(fun, t, y, h, K) -> np.ndarray:
 
     Fills the stages K[1:13] (K[12] is fun at the new point) and returns y(t + h).
     """
-    KT = K.T
     for s in range(1, 12):
-        K[s] = fun(t + C[s] * h, y + np.dot(KT[:, :s], A_ROWS[s]) * h)
-    K[12] = fun(t + h, y_new := y + h * np.dot(KT[:, :12], B))
+        K[s] = fun(t + C[s] * h, y + np.dot(K[:s].T, A_ROWS[s]) * h)
+    y_new = y + h * np.dot(K[:12].T, B)
+    K[12] = fun(t + h, y_new)
     return y_new
 
 

@@ -138,12 +138,12 @@ def _cone_flow(spec, y0, span, rtol, atol, radial):
     """DOP853 run of psi'' = -damping psi' - source(psi), damping (N-1)/r if ``radial`` else 0,
     from y0 = (psi, psi') to the first fall of min(psi) through zero; StepFailure if it stalls.
     """
-    m = y0.shape[0] // 2
+    m, source = y0.shape[0] // 2, spec.source
 
     def rhs(r, y):
         out = np.empty(2 * m)
         out[:m] = y[m:]
-        np.negative(np.exp(np.log(np.maximum(y[:m], POSITIVITY_FLOOR)) @ spec.AT), out=out[m:])
+        out[m:] = -source(np.log(np.maximum(y[:m], POSITIVITY_FLOOR)))
         if radial:
             out[m:] -= (spec.N - 1) / r * y[m:]
         return out

@@ -325,8 +325,7 @@ def stencil_values(params, y, h):
 
 def zipped_values(params, y, shifts):
     """``lattice_values`` of points y (k, N) passed as their N columns: (len(shifts), k, m)."""
-    q, out = np.empty(len(shifts) * len(y)), np.empty(params.m * len(shifts) * len(y))
-    return lattice_values(params, list(y.T), shifts, q, out)
+    return lattice_values(params, list(y.T), shifts)
 
 
 def axis_shifts(N, h):

@@ -41,10 +41,7 @@ MUTANTS = {
     "center-height": ("bubble_family.py", "(spec.B - spec.A).T", "(spec.B - spec.A)"),
     # the half-line's signs: c in the initial slope, and u'' = -source
     "halfline-slope-sign": ("radial_ode.py", "[v0, spec.flux(", "[v0, -spec.flux("),
-    "halfline-rhs-sign": ("radial_ode.py", "np.negative(np.exp(", "np.positive(np.exp("),
-    # the flow's right-hand side reads the source's exponents by (i, j), as source does
-    "cone-flow-AT": ("radial_ode.py", "POSITIVITY_FLOOR)) @ spec.AT)",
-                     "POSITIVITY_FLOOR)) @ spec.A)"),
+    "halfline-rhs-sign": ("radial_ode.py", "out[m:] = -source(", "out[m:] = source("),
     # the sign of c in each boundary law
     "robin-c-sign": ("radial_ode.py", "* psi + flux", "* psi - flux"),
     "levels-c-sign": ("fd_verifier.py", "(d_in - robin) - flux", "(d_in - robin) + flux"),
