@@ -25,12 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bubble_family as bf
-from . import conformal_ball as cb
-from . import fd_verifier as fd
-from . import kelvin_inversion as ki
-from . import radial_ode as ro
-from . import reporting, sampling
+# Only what parsing, dispatch and error mapping need is imported here: every
+# call is a fresh process, so each subcommand imports the library modules it
+# calls in its own body, and a ``validate`` loads none of them.
+from . import reporting
 from .errors import (
     HalfspaceBubblesError,
     MalformedSpec,
@@ -140,15 +138,20 @@ def _parse_box(text: str | None, N: int) -> np.ndarray:
     return box
 
 
-def _params_at_sigma(spec, sigma: float) -> bf.BubbleParams:
+def _params_at_sigma(spec, sigma: float):
     """make_bubble_params at ``--sigma``, an out-of-range error naming the flag."""
+    from . import bubble_family as bf
+
     try:
         return bf.make_bubble_params(spec, sigma)
     except ValueError as exc:
         raise ValueError(f"--{exc}") from None
 
 
-def _load_params(args, spec) -> bf.BubbleParams:
+def _load_params(args, spec):
+    """The BubbleParams of ``--params``, or else those at ``--sigma``."""
+    from . import bubble_family as bf
+
     if args.params is None:
         return _params_at_sigma(spec, args.sigma)
     params = bf.load_params(args.params)
@@ -204,6 +207,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve_params(args) -> int:
+    from . import bubble_family as bf
+
     spec = _validated_spec(args)
     params = _params_at_sigma(spec, args.sigma)
     solve = bf.solve_betas(spec, args.sigma)
@@ -225,6 +230,8 @@ def cmd_solve_params(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import bubble_family as bf, fd_verifier as fd, sampling
+
     spec = _validated_spec(args)
     params = _load_params(args, spec)
     box = _parse_box(args.box, spec.N)
@@ -278,6 +285,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_moving_spheres(args) -> int:
+    from . import bubble_family as bf, kelvin_inversion as ki, sampling
+
     spec = _validated_spec(args)
     params = _load_params(args, spec)
     x = _parse_boundary_point(args.x, spec.N) if args.x is not None else np.zeros(spec.N)
@@ -331,6 +340,8 @@ def cmd_moving_spheres(args) -> int:
 
 
 def cmd_ball(args) -> int:
+    from . import bubble_family as bf, conformal_ball as cb, radial_ode as ro, sampling
+
     spec = _validated_spec(args)
     params = _load_params(args, spec)
     d = params.d
@@ -408,6 +419,8 @@ def cmd_ball(args) -> int:
 
 
 def cmd_radial(args) -> int:
+    from . import conformal_ball as cb, radial_ode as ro
+
     spec = _validated_spec(args)
     params = _load_params(args, spec)
     d = params.d
@@ -445,6 +458,8 @@ def cmd_radial(args) -> int:
 
 
 def cmd_halfline(args) -> int:
+    from . import radial_ode as ro
+
     spec = _validated_spec(args)
     u0 = _parse_floats(args.u0) if args.u0 is not None else np.ones(1)
     if u0.size not in (1, spec.m):

@@ -65,7 +65,9 @@ def write_report(report: dict, path: str | Path | None) -> None:
     """Write the report as strict JSON to ``path``, or to stdout when no path is given.
 
     A NaN or an infinity has no strict JSON form: it raises NonFiniteReport
-    naming its key, and nothing is written.
+    naming its key, and nothing is written.  Standard output is flushed after
+    the report, and a closed one raises OSError, so a failed write is the
+    caller's error, not a traceback at exit.
     """
     report = jsonable(report)
     try:
@@ -74,7 +76,10 @@ def write_report(report: dict, path: str | Path | None) -> None:
         key = _non_finite_key(report)
         raise NonFiniteReport(f"report value {key!r} is not finite, which JSON cannot hold") from None
     if path is None:
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         sys.stdout.write(text)
+        sys.stdout.flush()
     else:
         Path(path).write_text(text, encoding="utf-8")
 

@@ -147,15 +147,19 @@ def random_boundary_points(N: int, n: int, seed: int, lo=-10.0, hi=10.0):
     return pts
 
 
-def run_child(*args, timeout=None):
-    """Run ``python *args`` on the package this process imports, installed or not."""
+def run_child(*args, timeout=None, unset=()):
+    """Run ``python *args`` on the package this process imports, installed or not.
+
+    The environment variables named in ``unset`` are removed from the child's.
+    """
     src = str(Path(halfspace_bubbles.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {name: value for name, value in os.environ.items() if name not in unset}
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**env, "PYTHONPATH": path},
         timeout=timeout,
     )
 

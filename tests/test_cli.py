@@ -1326,3 +1326,101 @@ print(json.dumps(sorted(name for name in sys.modules
 """)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+PACKAGE_MODULES = """
+import json, sys
+from halfspace_bubbles import cli
+def loaded():
+    return sorted(name.partition(".")[2] for name in sys.modules
+                  if name.startswith("halfspace_bubbles."))
+before = loaded()
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else None
+print(json.dumps({"code": code, "before": before, "after": loaded()}))
+"""
+
+CLI_MODULES = ["cli", "errors", "exponent_system", "reporting"]
+
+
+@pytest.mark.parametrize("argv, added", [
+    ([], []),
+    (["validate"], []),
+    (["solve-params"], ["bubble_family"]),
+    (["verify", "--grid", "4", "--n-random", "50"], ["bubble_family", "fd_verifier", "sampling"]),
+    (["moving-spheres", "--grid", "6", "--n-lambda", "8"],
+     ["bubble_family", "kelvin_inversion", "sampling"]),
+    (["halfline"], ["bubble_family", "ode", "radial_ode"]),
+])
+def test_each_subcommand_loads_only_its_modules(argv, added, spec_file, tmp_path):
+    # a cold call pays for every module it imports: the CLI imports what parsing and
+    # error mapping need, and each subcommand the library modules it calls
+    if argv:
+        argv = [*argv, "--spec", str(spec_file), "--out", str(tmp_path / "out.json")]
+    proc = run_child("-c", PACKAGE_MODULES, *argv)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["before"] == CLI_MODULES
+    assert result["code"] == (0 if argv else None)
+    assert result["after"] == sorted(CLI_MODULES + added)
+
+
+@pytest.fixture
+def module_inputs(tmp_path, spec_file):
+    """The spec files the ``python -m`` cases refer to by name."""
+    files = {"spec": spec_file, "x3": tmp_path / "x3.json", "f3params": tmp_path / "f3params.json",
+             "bad": tmp_path / "bad.json"}
+    files["x3"].write_text(json.dumps(incompatible_rows_spec().to_dict()))
+    files["f3params"].write_text(json.dumps(make_bubble_params(fixture_spec("f3"), 1.0).to_dict()))
+    files["bad"].write_text(json.dumps({"N": 3, "m": 1, "A": [[5.0, 1.0]], "B": [[3.0]], "c": [0.0]}))
+    return files
+
+
+@pytest.mark.parametrize("command, code", [
+    ("validate --spec {spec}", 0),
+    ("verify --spec {spec} --grid 4 --n-random 50 --csv --out {out}/verify.json", 0),
+    ("radial --spec {spec} --csv --out {out}/radial.json", 0),
+    ("radial --spec {x3} --params {f3params} --out {out}/radial.json", 1),  # shoot_failed
+    ("validate --spec {bad}", 2),
+    ("verify --spec {spec} --grid=0", 2),
+    ("--help", 0),
+])
+def test_module_run_gives_what_main_gives(command, code, module_inputs, tmp_path, capsys):
+    # python -m leaves with os._exit: whatever it had not flushed by then would be lost.
+    # With PYTHONUNBUFFERED set every flush is a no-op, so the children run without it,
+    # their standard output block-buffered as it is for most users.
+    outputs = {}
+    for side in ("main", "module"):
+        out = tmp_path / side
+        out.mkdir()
+        argv = [a.format(out=out, **module_inputs) for a in command.split()]
+        if side == "main":
+            got = (main(argv), *capsys.readouterr())
+        else:
+            proc = run_child("-m", "halfspace_bubbles", *argv, unset=["PYTHONUNBUFFERED"])
+            got = (proc.returncode, proc.stdout, proc.stderr)
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        outputs[side] = (*got, files)
+    assert outputs["main"][0] == code
+    assert outputs["module"] == outputs["main"]
+
+
+@pytest.mark.parametrize("redirect, command", [
+    ("closed", "verify --spec {spec} --sigma 1.0"),
+    ("full", "validate --spec {spec}"),
+])
+def test_unwritable_stdout_is_an_input_error(redirect, command, spec_file):
+    # with standard output closed this was an AttributeError traceback and exit 1, a failed check
+    if redirect == "full" and not Path("/dev/full").exists():
+        pytest.skip("no /dev/full")
+    proc = run_child("-c", """
+import os, sys
+if sys.argv[1] == "closed":
+    os.close(1)
+else:
+    os.dup2(os.open("/dev/full", os.O_WRONLY), 1)
+os.execv(sys.executable, [sys.executable, "-m", "halfspace_bubbles", *sys.argv[2:]])
+""", redirect, *command.format(spec=spec_file).split())
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error_code"] == "input_error"

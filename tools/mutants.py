@@ -112,6 +112,8 @@ MUTANTS = {
     "render-power-of-two": ("reporting.py", "rop(cb - _U(2) + irregular)", "rop(cb - _U(2))"),
     # a cell's exponent field comes from a table with one row per exponent
     "csv-exp-table": ("reporting.py", "for x in range(-500, 500)", "for x in range(-499, 501)"),
+    # python -m leaves with os._exit, so what standard output still buffers must be flushed first
+    "exit-flush": ("__main__.py", "(sys.stdout, sys.stderr)", "(sys.stderr,)"),
 }
 
 
